@@ -8,7 +8,7 @@ degeneracy, and the conic-section structure of coordinate level sets.
 """
 
 from .domain import DomainSpec, halton
-from .engine import evaluate, using_numba
+from .engine import evaluate
 from .errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
                      DimensionMismatch, EvaluationSingularity, IllConditioned,
                      InvalidConstant, MinsurfError, NoConvergence,

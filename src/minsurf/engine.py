@@ -1,18 +1,19 @@
 """Bulk evaluation of expression trees on arrays of complex points.
 
 Everything downstream (quadrature panels, residual sampling, surface
-patches, metric grids) reduces to evaluating a handful of small ASTs at
-10^4..10^6 points, so this is the package's hot kernel.  An expression is
-compiled once into a flat postfix instruction tape and then run by one of
-two interchangeable stack machines:
+patches, metric grids) reduces to evaluating a curve's few small ASTs at
+10^4..10^6 points, so this is the package's hot kernel.
 
-* a numba ``@njit`` kernel looping points-outer / instructions-inner
-  (complex128 scalars through ``cmath``, no array temporaries), and
-* a pure-numpy fallback looping instructions-outer over whole arrays.
-
-The numpy path is selected when numba is unavailable or when the
-environment variable ``MINSURF_NO_NUMBA`` is set to a non-empty value
-other than ``0``.  ``benchmarks/bench_backends.py`` compares the two.
+``compile_expr`` turns an expression, or a tuple of them (the components
+of a curve), into one ``Program``: a flat list of numpy instructions over
+numbered slots.  Slot 0 holds z and each constant is a scalar slot, so a
+constant operand is never broadcast into an array.  Nodes are hash-consed on a structural
+key -- node type, operand slots, and the exponent or the constant's bits
+(so ``0.0`` and ``-0.0`` stay distinct) -- after Filliatre & Conchon,
+"Type-safe modular hash-consing" (ML Workshop 2006).  A subexpression
+shared by several components, such as ``G^2`` or ``Psi`` in Weierstrass
+data, is therefore computed once per call, and every intermediate array
+is freed after its last use.
 
 ``log`` uses the principal branch by default; a rotated branch cut is
 supported by passing the cut direction angle (the principal branch
@@ -23,225 +24,140 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
+import struct
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationSingularity
 from . import expr as ex
 
-__all__ = ["compile_expr", "evaluate", "eval_program", "using_numba", "Program"]
+__all__ = ["compile_expr", "evaluate", "eval_program", "Program"]
 
-# opcodes
-_LOAD_Z, _LOAD_C, _ADD, _SUB, _MUL, _DIV, _NEG, _POW, _EXP, _LOG, _SINH, _COSH = range(12)
-
-_DISABLE_ENV = os.environ.get("MINSURF_NO_NUMBA", "0") not in ("", "0")
-
-try:
-    if _DISABLE_ENV:
-        raise ImportError("numba disabled by MINSURF_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator fallback
-        def wrap(f):
-            return f
-        return wrap
+_UNARY = {ex.Neg: np.negative, ex.Exp: np.exp, ex.Sinh: np.sinh, ex.Cosh: np.cosh}
+_BINARY = {ex.Add: np.add, ex.Sub: np.subtract, ex.Mul: np.multiply,
+           ex.Div: np.true_divide}
+_ONE_ARG = (*_UNARY, ex.Pow, ex.Log)
 
 
-def using_numba() -> bool:
-    """True when the jitted kernel is active (import-time decision)."""
-    return _HAVE_NUMBA
+class Program(NamedTuple):
+    """Instructions over numbered slots; slot 0 holds z.
+
+    ``consts`` pairs each constant slot with its scalar value.  Each entry
+    of ``ops`` is ``(slot, node type, operand slots, exponent, slots freed
+    after it)``.  ``outputs`` lists the slot of each root; ``single`` is
+    true when one expression, not a tuple, was compiled.
+    """
+
+    size: int
+    consts: tuple
+    ops: tuple
+    outputs: tuple
+    single: bool
 
 
-class Program:
-    """Flat postfix tape: opcodes, per-op integer args, constant pool."""
-
-    __slots__ = ("ops", "args", "consts", "stack_size")
-
-    def __init__(self, ops, args, consts, stack_size):
-        self.ops = np.asarray(ops, dtype=np.int64)
-        self.args = np.asarray(args, dtype=np.int64)
-        self.consts = np.asarray(consts, dtype=np.complex128)
-        self.stack_size = int(stack_size)
-
-
-def compile_expr(e: ex.Expr) -> Program:
-    """Flatten an AST into a Program (postorder walk)."""
-    ops, args, consts = [], [], []
-
-    def emit(op, arg=0):
-        ops.append(op)
-        args.append(arg)
+def compile_expr(e) -> Program:
+    """Compile an expression, or a tuple of expressions, into one Program
+    in which each distinct subexpression is computed once."""
+    single = isinstance(e, ex.Expr)
+    roots = (e,) if single else tuple(e)
+    table = {("z",): 0}       # structural key -> slot
+    seen = {}                 # id(node) -> slot: a shared node is walked once
+    consts, instrs = [], []
 
     def walk(node):
-        if isinstance(node, ex.Const):
-            consts.append(complex(node.value))
-            emit(_LOAD_C, len(consts) - 1)
-            return 1
+        slot = seen.get(id(node))
+        if slot is not None:
+            return slot
         if isinstance(node, ex.Var):
-            emit(_LOAD_Z)
-            return 1
-        if isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
-            da = walk(node.a)
-            db = walk(node.b)
-            emit({ex.Add: _ADD, ex.Sub: _SUB, ex.Mul: _MUL, ex.Div: _DIV}[type(node)])
-            return max(da, 1 + db)
-        if isinstance(node, ex.Neg):
-            d = walk(node.a)
-            emit(_NEG)
-            return d
-        if isinstance(node, ex.Pow):
-            d = walk(node.a)
-            emit(_POW, node.n)
-            return d
-        for cls, op in ((ex.Exp, _EXP), (ex.Log, _LOG), (ex.Sinh, _SINH), (ex.Cosh, _COSH)):
-            if isinstance(node, cls):
-                d = walk(node.a)
-                emit(op)
-                return d
-        raise TypeError(f"not an expression node: {node!r}")
+            slot = 0
+        elif isinstance(node, ex.Const):
+            v = complex(node.value)
+            key = ("c", struct.pack("<2d", v.real, v.imag))
+            slot = table.get(key)
+            if slot is None:
+                slot = table[key] = len(table)
+                consts.append((slot, np.complex128(v)))
+        elif type(node) in _BINARY:
+            slot = intern(type(node), (walk(node.a), walk(node.b)), 0)
+        elif type(node) in _ONE_ARG:
+            slot = intern(type(node), (walk(node.a),), getattr(node, "n", 0))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        seen[id(node)] = slot
+        return slot
 
-    depth = walk(e)
-    if not consts:
-        consts.append(0j)  # keep the const pool non-empty for the kernel
-    return Program(ops, args, consts, depth)
+    def intern(kind, args, n):
+        key = (kind, args, n)
+        slot = table.get(key)
+        if slot is None:
+            slot = table[key] = len(table)
+            instrs.append((slot, kind, args, n))
+        return slot
 
-
-@njit(cache=True)
-def _run_numba(ops, args, consts, z, cut, stack_size, out):  # pragma: no cover
-    shift = cut - math.pi
-    rot = cmath.exp(-1j * shift)
-    stack = np.empty(stack_size, np.complex128)
-    for p in range(z.size):
-        zp = z[p]
-        sp = 0
-        for k in range(len(ops)):
-            op = ops[k]
-            if op == 0:  # LOAD_Z
-                stack[sp] = zp
-                sp += 1
-            elif op == 1:  # LOAD_C
-                stack[sp] = consts[args[k]]
-                sp += 1
-            elif op == 2:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] + stack[sp]
-            elif op == 3:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] - stack[sp]
-            elif op == 4:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] * stack[sp]
-            elif op == 5:
-                sp -= 1
-                if stack[sp] == 0:  # match numpy: inf, detected by caller
-                    stack[sp - 1] = complex(np.inf, np.inf)
-                else:
-                    stack[sp - 1] = stack[sp - 1] / stack[sp]
-            elif op == 6:
-                stack[sp - 1] = -stack[sp - 1]
-            elif op == 7:
-                n = args[k]
-                base = stack[sp - 1]
-                if base == 0 and n < 0:
-                    stack[sp - 1] = complex(np.inf, np.inf)
-                else:
-                    m = -n if n < 0 else n
-                    acc = complex(1.0, 0.0)
-                    while m:  # exponentiation by squaring
-                        if m & 1:
-                            acc = acc * base
-                        base = base * base
-                        m >>= 1
-                    stack[sp - 1] = 1.0 / acc if n < 0 else acc
-            elif op == 8:
-                stack[sp - 1] = cmath.exp(stack[sp - 1])
-            elif op == 9:
-                if stack[sp - 1] == 0:
-                    stack[sp - 1] = complex(-np.inf, 0.0)
-                else:
-                    stack[sp - 1] = cmath.log(stack[sp - 1] * rot) + 1j * shift
-            elif op == 10:
-                stack[sp - 1] = cmath.sinh(stack[sp - 1])
-            else:
-                stack[sp - 1] = cmath.cosh(stack[sp - 1])
-        out[p] = stack[0]
-    return out
+    outputs = tuple(walk(r) for r in roots)
+    last_use = {s: i for i, (_, _, args, _) in enumerate(instrs) for s in args}
+    dead = [[] for _ in instrs]
+    for s, i in last_use.items():
+        if s not in outputs:
+            dead[i].append(s)
+    ops = tuple((slot, kind, args, n, tuple(d))
+                for (slot, kind, args, n), d in zip(instrs, dead))
+    return Program(len(table), tuple(consts), ops, outputs, single)
 
 
-def _run_numpy(ops, args, consts, z, cut, stack_size, out):
-    shift = cut - math.pi
-    rot = cmath.exp(-1j * shift)
-    stack = []
-    with np.errstate(all="ignore"):
-        for k in range(len(ops)):
-            op = ops[k]
-            if op == _LOAD_Z:
-                stack.append(z.copy())
-            elif op == _LOAD_C:
-                stack.append(np.full(z.shape, consts[args[k]]))
-            elif op == _ADD:
-                b = stack.pop()
-                stack[-1] = stack[-1] + b
-            elif op == _SUB:
-                b = stack.pop()
-                stack[-1] = stack[-1] - b
-            elif op == _MUL:
-                b = stack.pop()
-                stack[-1] = stack[-1] * b
-            elif op == _DIV:
-                b = stack.pop()
-                stack[-1] = stack[-1] / b
-            elif op == _NEG:
-                stack[-1] = -stack[-1]
-            elif op == _POW:
-                stack[-1] = stack[-1] ** int(args[k])
-            elif op == _EXP:
-                stack[-1] = np.exp(stack[-1])
-            elif op == _LOG:
-                stack[-1] = np.log(stack[-1] * rot) + 1j * shift
-            elif op == _SINH:
-                stack[-1] = np.sinh(stack[-1])
-            elif op == _COSH:
-                stack[-1] = np.cosh(stack[-1])
-    out[...] = stack[0]
-    return out
+def eval_program(prog: Program, z: np.ndarray, cut: float = math.pi) -> np.ndarray:
+    """Run a compiled program over an array of points.
 
-
-def eval_program(prog: Program, z: np.ndarray, cut: float = math.pi,
-                 backend: str | None = None) -> np.ndarray:
-    """Run a compiled tape over an array of points.
-
-    ``backend`` forces "numba" or "numpy" (the benchmark uses this); by
-    default the import-time selection applies.  No finiteness check is
-    performed here; ``evaluate`` is the checked entry point.
+    Returns an array of ``z``'s shape for a single expression, and the
+    outputs component-major, shape ``(k, *z.shape)``, for a tuple of k.
+    No finiteness check is performed here; ``evaluate`` is the checked
+    entry point.
     """
     z = np.ascontiguousarray(z, dtype=np.complex128)
-    out = np.empty(z.shape, dtype=np.complex128)
-    use = {"numba": True, "numpy": False}.get(backend, _HAVE_NUMBA)
-    if use and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    runner = _run_numba if use else _run_numpy
-    runner(prog.ops, prog.args, prog.consts, z.ravel(), float(cut),
-           max(prog.stack_size, 1), out.reshape(-1))
-    return out
+    shift = cut - math.pi
+    rot = cmath.exp(-1j * shift)
+    vals = [None] * prog.size
+    vals[0] = z
+    for slot, c in prog.consts:
+        vals[slot] = c
+    with np.errstate(all="ignore"):
+        for slot, kind, args, n, dead in prog.ops:
+            x = vals[args[0]]
+            if kind is ex.Pow:
+                vals[slot] = x ** n
+            elif kind is ex.Log:
+                vals[slot] = np.log(x * rot) + 1j * shift
+            elif len(args) == 2:
+                vals[slot] = _BINARY[kind](x, vals[args[1]])
+            else:
+                vals[slot] = _UNARY[kind](x)
+            for s in dead:
+                vals[s] = None
+    out = np.empty((len(prog.outputs),) + z.shape, dtype=np.complex128)
+    for row, slot in zip(out, prog.outputs):
+        row[...] = vals[slot]
+    return out[0] if prog.single else out
 
 
-def evaluate(e: ex.Expr, z, cut: float = math.pi):
-    """Evaluate an expression at scalar or ndarray ``z``.
+def evaluate(e, z, cut: float = math.pi):
+    """Evaluate an expression, or a tuple of k of them, at scalar or
+    ndarray ``z``.
 
+    A single expression at a scalar gives a complex; otherwise the result
+    has ``z``'s shape, with a leading axis of length k for a tuple.
     Raises EvaluationSingularity when any output is non-finite (division
     by zero, log of zero, overflow).
     """
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    out = eval_program(compile_expr(e), arr, cut=cut)
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise EvaluationSingularity(f"non-finite value evaluating {ex.to_source(e)!r}")
-    if scalar:
-        return complex(out.ravel()[0])
-    return out.reshape(np.shape(z))
+    prog = compile_expr(e)
+    out = eval_program(prog, np.atleast_1d(np.asarray(z, dtype=np.complex128)),
+                       cut=cut)
+    finite = np.isfinite(out).reshape(len(prog.outputs), -1).all(axis=1)
+    if not np.all(finite):
+        roots = (e,) if prog.single else tuple(e)
+        bad = roots[int(np.argmin(finite))]
+        raise EvaluationSingularity(
+            f"non-finite value evaluating {ex.to_source(bad)!r}")
+    out = out.reshape(np.shape(z) if prog.single
+                      else (len(prog.outputs),) + np.shape(z))
+    return complex(out) if out.ndim == 0 else out

@@ -223,7 +223,10 @@ def powi(a, n) -> Expr:
     if n == 1:
         return a
     if isinstance(a, Const):
-        return Const(a.value ** n)
+        try:
+            return Const(a.value ** n)
+        except (ZeroDivisionError, OverflowError):
+            pass  # 0^(-n) or an overflow: left for evaluation to report
     if isinstance(a, Pow):
         return Pow(a.a, a.n * n)
     return Pow(a, n)

@@ -46,15 +46,14 @@ class WeierstrassData:
     domain: DomainSpec
 
     def __post_init__(self):
-        pts = self.domain.sample_points(8)
-        for name, e in (("G", self.G), ("Psi", self.Psi)):
-            if np.all(np.abs(evaluate(e, pts)) < 1e-15):
+        vals = evaluate((self.G, self.Psi), self.domain.sample_points(8))
+        for name, row in zip(("G", "Psi"), vals):
+            if np.all(np.abs(row) < 1e-15):
                 raise ValueError(f"Weierstrass component {name} is identically zero")
 
     def phi(self, z):
         """Evaluate the generated 3-curve at point(s) z, shape (..., 3)."""
-        g = evaluate(self.G, z, cut=self.domain.branch_cut)
-        p = evaluate(self.Psi, z, cut=self.domain.branch_cut)
+        g, p = evaluate((self.G, self.Psi), z, cut=self.domain.branch_cut)
         return np.stack([0.5 * (1 - g * g) * p,
                          0.5j * (1 + g * g) * p,
                          g * p], axis=-1)
@@ -79,9 +78,9 @@ class NullCurve:
 
     def __call__(self, z):
         """Component values at point(s) z, stacked on the last axis."""
-        cut = self.domain.branch_cut
-        return np.stack([evaluate(c, z, cut=cut) for c in self.components],
-                        axis=-1)
+        vals = evaluate(self.components, z, cut=self.domain.branch_cut)
+        # contiguous, so that sums over the components add in one order
+        return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
 
     def derivative(self) -> "NullCurve":
         return NullCurve(tuple(ex.differentiate(c) for c in self.components),

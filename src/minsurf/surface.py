@@ -155,21 +155,19 @@ def _integrate_l_paths(c, domain, zeta0, u, v, seg_tol, clearance, swap=False):
 
         ok = _segment_puncture_distance(seg_a, seg_b, domain.punctures) > clearance
 
-    out = np.empty((nu, nv, c.n), dtype=np.complex128)
-    for i, comp in enumerate(c.components):
-        vals = np.full(seg_a.shape, np.nan, dtype=np.complex128)
-        vals[ok] = integrate_segments(comp, seg_a[ok], seg_b[ok], seg_tol,
-                                      cut=domain.branch_cut,
-                                      punctures=domain.punctures)
-        horiz = vals[:nu]
-        stem = vals[nu:2 * nu]
-        edges = vals[2 * nu:].reshape(nu, nv - 1)
-        col = np.zeros((nu, nv), np.complex128)
-        if k0 + 1 < nv:
-            col[:, k0 + 1:] = np.cumsum(edges[:, k0:], axis=1)
-        if k0 > 0:
-            col[:, :k0] = -np.cumsum(edges[:, :k0][:, ::-1], axis=1)[:, ::-1]
-        out[:, :, i] = (horiz + stem)[:, None] + col
+    vals = np.full((c.n,) + seg_a.shape, np.nan, dtype=np.complex128)
+    vals[:, ok] = integrate_segments(c.components, seg_a[ok], seg_b[ok], seg_tol,
+                                     cut=domain.branch_cut,
+                                     punctures=domain.punctures)
+    horiz = vals[:, :nu]
+    stem = vals[:, nu:2 * nu]
+    edges = vals[:, 2 * nu:].reshape(c.n, nu, nv - 1)
+    col = np.zeros((c.n, nu, nv), np.complex128)
+    if k0 + 1 < nv:
+        col[:, :, k0 + 1:] = np.cumsum(edges[:, :, k0:], axis=2)
+    if k0 > 0:
+        col[:, :, :k0] = -np.cumsum(edges[:, :, :k0][:, :, ::-1], axis=2)[:, :, ::-1]
+    out = ((horiz + stem)[:, :, None] + col).transpose(1, 2, 0)
     return out.transpose(1, 0, 2) if swap else out
 
 
@@ -365,13 +363,10 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     def f(u, v):
         corner = complex(u, z0.imag)
         target = complex(u, v)
-        vals = np.array([
-            complex(np.sum(integrate_segments(comp, [z0, corner],
-                                              [corner, target], tol,
-                                              cut=dom.branch_cut,
-                                              punctures=dom.punctures)))
-            for comp in c.components])
-        return vals.real
+        vals = integrate_segments(c.components, [z0, corner], [corner, target],
+                                  tol, cut=dom.branch_cut,
+                                  punctures=dom.punctures)
+        return (vals[:, 0] + vals[:, 1]).real
 
     return ParametricSurface(f, (dom.u_min, dom.u_max),
                              (dom.v_min, dom.v_max), "immersion")

@@ -161,3 +161,12 @@ def test_error_is_machine_readable(cli):
     assert code == 1
     payload = json.loads(err)
     assert set(payload) == {"error", "message"}
+
+
+def test_constant_singularity_is_machine_readable(cli):
+    # 0^(-1) is left to evaluation, not folded (and raised) by the parser
+    code, _, err = cli(["verify", "--res", "9x9"],
+                       stdin='{"curve": ["0^(-1)", "1", "i"]}')
+    assert code == 1
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "EvaluationSingularity"

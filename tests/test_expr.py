@@ -38,6 +38,13 @@ def test_eval_singularity():
         evaluate(ex.parse("1/z"), 0j)
     with pytest.raises(EvaluationSingularity):
         evaluate(ex.log(ex.Z), 0j)
+    # constant powers that Python cannot fold are left to evaluation
+    for text in ("0^(-1)", "1e200^2"):
+        e = ex.parse(text)
+        assert isinstance(e, ex.Pow)
+        assert isinstance(ex.parse(ex.to_source(e)), ex.Pow)
+        with pytest.raises(EvaluationSingularity):
+            evaluate(e, 1.0)
 
 
 def test_log_branch_cut_rotation():

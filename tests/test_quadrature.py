@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minsurf import expr as ex
+from minsurf import quadrature
 from minsurf.domain import DomainSpec
 from minsurf.errors import NoConvergence, SingularPath
 from minsurf.quadrature import integrate_path, integrate_segments
@@ -86,3 +87,52 @@ def test_depth_cap_raises():
 def test_tolerance_rejects_nonpositive():
     with pytest.raises(ValueError):
         integrate_path(ex.Z, 0, 1, 0.0)
+
+
+def _batches(monkeypatch):
+    """Record the segment count of every panel batch."""
+    sizes = []
+    panels = quadrature._panels
+
+    def counting(prog, a, b, cut):
+        sizes.append(a.size)
+        return panels(prog, a, b, cut)
+
+    monkeypatch.setattr(quadrature, "_panels", counting)
+    return sizes
+
+
+def test_each_component_matches_its_scalar_run_bitwise(monkeypatch):
+    # exp(z) is accepted at depth 0; the pole near the segments forces
+    # the second component several levels deeper
+    easy, hard = ex.parse("exp(z)"), ex.parse("1/(z-0.05*i)")
+    a = np.array([-1.0, -0.5 + 0.01j, 0.2])
+    b = np.array([1.0, 0.7 - 0.01j, 2.0 + 0.1j])
+    sizes = _batches(monkeypatch)
+    both = integrate_segments((easy, hard), a, b, 1e-12)
+    assert both.shape == (2, 3)
+    scalar = []
+    for k, f in enumerate((easy, hard)):
+        sizes.clear()
+        got = integrate_segments(f, a, b, 1e-12)
+        scalar.append(len(sizes))
+        assert np.array_equal(both[k].view(np.float64), got.view(np.float64))
+    assert scalar[0] == 3 < scalar[1]
+
+
+def test_stalled_component_batch_never_exceeds_its_scalar_run(monkeypatch):
+    # 1e8*exp(z) carries roundoff far above tol, so it does not converge
+    # everywhere.  50*z is accepted at depth 0, but its own roundoff lies
+    # above the halved tolerances of deeper levels: were it checked again
+    # there, it would keep segments pending that the stalled one left.
+    stalled, other = ex.parse("1e8*exp(z)"), ex.parse("50*z")
+    a, b = np.array([-1.0, 0.2]), np.array([1.0, 2.0 + 0.1j])
+    sizes = _batches(monkeypatch)
+    with pytest.raises(NoConvergence):
+        integrate_segments(stalled, a, b, 1e-14, max_depth=8)
+    alone = list(sizes)
+    sizes.clear()
+    with pytest.raises(NoConvergence):
+        integrate_segments((other, stalled), a, b, 1e-14, max_depth=8)
+    assert len(sizes) == len(alone)
+    assert all(v <= s for v, s in zip(sizes, alone))
