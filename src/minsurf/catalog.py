@@ -138,10 +138,15 @@ def complex_parabola(mu: complex = 1.0) -> NullCurve:
 # closed-form immersions (oracles)
 # ---------------------------------------------------------------------------
 
+def _stack(*coords):
+    """Coordinates at scalar or array (u, v), shape broadcast(u, v) + (n,)."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
 def helicoid_closed_form() -> ParametricSurface:
     """(-sinh u sin v, sinh u cos v, v)."""
     def f(u, v):
-        return (-math.sinh(u) * math.sin(v), math.sinh(u) * math.cos(v), v)
+        return _stack(-np.sinh(u) * np.sin(v), np.sinh(u) * np.cos(v), v)
     return ParametricSurface(f, (-1.5, 1.5), (-1.5, 1.5), "helicoid")
 
 
@@ -149,16 +154,16 @@ def catenoid_closed_form() -> ParametricSurface:
     """Antiderivatives of the (z, 1/z^2) curve:
     (-Re(z + 1/z)/2, -Im(z - 1/z)/2, ln|z|)."""
     def f(u, v):
-        z = complex(u, v)
+        z = u + 1j * v
         w = 1.0 / z
-        return (-0.5 * (z + w).real, -0.5 * (z - w).imag, math.log(abs(z)))
+        return _stack(-0.5 * (z + w).real, -0.5 * (z - w).imag, np.log(abs(z)))
     return ParametricSurface(f, (0.2, 2.0), (-1.0, 1.0), "catenoid")
 
 
 def catenoid_exp_closed_form() -> ParametricSurface:
     """(-cosh u cos v, -cosh u sin v, u): the catenoid of neck radius 1."""
     def f(u, v):
-        return (-math.cosh(u) * math.cos(v), -math.cosh(u) * math.sin(v), u)
+        return _stack(-np.cosh(u) * np.cos(v), -np.cosh(u) * np.sin(v), u)
     return ParametricSurface(f, (-1.5, 1.5), (-1.5, 1.5), "catenoid-exp")
 
 
@@ -190,12 +195,12 @@ class HelicoidDeformation:
 
     def components(self, u, v):
         a, b = self.alpha, self.beta
-        eu, emu = math.exp(u), math.exp(-u)
-        s, c = math.sin(v), math.cos(v)
+        eu, emu = np.exp(u), np.exp(-u)
+        s, c = np.sin(v), np.cos(v)
         x0 = eu * (a * s + b * c)
         x1 = eu * (0.5 * (a * a - b * b - 1) * s + a * b * c) + 0.5 * emu * s
         x2 = eu * (-a * b * s + 0.5 * (a * a - b * b + 1) * c) - 0.5 * emu * c
-        return np.array([x0, x1, x2, v])
+        return _stack(x0, x1, x2, v)
 
     @property
     def surface(self) -> ParametricSurface:
@@ -225,14 +230,12 @@ class HelicoidDeformation:
         a, b = self.alpha, self.beta
         m = self.m
         shift = u + 0.5 * math.log(m)
-        ch, sh = math.cosh(shift), math.sinh(shift)
-        s, c = math.sin(v), math.cos(v)
-        return np.array([
-            (a * s + b * c) * ch,
-            -math.sqrt(m / (a * a + 1)) * s * sh,
-            math.sqrt(m / (b * b + 1)) * c * sh,
-            v,
-        ])
+        ch, sh = np.cosh(shift), np.sinh(shift)
+        s, c = np.sin(v), np.cos(v)
+        return _stack((a * s + b * c) * ch,
+                      -math.sqrt(m / (a * a + 1)) * s * sh,
+                      math.sqrt(m / (b * b + 1)) * c * sh,
+                      v)
 
     def slice_vectors(self, v0: float):
         """Asymptotic direction vectors (w+, w-) of the slice at v0:
@@ -295,10 +298,8 @@ def catenoid_deformation(theta: float) -> ParametricSurface:
     tt, ct = math.tan(theta), math.cos(theta)
 
     def f(u, v):
-        return (tt * math.sinh(u) * math.cos(v),
-                math.cosh(u) * math.cos(v),
-                math.cosh(u) * math.sin(v) / ct,
-                u)
+        return _stack(tt * np.sinh(u) * np.cos(v), np.cosh(u) * np.cos(v),
+                      np.cosh(u) * np.sin(v) / ct, u)
     return ParametricSurface(f, (-12.0, 12.0), (0.0, 2 * math.pi),
                              f"catenoid-deformation({theta})")
 
@@ -323,8 +324,8 @@ def lagrangian_catenoid_patch() -> ParametricSurface:
     Fixed-v slices are rectangular hyperbolas; fixed-u slices are circles
     of squared radius cosh^2 u + sinh^2 u."""
     def f(u, v):
-        return (math.sinh(u) * math.cos(v), math.cosh(u) * math.sin(v),
-                math.cosh(u) * math.cos(v), math.sinh(u) * math.sin(v))
+        return _stack(np.sinh(u) * np.cos(v), np.cosh(u) * np.sin(v),
+                      np.cosh(u) * np.cos(v), np.sinh(u) * np.sin(v))
     return ParametricSurface(f, (-1.2, 1.2), (0.0, 2 * math.pi),
                              "lagrangian-catenoid")
 
@@ -337,8 +338,8 @@ def complex_parabola_patch(mu: complex = 1.0) -> ParametricSurface:
         raise InvalidConstant("mu must be nonzero")
 
     def f(u, v):
-        w = mu * complex(u, v) ** 2
-        return (u, v, w.real, w.imag)
+        w = mu * (u + 1j * v) ** 2
+        return _stack(u, v, w.real, w.imag)
     return ParametricSurface(f, (-2.0, 2.0), (-2.0, 2.0),
                              f"complex-parabola({mu})")
 

@@ -9,8 +9,8 @@ whole verification run is scriptable, e.g.::
 
 Complex flags use the form ``a+bi`` with no spaces.  Outputs are
 deterministic: the same spec yields byte-identical JSON/CSV, and meshes
-are fixed at 9 significant digits.  Errors exit nonzero with a one-line
-machine-readable JSON object on stderr.
+are fixed at 9 significant digits.  Errors exit with a one-line JSON
+object on stderr: code 1 for library and input errors, 2 for any other.
 """
 
 from __future__ import annotations
@@ -207,9 +207,8 @@ def _cmd_slice(args) -> int:
     pc = slice_surface(surf, args.axis, args.value, npoints=args.npoints,
                        sweep=sweep)
     cols = ["x", "y"] + [f"X{i}" for i in range(pc.points.shape[1])]
-    lines = [",".join(cols)]
-    for xy, pt in zip(pc.xy, pc.points):
-        lines.append(",".join(repr(float(t)) for t in (*xy, *pt)))
+    rows = np.column_stack([pc.xy, pc.points]).tolist()
+    lines = [",".join(cols)] + [",".join(map(repr, row)) for row in rows]
     _write_text(args, "\n".join(lines) + "\n")
     return 0
 
@@ -332,10 +331,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MinsurfError, ValueError, KeyError, OSError) as err:
-        sys.stderr.write(json.dumps(
-            {"error": type(err).__name__, "message": str(err)}) + "\n")
-        return 1
+    except Exception as err:   # one JSON line on stderr, never a traceback
+        known = isinstance(err, (MinsurfError, ValueError, KeyError, OSError))
+        error = type(err).__name__ if known else "InternalError"
+        message = str(err) if known else f"{type(err).__name__}: {err}"
+        sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
+        return 1 if known else 2
 
 
 if __name__ == "__main__":

@@ -41,7 +41,8 @@ AMBIGUOUS_GAP = 1e-6     # relative gap between two smallest design SVs
 
 
 class ParametricSurface:
-    """Callable immersion (u, v) -> R^n with rectangular parameter ranges."""
+    """Immersion (u, v) -> R^n on a parameter rectangle.  u and v broadcast
+    to one shape S, as ``func`` receives them; the result has shape S + (n,)."""
 
     def __init__(self, func, u_range, v_range, name=""):
         self.func = func
@@ -50,6 +51,8 @@ class ParametricSurface:
         self.name = name
 
     def __call__(self, u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(v, dtype=float))
         return np.asarray(self.func(u, v), dtype=float)
 
 
@@ -125,7 +128,10 @@ def _axis_dependence(surface: ParametricSurface, axis: int, probes: int = 9):
     """Which parameter the given coordinate depends on: 'u', 'v', or None."""
     us = np.linspace(*surface.u_range, probes)
     vs = np.linspace(*surface.v_range, probes)
-    coord = np.array([[surface(u, v)[axis] for v in vs] for u in us])
+    probe = surface(us[:, None], vs[None, :])
+    if not 0 <= axis < probe.shape[-1]:
+        raise ValueError(f"axis {axis} is out of range in R^{probe.shape[-1]}")
+    coord = probe[:, :, axis]
     scale = max(np.ptp(coord), 1.0)
     du = np.max(np.ptp(coord, axis=0))   # variation across u at fixed v
     dv = np.max(np.ptp(coord, axis=1))   # variation across v at fixed u
@@ -144,17 +150,12 @@ def slice_parameter_line(surface: ParametricSurface, param: str, value: float,
     """
     if npoints < 12:
         raise ValueError("need at least 12 points on a slice")
-    if param == "u":
-        lo, hi = sweep if sweep is not None else surface.v_range
-        ts = np.linspace(lo, hi, npoints)
-        pts = np.array([surface(value, t) for t in ts])
-    elif param == "v":
-        lo, hi = sweep if sweep is not None else surface.u_range
-        ts = np.linspace(lo, hi, npoints)
-        pts = np.array([surface(t, value) for t in ts])
-    else:
+    if param not in ("u", "v"):
         raise ValueError("param must be 'u' or 'v'")
-    return planar_sample(pts)
+    if sweep is None:
+        sweep = surface.v_range if param == "u" else surface.u_range
+    ts = np.linspace(*sweep, npoints)
+    return planar_sample(surface(value, ts) if param == "u" else surface(ts, value))
 
 
 def slice_surface(surface: ParametricSurface, axis: int, value: float,
@@ -163,8 +164,9 @@ def slice_surface(surface: ParametricSurface, axis: int, value: float,
 
     The chosen coordinate must depend monotonically on exactly one
     parameter (true for all surfaces treated here); otherwise
-    AxisNotMonotone is raised.  The parameter value is found by bisection
-    and the other parameter is swept.
+    AxisNotMonotone is raised, and an axis outside 0..n-1 raises
+    ValueError.  The parameter value is found by bisection and the other
+    parameter is swept.
     """
     param, coord, ts = _axis_dependence(surface, axis)
     if param is None:

@@ -14,25 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DomainSpec", "halton"]
+__all__ = ["DomainSpec", "halton", "real_numbers"]
 
 
-def _radical_inverse(n: int, base: int) -> float:
-    inv, denom = 0.0, 1.0
-    while n > 0:
-        denom *= base
-        n, rem = divmod(n, base)
-        inv += rem / denom
-    return inv
+def real_numbers(value, count: int, what: str) -> tuple:
+    """``value``, a JSON list of ``count`` numbers, as floats; else ValueError."""
+    if not (isinstance(value, (list, tuple)) and len(value) == count and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in value)):
+        raise ValueError(f"{what} must be a list of {count} numbers")
+    return tuple(map(float, value))
 
 
 def halton(count: int, skip: int = 0) -> np.ndarray:
     """First ``count`` points of the (2,3)-Halton sequence after ``skip``,
     as an array of shape (count, 2) in the unit square."""
-    idx = np.arange(skip + 1, skip + count + 1)
-    pts = np.empty((count, 2))
-    for j, base in enumerate((2, 3)):
-        pts[:, j] = [_radical_inverse(int(n), base) for n in idx]
+    pts = np.zeros((count, 2))
+    for j, base in enumerate((2, 3)):   # radical inverses, digit by digit
+        n, denom = np.arange(skip + 1, skip + count + 1), 1.0
+        while np.any(n):
+            denom *= base
+            n, rem = np.divmod(n, base)
+            pts[:, j] += rem / denom
     return pts
 
 
@@ -124,7 +126,10 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "DomainSpec":
-        rect = d.get("rect", [-1.0, 1.0, -1.0, 1.0])
-        punct = tuple(complex(p[0], p[1]) for p in d.get("punctures", []))
-        return cls(*map(float, rect), punctures=punct,
-                   branch_cut=float(d.get("branch_cut", math.pi)))
+        punct = d.get("punctures", []) if isinstance(d, dict) else None
+        if not isinstance(punct, list):
+            raise ValueError("'domain' must be an object, its 'punctures' a list")
+        rect = real_numbers(d.get("rect", [-1.0, 1.0, -1.0, 1.0]), 4, "'rect'")
+        (cut,) = real_numbers([d.get("branch_cut", math.pi)], 1, "'branch_cut'")
+        return cls(*rect, branch_cut=cut, punctures=[
+            complex(*real_numbers(p, 2, "each puncture")) for p in punct])

@@ -51,13 +51,6 @@ class WeierstrassData:
             if np.all(np.abs(row) < 1e-15):
                 raise ValueError(f"Weierstrass component {name} is identically zero")
 
-    def phi(self, z):
-        """Evaluate the generated 3-curve at point(s) z, shape (..., 3)."""
-        g, p = evaluate((self.G, self.Psi), z, cut=self.domain.branch_cut)
-        return np.stack([0.5 * (1 - g * g) * p,
-                         0.5j * (1 + g * g) * p,
-                         g * p], axis=-1)
-
 
 @dataclass(frozen=True)
 class NullCurve:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
-from .domain import DomainSpec
+from .domain import DomainSpec, real_numbers
 from .nullcurve import NullCurve, WeierstrassData, from_weierstrass
 
 __all__ = ["SurfaceSpec", "loads", "dumps", "load", "dump"]
@@ -54,15 +54,25 @@ class SurfaceSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "SurfaceSpec":
+        """Parse a spec; ValueError if it is malformed."""
+        if not isinstance(d, dict):
+            raise ValueError("spec must be a JSON object")
         domain = DomainSpec.from_json(d.get("domain", {}))
         base = d.get("base_point")
-        base = complex(base[0], base[1]) if base is not None else None
+        base = None if base is None else complex(*real_numbers(base, 2, "'base_point'"))
         if "weierstrass" in d:
             wd = d["weierstrass"]
+            if not (isinstance(wd, dict) and isinstance(wd.get("G"), str)
+                    and isinstance(wd.get("Psi"), str)):
+                raise ValueError("'weierstrass' needs expression strings G, Psi")
             w = WeierstrassData(ex.parse(wd["G"]), ex.parse(wd["Psi"]), domain)
             return cls(weierstrass=w, base_point=base)
         if "curve" in d:
-            comps = tuple(ex.parse(s) for s in d["curve"])
+            comps = d["curve"]
+            if not (isinstance(comps, list)
+                    and all(isinstance(s, str) for s in comps)):
+                raise ValueError("'curve' must be a list of expression strings")
+            comps = tuple(ex.parse(s) for s in comps)
             return cls(curve=NullCurve(comps, domain), base_point=base)
         raise ValueError("spec needs 'weierstrass' or 'curve'")
 

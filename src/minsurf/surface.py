@@ -23,7 +23,6 @@ Verification instruments:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ from .conic import ParametricSurface
 from .domain import DomainSpec
 from .errors import ZeroVector
 from .nullcurve import NullCurve
-from .quadrature import integrate_segments
+from .quadrature import _segment_puncture_distance, integrate_segments
 
 __all__ = [
     "SurfacePatch", "GaussMapSample", "DegeneracyReport",
@@ -149,11 +148,7 @@ def _integrate_l_paths(c, domain, zeta0, u, v, seg_tol, clearance, swap=False):
     seg_a = np.concatenate([horiz_a, stem_a, edge_a])
     seg_b = np.concatenate([horiz_b, stem_b, edge_b])
 
-    ok = np.ones(seg_a.shape, bool)
-    if domain.punctures:
-        from .quadrature import _segment_puncture_distance
-
-        ok = _segment_puncture_distance(seg_a, seg_b, domain.punctures) > clearance
+    ok = _segment_puncture_distance(seg_a, seg_b, domain.punctures) > clearance
 
     vals = np.full((c.n,) + seg_a.shape, np.nan, dtype=np.complex128)
     vals[:, ok] = integrate_segments(c.components, seg_a[ok], seg_b[ok], seg_tol,
@@ -297,21 +292,17 @@ def wirtinger_defect(p: SurfacePatch, c: NullCurve) -> float:
 # mesh export
 # ---------------------------------------------------------------------------
 
-def _triangles(p: SurfacePatch):
-    """Row-major quad grid split into triangles, skipping invalid cells."""
-    nu, nv = p.resolution
-    vid = np.arange(nu * nv).reshape(nu, nv)
-    tris = []
-    for j in range(nu - 1):
-        for k in range(nv - 1):
-            corners = (p.valid[j, k], p.valid[j + 1, k],
-                       p.valid[j + 1, k + 1], p.valid[j, k + 1])
-            if not all(corners):
-                continue
-            a, b, cc, d = vid[j, k], vid[j + 1, k], vid[j + 1, k + 1], vid[j, k + 1]
-            tris.append((a, b, cc))
-            tris.append((a, cc, d))
-    return tris
+OBJ_BLOCK_ROWS = 1 << 16   # rows per OBJ write: bounds the text buffer
+
+
+def _triangles(p: SurfacePatch) -> np.ndarray:
+    """Triangles (a, b, c), (a, c, d), shape (m, 3), of each cell with all
+    corners a..d = (j, k), (j+1, k), (j+1, k+1), (j, k+1) valid, row-major."""
+    vid = np.arange(p.valid.size).reshape(p.valid.shape)
+    ok = p.valid[:-1, :-1] & p.valid[1:, :-1] & p.valid[1:, 1:] & p.valid[:-1, 1:]
+    a, b, c, d = (vid[:-1, :-1][ok], vid[1:, :-1][ok],
+                  vid[1:, 1:][ok], vid[:-1, 1:][ok])
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
 def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> None:
@@ -331,11 +322,11 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
         if len(axes) != 3 or any(not 0 <= a < p.n for a in axes):
             raise ValueError(f"projection must pick 3 of {p.n} axes")
         with open(path, "w") as fh:
-            for row in verts:
-                coords = " ".join(f"{row[a]:.9g}" for a in axes)
-                fh.write(f"v {coords}\n")
-            for a, b, c in tris:
-                fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+            for line, rows in (("v %.9g %.9g %.9g\n", verts[:, list(axes)]),
+                               ("f %d %d %d\n", tris + 1)):
+                for lo in range(0, len(rows), OBJ_BLOCK_ROWS):
+                    block = rows[lo:lo + OBJ_BLOCK_ROWS]
+                    fh.write(line * len(block) % tuple(block.ravel().tolist()))
     elif fmt == "ply":
         names = ["x", "y", "z", "w", "p4", "p5"][:p.n]
         header = ["ply", "format binary_little_endian 1.0",
@@ -343,30 +334,35 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
         header += [f"property double {nm}" for nm in names]
         header += [f"element face {len(tris)}",
                    "property list uchar int vertex_indices", "end_header"]
+        faces = np.empty(len(tris), dtype=[("n", "u1"), ("v", "<i4", 3)])
+        faces["n"], faces["v"] = 3, tris
         with open(path, "wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("ascii"))
             fh.write(np.ascontiguousarray(verts, dtype="<f8").tobytes())
-            for tri in tris:
-                fh.write(struct.pack("<B3i", 3, *tri))
+            fh.write(faces.tobytes())
     else:
         raise ValueError(f"unknown mesh format {fmt!r}")
 
 
 def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
                          tol: float = 1e-11) -> ParametricSurface:
-    """Pointwise-evaluable immersion X(u, v) = Re integral of the curve,
-    anchored at zeta0, for slicing and spot checks.  Each call integrates
-    an L-shaped polyline from the anchor."""
+    """Immersion X(u, v) = Re integral of the curve, anchored at zeta0,
+    for slicing and spot checks.  Each point is reached along the L-path
+    z0 -> (u, Im z0) -> (u, v); one integrate_segments call takes all the
+    legs of the points of one surface call."""
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
 
     def f(u, v):
-        corner = complex(u, z0.imag)
-        target = complex(u, v)
-        vals = integrate_segments(c.components, [z0, corner], [corner, target],
-                                  tol, cut=dom.branch_cut,
-                                  punctures=dom.punctures)
-        return (vals[:, 0] + vals[:, 1]).real
+        corner = (u + 1j * z0.imag).ravel()
+        vals = integrate_segments(c.components,
+                                  np.append(np.full(corner.size, z0), corner),
+                                  np.append(corner, u + 1j * v), tol,
+                                  cut=dom.branch_cut, punctures=dom.punctures)
+        # sum the two legs; copied C-contiguous, as a strided result rounds
+        # the slice's plane fit differently
+        x = vals.real.reshape(c.n, 2, -1).sum(axis=1).T.copy()
+        return x.reshape(u.shape + (c.n,))
 
     return ParametricSurface(f, (dom.u_min, dom.u_max),
                              (dom.v_min, dom.v_max), "immersion")
@@ -374,9 +370,6 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
 
 def load_obj_vertices(path) -> np.ndarray:
     """Vertex coordinates of an OBJ file (for round-trip checks)."""
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            if line.startswith("v "):
-                rows.append([float(t) for t in line.split()[1:4]])
-    return np.asarray(rows)
+        rows = [line.split()[1:4] for line in fh if line.startswith("v ")]
+    return np.array(rows, dtype=float)

@@ -170,3 +170,46 @@ def test_constant_singularity_is_machine_readable(cli):
     assert code == 1
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "EvaluationSingularity"
+
+
+@pytest.mark.parametrize("spec", [
+    '[1]',
+    '{"curve": 5}',
+    '{"curve": ["1", 2, "0"]}',
+    '{"weierstrass": {"G": 1, "Psi": "z"}}',
+    '{"weierstrass": "z"}',
+    '{"curve": ["1", "i", "0"], "domain": {"punctures": [5]}}',
+    '{"curve": ["1", "i", "0"], "domain": {"rect": [0, 1]}}',
+    '{"curve": ["1", "i", "0"], "domain": {"branch_cut": "pi"}}',
+    '{"curve": ["1", "i", "0"], "domain": [0, 1, 0, 1]}',
+    '{"curve": ["1", "i", "0"], "base_point": 3}',
+])
+def test_malformed_spec_is_machine_readable(cli, spec):
+    code, out, err = cli(["verify", "--res", "9x9"], stdin=spec)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("axis", ["9", "-1"])
+def test_slice_axis_out_of_range_is_machine_readable(cli, axis):
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    code, _, err = cli(["slice", f"--axis={axis}", "--value", "0.3"],
+                       stdin=spec)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_unexpected_exception_is_internal_error(cli, monkeypatch):
+    import minsurf.cli as cli_mod
+
+    def broken(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli_mod, "_cmd_fit", broken)
+    code, out, err = cli(["fit"], stdin="x,y\n")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "InternalError",
+                               "message": "ZeroDivisionError: division by zero"}

@@ -156,6 +156,36 @@ def test_slice_complex_parabola_trivial_level():
     assert np.allclose(pc.points[:, 3], 0, atol=1e-12)
 
 
+CLOSED_FORMS = [cat.helicoid_closed_form(), cat.catenoid_closed_form(),
+                cat.catenoid_exp_closed_form(),
+                cat.helicoid_deformation(0.7, -0.4).surface,
+                cat.catenoid_deformation(0.6), cat.lagrangian_catenoid_patch(),
+                cat.complex_parabola_patch(1 - 0.5j)]
+
+
+@pytest.mark.parametrize("surf", CLOSED_FORMS, ids=lambda s: s.name)
+def test_parametric_surface_shapes(surf):
+    n = surf(0.5, 0.3).shape[-1]
+    assert surf(0.5, 0.3).shape == (n,)
+    us = np.linspace(0.4, 0.9, 5)
+    vs = np.linspace(-0.6, 0.6, 3)
+    assert surf(us, us).shape == (5, n)
+    grid = surf(us[:, None], vs[None, :])
+    assert grid.shape == (5, 3, n)
+    line = surf(0.5, vs)            # (scalar, array) broadcasts
+    assert line.shape == (3, n)
+    pointwise = np.array([surf(0.5, t) for t in vs])
+    assert np.allclose(line, pointwise, rtol=1e-14, atol=1e-14)
+    assert np.allclose(grid[:, 1], surf(us, vs[1]), rtol=1e-14, atol=1e-14)
+
+
+def test_slice_axis_out_of_range():
+    hd = cat.helicoid_deformation(1.0, 0.0)
+    for axis in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            slice_surface(hd.surface, axis, 0.3, npoints=30)
+
+
 def test_slice_axis_must_be_parameter():
     surf = cat.lagrangian_catenoid_patch()  # no coordinate is a parameter
     with pytest.raises(AxisNotMonotone):

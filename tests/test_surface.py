@@ -1,18 +1,21 @@
 """Immersion sampling, metrics, Gauss maps, degeneracy, mesh export."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from minsurf import catalog as cat
 from minsurf import expr as ex
+from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
 from minsurf.engine import evaluate
 from minsurf.errors import ZeroVector
 from minsurf.nullcurve import NullCurve, embed_3_to_4, from_weierstrass
-from minsurf.surface import (conformal_factor, degeneracy_rank, export_mesh,
-                             gauss_map, immerse, load_obj_vertices,
-                             parametric_immersion, verify_minimal,
-                             wirtinger_defect)
+from minsurf.surface import (_triangles, conformal_factor, degeneracy_rank,
+                             export_mesh, gauss_map, immerse,
+                             load_obj_vertices, parametric_immersion,
+                             verify_minimal, wirtinger_defect)
 from minsurf.transforms import associate, lawson, parabolic_deform
 
 from conftest import random_complex
@@ -323,6 +326,71 @@ def test_export_obj_projection(tmp_path):
     verts = load_obj_vertices(path)
     flat = p.points.reshape(-1, 4)[:, [0, 2, 3]]
     assert np.max(np.abs(verts - flat)) <= 1e-7 * np.max(1 + np.abs(flat))
+
+
+def _punctured_patch():
+    dom = DomainSpec(-1, 1, -1, 1, punctures=(0j,))
+    c = NullCurve((ex.parse("1/z^2"), ex.mul(ex.const(1j), ex.parse("1/z^2")),
+                   ex.const(0)), dom)
+    return immerse(c, res=(9, 9), zeta0=-1 + 0j)
+
+
+def _loop_triangles(p):
+    """Two triangles per cell with four valid corners, by a double loop."""
+    nu, nv = p.resolution
+    vid = np.arange(nu * nv).reshape(nu, nv)
+    tris = []
+    for j in range(nu - 1):
+        for k in range(nv - 1):
+            if p.valid[j:j + 2, k:k + 2].all():
+                a, b = vid[j, k], vid[j + 1, k]
+                c, d = vid[j + 1, k + 1], vid[j, k + 1]
+                tris += [(a, b, c), (a, c, d)]
+    return tris
+
+
+def test_triangles_match_double_loop():
+    p = _punctured_patch()
+    assert not p.valid.all()
+    tris = _triangles(p)
+    assert tris.shape == (len(_loop_triangles(p)), 3)
+    assert tris.tolist() == [list(t) for t in _loop_triangles(p)]
+
+
+def test_ply_face_block_decodes_to_triangles(tmp_path):
+    p = _punctured_patch()
+    path = tmp_path / "m.ply"
+    export_mesh(p, path, fmt="ply")
+    body = path.read_bytes().split(b"end_header\n", 1)[1]
+    faces = body[p.points.size * 8:]
+    decoded = [tuple(rec) for rec in struct.iter_unpack("<B3i", faces)]
+    assert decoded == [(3, *t) for t in _loop_triangles(p)]
+
+
+def test_obj_text_matches_row_formatting(tmp_path, monkeypatch):
+    p = _punctured_patch()
+    verts = np.where(np.isfinite(p.points), p.points, 0.0).reshape(-1, 3)
+    want = "".join(f"v {x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in verts)
+    want += "".join(f"f {a + 1} {b + 1} {c + 1}\n"
+                    for a, b, c in _loop_triangles(p))
+    path = tmp_path / "m.obj"
+    export_mesh(p, path, fmt="obj")
+    assert path.read_text() == want
+    # rows split across several blocks give the same text
+    monkeypatch.setattr(surface_mod, "OBJ_BLOCK_ROWS", 7)
+    export_mesh(p, path, fmt="obj")
+    assert path.read_text() == want
+
+
+def test_parametric_immersion_array_matches_pointwise():
+    surf = parametric_immersion(parabolic_deform(cat.helicoid(), 1 + 1j),
+                                zeta0=0)
+    u = np.array([[-0.5, 0.0, 0.7], [1.1, -1.2, 0.3]])
+    v = np.array([0.2, -0.9, 0.0])
+    got = surf(u, v)
+    assert got.shape == (2, 3, 4) and got.flags.c_contiguous
+    want = np.array([[surf(a, b) for a, b in zip(row, v)] for row in u])
+    assert np.array_equal(got, want)
 
 
 def test_lawson_lift_conformal_factor_preserved(rng):
