@@ -136,7 +136,7 @@ def _cmd_deform(args) -> int:
             curve = goursat(curve, args.t)
         elif kind == "lawson":
             curve = lawson(curve, args.alpha, args.beta)
-        elif kind in ("parabolic", "segre"):
+        else:   # parabolic or segre; argparse rejects any other kind
             if curve.n == 3:
                 curve = embed_3_to_4(curve)
             if kind == "parabolic":
@@ -144,8 +144,6 @@ def _cmd_deform(args) -> int:
             else:
                 T = segre_LR_matrix(parse_complex(args.L), parse_complex(args.R))
             curve = apply_transform(T, curve)
-        else:
-            raise MinsurfError(f"unknown deformation kind {kind!r}")
         out = specio.SurfaceSpec(curve=curve, base_point=base)
     _write_text(args, specio.dumps(out) + "\n")
     return 0
@@ -220,6 +218,12 @@ def _cmd_fit(args) -> int:
     else:
         text = sys.stdin.read()
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    if not rows:
+        raise ValueError("fit input has no data rows")
+    if len({len(row) for row in rows}) != 1:
+        raise ValueError("fit input rows differ in length")
+    if len(rows[0]) < 4:
+        raise ValueError("fit input rows need x, y and at least two coordinates")
     pts = np.array([[float(t) for t in row[2:]] for row in rows])
     pc = planar_sample(pts)
     fit = fit_conic(pc)
@@ -270,8 +274,16 @@ def _add_common(p, res_default="33x33"):
     p.add_argument("--seed", type=int, default=0, help="Halton sample offset")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a malformed command line instead of printing
+    usage and exiting, so that ``main`` reports it as one JSON line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="minsurf",
         description="minimal surfaces from holomorphic null curves")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -328,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as err:   # one JSON line on stderr, never a traceback
         known = isinstance(err, (MinsurfError, ValueError, KeyError, OSError))

@@ -38,6 +38,8 @@ CIRCLE_ECC_TOL = 1e-7    # ellipse with e below this is a circle
 DEGENERATE_TOL = 1e-9    # smallest |eigenvalue| of the 3x3 conic matrix
 LINE_SV_TOL = 1e-9       # sigma_2 / sigma_1 of the centered sample
 AMBIGUOUS_GAP = 1e-6     # relative gap between two smallest design SVs
+PLANARITY_TOL = 1e-6     # max out-of-plane distance / diameter of a fit
+AXIS_PROBES = 9          # probe grid side for a coordinate's parameter
 
 
 class ParametricSurface:
@@ -65,11 +67,6 @@ class PlanarCurveSample:
     basis: np.ndarray          # (2, n) orthonormal in-plane directions
     xy: np.ndarray             # (m, 2) in-plane coordinates
     planarity_residual: float  # max out-of-plane distance / diameter
-
-    @property
-    def diameter(self) -> float:
-        span = self.points.max(axis=0) - self.points.min(axis=0)
-        return float(np.linalg.norm(span))
 
 
 def fit_plane(points: np.ndarray):
@@ -99,9 +96,12 @@ def planar_sample(points: np.ndarray) -> PlanarCurveSample:
 
     Collinear input (an exact line slice) is planar too: the frame is
     then the line direction plus an arbitrary orthogonal direction, so
-    the downstream conic fit can classify it as a line.
+    the downstream conic fit can classify it as a line.  Fewer than 3
+    points raise DegenerateInput.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 3:
+        raise DegenerateInput("need at least 3 points")
     try:
         origin, basis, residual = fit_plane(pts)
     except DegenerateInput:
@@ -124,10 +124,10 @@ def planar_sample(points: np.ndarray) -> PlanarCurveSample:
 # slicing
 # ---------------------------------------------------------------------------
 
-def _axis_dependence(surface: ParametricSurface, axis: int, probes: int = 9):
+def _axis_dependence(surface: ParametricSurface, axis: int):
     """Which parameter the given coordinate depends on: 'u', 'v', or None."""
-    us = np.linspace(*surface.u_range, probes)
-    vs = np.linspace(*surface.v_range, probes)
+    us = np.linspace(*surface.u_range, AXIS_PROBES)
+    vs = np.linspace(*surface.v_range, AXIS_PROBES)
     probe = surface(us[:, None], vs[None, :])
     if not 0 <= axis < probe.shape[-1]:
         raise ValueError(f"axis {axis} is out of range in R^{probe.shape[-1]}")
@@ -307,14 +307,14 @@ def _line_fit(pc: PlanarCurveSample) -> ConicFit:
                     np.stack([vh[0], vh[1]]), None)
 
 
-def fit_conic(pc: PlanarCurveSample, planarity_tol: float = 1e-6) -> ConicFit:
+def fit_conic(pc: PlanarCurveSample) -> ConicFit:
     """Algebraic least-squares conic through an in-plane sample."""
     if pc.xy.shape[0] < 6:
         raise ValueError("need at least 6 points to fit a conic")
-    if pc.planarity_residual > planarity_tol:
+    if pc.planarity_residual > PLANARITY_TOL:
         raise NotPlanar(
             f"planarity residual {pc.planarity_residual:.3e} exceeds "
-            f"{planarity_tol:.1e}")
+            f"{PLANARITY_TOL:.1e}")
     xy = pc.xy
     centroid = xy.mean(axis=0)
     centered = xy - centroid
@@ -350,8 +350,6 @@ def fit_conic(pc: PlanarCurveSample, planarity_tol: float = 1e-6) -> ConicFit:
     elif cls == "parabola":
         ecc = 1.0
         lead = _parabola_leading(coeff)
-    elif cls == "line":
-        ecc = math.inf
     return ConicFit(coeff, cls, float(ecc), residual, center, semi, dirs, lead)
 
 

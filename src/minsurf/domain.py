@@ -55,12 +55,6 @@ class DomainSpec:
         object.__setattr__(self, "punctures",
                            tuple(complex(p) for p in self.punctures))
 
-    @classmethod
-    def square(cls, half_width: float, center: complex = 0j, **kw) -> "DomainSpec":
-        c = complex(center)
-        return cls(c.real - half_width, c.real + half_width,
-                   c.imag - half_width, c.imag + half_width, **kw)
-
     @property
     def center(self) -> complex:
         return complex(0.5 * (self.u_min + self.u_max),
@@ -70,13 +64,18 @@ class DomainSpec:
         return (self.u_min <= z.real <= self.u_max
                 and self.v_min <= z.imag <= self.v_max)
 
-    def puncture_distance(self, z) -> np.ndarray:
-        """Distance from point(s) to the nearest puncture (inf if none)."""
-        z = np.asarray(z, dtype=np.complex128)
-        if not self.punctures:
-            return np.full(z.shape, np.inf)
-        d = np.min([np.abs(z - p) for p in self.punctures], axis=0)
-        return d
+    def puncture_distance(self, a, b=None) -> np.ndarray:
+        """Distance from the points ``a``, or from the segments a -> b, to
+        the nearest puncture (inf if none).  A point is the segment a -> a."""
+        a = np.asarray(a, dtype=np.complex128)
+        d = np.asarray(a if b is None else b, dtype=np.complex128) - a
+        len2 = np.abs(d) ** 2
+        len2 = np.where(len2 > 0, len2, 1.0)   # t = 0 on zero-length segments
+        dist = np.full(d.shape, np.inf)
+        for p in self.punctures:       # nearest point a + t d, 0 <= t <= 1
+            t = np.clip(((p - a) * np.conj(d)).real / len2, 0.0, 1.0)
+            dist = np.minimum(dist, np.abs(a + t * d - p))
+        return dist
 
     def grid(self, nu: int, nv: int):
         """Grid axes (u, v) covering the rectangle, endpoints included."""
@@ -85,13 +84,11 @@ class DomainSpec:
         return (np.linspace(self.u_min, self.u_max, nu),
                 np.linspace(self.v_min, self.v_max, nv))
 
-    def sample_points(self, count: int, skip: int = 0,
-                      clearance: float | None = None) -> np.ndarray:
-        """Halton samples over the rectangle, skipping puncture-adjacent
-        points.  ``clearance`` defaults to 2% of the rectangle diagonal."""
-        if clearance is None:
-            diag = math.hypot(self.u_max - self.u_min, self.v_max - self.v_min)
-            clearance = 0.02 * diag
+    def sample_points(self, count: int, skip: int = 0) -> np.ndarray:
+        """Halton samples over the rectangle, skipping points within 2% of
+        the rectangle diagonal of a puncture."""
+        clearance = 0.02 * math.hypot(self.u_max - self.u_min,
+                                      self.v_max - self.v_min)
         out = np.empty(count, dtype=np.complex128)
         have = 0
         offset = skip

@@ -16,14 +16,16 @@ subexpressions are evaluated once per node, and each component is
 accepted on a segment as soon as its own error estimate meets the
 segment's tolerance.  The nodes of a pass are evaluated in chunks of at
 most ``CHUNK_NODES`` points, so memory does not grow with the batch.
+A ``domain`` (DomainSpec) passed to either entry point gives the log
+branch cut and the punctures, measured by ``DomainSpec.puncture_distance``;
+a segment through a puncture raises SingularPath before any evaluation.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .domain import DomainSpec
 from .engine import compile_expr, eval_program
 from .errors import EvaluationSingularity, NoConvergence, SingularPath
 
@@ -37,21 +39,6 @@ MAX_DEPTH = 40
 CHUNK_NODES = 1 << 16
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
-
-
-def _segment_puncture_distance(a, b, punctures):
-    """Min distance from segments [a_i, b_i] to any puncture."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    dist = np.full(a.shape, np.inf)
-    d = b - a
-    len2 = np.abs(d) ** 2
-    for p in punctures:
-        t = np.zeros(a.shape)
-        nz = len2 > 0
-        t[nz] = np.clip(((p - a[nz]) * np.conj(d[nz])).real / len2[nz], 0.0, 1.0)
-        dist = np.minimum(dist, np.abs(a + t * d - p))
-    return dist
 
 
 def _panels(prog, a, b, cut):
@@ -76,8 +63,8 @@ def _panels(prog, a, b, cut):
     return out
 
 
-def integrate_segments(expr, a, b, tol: float = 1e-12, *, cut: float = math.pi,
-                       punctures=(), max_depth: int = MAX_DEPTH) -> np.ndarray:
+def integrate_segments(expr, a, b, tol: float = 1e-12, *, domain=None,
+                       max_depth: int = MAX_DEPTH) -> np.ndarray:
     """Integrate ``expr``, or each of a tuple of k expressions, along
     straight segments a_i -> b_i.
 
@@ -86,16 +73,18 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *, cut: float = math.pi,
     on a segment the first time its own error estimate meets the
     segment's tolerance; a segment is split only while some component is
     still pending there.  All pending segments of a refinement level are
-    evaluated by one program.
+    evaluated by one program.  ``domain`` (a DomainSpec) supplies the log
+    branch cut and the punctures no segment may pass through.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
     if a.shape != b.shape:
         raise ValueError("segment endpoint arrays must have the same shape")
-    if punctures:
-        d = _segment_puncture_distance(a, b, punctures)
-        if np.any(d < 1e-9 * (1.0 + np.abs(b - a))):
-            raise SingularPath("integration segment passes through a puncture")
+    domain = domain if domain is not None else DomainSpec()
+    cut = domain.branch_cut
+    if domain.punctures and np.any(
+            domain.puncture_distance(a, b) < 1e-9 * (1.0 + np.abs(b - a))):
+        raise SingularPath("integration segment passes through a puncture")
 
     prog = compile_expr(expr)
     total = np.zeros((len(prog.outputs), a.size), dtype=np.complex128)
@@ -135,11 +124,8 @@ def integrate_path(expr, z0, z1, tol: float = 1e-12, *, domain=None) -> complex:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cut = domain.branch_cut if domain is not None else math.pi
-    punctures = domain.punctures if domain is not None else ()
     try:
-        result = integrate_segments(expr, [z0], [z1], tol,
-                                    cut=cut, punctures=punctures)
+        result = integrate_segments(expr, [z0], [z1], tol, domain=domain)
     except EvaluationSingularity as err:
         raise SingularPath(str(err)) from err
     return complex(result[0])

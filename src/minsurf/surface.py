@@ -6,7 +6,9 @@ z0 -> (u_j, v0) -> (u_j, v_k); the vertical legs are assembled from
 per-cell edge integrals shared down each column, so a nu x nv patch
 costs O(nu nv) short segments, each integrated to the per-segment
 tolerance budget.  Path independence on the puncture-free rectangle
-makes the routing choice immaterial.
+makes the routing choice immaterial.  Every stage reads the curve's own
+``domain``: the grid rectangle, the punctures that mask cells and
+segments, and the log branch cut.
 
 Verification instruments:
 
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import ParametricSurface
-from .domain import DomainSpec
 from .errors import ZeroVector
 from .nullcurve import NullCurve
-from .quadrature import _segment_puncture_distance, integrate_segments
+from .quadrature import integrate_segments
 
 __all__ = [
     "SurfacePatch", "GaussMapSample", "DegeneracyReport",
@@ -71,16 +72,17 @@ def _nearest_index(arr, x):
     return int(np.argmin(np.abs(arr - x)))
 
 
-def immerse(c: NullCurve, domain: DomainSpec | None = None,
-            zeta0: complex | None = None, res=(33, 33),
+def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
             tol: float = 1e-10) -> SurfacePatch:
-    """Sample X = Re integral of the curve on a grid, with X(zeta0) = 0.
+    """Sample X = Re integral of the curve on a grid of the curve's
+    domain, with X(zeta0) = 0.
 
     zeta0 defaults to the grid point nearest the domain center.  Cells
-    within one cell-diagonal of a puncture are flagged invalid and
-    skipped; their integrals are not attempted.
+    within 1.25 cell-diagonals of a puncture, or reachable by neither
+    L-path, are flagged invalid; their integrals are not attempted and
+    their points and conformal factor are NaN.
     """
-    domain = domain if domain is not None else c.domain
+    domain = c.domain
     nu, nv = res
     u, v = domain.grid(nu, nv)
     hu, hv = u[1] - u[0], v[1] - v[0]
@@ -103,22 +105,23 @@ def immerse(c: NullCurve, domain: DomainSpec | None = None,
         raise ValueError("base point is masked by a puncture")
 
     seg_tol = tol / (nu + nv)
-    total = _integrate_l_paths(c, domain, zeta0, u, v, seg_tol, clearance)
+    total = _integrate_l_paths(c, zeta0, u, v, seg_tol, clearance)
     if domain.punctures and np.any(~np.isfinite(total[valid])):
         # retry unreachable cells with the transposed routing
         # z0 -> (u0, v_k) -> (u_j, v_k)
-        alt = _integrate_l_paths(c, domain, 1j * zeta0.conjugate(),
+        alt = _integrate_l_paths(c, 1j * zeta0.conjugate(),
                                  v, u, seg_tol, clearance, swap=True)
         total = np.where(np.isfinite(total), total, alt)
 
     points = total.real
-    lam = conformal_factor(c, zz, mask=valid)
-    valid = valid & np.all(np.isfinite(points), axis=2)
+    valid &= np.all(np.isfinite(points), axis=2)
     points = np.where(valid[:, :, None], points, np.nan)
+    lam = np.full(valid.shape, np.nan)
+    lam[valid] = conformal_factor(c, zz[valid])
     return SurfacePatch(u, v, points, lam, valid, zeta0)
 
 
-def _integrate_l_paths(c, domain, zeta0, u, v, seg_tol, clearance, swap=False):
+def _integrate_l_paths(c, zeta0, u, v, seg_tol, clearance, swap=False):
     """Integrals along z0 -> (u_j, Im z0) -> (u_j, v_k) for all grid
     points, sharing edge integrals down each column.
 
@@ -148,12 +151,11 @@ def _integrate_l_paths(c, domain, zeta0, u, v, seg_tol, clearance, swap=False):
     seg_a = np.concatenate([horiz_a, stem_a, edge_a])
     seg_b = np.concatenate([horiz_b, stem_b, edge_b])
 
-    ok = _segment_puncture_distance(seg_a, seg_b, domain.punctures) > clearance
+    ok = c.domain.puncture_distance(seg_a, seg_b) > clearance
 
     vals = np.full((c.n,) + seg_a.shape, np.nan, dtype=np.complex128)
     vals[:, ok] = integrate_segments(c.components, seg_a[ok], seg_b[ok], seg_tol,
-                                     cut=domain.branch_cut,
-                                     punctures=domain.punctures)
+                                     domain=c.domain)
     horiz = vals[:, :nu]
     stem = vals[:, nu:2 * nu]
     edges = vals[:, 2 * nu:].reshape(c.n, nu, nv - 1)
@@ -166,20 +168,10 @@ def _integrate_l_paths(c, domain, zeta0, u, v, seg_tol, clearance, swap=False):
     return out.transpose(1, 0, 2) if swap else out
 
 
-def conformal_factor(c: NullCurve, zeta, mask=None):
+def conformal_factor(c: NullCurve, zeta):
     """(1/2) sum_k |phi_k(zeta)|^2 at scalar or array zeta."""
-    zarr = np.asarray(zeta, dtype=np.complex128)
-    if mask is not None:
-        work = np.where(mask, zarr, complex(c.domain.default_base_point()))
-    else:
-        work = zarr
-    vals = c(work)
-    lam = 0.5 * np.sum(np.abs(vals) ** 2, axis=-1)
-    if mask is not None:
-        lam = np.where(mask, lam, np.nan)
-    if np.isscalar(zeta) or np.ndim(zeta) == 0:
-        return float(lam)
-    return lam
+    lam = 0.5 * np.sum(np.abs(c(zeta)) ** 2, axis=-1)
+    return float(lam) if np.ndim(zeta) == 0 else lam
 
 
 @dataclass(frozen=True)
@@ -358,7 +350,7 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
         vals = integrate_segments(c.components,
                                   np.append(np.full(corner.size, z0), corner),
                                   np.append(corner, u + 1j * v), tol,
-                                  cut=dom.branch_cut, punctures=dom.punctures)
+                                  domain=dom)
         # sum the two legs; copied C-contiguous, as a strided result rounds
         # the slice's plane fit differently
         x = vals.real.reshape(c.n, 2, -1).sum(axis=1).T.copy()

@@ -6,6 +6,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the summary lines.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_criterion_05_helicoid_deformation_foliation():
         hd = cat.helicoid_deformation(a, b)
         # printed components on a 32x32 grid
         c4 = parabolic_deform(cat.helicoid(), complex(a, b))
-        p = immerse(c4, domain=dom, res=(32, 32), zeta0=0, tol=1e-11)
+        p = immerse(replace(c4, domain=dom), res=(32, 32), zeta0=0, tol=1e-11)
         ref = np.empty_like(p.points)
         for j, u in enumerate(p.u):
             for k, v in enumerate(p.v):
@@ -288,8 +289,9 @@ def test_criterion_09_classical_deformations():
         h2 = evaluate(ex.mul(w2.G, w2.Psi), zbatch)
         height_exact = height_exact and np.array_equal(h1, h2)
         dom = DomainSpec(-1, 1, -1, 1)
-        p1 = immerse(c3, domain=dom, res=(16, 16), zeta0=0)
-        p2 = immerse(from_weierstrass(w2), domain=dom, res=(16, 16), zeta0=0)
+        p1 = immerse(replace(c3, domain=dom), res=(16, 16), zeta0=0)
+        p2 = immerse(replace(from_weierstrass(w2), domain=dom), res=(16, 16),
+                     zeta0=0)
         x3_dev = max(x3_dev,
                      float(np.max(np.abs(p1.points[:, :, 2]
                                          - p2.points[:, :, 2]))))
@@ -334,10 +336,10 @@ def test_criterion_10_minimality_and_convergence():
     lines = []
     for name, curve, dom in cases:
         z0 = dom.center
-        coarse = verify_minimal(immerse(curve, domain=dom, res=(64, 64),
-                                        zeta0=z0, tol=1e-11))
-        fine = verify_minimal(immerse(curve, domain=dom, res=(128, 128),
-                                      zeta0=z0, tol=1e-11))
+        coarse = verify_minimal(immerse(replace(curve, domain=dom),
+                                        res=(64, 64), zeta0=z0, tol=1e-11))
+        fine = verify_minimal(immerse(replace(curve, domain=dom),
+                                      res=(128, 128), zeta0=z0, tol=1e-11))
         dc, dh = coarse["conformality_defect"], coarse["harmonicity_defect"]
         good = dc <= 1e-4 and dh <= 1e-4
         # convergence ratio is meaningful only above the roundoff floor

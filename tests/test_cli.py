@@ -213,3 +213,31 @@ def test_unexpected_exception_is_internal_error(cli, monkeypatch):
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "InternalError",
                                "message": "ZeroDivisionError: division by zero"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--axis", "x", "--value", "0"],   # a bad flag value
+    [],                                         # no subcommand
+    ["deform", "--kind", "bogus"],              # a kind not in the choices
+])
+def test_malformed_flags_are_machine_readable(cli, argv):
+    code, out, err = cli(argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_help_still_exits_zero(cli):
+    with pytest.raises(SystemExit) as exit_info:
+        cli(["--help"])
+    assert exit_info.value.code == 0
+
+
+@pytest.mark.filterwarnings("error")   # a numpy warning would not be one line
+@pytest.mark.parametrize("csv", ["x,y,X0\n1,2\n", "x,y,X0,X1\n",
+                                 "x,y,X0,X1\n1,2,3,4\n1,2,3\n"])
+def test_malformed_fit_csv_is_machine_readable(cli, csv):
+    code, out, err = cli(["fit"], stdin=csv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValueError"

@@ -119,6 +119,13 @@ def test_fit_needs_enough_points():
         fit_conic(planar_sample(_circle3(n=5)))
 
 
+@pytest.mark.filterwarnings("error")   # no mean of an empty array
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_planar_sample_needs_three_points(count):
+    with pytest.raises(DegenerateInput):
+        planar_sample(np.ones((count, 4)) * np.arange(count)[:, None])
+
+
 def test_rigid_motion_invariance(rng):
     u = np.linspace(-1.2, 1.2, 70)
     pts = np.stack([1.3 * np.cosh(u), 0.7 * np.sinh(u),

@@ -1,6 +1,7 @@
 """Immersion sampling, metrics, Gauss maps, degeneracy, mesh export."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
 from minsurf.engine import evaluate
 from minsurf.errors import ZeroVector
-from minsurf.nullcurve import NullCurve, embed_3_to_4, from_weierstrass
+from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
+                               from_weierstrass)
 from minsurf.surface import (_triangles, conformal_factor, degeneracy_rank,
                              export_mesh, gauss_map, immerse,
                              load_obj_vertices, parametric_immersion,
@@ -70,8 +72,8 @@ def test_two_catenoid_charts_congruent():
     c_exp = from_weierstrass(cat.catenoid_exp())
     f_pole = parametric_immersion(from_weierstrass(cat.catenoid()),
                                   zeta0=1 + 0j, tol=1e-12)
-    p = immerse(c_exp, res=(9, 9), zeta0=0, tol=1e-12,
-                domain=DomainSpec(-0.5, 0.5, -0.5, 0.5))
+    p = immerse(replace(c_exp, domain=DomainSpec(-0.5, 0.5, -0.5, 0.5)),
+                res=(9, 9), zeta0=0, tol=1e-12)
     for j, u in enumerate(p.u):
         for k, v in enumerate(p.v):
             z = np.exp(complex(u, v))
@@ -92,8 +94,8 @@ def test_deformed_helicoid_matches_printed_components():
     w = cat.helicoid()
     for (a, b) in ((1.0, 0.0), (0.0, 1.0), (1.0, 2.0)):
         c4 = parabolic_deform(w, complex(a, b))
-        p = immerse(c4, res=(33, 33), zeta0=0, tol=1e-11,
-                    domain=DomainSpec(-1, 1, -1, 1))
+        p = immerse(replace(c4, domain=DomainSpec(-1, 1, -1, 1)),
+                    res=(33, 33), zeta0=0, tol=1e-11)
         hd = cat.helicoid_deformation(a, b)
         oracle = _closed_form_grid(hd.surface, p)
         assert np.max(np.abs(p.points - oracle)) <= 1e-8
@@ -235,8 +237,10 @@ def test_flat_strip_defects_vanish():
 def test_helicoid_defects_second_order():
     dom = DomainSpec(-1, 1, -1, 1)
     c3 = from_weierstrass(cat.helicoid())
-    r64 = verify_minimal(immerse(c3, domain=dom, res=(64, 64), zeta0=0))
-    r128 = verify_minimal(immerse(c3, domain=dom, res=(128, 128), zeta0=0))
+    r64 = verify_minimal(immerse(replace(c3, domain=dom),
+                                 res=(64, 64), zeta0=0))
+    r128 = verify_minimal(immerse(replace(c3, domain=dom),
+                                  res=(128, 128), zeta0=0))
     # measured constants: the FD conformality error is ~h^2/3 here
     assert r64["conformality_defect"] <= 5e-4
     assert r64["harmonicity_defect"] <= 1e-4
@@ -247,7 +251,8 @@ def test_helicoid_defects_second_order():
 def test_deformed_catenoid_defects():
     dom = DomainSpec(-0.5, 0.5, -0.5, 0.5)
     c4 = parabolic_deform(cat.catenoid_exp(), 1 + 0j)
-    rep = verify_minimal(immerse(c4, domain=dom, res=(64, 64), zeta0=0))
+    rep = verify_minimal(immerse(replace(c4, domain=dom),
+                                 res=(64, 64), zeta0=0))
     assert rep["conformality_defect"] <= 1e-4
     assert rep["harmonicity_defect"] <= 1e-4
 
@@ -255,7 +260,7 @@ def test_deformed_catenoid_defects():
 def test_wirtinger_consistency():
     dom = DomainSpec(-1, 1, -1, 1)
     c3 = from_weierstrass(cat.helicoid())
-    p = immerse(c3, domain=dom, res=(64, 64), zeta0=0)
+    p = immerse(replace(c3, domain=dom), res=(64, 64), zeta0=0)
     h = p.spacing()[0]
     assert wirtinger_defect(p, c3) <= 10 * h * h
 
@@ -278,6 +283,39 @@ def test_puncture_masks_cells():
     assert not p.valid.all()
     assert p.valid.sum() > 150  # most of the grid survives
     assert np.all(np.isfinite(p.points[p.valid]))
+
+
+def test_punctured_conformal_is_nan_exactly_off_valid_cells():
+    # the full catenoid G = z, Psi = 1/z^2; cells reachable by neither
+    # L-path from the base point 1 are invalid, not only the masked ones
+    dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
+    c = from_weierstrass(WeierstrassData(ex.Z, ex.parse("1/z^2"), dom))
+    p = immerse(c, res=(33, 33), zeta0=1 + 0j)
+    assert np.array_equal(np.isnan(p.conformal), ~p.valid)
+    assert np.array_equal(np.isnan(p.points).any(axis=2), ~p.valid)
+    assert np.sum(~p.valid) > np.sum(dom.puncture_distance(
+        p.u[:, None] + 1j * p.v[None, :]) <= 1.25 * np.hypot(*p.spacing()))
+
+
+def test_immerse_uses_the_curves_branch_cut():
+    # (log z, i log z, 0) with the cut along the positive real axis, where
+    # arg z lies in (-2 pi, 0]: log z = Log z - 2 pi i on the second quadrant
+    dom = DomainSpec(-1, -0.1, 0.1, 1, branch_cut=0.0)
+    log = ex.log(ex.Z)
+    c = NullCurve((log, ex.mul(ex.const(1j), log), ex.const(0)), dom)
+    p = immerse(c, res=(9, 9), tol=1e-12)
+    zz = p.u[:, None] + 1j * p.v[None, :]
+    assert p.valid.all()
+    assert np.array_equal(p.conformal, conformal_factor(c, zz))
+    np.testing.assert_allclose(p.conformal,
+                               np.abs(np.log(zz) - 2j * np.pi) ** 2, rtol=1e-13)
+
+    def antiderivative(z):   # of log z on this branch
+        return z * (np.log(z) - 2j * np.pi) - z
+
+    F = antiderivative(zz) - antiderivative(p.base_point)
+    want = np.stack([F.real, (1j * F).real, np.zeros(F.shape)], axis=-1)
+    assert np.max(np.abs(p.points - want)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +346,8 @@ def test_export_obj_round_trip(tmp_path):
 
 def test_export_ply_four_properties(tmp_path):
     c4 = parabolic_deform(cat.helicoid(), 1 + 1j)
-    p = immerse(c4, res=(5, 5), zeta0=0, domain=DomainSpec(-1, 1, -1, 1))
+    p = immerse(replace(c4, domain=DomainSpec(-1, 1, -1, 1)),
+                res=(5, 5), zeta0=0)
     path = tmp_path / "d.ply"
     export_mesh(p, path, fmt="ply")
     header = path.read_bytes().split(b"end_header")[0].decode()
@@ -320,7 +359,8 @@ def test_export_ply_four_properties(tmp_path):
 
 def test_export_obj_projection(tmp_path):
     c4 = parabolic_deform(cat.helicoid(), 1 + 1j)
-    p = immerse(c4, res=(5, 5), zeta0=0, domain=DomainSpec(-1, 1, -1, 1))
+    p = immerse(replace(c4, domain=DomainSpec(-1, 1, -1, 1)),
+                res=(5, 5), zeta0=0)
     path = tmp_path / "p.obj"
     export_mesh(p, path, fmt="obj", projection=(0, 2, 3))
     verts = load_obj_vertices(path)
