@@ -225,6 +225,11 @@ def _cmd_fit(args) -> int:
     if len(rows[0]) < 4:
         raise ValueError("fit input rows need x, y and at least two coordinates")
     pts = np.array([[float(t) for t in row[2:]] for row in rows])
+    bad = np.argwhere(~np.isfinite(pts))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"fit input data row {row + 1} holds a non-finite "
+                         f"coordinate: {rows[row][col + 2].strip()}")
     pc = planar_sample(pts)
     fit = fit_conic(pc)
     report = {

@@ -241,3 +241,14 @@ def test_malformed_fit_csv_is_machine_readable(cli, csv):
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_fit_names_a_non_finite_coordinate(cli, token):
+    csv = f"x,y,X0,X1\n1,2,3,4\n1,3,{token},1\n1,4,5,4\n2,3,3,3\n"
+    code, out, err = cli(["fit"], stdin=csv)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert "row 2" in report["message"] and report["message"].endswith(token)
