@@ -60,14 +60,14 @@ def _parse_res(text: str):
 
 
 def _read_spec(args) -> specio.SurfaceSpec:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input) as fh:
             return specio.load(fh)
     return specio.loads(sys.stdin.read())
 
 
 def _write_text(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -79,11 +79,9 @@ def _json_dumps(obj) -> str:
 
 
 def _base_point(args, spec):
-    if getattr(args, "base_point", None):
+    if args.base_point:
         return parse_complex(args.base_point)
-    if spec.base_point is not None:
-        return spec.base_point
-    return None
+    return spec.base_point
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +210,7 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input) as fh:
             text = fh.read()
     else:
@@ -269,16 +267,6 @@ def _cmd_export(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, res_default="33x33"):
-    p.add_argument("--input", help="spec file (default: stdin)")
-    p.add_argument("--output", help="output file (default: stdout)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="integration tolerance")
-    p.add_argument("--res", default=res_default, help="grid resolution NUxNV")
-    p.add_argument("--base-point", help="immersion anchor, a+bi")
-    p.add_argument("--seed", type=int, default=0, help="Halton sample offset")
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises ValueError on a malformed command line instead of printing
     usage and exiting, so that ``main`` reports it as one JSON line."""
@@ -292,6 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="minsurf",
         description="minimal surfaces from holomorphic null curves")
     sub = ap.add_subparsers(dest="command", required=True)
+    # flags shared by subcommands; each subcommand takes only those it reads
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--input", help="input file (default: stdin)")
+    io.add_argument("--output", help="output file (default: stdout)")
+    immersion = argparse.ArgumentParser(add_help=False, parents=[io])
+    immersion.add_argument("--tol", type=float, default=1e-10,
+                           help="integration tolerance")
+    immersion.add_argument("--base-point", help="immersion anchor, a+bi")
 
     p = sub.add_parser("catalog", help="list built-in constructions")
     p.add_argument("action", choices=["list", "show"])
@@ -299,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("deform", help="apply a null-curve deformation")
+    p = sub.add_parser("deform", parents=[io],
+                       help="apply a null-curve deformation")
     p.add_argument("--kind", required=True,
                    choices=["associate", "goursat", "lopez-ros", "lawson",
                             "parabolic", "segre", "theorem51", "corollary53"])
@@ -311,35 +308,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--L", default="0")
     p.add_argument("--R", default="0")
-    _add_common(p)
     p.set_defaults(func=_cmd_deform)
 
-    p = sub.add_parser("sample", help="sample the immersion on a grid")
-    _add_common(p)
+    p = sub.add_parser("sample", parents=[immersion],
+                       help="sample the immersion on a grid")
+    p.add_argument("--res", default="33x33", help="grid resolution NUxNV")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("verify", help="nullity, degeneracy, minimality report")
+    p = sub.add_parser("verify", parents=[immersion],
+                       help="nullity, degeneracy, minimality report")
+    p.add_argument("--res", default="33x33", help="grid resolution NUxNV")
     p.add_argument("--samples", type=int, default=100)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="Halton sample offset")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("slice", help="extract a coordinate level set as CSV")
+    p = sub.add_parser("slice", parents=[immersion],
+                       help="extract a coordinate level set as CSV")
     p.add_argument("--axis", type=int, required=True)
     p.add_argument("--value", type=float, required=True)
     p.add_argument("--npoints", type=int, default=100)
     p.add_argument("--sweep", help="override swept range, lo:hi")
-    _add_common(p)
     p.set_defaults(func=_cmd_slice)
 
-    p = sub.add_parser("fit", help="fit a conic to slice CSV")
-    p.add_argument("--input")
-    p.add_argument("--output")
+    p = sub.add_parser("fit", parents=[io], help="fit a conic to slice CSV")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("export", help="write an OBJ/PLY mesh")
+    p = sub.add_parser("export", parents=[immersion],
+                       help="write an OBJ/PLY mesh")
+    p.add_argument("--res", default="65x65", help="grid resolution NUxNV")
     p.add_argument("--format", choices=["obj", "ply"], default="obj")
     p.add_argument("--projection", help="3 axis indices for OBJ, e.g. 0,2,3")
-    _add_common(p, res_default="65x65")
     p.set_defaults(func=_cmd_export)
     return ap
 

@@ -125,7 +125,9 @@ def planar_sample(points: np.ndarray) -> PlanarCurveSample:
 # ---------------------------------------------------------------------------
 
 def _axis_dependence(surface: ParametricSurface, axis: int):
-    """Which parameter the given coordinate depends on: 'u', 'v', or None."""
+    """Which parameter the given coordinate depends on ('u', 'v' or None),
+    its probe values, the coordinate along the middle probe line of that
+    parameter, and the value the other parameter holds on that line."""
     us = np.linspace(*surface.u_range, AXIS_PROBES)
     vs = np.linspace(*surface.v_range, AXIS_PROBES)
     probe = surface(us[:, None], vs[None, :])
@@ -135,11 +137,12 @@ def _axis_dependence(surface: ParametricSurface, axis: int):
     scale = max(np.ptp(coord), 1.0)
     du = np.max(np.ptp(coord, axis=0))   # variation across u at fixed v
     dv = np.max(np.ptp(coord, axis=1))   # variation across v at fixed u
+    mid = AXIS_PROBES // 2
     if dv <= 1e-9 * scale and du > 1e-9 * scale:
-        return "u", coord[:, 0], us
+        return "u", us, coord[:, mid], vs[mid]
     if du <= 1e-9 * scale and dv > 1e-9 * scale:
-        return "v", coord[0, :], vs
-    return None, None, None
+        return "v", vs, coord[mid, :], us[mid]
+    return None, None, None, None
 
 
 def slice_parameter_line(surface: ParametricSurface, param: str, value: float,
@@ -165,37 +168,34 @@ def slice_surface(surface: ParametricSurface, axis: int, value: float,
     The chosen coordinate must depend monotonically on exactly one
     parameter (true for all surfaces treated here); otherwise
     AxisNotMonotone is raised, and an axis outside 0..n-1 raises
-    ValueError.  The parameter value is found by bisection and the other
-    parameter is swept.
+    ValueError.  The parameter value is found on the middle probe line:
+    each round samples the bracket at AXIS_PROBES points in one surface
+    call and keeps the sub-interval where the coordinate crosses the
+    level, down to a width of 1e-15 max(1, |lo| + |hi|), unless a sample
+    meets the level exactly.  The other parameter is swept.
     """
-    param, coord, ts = _axis_dependence(surface, axis)
+    param, ts, coord, held = _axis_dependence(surface, axis)
     if param is None:
         raise AxisNotMonotone(
             f"coordinate {axis} is not a function of a single parameter")
     diffs = np.diff(coord)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise AxisNotMonotone(f"coordinate {axis} is not monotone")
-    lo, hi = ts[0], ts[-1]
-    flo = coord[0] - value
-    fhi = coord[-1] - value
-    if flo * fhi > 0:
-        raise ValueError(f"level {value} is outside the sampled range")
-
-    def f(t):
-        uv = (t, 0.5 * sum(surface.v_range)) if param == "u" else \
-             (0.5 * sum(surface.u_range), t)
-        return surface(*uv)[axis] - value
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0 or (hi - lo) < 1e-15 * max(1.0, abs(lo) + abs(hi)):
+    while True:
+        f = coord - value
+        if np.any(f == 0):
+            frozen = ts[np.argmax(f == 0)]
             break
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    frozen = 0.5 * (lo + hi)
+        crossing = np.flatnonzero((f[:-1] > 0) != (f[1:] > 0))
+        if crossing.size == 0:
+            raise ValueError(f"level {value} is outside the sampled range")
+        lo, hi = ts[crossing[0]], ts[crossing[0] + 1]
+        if hi - lo < 1e-15 * max(1.0, abs(lo) + abs(hi)):
+            frozen = 0.5 * (lo + hi)
+            break
+        ts = np.linspace(lo, hi, AXIS_PROBES)
+        line = surface(ts, held) if param == "u" else surface(held, ts)
+        coord = line[:, axis]
     return slice_parameter_line(surface, param, frozen, npoints, sweep=sweep)
 
 

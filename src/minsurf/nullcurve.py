@@ -75,10 +75,6 @@ class NullCurve:
         # contiguous, so that sums over the components add in one order
         return np.ascontiguousarray(np.moveaxis(vals, 0, -1))
 
-    def derivative(self) -> "NullCurve":
-        return NullCurve(tuple(ex.differentiate(c) for c in self.components),
-                         self.domain)
-
 
 @dataclass(frozen=True)
 class NullResidualReport:

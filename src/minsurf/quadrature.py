@@ -36,7 +36,7 @@ import numpy as np
 
 from .domain import DomainSpec
 from .engine import compile_expr, eval_program
-from .errors import EvaluationSingularity, NoConvergence, SingularPath
+from .errors import NoConvergence, SingularPath
 
 __all__ = ["integrate_path", "integrate_segments", "MAX_DEPTH", "CHUNK_NODES",
            "ROUNDOFF_FACTOR"]
@@ -207,8 +207,4 @@ def integrate_path(expr, z0, z1, tol: float = 1e-12, *, domain=None) -> complex:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    try:
-        result = integrate_segments(expr, [z0], [z1], tol, domain=domain)
-    except EvaluationSingularity as err:
-        raise SingularPath(str(err)) from err
-    return complex(result[0])
+    return complex(integrate_segments(expr, [z0], [z1], tol, domain=domain)[0])

@@ -227,6 +227,18 @@ def degeneracy_rank(c: NullCurve, samples: int = 64, skip: int = 0) -> Degenerac
     return DegeneracyReport(rank, s, hyper, samples)
 
 
+def _central_differences(p: SurfacePatch):
+    """X_u and X_v by central differences at the interior grid points,
+    with the mask of those whose four neighbours are all valid."""
+    hu, hv = p.spacing()
+    X = p.points
+    xu = (X[2:, 1:-1] - X[:-2, 1:-1]) / (2 * hu)
+    xv = (X[1:-1, 2:] - X[1:-1, :-2]) / (2 * hv)
+    ok = (p.valid[1:-1, 1:-1] & p.valid[:-2, 1:-1] & p.valid[2:, 1:-1]
+          & p.valid[1:-1, :-2] & p.valid[1:-1, 2:])
+    return xu, xv, ok
+
+
 def verify_minimal(p: SurfacePatch) -> dict:
     """Finite-difference minimality check on interior grid points.
 
@@ -238,15 +250,12 @@ def verify_minimal(p: SurfacePatch) -> dict:
     nu, nv = p.resolution
     if nu < 5 or nv < 5:
         raise ValueError("verification needs at least a 5x5 grid")
-    hu, hv = p.spacing()
-    X = p.points
-    ok = (p.valid[1:-1, 1:-1] & p.valid[:-2, 1:-1] & p.valid[2:, 1:-1]
-          & p.valid[1:-1, :-2] & p.valid[1:-1, 2:])
+    xu, xv, ok = _central_differences(p)
     if not np.any(ok):
         raise ValueError("no interior points to verify")
 
-    xu = (X[2:, 1:-1] - X[:-2, 1:-1]) / (2 * hu)
-    xv = (X[1:-1, 2:] - X[1:-1, :-2]) / (2 * hv)
+    hu, hv = p.spacing()
+    X = p.points
     E = np.sum(xu * xu, axis=2)
     G = np.sum(xv * xv, axis=2)
     F = np.sum(xu * xv, axis=2)
@@ -267,15 +276,8 @@ def verify_minimal(p: SurfacePatch) -> dict:
 def wirtinger_defect(p: SurfacePatch, c: NullCurve) -> float:
     """Max |2 dX/dz - phi| over interior points, via central differences.
     Checks that the sampled immersion really derives from the curve."""
-    nu, nv = p.resolution
-    hu, hv = p.spacing()
-    X = p.points
-    xu = (X[2:, 1:-1] - X[:-2, 1:-1]) / (2 * hu)
-    xv = (X[1:-1, 2:] - X[1:-1, :-2]) / (2 * hv)
-    zz = p.u[1:-1, None] + 1j * p.v[None, 1:-1]
-    phi = c(zz)
-    ok = (p.valid[1:-1, 1:-1] & p.valid[:-2, 1:-1] & p.valid[2:, 1:-1]
-          & p.valid[1:-1, :-2] & p.valid[1:-1, 2:])
+    xu, xv, ok = _central_differences(p)
+    phi = c(p.u[1:-1, None] + 1j * p.v[None, 1:-1])
     diff = np.abs((xu - 1j * xv) - phi).max(axis=-1)
     return float(np.max(diff[ok]))
 

@@ -219,6 +219,7 @@ def test_unexpected_exception_is_internal_error(cli, monkeypatch):
     ["slice", "--axis", "x", "--value", "0"],   # a bad flag value
     [],                                         # no subcommand
     ["deform", "--kind", "bogus"],              # a kind not in the choices
+    ["deform", "--kind", "associate", "--res", "9x9"],  # a flag deform lacks
 ])
 def test_malformed_flags_are_machine_readable(cli, argv):
     code, out, err = cli(argv)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from minsurf import catalog as cat
-from minsurf.conic import (asymptotes, eccentricity, fit_conic, fit_plane,
-                           planar_sample, slice_parameter_line,
-                           slice_surface)
+from minsurf.conic import (ParametricSurface, asymptotes, eccentricity,
+                           fit_conic, fit_plane, planar_sample,
+                           slice_parameter_line, slice_surface)
 from minsurf.errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
                             NotHyperbola, NotPlanar)
+from minsurf.surface import parametric_immersion
+from minsurf.transforms import parabolic_deform
 
 
 def _circle3(r=1.0, n=100):
@@ -197,6 +199,42 @@ def test_slice_axis_must_be_parameter():
     surf = cat.lagrangian_catenoid_patch()  # no coordinate is a parameter
     with pytest.raises(AxisNotMonotone):
         slice_surface(surf, 0, 0.2, npoints=30)
+
+
+def test_slice_axis_must_be_monotone():
+    # u^2 depends on u alone but turns back at u = 0
+    surf = ParametricSurface(lambda u, v: np.stack([u * u, v, u + v], -1),
+                             (-1, 1), (-1, 1))
+    with pytest.raises(AxisNotMonotone, match="not monotone"):
+        slice_surface(surf, 0, 0.25, npoints=30)
+
+
+@pytest.mark.parametrize("level, frozen", [(0.25 ** 3, 0.25), (1.0, 1.0),
+                                           (-1.0, -1.0)])
+def test_slice_level_on_a_sample_returns_its_parameter(level, frozen):
+    # u^3 meets these levels exactly at a probe point or a range end
+    surf = ParametricSurface(lambda u, v: np.stack([u ** 3, v, u * v], -1),
+                             (-1, 1), (-1, 1))
+    pc = slice_surface(surf, 0, level, npoints=30)
+    assert np.all(pc.points[:, 0] == level)
+    assert np.all(pc.points[:, 2] == frozen * pc.points[:, 1])
+
+
+def test_slice_calls_the_surface_in_few_rounds():
+    surf = parametric_immersion(parabolic_deform(cat.helicoid(), 1 + 0.5j))
+    calls = 0
+    func = surf.func
+
+    def counted(u, v):
+        nonlocal calls
+        calls += 1
+        return func(u, v)
+
+    surf.func = counted
+    pc = slice_surface(surf, 3, 0.3, npoints=40, sweep=(-1.2, 1.2))
+    assert calls <= 20
+    assert np.max(np.abs(pc.points[:, 3] - 0.3)) <= 1e-14
+    assert fit_conic(pc).classification == "hyperbola"
 
 
 def test_slice_needs_enough_points():

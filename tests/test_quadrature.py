@@ -121,6 +121,18 @@ def test_singular_evaluation_detected():
         integrate_path(ex.parse("1/z"), -1 + 1e-13j, 1, 1e-12)
 
 
+def test_pole_on_a_kronrod_node_is_a_singular_path():
+    # 0.5 is the centre node of the first panel of 0 -> 1; no domain is
+    # given, so the non-finite value itself must be caught
+    with pytest.raises(SingularPath, match="singular on an integration segment"):
+        integrate_path(ex.parse("1/(z-0.5)"), 0, 1)
+
+
+def test_segment_endpoint_shapes_must_match():
+    with pytest.raises(ValueError, match="same shape"):
+        integrate_segments(ex.Z, [0, 1], [1j, 1 + 1j, 2])
+
+
 def test_depth_cap_raises():
     with pytest.raises(NoConvergence):
         integrate_segments(ex.parse("1/z"), [-1 + 1e-8j], [1 + 1e-8j],
