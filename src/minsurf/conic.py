@@ -207,7 +207,8 @@ def slice_surface(surface: ParametricSurface, axis: int, value: float,
 class ConicFit:
     """Fitted conic A x^2 + B xy + C y^2 + D x + E y + F = 0."""
 
-    coefficients: np.ndarray   # unit-norm (A, B, C, D, E, F), original frame
+    coefficients: np.ndarray   # unit-norm (A, B, C, D, E, F), original frame,
+                               # largest-magnitude entry positive
     classification: str        # ellipse | circle | parabola | hyperbola |
                                # line | line-pair | degenerate
     eccentricity: float        # inf for lines, nan for degenerate
@@ -290,9 +291,15 @@ def _denormalize(k, scale, tx, ty):
                   [0.0, scale, -scale * ty],
                   [0.0, 0.0, 1.0]])
     m = t.T @ _conic_matrix(k) @ t
-    out = np.array([m[0, 0], 2 * m[0, 1], m[1, 1],
-                    2 * m[0, 2], 2 * m[1, 2], m[2, 2]])
-    return out / np.linalg.norm(out)
+    return _unit(np.array([m[0, 0], 2 * m[0, 1], m[1, 1],
+                           2 * m[0, 2], 2 * m[1, 2], m[2, 2]]))
+
+
+def _unit(coeff):
+    """``coeff`` scaled to unit norm with its largest-magnitude entry
+    positive, so that the sign the SVD happens to return never shows."""
+    coeff = coeff / np.linalg.norm(coeff)
+    return -coeff if coeff[np.argmax(np.abs(coeff))] < 0 else coeff
 
 
 def _line_fit(pc: PlanarCurveSample) -> ConicFit:
@@ -300,8 +307,7 @@ def _line_fit(pc: PlanarCurveSample) -> ConicFit:
     centroid = xy.mean(axis=0)
     _, _, vh = np.linalg.svd(xy - centroid, full_matrices=False)
     n = vh[1]  # unit normal of the line in-plane
-    coeff = np.array([0.0, 0.0, 0.0, n[0], n[1], -float(n @ centroid)])
-    coeff /= np.linalg.norm(coeff)
+    coeff = _unit(np.array([0.0, 0.0, 0.0, n[0], n[1], -float(n @ centroid)]))
     resid = float(np.max(np.abs((xy - centroid) @ n)))
     return ConicFit(coeff, "line", math.inf, resid, None, None,
                     np.stack([vh[0], vh[1]]), None)

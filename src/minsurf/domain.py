@@ -9,6 +9,7 @@ sequence so that every report is reproducible.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,10 +51,16 @@ class DomainSpec:
     branch_cut: float = math.pi  # direction angle of the log cut ray
 
     def __post_init__(self):
+        punctures = tuple(complex(p) for p in self.punctures)
+        # the diagonal is finite only when every bound is; the sample and
+        # base-point clearances scale with it
+        diag = math.hypot(self.u_max - self.u_min, self.v_max - self.v_min)
+        if not all(map(cmath.isfinite, (diag, self.branch_cut) + punctures)):
+            raise ValueError("domain rect (and its diagonal), punctures and "
+                             "branch_cut must be finite")
         if not (self.u_max > self.u_min and self.v_max > self.v_min):
             raise ValueError("degenerate domain rectangle")
-        object.__setattr__(self, "punctures",
-                           tuple(complex(p) for p in self.punctures))
+        object.__setattr__(self, "punctures", punctures)
 
     @property
     def center(self) -> complex:

@@ -172,29 +172,30 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *, domain=None,
         raise SingularPath("integration segment passes through a puncture")
 
     prog = compile_expr(expr)
-    total = np.zeros((len(prog.outputs), a.size), dtype=np.complex128)
-    pending = np.ones(total.shape, dtype=bool)
-    idx = np.arange(a.size)
-    seg_a, seg_b = a.copy(), b.copy()
-    seg_tol = np.full(a.size, float(tol))
 
-    for depth in range(max_depth + 1):
-        res, done = _panels(prog, seg_a, seg_b, cut, seg_tol)
+    def refine(a, b, tol, pending, depth):
+        # accepted panels, 0 where nothing is pending, else the sum of the
+        # refined halves: halves meet before their parent, written once
+        res, done = _panels(prog, a, b, cut, tol)
         done &= pending
-        comp, seg = np.nonzero(done)
-        np.add.at(total, (comp, idx[seg]), res[comp, seg])
-        pending &= ~done
+        total = np.where(done, res, 0)
+        pending = pending & ~done
         keep = np.any(pending, axis=0)
-        if not np.any(keep):
-            return total[0] if prog.single else total
-        idx = np.concatenate([idx[keep], idx[keep]])
-        pending = np.concatenate([pending[:, keep], pending[:, keep]], axis=1)
-        seg_a, seg_b = seg_a[keep], seg_b[keep]
-        mid = 0.5 * (seg_a + seg_b)
-        seg_a, seg_b = np.concatenate([seg_a, mid]), np.concatenate([mid, seg_b])
-        seg_tol = np.concatenate([0.5 * seg_tol[keep], 0.5 * seg_tol[keep]])
-    raise NoConvergence(
-        f"quadrature did not converge within depth {max_depth}")
+        if np.any(keep):
+            if depth == max_depth:
+                raise NoConvergence(
+                    f"quadrature did not converge within depth {max_depth}")
+            a, b, tol = a[keep], b[keep], 0.5 * tol[keep]
+            mid = 0.5 * (a + b)
+            halves = refine(np.concatenate([a, mid]), np.concatenate([mid, b]),
+                            np.concatenate([tol, tol]),
+                            np.tile(pending[:, keep], 2), depth + 1)
+            total[:, keep] += halves[:, :mid.size] + halves[:, mid.size:]
+        return total
+
+    total = refine(a, b, np.full(a.size, float(tol)),
+                   np.ones((len(prog.outputs), a.size), dtype=bool), 0)
+    return total[0] if prog.single else total
 
 
 def integrate_path(expr, z0, z1, tol: float = 1e-12, *, domain=None) -> complex:

@@ -1,14 +1,17 @@
 """From null curves to sampled immersions in R^n, and checks on them.
 
 The immersion is X = Re of the path integral of the curve, anchored so
-that X(z0) = 0.  Grid points are reached along L-shaped polylines
-z0 -> (u_j, v0) -> (u_j, v_k); the vertical legs are assembled from
-per-cell edge integrals shared down each column, so a nu x nv patch
-costs O(nu nv) short segments, each integrated to the per-segment
-tolerance budget.  Path independence on the puncture-free rectangle
-makes the routing choice immaterial.  Every stage reads the curve's own
-``domain``: the grid rectangle, the punctures that mask cells and
-segments, and the log branch cut.
+that X(z0) = 0.  The integral does not depend on the path on the
+puncture-free rectangle, so a nu x nv grid needs one edge integral per
+grid point: ``immerse`` integrates a spanning tree of the grid, a stem
+from z0 to the nearest grid point g(j0, k0), the edges of row k0 and the
+edges of every column, nu nv segments in all, and takes X as running sums
+outward from j0 along the row and then from k0 down each column.  A path
+has at most nu + nv - 1 segments, each integrated to tol / (nu + nv), so
+every point is within tol.  Where a puncture cuts the tree, the
+transposed tree (column j0, then every row) reaches what it can.  Every
+stage reads the curve's own ``domain``: the grid rectangle, the
+punctures that mask cells and segments, and the log branch cut.
 
 Verification instruments:
 
@@ -78,14 +81,13 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     domain, with X(zeta0) = 0.
 
     zeta0 defaults to the grid point nearest the domain center.  Cells
-    within 1.25 cell-diagonals of a puncture, or reachable by neither
-    L-path, are flagged invalid; their integrals are not attempted and
-    their points and conformal factor are NaN.
+    within 1.25 cell-diagonals of a puncture, or reached by neither
+    spanning tree, are flagged invalid; the edges they would need are not
+    integrated, and their points and conformal factor are NaN.
     """
     domain = c.domain
     nu, nv = res
     u, v = domain.grid(nu, nv)
-    hu, hv = u[1] - u[0], v[1] - v[0]
 
     if zeta0 is None:
         z0 = domain.default_base_point()
@@ -94,26 +96,31 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     zeta0 = complex(zeta0)
     if not domain.contains(zeta0):
         raise ValueError("base point lies outside the domain")
-    v0 = zeta0.imag
 
     zz = u[:, None] + 1j * v[None, :]
-    clearance = 1.25 * float(np.hypot(hu, hv))
+    clearance = 1.25 * float(np.hypot(u[1] - u[0], v[1] - v[0]))
     valid = domain.puncture_distance(zz) > clearance
     j0 = _nearest_index(u, zeta0.real)
-    k0 = _nearest_index(v, v0)
+    k0 = _nearest_index(v, zeta0.imag)
     if not valid[j0, k0]:
         raise ValueError("base point is masked by a puncture")
 
+    # the spanning tree: a stem z0 -> g(j0, k0), the edges of row k0 and
+    # the edges of every column, in one call of nu * nv segments
     seg_tol = tol / (nu + nv)
-    total = _integrate_l_paths(c, zeta0, u, v, seg_tol, clearance)
-    if domain.punctures and np.any(~np.isfinite(total[valid])):
-        # retry unreachable cells with the transposed routing
-        # z0 -> (u0, v_k) -> (u_j, v_k)
-        alt = _integrate_l_paths(c, 1j * zeta0.conjugate(),
-                                 v, u, seg_tol, clearance, swap=True)
-        total = np.where(np.isfinite(total), total, alt)
+    a = np.concatenate([[zeta0], zz[:-1, k0], zz[:, :-1].ravel()])
+    b = np.concatenate([[zz[j0, k0]], zz[1:, k0], zz[:, 1:].ravel()])
+    vals = _edge_integrals(c, a, b, seg_tol, clearance)
+    stem = vals[:, 0, None, None]
+    col = _running_sums(vals[:, nu:].reshape(c.n, nu, nv - 1), k0)
+    total = stem + _running_sums(vals[:, 1:nu], j0)[:, :, None] + col
+    if domain.punctures and np.any(~np.isfinite(total[:, valid])):
+        # the transposed tree reaches the rest: column j0, then every row
+        rows = _edge_integrals(c, zz[:-1].T, zz[1:].T, seg_tol, clearance)
+        alt = stem + col[:, j0, :, None] + _running_sums(rows, j0)
+        total = np.where(np.isfinite(total), total, alt.transpose(0, 2, 1))
 
-    points = total.real
+    points = total.real.transpose(1, 2, 0)
     valid &= np.all(np.isfinite(points), axis=2)
     points = np.where(valid[:, :, None], points, np.nan)
     lam = np.full(valid.shape, np.nan)
@@ -121,51 +128,25 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     return SurfacePatch(u, v, points, lam, valid, zeta0)
 
 
-def _integrate_l_paths(c, zeta0, u, v, seg_tol, clearance, swap=False):
-    """Integrals along z0 -> (u_j, Im z0) -> (u_j, v_k) for all grid
-    points, sharing edge integrals down each column.
-
-    With ``swap`` the roles of the axes are exchanged: the caller passes
-    (v, u) and a conjugate-rotated base point, and the result is
-    transposed back.  Cells whose path crosses a puncture come back NaN.
-    The column accumulation is anchored at the grid row nearest Im z0,
-    so a zero-length path yields exactly zero.
-    """
-    nu, nv = len(u), len(v)
-
-    def lift(a, b):
-        # grid coordinates -> complex plane points (undo the swap)
-        return (b + 1j * a) if swap else (a + 1j * b)
-
-    v0 = zeta0.imag
-    k0 = _nearest_index(v, v0)
-    z0 = lift(zeta0.real, zeta0.imag)
-
-    horiz_a = np.full(nu, z0, dtype=np.complex128)
-    horiz_b = lift(u, np.full(nu, v0))
-    stem_a = horiz_b
-    stem_b = lift(u, np.full(nu, v[k0]))
-    uu = np.broadcast_to(u[:, None], (nu, nv - 1))
-    edge_a = lift(uu, np.broadcast_to(v[None, :-1], (nu, nv - 1))).ravel()
-    edge_b = lift(uu, np.broadcast_to(v[None, 1:], (nu, nv - 1))).ravel()
-    seg_a = np.concatenate([horiz_a, stem_a, edge_a])
-    seg_b = np.concatenate([horiz_b, stem_b, edge_b])
-
-    ok = c.domain.puncture_distance(seg_a, seg_b) > clearance
-
-    vals = np.full((c.n,) + seg_a.shape, np.nan, dtype=np.complex128)
-    vals[:, ok] = integrate_segments(c.components, seg_a[ok], seg_b[ok], seg_tol,
+def _edge_integrals(c, a, b, seg_tol, clearance):
+    """Integrals of the curve along the segments a -> b, shape
+    (n,) + a.shape, in one integrate_segments call; NaN on the segments
+    that pass within ``clearance`` of a puncture, which are not tried."""
+    ok = c.domain.puncture_distance(a, b) > clearance
+    vals = np.full((c.n,) + a.shape, np.nan, dtype=np.complex128)
+    vals[:, ok] = integrate_segments(c.components, a[ok], b[ok], seg_tol,
                                      domain=c.domain)
-    horiz = vals[:, :nu]
-    stem = vals[:, nu:2 * nu]
-    edges = vals[:, 2 * nu:].reshape(c.n, nu, nv - 1)
-    col = np.zeros((c.n, nu, nv), np.complex128)
-    if k0 + 1 < nv:
-        col[:, :, k0 + 1:] = np.cumsum(edges[:, :, k0:], axis=2)
-    if k0 > 0:
-        col[:, :, :k0] = -np.cumsum(edges[:, :, :k0][:, :, ::-1], axis=2)[:, :, ::-1]
-    out = ((horiz + stem)[:, :, None] + col).transpose(1, 2, 0)
-    return out.transpose(1, 0, 2) if swap else out
+    return vals
+
+
+def _running_sums(edges, i0):
+    """Node values along the last axis from its m - 1 edge integrals:
+    zero at node i0 and summed outward from it in both directions, so a
+    NaN edge makes every node beyond it NaN."""
+    out = np.zeros(edges.shape[:-1] + (edges.shape[-1] + 1,), edges.dtype)
+    out[..., i0 + 1:] = np.cumsum(edges[..., i0:], axis=-1)
+    out[..., :i0] = -np.cumsum(edges[..., :i0][..., ::-1], axis=-1)[..., ::-1]
+    return out
 
 
 def conformal_factor(c: NullCurve, zeta):

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from minsurf import specio
 from minsurf.cli import main, parse_complex
+from minsurf.surface import immerse, load_obj_vertices
+from minsurf.transforms import goursat, lawson, lopez_ros
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -253,3 +256,60 @@ def test_fit_names_a_non_finite_coordinate(cli, token):
     report = json.loads(err)
     assert report["error"] == "ValueError"
     assert "row 2" in report["message"] and report["message"].endswith(token)
+
+
+@pytest.mark.parametrize("domain", [
+    '{"rect": [-1, Infinity, -1, 1]}',
+    '{"rect": [-1, 1, -1, 1], "punctures": [[NaN, 0]]}',
+    '{"rect": [-1, 1, -1, 1], "branch_cut": -Infinity}',
+])
+def test_non_finite_domain_is_machine_readable(cli, domain):
+    # json accepts Infinity and NaN; the domain must refuse them (an
+    # infinite rectangle made the Halton sampling loop forever)
+    spec = f'{{"curve": ["1", "i", "0"], "domain": {domain}}}'
+    code, out, err = cli(["verify", "--res", "9x9"], stdin=spec)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "ValueError" and "finite" in report["message"]
+
+
+@pytest.mark.parametrize("argv, make", [
+    (["--kind", "lopez-ros", "--lambda", "2"],
+     lambda s: specio.SurfaceSpec(weierstrass=lopez_ros(s.weierstrass, 2.0),
+                                  base_point=s.base_point)),
+    (["--kind", "goursat", "--t", "0.5"],
+     lambda s: specio.SurfaceSpec(curve=goursat(s.as_curve(), 0.5),
+                                  base_point=s.base_point)),
+    (["--kind", "lawson", "--alpha", "0.3", "--beta", "0.7"],
+     lambda s: specio.SurfaceSpec(curve=lawson(s.as_curve(), 0.3, 0.7),
+                                  base_point=s.base_point)),
+])
+def test_deform_kinds_match_the_library(cli, argv, make):
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    code, out, _ = cli(["deform"] + argv, stdin=spec)
+    assert code == 0
+    assert out == specio.dumps(make(specio.loads(spec))) + "\n"
+
+
+def test_export_without_output_is_machine_readable(cli):
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    code, out, err = cli(["export", "--res", "5x5"], stdin=spec)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "--output" in json.loads(err)["message"]
+
+
+def test_export_projection_picks_the_axes(cli, tmp_path):
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    _, deformed, _ = cli(["deform", "--kind", "theorem51", "--c", "1+2i"],
+                         stdin=spec)
+    target = tmp_path / "p.obj"
+    code, _, _ = cli(["export", "--res", "5x5", "--projection", "0,2,3",
+                      "--base-point", "0", "--output", str(target)],
+                     stdin=deformed)
+    assert code == 0
+    patch = immerse(specio.loads(deformed).as_curve(), zeta0=0, res=(5, 5))
+    want = patch.points[:, :, [0, 2, 3]].reshape(-1, 3)
+    np.testing.assert_allclose(load_obj_vertices(target), want,
+                               rtol=1e-8, atol=1e-12)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from minsurf import catalog as cat
-from minsurf.conic import (ParametricSurface, asymptotes, eccentricity,
+from minsurf.conic import (ParametricSurface, PlanarCurveSample, asymptotes,
+                           eccentricity,
                            fit_conic, fit_plane, planar_sample,
                            slice_parameter_line, slice_surface)
 from minsurf.errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
@@ -102,6 +103,31 @@ def test_fit_line():
     fit = fit_conic(planar_sample(pts))
     assert fit.classification == "line"
     assert fit.eccentricity == math.inf
+
+
+_T = np.linspace(-1.2, 1.2, 50)
+
+
+@pytest.mark.parametrize("kind, x, y", [
+    ("hyperbola", 0.7 + np.cosh(_T), 0.3 * np.sinh(_T) - 2.0),
+    ("ellipse", 2.0 * np.cos(2 * _T), 1.0 + np.sin(2 * _T)),
+    ("parabola", _T, 0.5 * _T ** 2 - _T + 3.0),
+    ("line", _T, 1.0 - 2.0 * _T),
+])
+def test_fit_coefficients_have_one_sign(kind, x, y):
+    # unit norm, largest-magnitude entry positive, whatever the order of
+    # the points (and so the signs of the singular vectors) is
+    fits = []
+    for xy in (np.column_stack([x, y]), np.column_stack([x, y])[::-1]):
+        pts = np.column_stack([xy, np.zeros(len(xy))])
+        pc = PlanarCurveSample(pts, np.zeros(3), np.eye(3)[:2], xy, 0.0)
+        fit = fit_conic(pc)
+        k = fit.coefficients
+        assert fit.classification == kind
+        assert abs(np.linalg.norm(k) - 1) <= 1e-15
+        assert k[np.argmax(np.abs(k))] > 0
+        fits.append(k)
+    np.testing.assert_allclose(fits[0], fits[1], rtol=0, atol=1e-9)
 
 
 def test_eccentricity_rejects_degenerate():

@@ -1,8 +1,10 @@
-"""DomainSpec geometry: distance from points and segments to punctures."""
+"""DomainSpec geometry: validation, base points, and distance from points
+and segments to punctures."""
 
 import math
 
 import numpy as np
+import pytest
 
 from minsurf.domain import DomainSpec
 
@@ -45,3 +47,27 @@ def test_no_punctures_is_infinitely_far():
     dom = DomainSpec(-1, 1, -1, 1)
     assert np.all(dom.puncture_distance([0j, 1j], [1 + 0j, 2j]) == np.inf)
     assert float(dom.puncture_distance(0j)) == math.inf
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(u_max=math.inf), dict(v_min=-math.inf), dict(u_min=math.nan),
+    dict(u_min=-1e308, u_max=1e308),   # finite bounds, infinite width
+    dict(punctures=(complex(math.nan, 0.0),)),
+    dict(punctures=(0.5j, complex(0.0, math.inf))),
+    dict(branch_cut=math.nan), dict(branch_cut=-math.inf),
+])
+def test_non_finite_values_are_rejected(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        DomainSpec(**kwargs)
+
+
+def test_default_base_point_leaves_a_central_puncture():
+    dom = DomainSpec(-1, 3, -2, 2, punctures=(1 + 0j,))
+    z0 = dom.default_base_point()
+    assert z0 != dom.center
+    assert z0 == dom.sample_points(1, skip=17)[0]
+    assert dom.contains(z0)
+    assert float(dom.puncture_distance(z0)) > 0.02 * math.hypot(4, 4)
+    # a puncture farther than 5% of the diagonal leaves the center alone
+    far = DomainSpec(-1, 3, -2, 2, punctures=(1 + 0.3j,))
+    assert far.default_base_point() == far.center

@@ -297,6 +297,73 @@ def test_punctured_conformal_is_nan_exactly_off_valid_cells():
         p.u[:, None] + 1j * p.v[None, :]) <= 1.25 * np.hypot(*p.spacing()))
 
 
+def test_unpunctured_grid_is_one_call_of_nu_nv_segments(monkeypatch):
+    # the spanning tree: a stem, the nu - 1 edges of the base row and the
+    # nv - 1 edges of every column
+    calls = []
+    integrate = surface_mod.integrate_segments
+
+    def counting(expr, a, b, tol, **kw):
+        calls.append(a.size)
+        return integrate(expr, a, b, tol, **kw)
+
+    monkeypatch.setattr(surface_mod, "integrate_segments", counting)
+    c = parabolic_deform(cat.helicoid(), 1 + 1j)
+    for res, z0 in (((17, 11), None), ((9, 13), 0.31 - 0.52j)):
+        calls.clear()
+        immerse(c, zeta0=z0, res=res)
+        assert calls == [res[0] * res[1]]
+
+
+def _punctured_catenoid():
+    dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
+    return from_weierstrass(WeierstrassData(ex.Z, ex.parse("1/z^2"), dom))
+
+
+def _from_origin(x0, x1, y):
+    """Distance from 0 to the segment (x0, y) -> (x1, y)."""
+    return np.hypot(np.clip(0.0, np.minimum(x0, x1), np.maximum(x0, x1)), y)
+
+
+def _tree_geometry(u, v, z0):
+    """Grid points that a spanning tree from z0 reaches more than 1.25 cell
+    diagonals away from a puncture at 0: along row k0 then up or down
+    column j, or along column j0 then along row k, where (j0, k0) is the
+    grid point nearest z0."""
+    clearance = 1.25 * np.hypot(u[1] - u[0], v[1] - v[0])
+    j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
+    U, V = np.meshgrid(u, v, indexing="ij")
+    row_first = ((_from_origin(u[j0], U, v[k0]) > clearance)
+                 & (_from_origin(v[k0], V, U) > clearance))
+    col_first = ((_from_origin(v[k0], V, u[j0]) > clearance)
+                 & (_from_origin(u[j0], U, V) > clearance))
+    return (np.hypot(U, V) > clearance) & (row_first | col_first)
+
+
+def test_off_grid_base_point_on_the_punctured_catenoid():
+    z0 = 0.37 - 0.81j
+    p = immerse(_punctured_catenoid(), zeta0=z0, res=(129, 129))
+    assert np.array_equal(p.valid, _tree_geometry(p.u, p.v, z0))
+    assert not p.valid.all()
+    f = cat.catenoid_closed_form().func
+    uu, vv = np.meshgrid(p.u, p.v, indexing="ij")
+    oracle = f(uu[p.valid], vv[p.valid]) - f(z0.real, z0.imag)
+    assert np.max(np.abs(p.points[p.valid] - oracle)) <= 1e-12
+
+
+def test_transposed_tree_reaches_cells_behind_the_puncture():
+    # from base point 1 the base row v = 0 runs into the puncture, so the
+    # cell at (-1, 1) lies beyond a cut edge of the first tree; the
+    # transposed tree reaches it along the row v = 1
+    p = immerse(_punctured_catenoid(), zeta0=1 + 0j, res=(33, 33))
+    j, k = np.argmin(np.abs(p.u + 1)), np.argmin(np.abs(p.v - 1))
+    assert _from_origin(1.0, p.u[j], 0.0) == 0.0
+    assert p.valid[j, k]
+    f = cat.catenoid_closed_form().func
+    want = np.asarray(f(p.u[j], p.v[k])) - np.asarray(f(1.0, 0.0))
+    assert np.max(np.abs(p.points[j, k] - want)) <= 1e-12
+
+
 def test_immerse_uses_the_curves_branch_cut():
     # (log z, i log z, 0) with the cut along the positive real axis, where
     # arg z lies in (-2 pi, 0]: log z = Log z - 2 pi i on the second quadrant
