@@ -30,8 +30,8 @@ from .surface import (DegeneracyReport, GaussMapSample, SurfacePatch,
                       gauss_map, immerse, parametric_immersion,
                       verify_minimal)
 from .conic import (ConicFit, ParametricSurface, PlanarCurveSample,
-                    asymptotes, eccentricity, fit_conic, fit_plane,
-                    planar_sample, slice_parameter_line, slice_surface)
+                    asymptotes, eccentricity, fit_conic, planar_sample,
+                    slice_parameter_line, slice_surface)
 from . import catalog
 
 __version__ = "0.1.0"

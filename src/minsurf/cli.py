@@ -110,9 +110,36 @@ def _need_weierstrass(spec, kind):
     return spec.weierstrass
 
 
+# the parameter flags (argparse dests) each deformation kind reads, with
+# their defaults; a kind given a flag it does not read is an error
+_DEFORM_PARAMS = {
+    "associate": {"theta": 0.0},
+    "goursat": {"t": 0.0},
+    "lopez-ros": {"lam": 1.0},
+    "lawson": {"alpha": 0.0, "beta": 0.0},
+    "parabolic": {"c": "0"},
+    "segre": {"L": "0", "R": "0"},
+    "theorem51": {"c": "0"},
+    "corollary53": {"theta": 0.0},
+}
+_DEFORM_FLAGS = {"theta": ("--theta", float), "t": ("--t", float),
+                 "lam": ("--lambda", float), "c": ("--c", str),
+                 "alpha": ("--alpha", float), "beta": ("--beta", float),
+                 "L": ("--L", str), "R": ("--R", str)}
+
+
 def _cmd_deform(args) -> int:
-    spec = _read_spec(args)
     kind = args.kind
+    reads = _DEFORM_PARAMS[kind]
+    unread = [flag for dest, (flag, _) in _DEFORM_FLAGS.items()
+              if hasattr(args, dest) and dest not in reads]
+    if unread:
+        raise ValueError(f"deform --kind {kind} does not read "
+                         f"{', '.join(unread)}")
+    for dest, default in reads.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, default)
+    spec = _read_spec(args)
     base = spec.base_point
     if kind == "lopez-ros":
         w = _need_weierstrass(spec, kind)
@@ -297,17 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deform", parents=[io],
                        help="apply a null-curve deformation")
-    p.add_argument("--kind", required=True,
-                   choices=["associate", "goursat", "lopez-ros", "lawson",
-                            "parabolic", "segre", "theorem51", "corollary53"])
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--c", default="0")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--L", default="0")
-    p.add_argument("--R", default="0")
+    p.add_argument("--kind", required=True, choices=list(_DEFORM_PARAMS))
+    # absent unless given, so that _cmd_deform can tell which were given
+    for dest, (flag, convert) in _DEFORM_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=convert, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_deform)
 
     p = sub.add_parser("sample", parents=[immersion],

@@ -28,7 +28,7 @@ from .errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
 
 __all__ = [
     "PlanarCurveSample", "ConicFit", "ParametricSurface",
-    "slice_surface", "slice_parameter_line", "fit_plane", "planar_sample",
+    "slice_surface", "slice_parameter_line", "planar_sample",
     "fit_conic", "eccentricity", "asymptotes",
 ]
 
@@ -69,54 +69,33 @@ class PlanarCurveSample:
     planarity_residual: float  # max out-of-plane distance / diameter
 
 
-def fit_plane(points: np.ndarray):
-    """Least-squares 2-plane through n-dimensional points via SVD.
+def planar_sample(points: np.ndarray) -> PlanarCurveSample:
+    """Fit the least-squares plane through n-dimensional points and express
+    the points in its coordinates.
 
-    Returns (origin, basis, residual) with residual the maximum
-    out-of-plane distance divided by the curve diameter.  Raises
-    DegenerateInput for fewer than 3 points or collinear data.
+    One SVD of the centered points gives the plane: its first two right
+    singular vectors are the in-plane basis.  Collinear input (an exact
+    line slice) is planar too; its second direction is then arbitrary,
+    and fit_conic classifies the sample as a line.  The residual is the
+    maximum out-of-plane distance divided by the diameter.  Raises
+    DegenerateInput for fewer than 3 points, fewer than 2 coordinates, or
+    coincident points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 3:
         raise DegenerateInput("need at least 3 points")
+    if pts.shape[1] < 2:
+        raise DegenerateInput("need at least 2 coordinates")
+    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    if diam == 0:
+        raise DegenerateInput("the points coincide")
     origin = pts.mean(axis=0)
     centered = pts - origin
-    _, s, vh = np.linalg.svd(centered, full_matrices=False)
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    if diam == 0 or s[0] == 0 or s[1] / s[0] < 1e-12:
-        raise DegenerateInput("points are collinear (or a single point)")
+    _, _, vh = np.linalg.svd(centered, full_matrices=False)
     basis = vh[:2]
-    out_of_plane = centered - (centered @ basis.T) @ basis
+    xy = centered @ basis.T
+    out_of_plane = centered - xy @ basis
     residual = float(np.max(np.linalg.norm(out_of_plane, axis=1))) / diam
-    return origin, basis, residual
-
-
-def planar_sample(points: np.ndarray) -> PlanarCurveSample:
-    """Fit a plane and express the points in its coordinates.
-
-    Collinear input (an exact line slice) is planar too: the frame is
-    then the line direction plus an arbitrary orthogonal direction, so
-    the downstream conic fit can classify it as a line.  Fewer than 3
-    points raise DegenerateInput.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 3:
-        raise DegenerateInput("need at least 3 points")
-    try:
-        origin, basis, residual = fit_plane(pts)
-    except DegenerateInput:
-        origin = pts.mean(axis=0)
-        centered = pts - origin
-        _, s, vh = np.linalg.svd(centered, full_matrices=True)
-        if s[0] == 0:
-            raise
-        d = vh[0]
-        perp = vh[1] if vh.shape[0] > 1 else np.zeros_like(d)
-        basis = np.stack([d, perp])
-        diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-        out = centered - np.outer(centered @ d, d)
-        residual = float(np.max(np.linalg.norm(out, axis=1))) / diam
-    xy = (pts - origin) @ basis.T
     return PlanarCurveSample(pts, origin, basis, xy, residual)
 
 
@@ -145,14 +124,18 @@ def _axis_dependence(surface: ParametricSurface, axis: int):
     return None, None, None, None
 
 
+def _check_npoints(npoints):
+    if npoints < 12:
+        raise ValueError("need at least 12 points on a slice")
+
+
 def slice_parameter_line(surface: ParametricSurface, param: str, value: float,
                          npoints: int = 100, sweep=None) -> PlanarCurveSample:
     """Sample the curve obtained by freezing one parameter.
 
     ``sweep`` overrides the swept range of the other parameter.
     """
-    if npoints < 12:
-        raise ValueError("need at least 12 points on a slice")
+    _check_npoints(npoints)
     if param not in ("u", "v"):
         raise ValueError("param must be 'u' or 'v'")
     if sweep is None:
@@ -174,6 +157,7 @@ def slice_surface(surface: ParametricSurface, axis: int, value: float,
     level, down to a width of 1e-15 max(1, |lo| + |hi|), unless a sample
     meets the level exactly.  The other parameter is swept.
     """
+    _check_npoints(npoints)
     param, ts, coord, held = _axis_dependence(surface, axis)
     if param is None:
         raise AxisNotMonotone(
@@ -229,14 +213,11 @@ def _conic_matrix(k):
 
 def _classify(k):
     """Classify unit-norm coefficients (in the normalized sample frame)."""
-    a, b, c, d, e, f = k
-    m3 = _conic_matrix(k)
-    eig3 = np.linalg.eigvalsh(m3)
-    if np.min(np.abs(eig3)) <= DEGENERATE_TOL:
-        # rank-deficient conic: one or two lines
-        disc = b * b - 4 * a * c
-        return "line-pair" if disc > PARABOLA_TOL else "degenerate"
+    a, b, c = k[:3]
     disc = b * b - 4 * a * c
+    if np.min(np.abs(np.linalg.eigvalsh(_conic_matrix(k)))) <= DEGENERATE_TOL:
+        # rank-deficient conic: one or two lines
+        return "line-pair" if disc > PARABOLA_TOL else "degenerate"
     if abs(disc) <= PARABOLA_TOL:
         return "parabola"
     return "ellipse" if disc < 0 else "hyperbola"
@@ -302,15 +283,13 @@ def _unit(coeff):
     return -coeff if coeff[np.argmax(np.abs(coeff))] < 0 else coeff
 
 
-def _line_fit(pc: PlanarCurveSample) -> ConicFit:
-    xy = pc.xy
-    centroid = xy.mean(axis=0)
-    _, _, vh = np.linalg.svd(xy - centroid, full_matrices=False)
-    n = vh[1]  # unit normal of the line in-plane
+def _line_fit(centered, centroid, vh) -> ConicFit:
+    """The line through ``centroid`` along vh[0], the principal direction
+    of the ``centered`` sample; vh[1] is its in-plane unit normal."""
+    n = vh[1]
     coeff = _unit(np.array([0.0, 0.0, 0.0, n[0], n[1], -float(n @ centroid)]))
-    resid = float(np.max(np.abs((xy - centroid) @ n)))
-    return ConicFit(coeff, "line", math.inf, resid, None, None,
-                    np.stack([vh[0], vh[1]]), None)
+    resid = float(np.max(np.abs(centered @ n)))
+    return ConicFit(coeff, "line", math.inf, resid, None, None, vh, None)
 
 
 def fit_conic(pc: PlanarCurveSample) -> ConicFit:
@@ -326,9 +305,9 @@ def fit_conic(pc: PlanarCurveSample) -> ConicFit:
     centered = xy - centroid
 
     # exact-line data make the conic fit ambiguous; detect first
-    sv = np.linalg.svd(centered, compute_uv=False)
+    _, sv, vh = np.linalg.svd(centered, full_matrices=False)
     if sv[0] == 0 or sv[1] / sv[0] <= LINE_SV_TOL:
-        return _line_fit(pc)
+        return _line_fit(centered, centroid, vh)
 
     rms = math.sqrt(float(np.mean(np.sum(centered ** 2, axis=1))))
     scale = math.sqrt(2.0) / rms

@@ -8,7 +8,10 @@ evaluation (see ``engine``).
 
 Smart constructors fold constants and drop algebraic no-ops (x+0, 1*x,
 x**1, ...) so that derivative trees and matrix-applied curves stay small;
-no deeper rewriting is attempted.
+no deeper rewriting is attempted.  A zero absorbs a product only when the
+other factor is free of Div, Log and negative powers, and ``0/x`` folds
+only for a nonzero constant ``x``, so that folding never removes a
+singularity that evaluation would report.
 """
 
 from __future__ import annotations
@@ -151,6 +154,20 @@ def _is_const(e, value=None):
     return value is None or e.value == value
 
 
+def _finite(e: Expr) -> bool:
+    """True when no Div, Log or negative power occurs in ``e``, so that
+    ``e`` has no singularity for ``0 * e`` to hide."""
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Div, Log)) or (isinstance(node, Pow) and node.n < 0):
+            return False
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, f) for f in ("a", "b") if hasattr(node, f))
+    return True
+
+
 def add(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Const) and isinstance(b, Const):
@@ -177,7 +194,7 @@ def mul(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
+    if (_is_const(a, 0) and _finite(b)) or (_is_const(b, 0) and _finite(a)):
         return _ZERO
     if _is_const(a, 1):
         return b
@@ -201,8 +218,6 @@ def div(a, b) -> Expr:
         return Const(a.value / b.value)
     if _is_const(b, 1):
         return a
-    if _is_const(a, 0) and not _is_const(b, 0):
-        return _ZERO
     return Div(a, b)
 
 
@@ -262,8 +277,12 @@ def differentiate(e: Expr) -> Expr:
         return add(differentiate(e.a), differentiate(e.b))
     if isinstance(e, Sub):
         return sub(differentiate(e.a), differentiate(e.b))
+    if isinstance(e, Mul) and isinstance(e.a, Const):
+        return mul(e.a, differentiate(e.b))   # no 0*b term to keep
     if isinstance(e, Mul):
         return add(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
+    if isinstance(e, Div) and isinstance(e.a, Const):
+        return div(neg(mul(e.a, differentiate(e.b))), powi(e.b, 2))
     if isinstance(e, Div):
         num = sub(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
         return div(num, powi(e.b, 2))
@@ -375,6 +394,8 @@ class _Lexer:
         if ch.isdigit() or (ch == "." and start + 1 < len(t) and t[start + 1].isdigit()):
             j = start
             while j < len(t) and (t[j].isdigit() or t[j] == "."):
+                if t[j] == "." and "." in t[start:j]:
+                    raise ParseError("second '.' in a number", j)
                 j += 1
             if j < len(t) and t[j] in "eE":
                 k = j + 1

@@ -57,6 +57,8 @@ class SurfaceSpec:
         """Parse a spec; ValueError if it is malformed."""
         if not isinstance(d, dict):
             raise ValueError("spec must be a JSON object")
+        if ("weierstrass" in d) == ("curve" in d):
+            raise ValueError("spec needs exactly one of 'weierstrass' or 'curve'")
         domain = DomainSpec.from_json(d.get("domain", {}))
         base = d.get("base_point")
         base = None if base is None else complex(*real_numbers(base, 2, "'base_point'"))
@@ -67,14 +69,12 @@ class SurfaceSpec:
                 raise ValueError("'weierstrass' needs expression strings G, Psi")
             w = WeierstrassData(ex.parse(wd["G"]), ex.parse(wd["Psi"]), domain)
             return cls(weierstrass=w, base_point=base)
-        if "curve" in d:
-            comps = d["curve"]
-            if not (isinstance(comps, list)
-                    and all(isinstance(s, str) for s in comps)):
-                raise ValueError("'curve' must be a list of expression strings")
-            comps = tuple(ex.parse(s) for s in comps)
-            return cls(curve=NullCurve(comps, domain), base_point=base)
-        raise ValueError("spec needs 'weierstrass' or 'curve'")
+        comps = d["curve"]
+        if not (isinstance(comps, list)
+                and all(isinstance(s, str) for s in comps)):
+            raise ValueError("'curve' must be a list of expression strings")
+        comps = tuple(ex.parse(s) for s in comps)
+        return cls(curve=NullCurve(comps, domain), base_point=base)
 
 
 def loads(text: str) -> SurfaceSpec:

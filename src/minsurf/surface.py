@@ -110,13 +110,20 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     seg_tol = tol / (nu + nv)
     a = np.concatenate([[zeta0], zz[:-1, k0], zz[:, :-1].ravel()])
     b = np.concatenate([[zz[j0, k0]], zz[1:, k0], zz[:, 1:].ravel()])
-    vals = _edge_integrals(c, a, b, seg_tol, clearance)
+    vals = _edge_integrals(c, a, b, True, seg_tol, clearance)
     stem = vals[:, 0, None, None]
     col = _running_sums(vals[:, nu:].reshape(c.n, nu, nv - 1), k0)
     total = stem + _running_sums(vals[:, 1:nu], j0)[:, :, None] + col
-    if domain.punctures and np.any(~np.isfinite(total[:, valid])):
-        # the transposed tree reaches the rest: column j0, then every row
-        rows = _edge_integrals(c, zz[:-1].T, zz[1:].T, seg_tol, clearance)
+    missed = valid & ~np.all(np.isfinite(total), axis=0)
+    if np.any(missed):
+        # the transposed tree reaches the rest: column j0, then the row
+        # edges between j0 and a missed cell (row k0 is the first tree's)
+        beyond = np.zeros((nu - 1, nv), bool)
+        beyond[j0:] = np.logical_or.accumulate(missed[:j0:-1], axis=0)[::-1]
+        beyond[:j0] = np.logical_or.accumulate(missed[:j0], axis=0)
+        beyond[:, k0] = False
+        rows = _edge_integrals(c, zz[:-1].T, zz[1:].T, beyond.T, seg_tol,
+                               clearance)
         alt = stem + col[:, j0, :, None] + _running_sums(rows, j0)
         total = np.where(np.isfinite(total), total, alt.transpose(0, 2, 1))
 
@@ -128,11 +135,12 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     return SurfacePatch(u, v, points, lam, valid, zeta0)
 
 
-def _edge_integrals(c, a, b, seg_tol, clearance):
-    """Integrals of the curve along the segments a -> b, shape
-    (n,) + a.shape, in one integrate_segments call; NaN on the segments
-    that pass within ``clearance`` of a puncture, which are not tried."""
-    ok = c.domain.puncture_distance(a, b) > clearance
+def _edge_integrals(c, a, b, need, seg_tol, clearance):
+    """Integrals of the curve along the segments a -> b where ``need``
+    (broadcast to a.shape) holds, shape (n,) + a.shape, in one
+    integrate_segments call; NaN on the other segments and on those that
+    pass within ``clearance`` of a puncture, which are not tried."""
+    ok = need & (c.domain.puncture_distance(a, b) > clearance)
     vals = np.full((c.n,) + a.shape, np.nan, dtype=np.complex128)
     vals[:, ok] = integrate_segments(c.components, a[ok], b[ok], seg_tol,
                                      domain=c.domain)

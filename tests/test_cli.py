@@ -284,12 +284,36 @@ def test_non_finite_domain_is_machine_readable(cli, domain):
     (["--kind", "lawson", "--alpha", "0.3", "--beta", "0.7"],
      lambda s: specio.SurfaceSpec(curve=lawson(s.as_curve(), 0.3, 0.7),
                                   base_point=s.base_point)),
+    # a flag the kind reads keeps its default when it is not given
+    (["--kind", "lopez-ros"],
+     lambda s: specio.SurfaceSpec(weierstrass=lopez_ros(s.weierstrass, 1.0),
+                                  base_point=s.base_point)),
+    (["--kind", "lawson", "--beta=0.7"],
+     lambda s: specio.SurfaceSpec(curve=lawson(s.as_curve(), 0.0, 0.7),
+                                  base_point=s.base_point)),
 ])
 def test_deform_kinds_match_the_library(cli, argv, make):
     _, spec, _ = cli(["catalog", "show", "helicoid"])
     code, out, _ = cli(["deform"] + argv, stdin=spec)
     assert code == 0
     assert out == specio.dumps(make(specio.loads(spec))) + "\n"
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--kind", "goursat", "--c", "5+5i", "--L", "3"], "--c, --L"),
+    (["--kind", "theorem51", "--c=1+2i", "--theta", "1"], "--theta"),
+    (["--kind", "corollary53", "--theta=0.5", "--c=1"], "--c"),
+    (["--kind", "associate", "--lambda", "2"], "--lambda"),
+    (["--kind", "segre", "--L", "1", "--alpha", "0"], "--alpha"),
+])
+def test_deform_rejects_a_flag_its_kind_does_not_read(cli, argv, unread):
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    code, out, err = cli(["deform"] + argv, stdin=spec)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert report["message"].endswith(f"does not read {unread}")
 
 
 def test_export_without_output_is_machine_readable(cli):
@@ -313,3 +337,51 @@ def test_export_projection_picks_the_axes(cli, tmp_path):
     want = patch.points[:, :, [0, 2, 3]].reshape(-1, 3)
     np.testing.assert_allclose(load_obj_vertices(target), want,
                                rtol=1e-8, atol=1e-12)
+
+
+_HELICOID = '{"weierstrass": {"G": "exp(z)", "Psi": "-i*exp(-z)"}}'
+_PUNCTURED = ('{"weierstrass": {"G": "z", "Psi": "1/z^2"}, "domain": '
+              '{"rect": [-1.5, 1.5, -1.5, 1.5], "punctures": [[0, 0]]}}')
+_CORNERS = "x,y,X0,X1,X2\n" + "0,0,1,1,0\n0,0,1,-1,0\n0,0,-1,-1,0\n0,0,-1,1,0\n" * 3
+
+
+@pytest.mark.parametrize("argv, stdin, error, fragment", [
+    (["fit"], _CORNERS, "IllConditioned", "ambiguous"),
+    (["sample", "--res", "9x9", "--base-point", "2"], _PUNCTURED,
+     "ValueError", "outside the domain"),
+    (["sample", "--res", "9x9", "--base-point", "0.1"], _PUNCTURED,
+     "ValueError", "masked by a puncture"),
+    (["verify", "--res", "5x5", "--base-point", "1.5+1.5i"], _PUNCTURED,
+     "ValueError", "no interior points"),
+    (["export", "--res", "5x5", "--projection", "0,1", "--output", "{out}"],
+     _HELICOID, "ValueError", "projection"),
+    (["export", "--format", "stl", "--output", "{out}"], _HELICOID,
+     "ValueError", "invalid choice"),
+    (["deform", "--kind", "lopez-ros", "--lambda", "0"], _HELICOID,
+     "ValueError", "positive"),
+    (["deform", "--kind", "lawson"], '{"curve": ["0", "1", "i", "0"]}',
+     "DimensionMismatch", "3-component"),
+    (["sample", "--res", "1x5"], _HELICOID, "ValueError", "2x2"),
+    (["verify"], '{"curve": ["1", "i", "0"], "domain": {"rect": [1, 1, 0, 1]}}',
+     "ValueError", "degenerate"),
+    (["verify"], '{"domain": {}}', "ValueError", "exactly one"),
+    (["verify"], '{"curve": ["1", "i", "0"], "weierstrass": {"G": "z", '
+     '"Psi": "1"}}', "ValueError", "exactly one"),
+    (["verify"], '{"curve": ["1.2.3*z", "i", "0"]}', "ParseError",
+     "offset 3"),
+    (["verify"], '{"curve": ["z)", "i", "0"]}', "ParseError", "trailing"),
+    (["verify"], '{"curve": ["(z", "i", "0"]}', "ParseError", "')'"),
+    (["verify"], '{"curve": ["exp z", "i", "0"]}', "ParseError", "'('"),
+    (["verify"], '{"curve": ["", "i", "0"]}', "ParseError", "end of input"),
+])
+def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
+                                             error, fragment):
+    out_file = tmp_path / "out"
+    argv = [a.replace("{out}", str(out_file)) for a in argv]
+    code, out, err = cli(argv, stdin=stdin)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == error
+    assert fragment in report["message"]
+    assert not out_file.exists()

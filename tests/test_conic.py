@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from minsurf import catalog as cat
+from minsurf import conic
 from minsurf.conic import (ParametricSurface, PlanarCurveSample, asymptotes,
                            eccentricity,
-                           fit_conic, fit_plane, planar_sample,
+                           fit_conic, planar_sample,
                            slice_parameter_line, slice_surface)
 from minsurf.errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
-                            NotHyperbola, NotPlanar)
+                            IllConditioned, NotHyperbola, NotPlanar)
 from minsurf.surface import parametric_immersion
 from minsurf.transforms import parabolic_deform
 
@@ -26,10 +27,9 @@ def _circle3(r=1.0, n=100):
 # ---------------------------------------------------------------------------
 
 def test_plane_fit_exact_xy_plane():
-    pts = _circle3()
-    origin, basis, residual = fit_plane(pts)
-    assert residual <= 1e-14
-    normal = np.cross(basis[0], basis[1])
+    pc = planar_sample(_circle3())
+    assert pc.planarity_residual <= 1e-14
+    normal = np.cross(pc.basis[0], pc.basis[1])
     assert abs(abs(normal[2]) - 1) <= 1e-12
 
 
@@ -39,18 +39,20 @@ def test_plane_fit_r4_slice():
     assert pc.planarity_residual <= 1e-9
 
 
-def test_plane_fit_rejects_collinear():
+def test_plane_fit_collinear_is_a_line():
     x = np.linspace(0, 1, 30)
     pts = np.stack([x, 2 * x, 3 * x], axis=-1)
-    with pytest.raises(DegenerateInput):
-        fit_plane(pts)
+    pc = planar_sample(pts)
+    assert pc.planarity_residual <= 1e-15
+    fit = fit_conic(pc)
+    assert fit.classification == "line"
+    assert fit.residual <= 1e-15
 
 
 def test_helix_is_detected_as_nonplanar():
     s = np.linspace(0, 4 * np.pi, 120)
     helix = np.stack([np.cos(s), np.sin(s), 0.3 * s], axis=-1)
-    _, _, residual = fit_plane(helix)
-    assert residual > 0.05
+    assert planar_sample(helix).planarity_residual > 0.05
     with pytest.raises(NotPlanar):
         fit_conic(planar_sample(helix))
 
@@ -152,6 +154,45 @@ def test_fit_needs_enough_points():
 def test_planar_sample_needs_three_points(count):
     with pytest.raises(DegenerateInput):
         planar_sample(np.ones((count, 4)) * np.arange(count)[:, None])
+
+
+@pytest.mark.parametrize("pts, why", [
+    (np.arange(5.0)[:, None], "2 coordinates"),
+    (np.full((10, 3), 0.1), "coincide"),
+])
+def test_planar_sample_rejects_degenerate_input(pts, why):
+    with pytest.raises(DegenerateInput, match=why):
+        planar_sample(pts)
+
+
+def test_line_verdict_takes_one_svd_per_stage(monkeypatch):
+    x = np.linspace(0, 1, 30)
+    pts = np.stack([x, 2 * x, 3 * x, 1 - x], axis=-1)
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    pc = planar_sample(pts)
+    assert len(calls) == 1
+    assert fit_conic(pc).classification == "line"
+    assert len(calls) == 2
+
+
+def test_fit_through_four_points_is_ill_conditioned():
+    # a pencil of conics passes through the corners of a square
+    corners = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
+    pts = np.column_stack([np.tile(corners, (3, 1)), np.zeros(12)])
+    with pytest.raises(IllConditioned):
+        fit_conic(planar_sample(pts))
+
+
+def test_imaginary_ellipse_has_no_geometry():
+    with pytest.raises(DegenerateConic, match="imaginary"):
+        conic._central_geometry(np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0]))
 
 
 def test_rigid_motion_invariance(rng):
@@ -265,8 +306,19 @@ def test_slice_calls_the_surface_in_few_rounds():
 
 def test_slice_needs_enough_points():
     hd = cat.helicoid_deformation(1, 0)
-    with pytest.raises(ValueError):
-        slice_surface(hd.surface, 3, 0.1, npoints=6)
+    surf = ParametricSurface(lambda u, v: pytest.fail("surface called"),
+                             hd.surface.u_range, hd.surface.v_range)
+    for npoints in (5, 6, 11):
+        with pytest.raises(ValueError, match="12 points"):
+            slice_surface(surf, 3, 0.1, npoints=npoints)
+        with pytest.raises(ValueError, match="12 points"):
+            slice_parameter_line(surf, "u", 0.1, npoints=npoints)
+
+
+def test_slice_parameter_must_be_u_or_v():
+    surf = cat.lagrangian_catenoid_patch()
+    with pytest.raises(ValueError, match="param"):
+        slice_parameter_line(surf, "w", 0.5)
 
 
 def test_slice_level_out_of_range():

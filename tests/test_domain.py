@@ -71,3 +71,15 @@ def test_default_base_point_leaves_a_central_puncture():
     # a puncture farther than 5% of the diagonal leaves the center alone
     far = DomainSpec(-1, 3, -2, 2, punctures=(1 + 0.3j,))
     assert far.default_base_point() == far.center
+
+
+@pytest.mark.parametrize("rect", [(0, 0, -1, 1), (1, 0, -1, 1), (-1, 1, 2, 2)])
+def test_degenerate_rectangle_is_rejected(rect):
+    with pytest.raises(ValueError, match="degenerate"):
+        DomainSpec(*rect)
+
+
+@pytest.mark.parametrize("res", [(1, 5), (5, 1), (0, 0)])
+def test_grid_needs_two_points_a_side(res):
+    with pytest.raises(ValueError, match="2x2"):
+        DomainSpec(-1, 1, -1, 1).grid(*res)

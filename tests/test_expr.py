@@ -122,6 +122,55 @@ def test_parse_error_reports_offset():
         ex.parse("foo(z)")
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("z)", 1),          # trailing input
+    ("(z", 2),          # a missing ')'
+    ("exp(z", 5),       # a function call left open
+    ("z^(2", 4),        # an exponent left open
+    ("exp z", 4),       # a function name without '('
+    ("", 0),            # empty input
+    ("   ", 3),
+    ("1.2.3*z", 3),     # a second '.' in one number
+    ("2*.5.", 4),
+])
+def test_parse_errors_carry_their_offset(text, offset):
+    with pytest.raises(ParseError) as info:
+        ex.parse(text)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("tree", [
+    ex.mul(ex.div(1, ex.Z), 0),
+    ex.div(0, ex.Z),
+    ex.mul(0, ex.log(ex.Z)),
+    ex.mul(ex.powi(ex.Z, -2), 0),
+])
+def test_zero_does_not_absorb_a_singularity(tree):
+    assert not isinstance(tree, ex.Const)
+    with pytest.raises(EvaluationSingularity):
+        evaluate(tree, 0j)
+    assert evaluate(tree, 2 + 1j) == 0
+    assert evaluate(ex.parse(ex.to_source(tree)), 2 + 1j) == 0
+
+
+def test_zero_absorbs_a_finite_factor():
+    poly = ex.mul(ex.add(ex.powi(ex.Z, 3), ex.Z), ex.sinh(ex.mul(2, ex.Z)))
+    assert ex.mul(poly, 0) is ex.mul(0, ex.exp(ex.Z))
+    assert isinstance(ex.mul(0, poly), ex.Const)
+    assert ex.to_source(ex.div(0, 2j)) == "0"
+    assert ex.to_source(ex.differentiate(ex.parse("3*z^2-2*z+exp(5)"))) \
+        == "6*z-2"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("2*(1/z)", "2*(-1/z^2)"),
+    ("1/log(z)", "-(1/z)/log(z)^2"),
+    ("(2-3i)*log(z)", "(2-3*i)*(1/z)"),
+])
+def test_derivative_of_a_constant_multiple_has_no_zero_term(text, want):
+    assert ex.to_source(ex.differentiate(ex.parse(text))) == want
+
+
 def test_operator_overloading_matches_constructors(rng):
     z = ex.Z
     e1 = (1 - z ** 2) / (1 + z ** 2) - ex.exp(-z) * 0.5

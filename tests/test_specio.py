@@ -3,10 +3,12 @@
 import io
 import math
 
+import pytest
+
 from minsurf import expr as ex
 from minsurf import specio
 from minsurf.domain import DomainSpec
-from minsurf.nullcurve import WeierstrassData
+from minsurf.nullcurve import WeierstrassData, from_weierstrass
 
 
 def _spec():
@@ -39,3 +41,20 @@ def test_dump_load_round_trip():
     assert fh.getvalue() == specio.dumps(spec) + "\n"
     fh.seek(0)
     assert _fields(specio.load(fh)) == _fields(spec)
+
+
+@pytest.mark.parametrize("text", [
+    '{"domain": {}}',
+    '{"curve": ["1", "i", "0"], "weierstrass": {"G": "z", "Psi": "1"}}',
+])
+def test_spec_needs_exactly_one_of_weierstrass_and_curve(text):
+    with pytest.raises(ValueError, match="exactly one"):
+        specio.loads(text)
+
+
+def test_spec_object_needs_exactly_one_of_weierstrass_and_curve():
+    w = _spec().weierstrass
+    with pytest.raises(ValueError, match="exactly one"):
+        specio.SurfaceSpec()
+    with pytest.raises(ValueError, match="exactly one"):
+        specio.SurfaceSpec(weierstrass=w, curve=from_weierstrass(w))

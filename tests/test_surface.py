@@ -364,6 +364,46 @@ def test_transposed_tree_reaches_cells_behind_the_puncture():
     assert np.max(np.abs(p.points[j, k] - want)) <= 1e-12
 
 
+def test_transposed_tree_integrates_only_edges_toward_missed_cells(
+        monkeypatch):
+    # the second call takes the row edges, off the base row, that lie
+    # between column j0 and a cell the first tree missed and that clear
+    # the puncture
+    calls = []
+    integrate = surface_mod.integrate_segments
+
+    def counting(expr, a, b, tol, **kw):
+        calls.append(a.size)
+        return integrate(expr, a, b, tol, **kw)
+
+    monkeypatch.setattr(surface_mod, "integrate_segments", counting)
+    for z0, n in ((1 + 0j, 33), (0.37 - 0.81j, 41)):
+        calls.clear()
+        p = immerse(_punctured_catenoid(), zeta0=z0, res=(n, n))
+        u, v = p.u, p.v
+        clearance = 1.25 * np.hypot(*p.spacing())
+        j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
+        U, V = np.meshgrid(u, v, indexing="ij")
+        first = ((_from_origin(u[j0], U, v[k0]) > clearance)
+                 & (_from_origin(v[k0], V, U) > clearance))
+        missed = (np.hypot(U, V) > clearance) & ~first
+        want = 0
+        for k in range(n):
+            js = np.flatnonzero(missed[:, k])
+            if k != k0 and js.size:
+                j = np.arange(min(js.min(), j0), max(js.max(), j0))
+                want += np.sum(_from_origin(u[j], u[j + 1], v[k]) > clearance)
+        assert 0 < want < (n - 1) * (n - 1)
+        assert len(calls) == 2 and calls[1] == want
+
+
+def test_base_point_must_lie_in_the_domain_clear_of_punctures():
+    with pytest.raises(ValueError, match="outside the domain"):
+        immerse(_punctured_catenoid(), zeta0=2 + 0j, res=(9, 9))
+    with pytest.raises(ValueError, match="masked by a puncture"):
+        immerse(_punctured_catenoid(), zeta0=0.1 + 0j, res=(9, 9))
+
+
 def test_immerse_uses_the_curves_branch_cut():
     # (log z, i log z, 0) with the cut along the positive real axis, where
     # arg z lies in (-2 pi, 0]: log z = Log z - 2 pi i on the second quadrant
@@ -433,6 +473,31 @@ def test_export_obj_projection(tmp_path):
     verts = load_obj_vertices(path)
     flat = p.points.reshape(-1, 4)[:, [0, 2, 3]]
     assert np.max(np.abs(verts - flat)) <= 1e-7 * np.max(1 + np.abs(flat))
+
+
+@pytest.mark.parametrize("fmt, projection, why", [
+    ("obj", (0, 1), "projection"),
+    ("obj", (0, 1, 4), "projection"),
+    ("obj", (0, -1, 2), "projection"),
+    ("stl", None, "unknown mesh format"),
+])
+def test_export_rejects_a_bad_projection_or_format(tmp_path, fmt, projection,
+                                                   why):
+    c4 = parabolic_deform(cat.helicoid(), 1 + 1j)
+    p = immerse(replace(c4, domain=DomainSpec(-1, 1, -1, 1)),
+                res=(3, 3), zeta0=0)
+    path = tmp_path / "bad.mesh"
+    with pytest.raises(ValueError, match=why):
+        export_mesh(p, path, fmt=fmt, projection=projection)
+    assert not path.exists()
+
+
+def test_verify_needs_an_interior_point():
+    # a 5x5 grid about a central puncture masks all nine interior points
+    p = immerse(_punctured_catenoid(), zeta0=1.5 + 1.5j, res=(5, 5))
+    assert not p.valid[1:-1, 1:-1].any()
+    with pytest.raises(ValueError, match="no interior points"):
+        verify_minimal(p)
 
 
 def _punctured_patch():

@@ -106,8 +106,22 @@ def test_lopez_ros_equals_goursat_at_matching_parameter(rng):
 
 
 def test_lopez_ros_lambda_validation():
-    with pytest.raises(ValueError):
-        lopez_ros(cat.helicoid(), -1.0)
+    for lam in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="positive"):
+            lopez_ros(cat.helicoid(), lam)
+        with pytest.raises(ValueError, match="positive"):
+            goursat_parameter_for_scaling(lam)
+
+
+def test_lawson_needs_three_components():
+    with pytest.raises(DimensionMismatch):
+        lawson(embed_3_to_4(_helicoid3()), 0.3, 0.7)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+def test_null_transform_must_be_square(shape):
+    with pytest.raises(ValueError, match="square"):
+        NullTransform(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
