@@ -12,10 +12,15 @@ no deeper rewriting is attempted.  A zero absorbs a product only when the
 other factor is free of Div, Log and negative powers, and ``0/x`` folds
 only for a nonzero constant ``x``, so that folding never removes a
 singularity that evaluation would report.
+
+``antiderivative`` gives an exact primitive of the exponential-polynomial
+class, the finite sums of terms ``c z^n e^{kz}`` with ``n >= 0``, to
+which every entire catalog curve and its linear deformations belong.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -25,7 +30,7 @@ __all__ = [
     "Exp", "Log", "Sinh", "Cosh",
     "Z", "const", "add", "sub", "mul", "div", "neg", "powi",
     "exp", "log", "sinh", "cosh",
-    "differentiate", "parse", "to_source",
+    "differentiate", "antiderivative", "parse", "to_source",
 ]
 
 
@@ -242,8 +247,9 @@ def powi(a, n) -> Expr:
             return Const(a.value ** n)
         except (ZeroDivisionError, OverflowError):
             pass  # 0^(-n) or an overflow: left for evaluation to report
-    if isinstance(a, Pow):
-        return Pow(a.a, a.n * n)
+    if isinstance(a, Pow) and (a.n > 0 or n > 0):
+        # (a^(-n))^(-m) is not folded: at a = 0 it is singular, a^(n m) is not
+        return powi(a.a, a.n * n)
     return Pow(a, n)
 
 
@@ -299,6 +305,137 @@ def differentiate(e: Expr) -> Expr:
     if isinstance(e, Cosh):
         return mul(sinh(e.a), differentiate(e.a))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# exact primitives of exponential polynomials
+# ---------------------------------------------------------------------------
+
+def _merge(out, key, c):
+    c = out.get(key, 0j) + c
+    if c == 0:
+        out.pop(key, None)
+    else:
+        out[key] = c
+
+
+def _nf_add(p, q, sign=1):
+    out = dict(p)
+    for key, c in q.items():
+        _merge(out, key, sign * c)
+    return out
+
+
+def _nf_mul(p, q):
+    out = {}
+    for (n1, k1), c1 in p.items():
+        for (n2, k2), c2 in q.items():
+            _merge(out, (n1 + n2, k1 + k2), c1 * c2)
+    return out
+
+
+def _nf_exp(p, s):
+    """Normal form of exp(s * arg) for an affine argument ``p``."""
+    if not set(p) <= {(0, 0j), (1, 0j)}:
+        return None
+    return {(0, s * p.get((1, 0j), 0j)): cmath.exp(s * p.get((0, 0j), 0j))}
+
+
+def _single_exp(p):
+    """(k, c) when the form ``p`` is the one term c e^{kz}, else None."""
+    if len(p) == 1:
+        ((n, k), c), = p.items()
+        if n == 0:
+            return k, c
+    return None
+
+
+def _normal_form(e, memo):
+    """``e`` as a dict {(n, k): c} of terms c z^n e^{kz} with n >= 0 and
+    nonzero c, or None outside that class.  ``memo`` maps id(node) to its
+    form, so a shared subtree is read once."""
+    key = id(e)
+    if key not in memo:
+        memo[key] = _read_normal_form(e, memo)
+    return memo[key]
+
+
+def _read_normal_form(e, memo):
+    if isinstance(e, Const):
+        return {(0, 0j): e.value} if e.value != 0 else {}
+    if isinstance(e, Var):
+        return {(1, 0j): 1 + 0j}
+    args = [_normal_form(getattr(e, f), memo)
+            for f in ("a", "b") if hasattr(e, f)]
+    if any(p is None for p in args):
+        return None
+    p = args[0]
+    if isinstance(e, (Add, Sub)):
+        return _nf_add(p, args[1], 1 if isinstance(e, Add) else -1)
+    if isinstance(e, Neg):
+        return {key: -c for key, c in p.items()}
+    if isinstance(e, Mul):
+        return _nf_mul(p, args[1])
+    if isinstance(e, Div):
+        # only a single c e^{kz} divides within the class
+        kc = _single_exp(args[1])
+        return None if kc is None else _nf_mul(p, {(0, -kc[0]): 1 / kc[1]})
+    if isinstance(e, Pow) and e.n >= 0:
+        out = {(0, 0j): 1 + 0j}
+        for _ in range(e.n):
+            out = _nf_mul(out, p)
+        return out
+    if isinstance(e, Pow):
+        kc = _single_exp(p)
+        return None if kc is None else {(0, e.n * kc[0]): kc[1] ** e.n}
+    if isinstance(e, Exp):
+        return _nf_exp(p, 1)
+    if isinstance(e, (Sinh, Cosh)):
+        up, down = _nf_exp(p, 1), _nf_exp(p, -1)
+        if up is None:
+            return None
+        half = 0.5 if isinstance(e, Cosh) else -0.5
+        return _nf_add({key: 0.5 * c for key, c in up.items()},
+                       {key: half * c for key, c in down.items()})
+    return None
+
+
+def _term(c, m, k) -> Expr:
+    """The node c z^m e^{kz}."""
+    growth = exp(mul(const(k), Z)) if k != 0 else _ONE
+    return mul(const(c), mul(powi(Z, m), growth))
+
+
+def antiderivative(e: Expr):
+    """Exact primitive F of ``e`` (F' = e), as a tuple of terms whose sum
+    is F, or None when ``e`` is outside the class.
+
+    The class is the finite sums of c z^n e^{kz} with n >= 0: constants,
+    z, sums, differences and products of the class, powers n >= 0 (and
+    any power of a single c e^{kz}), quotients by a single c e^{kz}, and
+    exp, sinh and cosh of an affine argument.  Log, negative powers of z
+    and non-affine exponents give None.  Each term is c z^m e^{kz}, built
+    with the smart constructors; the primitive of z^n (k = 0) is
+    z^{n+1}/(n+1), and that of z^n e^{kz} the integration by parts sum
+    e^{kz} sum_j (-1)^j n!/(n-j)! z^{n-j} / k^{j+1}.  The zero function
+    has the empty tuple as its primitive.
+    """
+    try:
+        nf = _normal_form(e, {})
+        if nf is None:
+            return None
+        out = {}
+        for (n, k), c in nf.items():
+            if k == 0:
+                _merge(out, (n + 1, 0j), c / (n + 1))
+                continue
+            coef = c / k
+            for j in range(n + 1):
+                _merge(out, (n - j, k), coef)
+                coef *= -(n - j) / k
+    except (OverflowError, ZeroDivisionError):
+        return None     # a coefficient beyond float range
+    return tuple(_term(c, m, k) for (m, k), c in out.items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,42 @@
+"""Property test: the exact primitive of a random exponential polynomial
+differentiates back to it."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from minsurf import expr as ex  # noqa: E402
+from minsurf.engine import evaluate  # noqa: E402
+
+RATES = (0, 1, -1, 2, 1j, -0.5 + 0.5j)
+POINTS = np.array([0, 0.3 - 0.7j, -0.9 + 0.2j, 1.1 + 1j, -0.4 - 1.2j])
+
+coefficients = st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
+                                  allow_nan=False, allow_infinity=False)
+terms = st.tuples(coefficients, st.integers(0, 4), st.sampled_from(RATES))
+
+
+def _term(c, n, k):
+    return ex.mul(ex.const(c), ex.mul(ex.powi(ex.Z, n),
+                                      ex.exp(ex.mul(ex.const(k), ex.Z))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(terms, min_size=1, max_size=5))
+def test_primitive_differentiates_back(drawn):
+    f = ex.const(0)
+    for c, n, k in drawn:
+        f = ex.add(f, _term(c, n, k))
+    prims = ex.antiderivative(f)
+    assert prims is not None
+    total = ex.const(0)
+    for t in prims:
+        total = ex.add(total, t)
+    got = evaluate(ex.differentiate(total), POINTS)
+    # roundoff scale: the derivative terms cancel down to the integrand
+    scale = sum(np.abs(evaluate(ex.differentiate(t), POINTS)) for t in prims)
+    scale = scale + sum(np.abs(evaluate(_term(*t), POINTS)) for t in drawn)
+    assert np.all(np.abs(got - evaluate(f, POINTS))
+                  <= 16 * np.finfo(float).eps * (1 + scale))

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from minsurf import catalog as cat
 from minsurf import expr as ex
 from minsurf.engine import evaluate
 from minsurf.errors import EvaluationSingularity, ParseError
+from minsurf.nullcurve import from_weierstrass
+from minsurf.transforms import (apply_transform, associate, parabolic_deform,
+                                parabolic_deform_rotated,
+                                parabolic_rotation_matrix)
 
 from conftest import random_complex
 
@@ -186,3 +191,87 @@ def test_simplification_drops_noops():
     assert ex.mul(1, z) is z
     assert ex.powi(z, 1) is z
     assert isinstance(ex.mul(0, ex.exp(z)), ex.Const)
+
+
+def test_negative_power_of_a_negative_power_is_not_folded():
+    # (z^(-1))^(-1) is singular at 0, where z would evaluate to 0
+    e = ex.parse("(z^(-1))^(-1)")
+    assert isinstance(e, ex.Pow) and isinstance(e.a, ex.Pow)
+    assert (e.n, e.a.n) == (-1, -1)
+    with pytest.raises(EvaluationSingularity):
+        evaluate(e, 0j)
+    assert evaluate(e, 2 + 1j) == pytest.approx(2 + 1j, abs=1e-15)
+
+
+def test_power_of_a_power_folds_unless_both_are_negative():
+    assert ex.to_source(ex.parse("(z^2)^3")) == "z^6"
+    assert ex.to_source(ex.parse("(z^(-2))^3")) == "z^(-6)"
+    assert ex.to_source(ex.parse("(z^2)^(-3)")) == "z^(-6)"
+    # the fold goes through powi's own rules, which fold constants
+    folded = ex.powi(ex.Pow(ex.const(2), 3), 2)
+    assert isinstance(folded, ex.Const) and folded.value == 64
+    assert ex.powi(ex.Pow(ex.exp(ex.Z), -1), -1).n == -1
+
+
+def _in_class_curves():
+    """The catalog curves of the exponential-polynomial class and their
+    deformations: parabolic rotations and associates."""
+    curves = []
+    for name, w in (("helicoid", cat.helicoid()),
+                    ("catenoid-exp", cat.catenoid_exp())):
+        base = from_weierstrass(w)
+        curves += [(name, base),
+                   (f"{name} parabolic", parabolic_deform(w, 1.3 - 0.8j)),
+                   (f"{name} rotated", parabolic_deform_rotated(w, 1.1)),
+                   (f"{name} associate", associate(base, 0.7))]
+    for name, c in (("osserman-graph", cat.osserman_graph()),
+                    ("lagrangian-catenoid", cat.lagrangian_catenoid()),
+                    ("complex-parabola", cat.complex_parabola(0.6 + 1.1j))):
+        curves += [(name, c), (f"{name} associate", associate(c, -1.2)),
+                   (f"{name} parabolic", apply_transform(
+                       parabolic_rotation_matrix(-0.4 + 0.9j), c))]
+    return curves
+
+
+IN_CLASS = _in_class_curves()
+
+
+@pytest.mark.parametrize("name, curve", IN_CLASS, ids=[n for n, _ in IN_CLASS])
+def test_antiderivative_differentiates_back_to_each_component(name, curve):
+    z = curve.domain.sample_points(64)
+    for comp in curve.components:
+        terms = ex.antiderivative(comp)
+        assert terms is not None
+        total = ex.const(0)
+        for t in terms:
+            total = ex.add(total, t)
+        want = evaluate(comp, z)
+        got = evaluate(ex.differentiate(total), z)
+        scale = sum(np.abs(evaluate(ex.differentiate(t), z)) for t in terms)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= 8 * eps * (1 + scale))
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("3", ["3*z"]),
+    ("z^3", ["0.25*z^4"]),
+    ("-i*exp(-z)", ["i*exp(-z)"]),
+    ("z*exp(2*z)", ["0.5*(z*exp(2*z))", "-0.25*exp(2*z)"]),
+    ("1/exp(z)", ["-exp(-z)"]),
+    ("cosh(z)", ["0.5*exp(z)", "-0.5*exp(-z)"]),
+    ("0", []),
+])
+def test_antiderivative_terms(text, terms):
+    assert [ex.to_source(t) for t in ex.antiderivative(ex.parse(text))] == terms
+
+
+def test_antiderivative_outside_the_class_is_none():
+    catenoid = from_weierstrass(cat.catenoid())
+    assert all(ex.antiderivative(c) is None for c in catenoid.components)
+    ho = cat.hoffman_osserman(1 + 1j, 2, 1, 1)
+    assert [ex.antiderivative(c) is None for c in ho.components] == [
+        True, True, True, False, False]
+    for text in ("log(z)", "z*log(z)", "exp(z^2)", "exp(z)*exp(z^2)",
+                 "1/z", "z^(-2)*exp(z)", "1/(1+exp(z))", "sinh(1/z)",
+                 "(z^(-1))^(-1)"):
+        assert ex.antiderivative(ex.parse(text)) is None, text

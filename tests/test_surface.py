@@ -8,17 +8,20 @@ import pytest
 
 from minsurf import catalog as cat
 from minsurf import expr as ex
+from minsurf import quadrature as quadrature_mod
 from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
 from minsurf.engine import evaluate
-from minsurf.errors import ZeroVector
+from minsurf.errors import SingularPath, ZeroVector
 from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
                                from_weierstrass)
 from minsurf.surface import (_triangles, conformal_factor, degeneracy_rank,
                              export_mesh, gauss_map, immerse,
                              load_obj_vertices, parametric_immersion,
                              verify_minimal, wirtinger_defect)
-from minsurf.transforms import associate, lawson, parabolic_deform
+from minsurf.quadrature import segment_integrals
+from minsurf.transforms import (associate, lawson, parabolic_deform,
+                                parabolic_deform_rotated)
 
 from conftest import random_complex
 
@@ -301,13 +304,13 @@ def test_unpunctured_grid_is_one_call_of_nu_nv_segments(monkeypatch):
     # the spanning tree: a stem, the nu - 1 edges of the base row and the
     # nv - 1 edges of every column
     calls = []
-    integrate = surface_mod.integrate_segments
+    integrate = surface_mod.segment_integrals
 
     def counting(expr, a, b, tol, **kw):
         calls.append(a.size)
         return integrate(expr, a, b, tol, **kw)
 
-    monkeypatch.setattr(surface_mod, "integrate_segments", counting)
+    monkeypatch.setattr(surface_mod, "segment_integrals", counting)
     c = parabolic_deform(cat.helicoid(), 1 + 1j)
     for res, z0 in (((17, 11), None), ((9, 13), 0.31 - 0.52j)):
         calls.clear()
@@ -370,13 +373,13 @@ def test_transposed_tree_integrates_only_edges_toward_missed_cells(
     # between column j0 and a cell the first tree missed and that clear
     # the puncture
     calls = []
-    integrate = surface_mod.integrate_segments
+    integrate = surface_mod.segment_integrals
 
     def counting(expr, a, b, tol, **kw):
         calls.append(a.size)
         return integrate(expr, a, b, tol, **kw)
 
-    monkeypatch.setattr(surface_mod, "integrate_segments", counting)
+    monkeypatch.setattr(surface_mod, "segment_integrals", counting)
     for z0, n in ((1 + 0j, 33), (0.37 - 0.81j, 41)):
         calls.clear()
         p = immerse(_punctured_catenoid(), zeta0=z0, res=(n, n))
@@ -572,3 +575,134 @@ def test_lawson_lift_conformal_factor_preserved(rng):
     a = conformal_factor(c3, z)
     b = conformal_factor(c6, z)
     assert np.max(np.abs(a - b) / a) <= 1e-12
+
+
+def _quadrature_calls(monkeypatch):
+    """Sizes of the integrate_segments calls that segment_integrals makes."""
+    calls = []
+    integrate = quadrature_mod.integrate_segments
+
+    def counting(expr, a, b, tol, **kw):
+        calls.append(np.size(a))
+        return integrate(expr, a, b, tol, **kw)
+
+    monkeypatch.setattr(quadrature_mod, "integrate_segments", counting)
+    return calls
+
+
+def _corollary53_closed_form(theta, patch):
+    """The corollary-5.3 catenoid through the congruence U = u - ln cos t
+    with components 1 and 2 flipped, anchored at the patch's base point."""
+    surf = cat.catenoid_deformation(theta)
+    lc = np.log(np.cos(theta))
+    uu, vv = np.meshgrid(patch.u, patch.v, indexing="ij")
+    z0 = patch.base_point
+    want = surf(uu - lc, vv) - surf(z0.real - lc, z0.imag)
+    return want * np.array([1.0, -1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("kind, param, res", [
+    ("theorem51", 1.7 * np.exp(2.1j), 129), ("theorem51", 0.3 - 0.2j, 257),
+    ("corollary53", 0.2, 129), ("corollary53", 0.7, 257),
+    ("corollary53", 1.3, 257), ("corollary53", 1.3, 513),
+])
+def test_entire_curves_take_the_exact_route(monkeypatch, kind, param, res):
+    calls = _quadrature_calls(monkeypatch)
+    if kind == "theorem51":
+        curve = parabolic_deform(cat.helicoid(), param)
+    else:
+        curve = parabolic_deform_rotated(cat.catenoid_exp(), param)
+    p = immerse(curve, res=(res, res), tol=1e-10)
+    assert calls == []
+    if kind == "theorem51":
+        hd = cat.helicoid_deformation(param.real, param.imag)
+        uu, vv = np.meshgrid(p.u, p.v, indexing="ij")
+        want = hd.components(uu, vv) - hd.components(0.0, 0.0)
+    else:
+        want = _corollary53_closed_form(param, p)
+    assert p.valid.all()
+    assert np.max(np.abs(p.points - want)) <= 1e-12
+
+
+def test_exact_and_quadrature_routes_agree_on_a_punctured_domain(monkeypatch):
+    # entire data with a declared puncture: the same cells are masked on
+    # both routes, and the points agree within tol
+    w = cat.catenoid_exp()
+    dom = replace(w.domain, punctures=(0.3 + 0.2j,))
+    curve = from_weierstrass(WeierstrassData(w.G, w.Psi, dom))
+    tol = 1e-10
+    calls = _quadrature_calls(monkeypatch)
+    exact = immerse(curve, zeta0=-1 + 0.5j, res=(65, 65), tol=tol)
+    assert calls == [] and not exact.valid.all()
+    monkeypatch.setattr(quadrature_mod, "antiderivative", lambda e: None)
+    quad = immerse(curve, zeta0=-1 + 0.5j, res=(65, 65), tol=tol)
+    assert len(calls) == 2
+    assert np.array_equal(exact.valid, quad.valid)
+    assert np.array_equal(np.isnan(exact.points), np.isnan(quad.points))
+    v = exact.valid
+    assert np.max(np.abs(exact.points[v] - quad.points[v])) <= tol
+
+
+def test_exact_route_refuses_a_segment_through_a_puncture():
+    dom = DomainSpec(punctures=(0.25j,))
+    with pytest.raises(SingularPath):
+        segment_integrals((ex.exp(ex.Z), ex.Z), [-1 + 0.25j], [1 + 0.25j],
+                          domain=dom)
+
+
+def test_primitive_above_its_roundoff_budget_falls_back(monkeypatch):
+    # exp(k z) with k = eps/4 has the primitive exp(k z)/k of size 1.8e16,
+    # whose difference rounds away every digit; quadrature takes the call
+    k = 5.551115123125783e-17
+    e = ex.parse(f"exp({k!r}*z)")
+    assert ex.antiderivative(e) is not None
+    calls = _quadrature_calls(monkeypatch)
+    a = np.array([0.0, -1 + 1j, 0.5j])
+    b = np.array([1.0, 1 - 1j, 2 + 0.5j])
+    tol = 1e-12
+    got = segment_integrals(e, a, b, tol)
+    assert calls == [3]
+    want = (b - a) + 0.5 * k * (b * b - a * a)
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def test_parametric_legs_take_the_exact_route(monkeypatch):
+    calls = _quadrature_calls(monkeypatch)
+    c = parabolic_deform(cat.helicoid(), 0.8 + 0.4j)
+    f = parametric_immersion(c, zeta0=0.1 - 0.2j)
+    u = np.linspace(-1.4, 1.4, 7)[:, None]
+    v = np.linspace(-1.3, 1.2, 5)[None, :]
+    hd = cat.helicoid_deformation(0.8, 0.4)
+    want = hd.components(u, v) - hd.components(0.1, -0.2)
+    assert np.max(np.abs(f(u, v) - want)) <= 1e-11
+    assert calls == []
+
+
+def test_running_sums_of_primitive_differences_stay_within_roundings():
+    # exact route edges: differences of a primitive along a 513-point grid
+    # line; blocked sums keep each node within about an ulp of the exact
+    # sum of its edges, where a plain cumulative sum drifts by 8
+    import math
+    t = np.linspace(-1.5, 1.5, 1025)
+    worst = 0.0
+    for v in (-1.3, -0.4, 0.2, 0.9, 1.5):
+        z = t + 1j * v
+        edges = np.diff(6.98j * np.exp(z) - 0.48 * np.exp(-z))
+        got = surface_mod._running_sums(np.stack([edges, edges]), 512)
+        for k in range(0, 1025, 8):
+            part = edges[512:k] if k > 512 else -edges[k:512]
+            want = complex(math.fsum(part.real), math.fsum(part.imag))
+            assert got[0, k] == got[1, k]
+            ulp = np.spacing(abs(want) + 1e-300)
+            worst = max(worst, abs(got[0, k] - want) / ulp)
+    assert worst <= 3
+
+
+def test_running_sums_carry_nan_beyond_a_nan_edge():
+    edges = np.arange(1.0, 41.0).reshape(2, 20) + 0j
+    edges[1, 13] = edges[1, 3] = np.nan
+    got = surface_mod._running_sums(edges, 8)
+    want = np.concatenate([[0], np.cumsum(edges[0])])
+    np.testing.assert_array_equal(got[0], want - want[8])
+    assert np.isnan(got[1, 14:]).all() and np.isnan(got[1, :4]).all()
+    assert np.isfinite(got[1, 4:14]).all() and got[1, 8] == 0
