@@ -18,7 +18,7 @@ from .expr import Z, antiderivative, differentiate, parse, to_source
 from .nullcurve import (NullCurve, NullResidualReport, WeierstrassData,
                         embed_3_to_4, from_weierstrass, null_residual,
                         quadratic_form)
-from .quadrature import integrate_path, integrate_segments, segment_integrals
+from .quadrature import integrate_path, integrate_segments
 from .transforms import (NullTransform, apply_transform, associate, goursat,
                          goursat_parameter_for_scaling, is_complex_orthogonal,
                          lawson, lopez_ros, lorentz_parabolic_matrix,

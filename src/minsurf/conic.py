@@ -74,12 +74,12 @@ def planar_sample(points: np.ndarray) -> PlanarCurveSample:
     the points in its coordinates.
 
     One SVD of the centered points gives the plane: its first two right
-    singular vectors are the in-plane basis.  Collinear input (an exact
-    line slice) is planar too; its second direction is then arbitrary,
-    and fit_conic classifies the sample as a line.  The residual is the
-    maximum out-of-plane distance divided by the diameter.  Raises
-    DegenerateInput for fewer than 3 points, fewer than 2 coordinates, or
-    coincident points.
+    singular vectors, each signed by ``_unit``, are the in-plane basis.
+    Collinear input (an exact line slice) is planar too; its second
+    direction is then arbitrary, and fit_conic classifies the sample as a
+    line.  The residual is the maximum out-of-plane distance divided by
+    the diameter.  Raises DegenerateInput for fewer than 3 points, fewer
+    than 2 coordinates, or coincident points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 3:
@@ -92,7 +92,7 @@ def planar_sample(points: np.ndarray) -> PlanarCurveSample:
     origin = pts.mean(axis=0)
     centered = pts - origin
     _, _, vh = np.linalg.svd(centered, full_matrices=False)
-    basis = vh[:2]
+    basis = np.array([_unit(row) for row in vh[:2]])
     xy = centered @ basis.T
     out_of_plane = centered - xy @ basis
     residual = float(np.max(np.linalg.norm(out_of_plane, axis=1))) / diam

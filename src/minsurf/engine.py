@@ -147,7 +147,11 @@ def evaluate(e, z, cut: float = math.pi):
     A single expression at a scalar gives a complex; otherwise the result
     has ``z``'s shape, with a leading axis of length k for a tuple.
     Raises EvaluationSingularity when any output is non-finite (division
-    by zero, log of zero, overflow).
+    by zero, log of zero, overflow).  Only the outputs are checked, not
+    each instruction's result, which would cost an ``isfinite`` pass per
+    instruction: a removable limit reached through an infinite
+    intermediate is returned, so ``1/log(z)`` and ``exp(log(z))`` give 0
+    at z = 0.
     """
     prog = compile_expr(e)
     out = eval_program(prog, np.atleast_1d(np.asarray(z, dtype=np.complex128)),

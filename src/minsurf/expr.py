@@ -8,10 +8,10 @@ evaluation (see ``engine``).
 
 Smart constructors fold constants and drop algebraic no-ops (x+0, 1*x,
 x**1, ...) so that derivative trees and matrix-applied curves stay small;
-no deeper rewriting is attempted.  A zero absorbs a product only when the
-other factor is free of Div, Log and negative powers, and ``0/x`` folds
-only for a nonzero constant ``x``, so that folding never removes a
-singularity that evaluation would report.
+no deeper rewriting is attempted.  A factor 0, 1 or -1, or a divisor 1,
+folds away only beside an operand free of Div, Log and negative powers
+(``0*inf`` and ``(1+0j)*inf`` are NaN), and ``0/x`` only for a nonzero
+constant ``x``: folding never hides a singularity.
 
 ``antiderivative`` gives an exact primitive of the exponential-polynomial
 class, the finite sums of terms ``c z^n e^{kz}`` with ``n >= 0``, to
@@ -161,7 +161,7 @@ def _is_const(e, value=None):
 
 def _finite(e: Expr) -> bool:
     """True when no Div, Log or negative power occurs in ``e``, so that
-    ``e`` has no singularity for ``0 * e`` to hide."""
+    ``e`` has no singularity for ``0 * e`` or ``1 * e`` to hide."""
     seen, stack = set(), [e]
     while stack:
         node = stack.pop()
@@ -201,13 +201,13 @@ def mul(a, b) -> Expr:
         return Const(a.value * b.value)
     if (_is_const(a, 0) and _finite(b)) or (_is_const(b, 0) and _finite(a)):
         return _ZERO
-    if _is_const(a, 1):
+    if _is_const(a, 1) and _finite(b):
         return b
-    if _is_const(b, 1):
+    if _is_const(b, 1) and _finite(a):
         return a
-    if _is_const(a, -1):
+    if _is_const(a, -1) and _finite(b):
         return neg(b)
-    if _is_const(b, -1):
+    if _is_const(b, -1) and _finite(a):
         return neg(a)
     # keep constants on the left so printed output reads like "2*z"
     if isinstance(b, Const) and not isinstance(a, Const):
@@ -221,7 +221,7 @@ def div(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
         return Const(a.value / b.value)
-    if _is_const(b, 1):
+    if _is_const(b, 1) and _finite(a):
         return a
     return Div(a, b)
 
@@ -288,7 +288,8 @@ def differentiate(e: Expr) -> Expr:
     if isinstance(e, Mul):
         return add(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
     if isinstance(e, Div) and isinstance(e.a, Const):
-        return div(neg(mul(e.a, differentiate(e.b))), powi(e.b, 2))
+        db = differentiate(e.b)   # with no 1*db, which mul keeps at a pole
+        return div(neg(db if _is_const(e.a, 1) else mul(e.a, db)), powi(e.b, 2))
     if isinstance(e, Div):
         num = sub(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
         return div(num, powi(e.b, 2))

@@ -28,13 +28,6 @@ most ``CHUNK_NODES`` points, so memory does not grow with the batch.
 A ``domain`` (DomainSpec) passed to either entry point gives the log
 branch cut and the punctures, measured by ``DomainSpec.puncture_distance``;
 a segment through a puncture raises SingularPath before any evaluation.
-
-``segment_integrals`` is the entry for a curve's segment integrals.  When
-every component has an exact primitive (``expr.antiderivative``: the
-sums of ``c z^n e^{kz}`` with ``n >= 0``), each integral is F(b) - F(a),
-two evaluations per segment, provided the roundoff level of that
-difference meets the segment's budget; otherwise the whole call goes to
-``integrate_segments``.
 """
 
 from __future__ import annotations
@@ -44,10 +37,9 @@ import numpy as np
 from .domain import DomainSpec
 from .engine import compile_expr, eval_program
 from .errors import NoConvergence, SingularPath
-from .expr import Expr, antiderivative
 
-__all__ = ["integrate_path", "integrate_segments", "segment_integrals",
-           "MAX_DEPTH", "CHUNK_NODES", "ROUNDOFF_FACTOR", "PRIMITIVE_ULPS"]
+__all__ = ["integrate_path", "integrate_segments",
+           "MAX_DEPTH", "CHUNK_NODES", "ROUNDOFF_FACTOR"]
 
 MAX_DEPTH = 40
 # quadrature nodes per evaluator call: bounds the evaluator's temporaries
@@ -56,12 +48,6 @@ CHUNK_NODES = 1 << 16
 # an error estimate below this many ulps of the integral of |f| is roundoff
 ROUNDOFF_FACTOR = 50
 _ROUNDOFF = ROUNDOFF_FACTOR * np.finfo(np.float64).eps
-# ulps of roundoff per primitive term and endpoint: a term c z^m e^{kz}
-# rounds in k z (an absolute error that exp turns relative, about |k z|
-# ulps, of order one on the catalog domains), in exp, in z^m and in the
-# product with c, and F(b) - F(a) rounds once more
-PRIMITIVE_ULPS = 4
-_PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
 
 
 def _gauss(alpha, beta):
@@ -224,51 +210,3 @@ def integrate_path(expr, z0, z1, tol: float = 1e-12, *, domain=None) -> complex:
         raise ValueError("tol must be positive")
     return complex(integrate_segments(expr, [z0], [z1], tol, domain=domain)[0])
 
-
-def segment_integrals(expr, a, b, tol: float = 1e-12, *, domain=None):
-    """Integrals of ``expr``, or of each of a tuple of k expressions (a
-    curve's components), along the segments a_i -> b_i: the result and
-    the error contract of ``integrate_segments``, which it calls unless
-    the exact route applies.
-
-    The exact route applies when every component has a primitive, the sum
-    of terms F_t from ``antiderivative``, and the roundoff level
-    ``PRIMITIVE_ULPS * eps * sum_t (|F_t(a)| + |F_t(b)|)`` of each
-    component on each segment is at most ``tol``.  It returns
-    sum_t (F_t(b) - F_t(a)), from one evaluation of the terms at both
-    endpoints, in chunks that hold at most ``CHUNK_NODES`` values per
-    component, as a quadrature chunk does.  A segment through a puncture
-    of ``domain`` raises SingularPath on either route.
-    """
-    single = isinstance(expr, Expr)
-    expr = expr if single else tuple(expr)
-    prims = [antiderivative(e) for e in ((expr,) if single else expr)]
-    if any(p is None for p in prims):
-        return integrate_segments(expr, a, b, tol, domain=domain)
-    a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
-    b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
-    if a.shape != b.shape:
-        raise ValueError("segment endpoint arrays must have the same shape")
-    if domain is not None and domain.punctures and np.any(
-            domain.puncture_distance(a, b) < 1e-9 * (1.0 + np.abs(b - a))):
-        raise SingularPath("integration segment passes through a puncture")
-
-    prog = compile_expr(tuple(t for p in prims for t in p))
-    # the terms of component i are outputs cuts[i]:cuts[i + 1]
-    cuts = np.cumsum([0] + [len(p) for p in prims])
-    total = np.empty((len(prims), a.size), dtype=np.complex128)
-    # each chunk holds 2 values per term and segment: no more than the
-    # CHUNK_NODES values per component of a quadrature chunk
-    step = max(1, CHUNK_NODES * len(prims) // (2 * len(prog.outputs) or 1))
-    for lo in range(0, a.size, step):
-        hi = min(lo + step, a.size)
-        z = np.concatenate([a[lo:hi], b[lo:hi]])
-        vals = eval_program(prog, z).reshape(-1, 2, hi - lo)
-        diff = vals[:, 1] - vals[:, 0]
-        mag = np.abs(vals).sum(axis=1)
-        for i in range(len(prims)):
-            total[i, lo:hi] = diff[cuts[i]:cuts[i + 1]].sum(axis=0)
-            level = _PRIMITIVE_ROUNDOFF * mag[cuts[i]:cuts[i + 1]].sum(axis=0)
-            if not np.all(level <= tol):
-                return integrate_segments(expr, a, b, tol, domain=domain)
-    return total[0] if single else total

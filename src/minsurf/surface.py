@@ -1,27 +1,21 @@
 """From null curves to sampled immersions in R^n, and checks on them.
 
 The immersion is X = Re of the path integral of the curve, anchored so
-that X(z0) = 0.  The integral does not depend on the path on the
-puncture-free rectangle, so a nu x nv grid needs one edge integral per
-grid point: ``immerse`` integrates a spanning tree of the grid, a stem
-from z0 to the nearest grid point g(j0, k0), the edges of row k0 and the
-edges of every column, nu nv segments in all, and takes X as running sums
-outward from j0 along the row and then from k0 down each column, summed
-in blocks of about sqrt(m) of a line's m edges.  A path
-has at most nu + nv - 1 segments, each integrated to tol / (nu + nv), so
-every point is within tol.  Where a puncture cuts the tree, the
-transposed tree (column j0, then every row) reaches what it can.  Every
-stage reads the curve's own ``domain``: the grid rectangle, the
-punctures that mask cells and segments, and the log branch cut.
-
-The edge integrals come from ``quadrature.segment_integrals``.  For a
-curve whose components are sums of c z^n e^{kz} (n >= 0), such as the
-helicoid, the exponential catenoid, the Osserman graph, the Lagrangian
-catenoid, the complex parabola and every constant linear deformation of
-them, an edge costs two evaluations of the exact primitive, F(b) - F(a),
-while that difference's roundoff level stays within the edge's share of
-tol; any other curve, or a call over budget, is integrated by adaptive
-Gauss-Kronrod quadrature.
+that X(z0) = 0; on the puncture-free rectangle it does not depend on the
+path.  When ``expr.antiderivative`` gives every component an exact
+primitive F = sum_t F_t (sums of c z^n e^{kz}, n >= 0: the helicoid, the
+exponential catenoid and their constant linear deformations), ``immerse``
+takes X = Re(F(z) - F(z0)) at each grid point, with tol as each point's
+budget for the roundoff level PRIMITIVE_ULPS eps (sum_t |F_t(z)| +
+sum_t |F_t(z0)|).  Otherwise it integrates a spanning tree of the grid
+by quadrature in one ``integrate_segments`` call of nu nv segments (a
+stem from z0 to the nearest grid point g(j0, k0), the edges of row k0 and
+of every column), each within tol / (nu + nv), and sums them outward in
+blocks of about sqrt(m) of a line's m edges.  Where a puncture cuts the
+tree, the transposed tree reaches what it can; on both routes the valid
+cells are those the trees reach.  Every stage reads the curve's own
+``domain``: the grid rectangle, the punctures that mask cells and
+segments, and the log branch cut.
 
 Verification instruments:
 
@@ -43,10 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine   # looked up at each call, so wrappers on it see them
 from .conic import ParametricSurface
 from .errors import ZeroVector
+from .expr import antiderivative
 from .nullcurve import NullCurve
-from .quadrature import segment_integrals
+from .quadrature import CHUNK_NODES, integrate_segments
 
 __all__ = [
     "SurfacePatch", "GaussMapSample", "DegeneracyReport",
@@ -57,6 +53,12 @@ __all__ = [
 # singular values below RANK_CUTOFF * sigma_1 count as numerical zero;
 # the data are analytic, so a wide gap separates structure from roundoff
 RANK_CUTOFF = 1e-8
+# ulps of roundoff per primitive term and point: a term c z^m e^{kz}
+# rounds in k z (an absolute error that exp turns relative, about |k z|
+# ulps, of order one on the catalog domains), in exp, in z^m and in the
+# product with c, and F(z) - F(z0) rounds once more
+PRIMITIVE_ULPS = 4
+_PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,12 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
 
     zeta0 defaults to the grid point nearest the domain center.  Cells
     within 1.25 cell-diagonals of a puncture, or reached by neither
-    spanning tree, are flagged invalid; the edges they would need are not
-    integrated, and their points and conformal factor are NaN.  Each tree
-    is one ``segment_integrals`` call: exact primitives for a curve of
-    exponential polynomials, quadrature otherwise (see the module
-    docstring); either way each edge is within tol / (nu + nv).
+    spanning tree, are flagged invalid; their points and conformal factor
+    are NaN.  With an exact primitive each valid point is Re(F(z) -
+    F(zeta0)) within tol, in one pass over chunks of them; a declared
+    puncture masks cells, but no path exists to pass through it.
+    Otherwise each tree is one ``integrate_segments`` call, each edge
+    within tol / (nu + nv) (see the module docstring).
     """
     domain = c.domain
     nu, nv = res
@@ -118,11 +121,25 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     k0 = _nearest_index(v, zeta0.imag)
     if not valid[j0, k0]:
         raise ValueError("base point is masked by a puncture")
+    tree = (domain, clearance, zz, zeta0, j0, k0, valid)
+
+    sample = _primitive_sampler(c, zeta0, tol)
+    if sample is not None:
+        # edges that cost nothing reach the cells that quadrature reaches
+        reach = valid & np.isfinite(
+            _tree_integrals(lambda a, b: np.zeros((1, a.size)), *tree)[0])
+        sampled = sample(zz[reach])
+        if sampled is not None:
+            points = np.full((nu, nv, c.n), np.nan)
+            lam = np.full(valid.shape, np.nan)
+            points[reach], lam[reach] = sampled
+            return SurfacePatch(u, v, points, lam, reach, zeta0)
 
     # the trees' edge arrays are freed on return, before the conformal
     # factor evaluates the curve on the whole grid
-    points = _tree_integrals(c, zz, zeta0, j0, k0, valid, tol / (nu + nv),
-                             clearance).real.transpose(1, 2, 0)
+    points = _tree_integrals(lambda a, b: integrate_segments(
+        c.components, a, b, tol / (nu + nv), domain=domain), *tree)
+    points = points.real.transpose(1, 2, 0)
     valid &= np.all(np.isfinite(points), axis=2)
     points = np.where(valid[:, :, None], points, np.nan)
     lam = np.full(valid.shape, np.nan)
@@ -130,19 +147,67 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     return SurfacePatch(u, v, points, lam, valid, zeta0)
 
 
-def _tree_integrals(c, zz, zeta0, j0, k0, valid, seg_tol, clearance):
-    """Integrals of the curve from zeta0 to every grid point zz, shape
-    (n, nu, nv): along the spanning tree, with the transposed tree
-    filling in the valid cells a puncture cuts off; NaN where neither
-    reaches."""
+def _primitive_sampler(c, zeta0, tol):
+    """None when a component has no exact primitive F = sum_t F_t (see
+    ``expr.antiderivative``), else a function of points z, shape (m,),
+    giving X = Re(F(z) - F(zeta0)), shape (m, n), and the conformal
+    factor, or None when a value is not finite or PRIMITIVE_ULPS eps
+    (sum_t |F_t(z)| + sum_t |F_t(zeta0)|) exceeds tol.  One program of the
+    components and the terms is compiled here, and evaluated at zeta0 and
+    in chunks of at most CHUNK_NODES values per component."""
+    prims = [antiderivative(e) for e in c.components]
+    if any(p is None for p in prims):
+        return None
+    prog = engine.compile_expr(c.components + tuple(t for p in prims for t in p))
+    # the terms of component i are outputs cuts[i]:cuts[i + 1]
+    cuts = c.n + np.cumsum([0] + [len(p) for p in prims])
+    step = max(1, CHUNK_NODES * c.n // len(prog.outputs))
+
+    def primitive(vals):
+        # F and sum_t |F_t| per component, shape (n, m) each
+        terms = [vals[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+        return (np.array([t.sum(axis=0) for t in terms]),
+                np.array([np.abs(t).sum(axis=0) for t in terms]))
+
+    base, base_mag = primitive(engine.eval_program(prog, np.array([zeta0])))
+
+    def sample(z):
+        x, lam = np.empty((z.size, c.n)), np.empty(z.size)
+        for lo in range(0, z.size, step):
+            vals = engine.eval_program(prog, z[lo:lo + step])
+            F, mag = primitive(vals)
+            if not (np.all(np.isfinite(vals)) and np.all(
+                    _PRIMITIVE_ROUNDOFF * (mag + base_mag) <= tol)):
+                return None
+            x[lo:lo + step] = (F - base).real.T
+            # summed as conformal_factor sums them, over contiguous rows
+            phi = np.ascontiguousarray(vals[:c.n].T)
+            lam[lo:lo + step] = 0.5 * np.sum(np.abs(phi) ** 2, axis=-1)
+        return x, lam
+
+    return sample
+
+
+def _tree_integrals(integrate, domain, clearance, zz, zeta0, j0, k0, valid):
+    """Integrals from zeta0 to every grid point zz, shape (k, nu, nv): the
+    k-row ``integrate(a, b)`` of the tree edges a -> b clear of the
+    punctures (the others are NaN, untried), summed along the spanning
+    tree and then the transposed one; NaN where neither reaches."""
+    def edges(a, b, need):
+        ok = need & (domain.puncture_distance(a, b) > clearance)
+        got = integrate(a[ok], b[ok])
+        vals = np.full((len(got),) + a.shape, np.nan, dtype=np.complex128)
+        vals[:, ok] = got
+        return vals
+
     nu, nv = zz.shape
     # the spanning tree: a stem z0 -> g(j0, k0), the edges of row k0 and
     # the edges of every column, in one call of nu * nv segments
     a = np.concatenate([[zeta0], zz[:-1, k0], zz[:, :-1].ravel()])
     b = np.concatenate([[zz[j0, k0]], zz[1:, k0], zz[:, 1:].ravel()])
-    vals = _edge_integrals(c, a, b, True, seg_tol, clearance)
+    vals = edges(a, b, True)
     stem = vals[:, 0, None, None]
-    col = _running_sums(vals[:, nu:].reshape(c.n, nu, nv - 1), k0)
+    col = _running_sums(vals[:, nu:].reshape(-1, nu, nv - 1), k0)
     total = stem + _running_sums(vals[:, 1:nu], j0)[:, :, None] + col
     missed = valid & ~np.all(np.isfinite(total), axis=0)
     if np.any(missed):
@@ -152,23 +217,10 @@ def _tree_integrals(c, zz, zeta0, j0, k0, valid, seg_tol, clearance):
         beyond[j0:] = np.logical_or.accumulate(missed[:j0:-1], axis=0)[::-1]
         beyond[:j0] = np.logical_or.accumulate(missed[:j0], axis=0)
         beyond[:, k0] = False
-        rows = _edge_integrals(c, zz[:-1].T, zz[1:].T, beyond.T, seg_tol,
-                               clearance)
+        rows = edges(zz[:-1].T, zz[1:].T, beyond.T)
         alt = stem + col[:, j0, :, None] + _running_sums(rows, j0)
         total = np.where(np.isfinite(total), total, alt.transpose(0, 2, 1))
     return total
-
-
-def _edge_integrals(c, a, b, need, seg_tol, clearance):
-    """Integrals of the curve along the segments a -> b where ``need``
-    (broadcast to a.shape) holds, shape (n,) + a.shape, in one
-    segment_integrals call; NaN on the other segments and on those that
-    pass within ``clearance`` of a puncture, which are not tried."""
-    ok = need & (c.domain.puncture_distance(a, b) > clearance)
-    vals = np.full((c.n,) + a.shape, np.nan, dtype=np.complex128)
-    vals[:, ok] = segment_integrals(c.components, a[ok], b[ok], seg_tol,
-                                    domain=c.domain)
-    return vals
 
 
 def _running_sums(edges, i0):
@@ -184,8 +236,8 @@ def _running_sums(edges, i0):
 def _cumsum(x):
     """Cumulative sums along the last axis of m values, taken in blocks of
     about sqrt(m): sums within each block, then over the blocks' totals.
-    A sum then carries at most about 2 sqrt(m) roundings, not m, which
-    matters once the edges are exact differences of a primitive."""
+    A sum then carries about 2 sqrt(m) roundings, not m: the punctured
+    catenoid (z, 1/z^2) at 257^2 is 4.3e-15 off its oracle, not 1.2e-14."""
     m = x.shape[-1]
     b = math.isqrt(max(m - 1, 0)) + 1
     nb = -(-m // b)
@@ -370,18 +422,23 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
 def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
                          tol: float = 1e-11) -> ParametricSurface:
     """Immersion X(u, v) = Re integral of the curve, anchored at zeta0,
-    for slicing and spot checks.  Each point is reached along the L-path
-    z0 -> (u, Im z0) -> (u, v); one segment_integrals call takes all the
-    legs of the points of one surface call."""
+    for slicing and spot checks: Re(F(u + iv) - F(zeta0)) within tol for a
+    curve with an exact primitive (compiled once, here); otherwise, or over
+    that budget, the L-paths z0 -> (u, Im z0) -> (u, v) of a surface call's
+    points in one integrate_segments call, each leg within tol."""
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
+    sample = _primitive_sampler(c, z0, tol)
 
     def f(u, v):
+        sampled = sample((u + 1j * v).ravel()) if sample is not None else None
+        if sampled is not None:
+            return sampled[0].reshape(u.shape + (c.n,))
         corner = (u + 1j * z0.imag).ravel()
-        vals = segment_integrals(c.components,
-                                 np.append(np.full(corner.size, z0), corner),
-                                 np.append(corner, u + 1j * v), tol,
-                                 domain=dom)
+        vals = integrate_segments(c.components,
+                                  np.append(np.full(corner.size, z0), corner),
+                                  np.append(corner, u + 1j * v), tol,
+                                  domain=dom)
         # sum the two legs; copied C-contiguous, as a strided result rounds
         # the slice's plane fit differently
         x = vals.real.reshape(c.n, 2, -1).sum(axis=1).T.copy()

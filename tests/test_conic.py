@@ -49,6 +49,22 @@ def test_plane_fit_collinear_is_a_line():
     assert fit.residual <= 1e-15
 
 
+def test_plane_basis_survives_a_one_ulp_move():
+    # an ellipse in R^4 on the level X3 = -0.9 with its major axis along
+    # X2, as a corollary-5.3 slice is: moving each coordinate by one ulp
+    # flips the sign of an SVD basis row, but not of the sample's basis
+    t = np.linspace(0, 2 * np.pi, 100)
+    pts = np.stack([-0.21 + 0.42 * np.cos(t), 0.09 + 1.96 * np.cos(t),
+                    2.9 * np.sin(t), np.full(t.shape, -0.9)], axis=-1)
+    basis = planar_sample(pts).basis
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        up = rng.random(pts.shape) < 0.5
+        moved = np.where(up, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf))
+        np.testing.assert_allclose(planar_sample(moved).basis, basis,
+                                   rtol=0, atol=1e-12)
+
+
 def test_helix_is_detected_as_nonplanar():
     s = np.linspace(0, 4 * np.pi, 120)
     helix = np.stack([np.cos(s), np.sin(s), 0.3 * s], axis=-1)

@@ -7,7 +7,7 @@ import pytest
 
 from minsurf import catalog as cat
 from minsurf import expr as ex
-from minsurf.engine import evaluate
+from minsurf.engine import compile_expr, eval_program, evaluate
 from minsurf.errors import EvaluationSingularity, ParseError
 from minsurf.nullcurve import from_weierstrass
 from minsurf.transforms import (apply_transform, associate, parabolic_deform,
@@ -174,6 +174,52 @@ def test_zero_absorbs_a_finite_factor():
 ])
 def test_derivative_of_a_constant_multiple_has_no_zero_term(text, want):
     assert ex.to_source(ex.differentiate(ex.parse(text))) == want
+
+
+@pytest.mark.parametrize("text", ["1/log(z)", "exp(log(z))"])
+def test_only_outputs_are_checked_for_finiteness(text):
+    # log(0) = -inf is an intermediate here: the removable limit 0 is
+    # returned, not reported
+    assert evaluate(ex.parse(text), 0j) == 0
+
+
+_FUZZ_CONSTS = (0, 1, -1, 2, 0.5j, 1 - 1j)
+_FUZZ_KINDS = (ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Neg, ex.Pow, ex.Exp, ex.Log,
+               ex.Sinh, ex.Cosh)
+
+
+def _raw_tree(rng, depth):
+    """A random tree of depth at most ``depth``, built from the node
+    classes, so that no smart constructor folds it."""
+    if depth == 0 or rng.random() < 0.2:
+        k = rng.integers(len(_FUZZ_CONSTS) + 1)
+        return ex.Z if k == len(_FUZZ_CONSTS) else ex.Const(complex(_FUZZ_CONSTS[k]))
+    kind = _FUZZ_KINDS[rng.integers(len(_FUZZ_KINDS))]
+    if kind in (ex.Add, ex.Sub, ex.Mul, ex.Div):
+        return kind(_raw_tree(rng, depth - 1), _raw_tree(rng, depth - 1))
+    if kind is ex.Pow:
+        return ex.Pow(_raw_tree(rng, depth - 1), int(rng.integers(-2, 4)))
+    return kind(_raw_tree(rng, depth - 1))
+
+
+def test_folding_keeps_finiteness_and_values_of_random_trees():
+    # parse(to_source(tree)) goes through the smart constructors; their
+    # folds must not turn a NaN into a value or change a finite one.
+    # Unit factors were once dropped beside 1/0: (1+0j)*inf is NaN.
+    rng = np.random.default_rng(0)
+    z = np.array([0, 0.5 + 0.3j, -0.7 + 0.9j, 1.1 - 0.4j, -0.2 - 1.3j])
+    bad = []
+    for _ in range(5000):
+        tree = _raw_tree(rng, 4)
+        raw = eval_program(compile_expr(tree), z)
+        folded = eval_program(compile_expr(ex.parse(ex.to_source(tree))), z)
+        finite = np.isfinite(raw)
+        with np.errstate(invalid="ignore"):
+            close = np.abs(raw - folded) <= 1e-12 * np.maximum(np.abs(raw), 1)
+        if (not np.array_equal(finite, np.isfinite(folded))
+                or not np.all(close[finite])):
+            bad.append(ex.to_source(tree))
+    assert bad == []
 
 
 def test_operator_overloading_matches_constructors(rng):

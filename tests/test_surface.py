@@ -8,22 +8,34 @@ import pytest
 
 from minsurf import catalog as cat
 from minsurf import expr as ex
-from minsurf import quadrature as quadrature_mod
+from minsurf import engine as engine_mod
 from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
 from minsurf.engine import evaluate
-from minsurf.errors import SingularPath, ZeroVector
+from minsurf.errors import ZeroVector
 from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
                                from_weierstrass)
 from minsurf.surface import (_triangles, conformal_factor, degeneracy_rank,
                              export_mesh, gauss_map, immerse,
                              load_obj_vertices, parametric_immersion,
                              verify_minimal, wirtinger_defect)
-from minsurf.quadrature import segment_integrals
 from minsurf.transforms import (associate, lawson, parabolic_deform,
                                 parabolic_deform_rotated)
 
 from conftest import random_complex
+
+
+def _quadrature_calls(monkeypatch):
+    """Sizes of the integrate_segments calls that surface makes."""
+    calls = []
+    integrate = surface_mod.integrate_segments
+
+    def counting(expr, a, b, tol, **kw):
+        calls.append(np.size(a))
+        return integrate(expr, a, b, tol, **kw)
+
+    monkeypatch.setattr(surface_mod, "integrate_segments", counting)
+    return calls
 
 
 def _closed_form_grid(surface, patch):
@@ -302,17 +314,13 @@ def test_punctured_conformal_is_nan_exactly_off_valid_cells():
 
 def test_unpunctured_grid_is_one_call_of_nu_nv_segments(monkeypatch):
     # the spanning tree: a stem, the nu - 1 edges of the base row and the
-    # nv - 1 edges of every column
-    calls = []
-    integrate = surface_mod.segment_integrals
-
-    def counting(expr, a, b, tol, **kw):
-        calls.append(a.size)
-        return integrate(expr, a, b, tol, **kw)
-
-    monkeypatch.setattr(surface_mod, "segment_integrals", counting)
-    c = parabolic_deform(cat.helicoid(), 1 + 1j)
-    for res, z0 in (((17, 11), None), ((9, 13), 0.31 - 0.52j)):
+    # nv - 1 edges of every column; G = exp(z^2) has no exact primitive
+    calls = _quadrature_calls(monkeypatch)
+    w = WeierstrassData(ex.parse("exp(z^2)"), ex.const(1),
+                        DomainSpec(-0.5, 0.5, -0.5, 0.5))
+    c = from_weierstrass(w)
+    assert any(ex.antiderivative(e) is None for e in c.components)
+    for res, z0 in (((17, 11), None), ((9, 13), 0.31 - 0.42j)):
         calls.clear()
         immerse(c, zeta0=z0, res=res)
         assert calls == [res[0] * res[1]]
@@ -372,14 +380,7 @@ def test_transposed_tree_integrates_only_edges_toward_missed_cells(
     # the second call takes the row edges, off the base row, that lie
     # between column j0 and a cell the first tree missed and that clear
     # the puncture
-    calls = []
-    integrate = surface_mod.segment_integrals
-
-    def counting(expr, a, b, tol, **kw):
-        calls.append(a.size)
-        return integrate(expr, a, b, tol, **kw)
-
-    monkeypatch.setattr(surface_mod, "segment_integrals", counting)
+    calls = _quadrature_calls(monkeypatch)
     for z0, n in ((1 + 0j, 33), (0.37 - 0.81j, 41)):
         calls.clear()
         p = immerse(_punctured_catenoid(), zeta0=z0, res=(n, n))
@@ -577,19 +578,6 @@ def test_lawson_lift_conformal_factor_preserved(rng):
     assert np.max(np.abs(a - b) / a) <= 1e-12
 
 
-def _quadrature_calls(monkeypatch):
-    """Sizes of the integrate_segments calls that segment_integrals makes."""
-    calls = []
-    integrate = quadrature_mod.integrate_segments
-
-    def counting(expr, a, b, tol, **kw):
-        calls.append(np.size(a))
-        return integrate(expr, a, b, tol, **kw)
-
-    monkeypatch.setattr(quadrature_mod, "integrate_segments", counting)
-    return calls
-
-
 def _corollary53_closed_form(theta, patch):
     """The corollary-5.3 catenoid through the congruence U = u - ln cos t
     with components 1 and 2 flipped, anchored at the patch's base point."""
@@ -634,7 +622,7 @@ def test_exact_and_quadrature_routes_agree_on_a_punctured_domain(monkeypatch):
     calls = _quadrature_calls(monkeypatch)
     exact = immerse(curve, zeta0=-1 + 0.5j, res=(65, 65), tol=tol)
     assert calls == [] and not exact.valid.all()
-    monkeypatch.setattr(quadrature_mod, "antiderivative", lambda e: None)
+    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
     quad = immerse(curve, zeta0=-1 + 0.5j, res=(65, 65), tol=tol)
     assert len(calls) == 2
     assert np.array_equal(exact.valid, quad.valid)
@@ -643,27 +631,72 @@ def test_exact_and_quadrature_routes_agree_on_a_punctured_domain(monkeypatch):
     assert np.max(np.abs(exact.points[v] - quad.points[v])) <= tol
 
 
-def test_exact_route_refuses_a_segment_through_a_puncture():
-    dom = DomainSpec(punctures=(0.25j,))
-    with pytest.raises(SingularPath):
-        segment_integrals((ex.exp(ex.Z), ex.Z), [-1 + 0.25j], [1 + 0.25j],
-                          domain=dom)
-
-
 def test_primitive_above_its_roundoff_budget_falls_back(monkeypatch):
     # exp(k z) with k = eps/4 has the primitive exp(k z)/k of size 1.8e16,
     # whose difference rounds away every digit; quadrature takes the call
     k = 5.551115123125783e-17
     e = ex.parse(f"exp({k!r}*z)")
     assert ex.antiderivative(e) is not None
+    c = NullCurve((e, ex.mul(ex.const(1j), e), ex.const(0)), DomainSpec())
     calls = _quadrature_calls(monkeypatch)
-    a = np.array([0.0, -1 + 1j, 0.5j])
-    b = np.array([1.0, 1 - 1j, 2 + 0.5j])
     tol = 1e-12
-    got = segment_integrals(e, a, b, tol)
-    assert calls == [3]
-    want = (b - a) + 0.5 * k * (b * b - a * a)
-    assert np.max(np.abs(got - want)) <= tol
+    p = immerse(c, zeta0=0.3 - 0.2j, res=(9, 7), tol=tol)
+    assert calls == [9 * 7]
+    zz = p.u[:, None] + 1j * p.v[None, :]
+    z0 = p.base_point
+    F = (zz - z0) + 0.5 * k * (zz * zz - z0 * z0)
+    want = np.stack([F.real, (1j * F).real, np.zeros(F.shape)], axis=-1)
+    assert np.max(np.abs(p.points - want)) <= tol
+
+
+def test_exact_route_samples_the_conformal_factor_in_the_same_pass(
+        monkeypatch):
+    # one compile, F at each valid grid point and at zeta0, nothing else;
+    # the conformal factor equals conformal_factor's bit for bit, and X
+    # vanishes exactly at the base point
+    w = cat.catenoid_exp()
+    dom = replace(w.domain, punctures=(0.3 + 0.2j,))
+    curve = parabolic_deform_rotated(WeierstrassData(w.G, w.Psi, dom), 0.7)
+    compiles, points = [], []
+    compile_expr, eval_program = engine_mod.compile_expr, engine_mod.eval_program
+
+    def counting_compile(e):
+        compiles.append(e)
+        return compile_expr(e)
+
+    def counting_eval(prog, z, **kw):
+        points.append(np.size(z))
+        return eval_program(prog, z, **kw)
+
+    monkeypatch.setattr(engine_mod, "compile_expr", counting_compile)
+    monkeypatch.setattr(engine_mod, "eval_program", counting_eval)
+    calls = _quadrature_calls(monkeypatch)
+    p = immerse(curve, res=(65, 65), tol=1e-10)
+    assert calls == [] and not p.valid.all()
+    assert len(compiles) == 1 and sum(points) <= p.valid.sum() + 1
+    monkeypatch.undo()
+    zz = p.u[:, None] + 1j * p.v[None, :]
+    assert np.array_equal(p.conformal[p.valid],
+                          conformal_factor(curve, zz[p.valid]))
+    at = zz == p.base_point
+    assert at.sum() == 1 and np.all(p.points[at] == 0)
+
+
+def test_parametric_surface_compiles_once(monkeypatch):
+    compiles = []
+    compile_expr = engine_mod.compile_expr
+
+    def counting(e):
+        compiles.append(e)
+        return compile_expr(e)
+
+    curve = parabolic_deform(cat.helicoid(), 1 + 1j)
+    monkeypatch.setattr(engine_mod, "compile_expr", counting)
+    calls = _quadrature_calls(monkeypatch)
+    surf = parametric_immersion(curve)
+    for u, v in ((0.3, -0.2), (np.linspace(-1, 1, 9), 0.4), (1.1, 0.9)):
+        surf(u, v)
+    assert len(compiles) == 1 and calls == []
 
 
 def test_parametric_legs_take_the_exact_route(monkeypatch):
@@ -679,9 +712,10 @@ def test_parametric_legs_take_the_exact_route(monkeypatch):
 
 
 def test_running_sums_of_primitive_differences_stay_within_roundings():
-    # exact route edges: differences of a primitive along a 513-point grid
-    # line; blocked sums keep each node within about an ulp of the exact
-    # sum of its edges, where a plain cumulative sum drifts by 8
+    # edges that are differences of a primitive along a 513-point grid
+    # line, as accurate as edges get; blocked sums keep each node within
+    # about an ulp of the exact sum of its edges, where a plain cumulative
+    # sum drifts by 8
     import math
     t = np.linspace(-1.5, 1.5, 1025)
     worst = 0.0
