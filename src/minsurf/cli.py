@@ -28,8 +28,8 @@ from . import specio
 from .errors import MinsurfError
 from .conic import asymptotes, fit_conic, planar_sample, slice_surface
 from .nullcurve import embed_3_to_4, null_residual
-from .surface import (degeneracy_rank, export_mesh, immerse,
-                      parametric_immersion, verify_minimal)
+from .surface import (conformal_factor, degeneracy_rank, export_mesh,
+                      immerse, parametric_immersion, verify_minimal)
 from .transforms import (associate, goursat, lawson, lopez_ros,
                          parabolic_deform, parabolic_deform_rotated,
                          parabolic_rotation_matrix, segre_LR_matrix,
@@ -180,13 +180,15 @@ def _cmd_sample(args) -> int:
     nu, nv = _parse_res(args.res)
     patch = immerse(curve, zeta0=_base_point(args, spec), res=(nu, nv),
                     tol=args.tol)
+    zz = patch.u[:, None] + 1j * patch.v[None, :]
+    conformal = np.full(patch.valid.shape, None, dtype=object)
+    conformal[patch.valid] = conformal_factor(curve, zz[patch.valid])
     payload = {
         "base_point": [patch.base_point.real, patch.base_point.imag],
         "u": patch.u.tolist(),
         "v": patch.v.tolist(),
         "points": np.where(np.isfinite(patch.points), patch.points, None).tolist(),
-        "conformal": np.where(np.isfinite(patch.conformal),
-                              patch.conformal, None).tolist(),
+        "conformal": conformal.tolist(),
     }
     _write_text(args, _json_dumps(payload))
     return 0

@@ -247,8 +247,11 @@ def powi(a, n) -> Expr:
             return Const(a.value ** n)
         except (ZeroDivisionError, OverflowError):
             pass  # 0^(-n) or an overflow: left for evaluation to report
-    if isinstance(a, Pow) and (a.n > 0 or n > 0):
-        # (a^(-n))^(-m) is not folded: at a = 0 it is singular, a^(n m) is not
+    if isinstance(a, Pow) and (min(a.n, n) > 0 or (a.n < 0) != (n < 0)
+                               and _finite(a.a)):
+        # (a^(-n))^(-m) is not folded: at a = 0 it is singular, a^(n m) is
+        # not.  One negative exponent folds only for an ``a`` that cannot
+        # be infinite: (inf^(-1))^3 is 0, inf^(-3) is NaN
         return powi(a.a, a.n * n)
     return Pow(a, n)
 

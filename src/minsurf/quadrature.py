@@ -133,7 +133,8 @@ def _panels(prog, a, b, cut, tol):
     for c in range(chunks):
         lo, hi = c * a.size // chunks, (c + 1) * a.size // chunks
         z = mid[lo:hi, None] + half[lo:hi, None] * _NODES[None, :]
-        vals = eval_program(prog, z.ravel(), cut=cut).reshape(-1, hi - lo, _NODES.size)
+        vals = eval_program(prog, z.ravel(), cut=cut).reshape(
+            len(prog.outputs), hi - lo, _NODES.size)
         if not np.all(np.isfinite(vals.view(np.float64))):
             raise SingularPath("integrand is singular on an integration segment")
         sums = (vals @ _WEIGHTS) * half[lo:hi, None]
@@ -147,18 +148,19 @@ def _panels(prog, a, b, cut, tol):
     return res, ok
 
 
-def integrate_segments(expr, a, b, tol: float = 1e-12, *, domain=None,
-                       max_depth: int = MAX_DEPTH) -> np.ndarray:
+def integrate_segments(expr, a, b, tol: float = 1e-12, *,
+                       domain=None) -> np.ndarray:
     """Integrate ``expr``, or each of a tuple of k expressions, along
     straight segments a_i -> b_i.
 
-    Returns one complex integral per segment, shape (k, n) for a tuple,
-    each with absolute error at most ``tol``, unless that lies below the
-    roundoff level of the segment's pieces, which then bounds the error.
-    Each component is accepted on a segment the first time its own error
-    estimate meets the segment's tolerance or roundoff level; a segment
-    is split only while some component is still pending there.  All pending segments of a refinement level are
-    evaluated by one program.  ``domain`` (a DomainSpec) supplies the log
+    Returns one complex integral per segment, shape (k, n) for a tuple
+    (n may be 0), each with absolute error at most ``tol``, unless that
+    lies below the roundoff level of the segment's pieces, which then
+    bounds the error.  Each component is accepted on a segment the first
+    time its own error estimate meets the segment's tolerance or roundoff
+    level; a segment is split only while some component is still pending
+    there.  All pending segments of a refinement level are evaluated by
+    one program.  ``domain`` (a DomainSpec) supplies the log
     branch cut and the punctures no segment may pass through.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
@@ -182,9 +184,9 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *, domain=None,
         pending = pending & ~done
         keep = np.any(pending, axis=0)
         if np.any(keep):
-            if depth == max_depth:
+            if depth == MAX_DEPTH:
                 raise NoConvergence(
-                    f"quadrature did not converge within depth {max_depth}")
+                    f"quadrature did not converge within depth {MAX_DEPTH}")
             a, b, tol = a[keep], b[keep], 0.5 * tol[keep]
             mid = 0.5 * (a + b)
             halves = refine(np.concatenate([a, mid]), np.concatenate([mid, b]),

@@ -24,8 +24,9 @@ Verification instruments:
 * degeneracy rank   numerical rank of sampled curve values via SVD,
                     with hyperplane coefficients from the null space
 * verify_minimal    second-order finite-difference conformality
-                    (E = G, F = 0) and harmonicity (5-point Laplacian,
-                    normalized by the conformal factor) defects
+                    (E = G, F = 0) and harmonicity (5-point Laplacian)
+                    defects, both scaled by the sampled metric E + G,
+                    so they read the patch alone
 * export_mesh       OBJ (text, 9 significant digits) / PLY (binary,
                     float64, all n coordinates as vertex properties)
 """
@@ -68,7 +69,6 @@ class SurfacePatch:
     u: np.ndarray                 # (nu,)
     v: np.ndarray                 # (nv,)
     points: np.ndarray            # (nu, nv, n) real
-    conformal: np.ndarray         # (nu, nv) conformal factor
     valid: np.ndarray             # (nu, nv) bool, False near punctures
     base_point: complex
 
@@ -95,10 +95,10 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
 
     zeta0 defaults to the grid point nearest the domain center.  Cells
     within 1.25 cell-diagonals of a puncture, or reached by neither
-    spanning tree, are flagged invalid; their points and conformal factor
-    are NaN.  With an exact primitive each valid point is Re(F(z) -
-    F(zeta0)) within tol, in one pass over chunks of them; a declared
-    puncture masks cells, but no path exists to pass through it.
+    spanning tree, are flagged invalid; their points are NaN.  With an
+    exact primitive each valid point is Re(F(z) - F(zeta0)) within tol,
+    in one pass over chunks of them; a declared puncture masks cells,
+    but no path exists to pass through it.
     Otherwise each tree is one ``integrate_segments`` call, each edge
     within tol / (nu + nv) (see the module docstring).
     """
@@ -131,37 +131,33 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
         sampled = sample(zz[reach])
         if sampled is not None:
             points = np.full((nu, nv, c.n), np.nan)
-            lam = np.full(valid.shape, np.nan)
-            points[reach], lam[reach] = sampled
-            return SurfacePatch(u, v, points, lam, reach, zeta0)
+            points[reach] = sampled
+            return SurfacePatch(u, v, points, reach, zeta0)
 
-    # the trees' edge arrays are freed on return, before the conformal
-    # factor evaluates the curve on the whole grid
     points = _tree_integrals(lambda a, b: integrate_segments(
         c.components, a, b, tol / (nu + nv), domain=domain), *tree)
     points = points.real.transpose(1, 2, 0)
     valid &= np.all(np.isfinite(points), axis=2)
     points = np.where(valid[:, :, None], points, np.nan)
-    lam = np.full(valid.shape, np.nan)
-    lam[valid] = conformal_factor(c, zz[valid])
-    return SurfacePatch(u, v, points, lam, valid, zeta0)
+    return SurfacePatch(u, v, points, valid, zeta0)
 
 
 def _primitive_sampler(c, zeta0, tol):
     """None when a component has no exact primitive F = sum_t F_t (see
     ``expr.antiderivative``), else a function of points z, shape (m,),
-    giving X = Re(F(z) - F(zeta0)), shape (m, n), and the conformal
-    factor, or None when a value is not finite or PRIMITIVE_ULPS eps
-    (sum_t |F_t(z)| + sum_t |F_t(zeta0)|) exceeds tol.  One program of the
-    components and the terms is compiled here, and evaluated at zeta0 and
-    in chunks of at most CHUNK_NODES values per component."""
+    giving X = Re(F(z) - F(zeta0)), shape (m, n), or None when a value
+    is not finite or PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t
+    |F_t(zeta0)|) exceeds tol.  One program of the terms is compiled
+    here, and evaluated at zeta0 and in chunks of at most CHUNK_NODES
+    values per component."""
     prims = [antiderivative(e) for e in c.components]
     if any(p is None for p in prims):
         return None
-    prog = engine.compile_expr(c.components + tuple(t for p in prims for t in p))
-    # the terms of component i are outputs cuts[i]:cuts[i + 1]
-    cuts = c.n + np.cumsum([0] + [len(p) for p in prims])
-    step = max(1, CHUNK_NODES * c.n // len(prog.outputs))
+    prog = engine.compile_expr(tuple(t for p in prims for t in p))
+    # the terms of component i are outputs cuts[i]:cuts[i + 1]; the zero
+    # curve has none
+    cuts = np.cumsum([0] + [len(p) for p in prims])
+    step = max(1, CHUNK_NODES * c.n // max(1, len(prog.outputs)))
 
     def primitive(vals):
         # F and sum_t |F_t| per component, shape (n, m) each
@@ -172,7 +168,7 @@ def _primitive_sampler(c, zeta0, tol):
     base, base_mag = primitive(engine.eval_program(prog, np.array([zeta0])))
 
     def sample(z):
-        x, lam = np.empty((z.size, c.n)), np.empty(z.size)
+        x = np.empty((z.size, c.n))
         for lo in range(0, z.size, step):
             vals = engine.eval_program(prog, z[lo:lo + step])
             F, mag = primitive(vals)
@@ -180,10 +176,7 @@ def _primitive_sampler(c, zeta0, tol):
                     _PRIMITIVE_ROUNDOFF * (mag + base_mag) <= tol)):
                 return None
             x[lo:lo + step] = (F - base).real.T
-            # summed as conformal_factor sums them, over contiguous rows
-            phi = np.ascontiguousarray(vals[:c.n].T)
-            lam[lo:lo + step] = 0.5 * np.sum(np.abs(phi) ** 2, axis=-1)
-        return x, lam
+        return x
 
     return sample
 
@@ -325,8 +318,8 @@ def verify_minimal(p: SurfacePatch) -> dict:
 
     Conformality defect: max of |E - G| and 2|F| over E + G, with
     E, G, F from central differences.  Harmonicity defect: the 5-point
-    Laplacian (per-direction spacing) divided by the conformal factor.
-    Both are O(h^2) on a true minimal immersion.
+    Laplacian (per-direction spacing) over (E + G) / 2, the conformal
+    factor to O(h^2).  Both are O(h^2) on a true minimal immersion.
     """
     nu, nv = p.resolution
     if nu < 5 or nv < 5:
@@ -345,7 +338,7 @@ def verify_minimal(p: SurfacePatch) -> dict:
 
     lap = ((X[2:, 1:-1] - 2 * X[1:-1, 1:-1] + X[:-2, 1:-1]) / hu ** 2
            + (X[1:-1, 2:] - 2 * X[1:-1, 1:-1] + X[1:-1, :-2]) / hv ** 2)
-    harm = np.max(np.abs(lap), axis=2) / p.conformal[1:-1, 1:-1]
+    harm = np.max(np.abs(lap), axis=2) / (0.5 * scale)
 
     return {
         "conformality_defect": float(np.max(conf[ok])),
@@ -433,7 +426,7 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     def f(u, v):
         sampled = sample((u + 1j * v).ravel()) if sample is not None else None
         if sampled is not None:
-            return sampled[0].reshape(u.shape + (c.n,))
+            return sampled.reshape(u.shape + (c.n,))
         corner = (u + 1j * z0.imag).ravel()
         vals = integrate_segments(c.components,
                                   np.append(np.full(corner.size, z0), corner),

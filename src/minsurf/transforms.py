@@ -52,7 +52,6 @@ class NullTransform:
     """Constant n x n complex matrix acting on curve components."""
 
     matrix: np.ndarray
-    orthogonal: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -66,8 +65,7 @@ class NullTransform:
         return self.matrix.shape[0]
 
     def __matmul__(self, other: "NullTransform") -> "NullTransform":
-        return NullTransform(self.matrix @ other.matrix,
-                             orthogonal=self.orthogonal and other.orthogonal)
+        return NullTransform(self.matrix @ other.matrix)
 
 
 def is_complex_orthogonal(T: NullTransform | np.ndarray):
@@ -118,7 +116,7 @@ def goursat(c3: NullCurve, t: float) -> NullCurve:
     m = np.array([[ch, -1j * sh, 0.0],
                   [1j * sh, ch, 0.0],
                   [0.0, 0.0, 1.0]], dtype=np.complex128)
-    return apply_transform(NullTransform(m, orthogonal=True), c3)
+    return apply_transform(NullTransform(m), c3)
 
 
 def goursat_parameter_for_scaling(lam: float) -> float:
@@ -172,7 +170,7 @@ def parabolic_rotation_matrix(c: complex) -> NullTransform:
         [c * 1j, -h * 1j, 1.0 + h, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ], dtype=np.complex128)
-    return NullTransform(m, orthogonal=True)
+    return NullTransform(m)
 
 
 def segre_LR_matrix(L: complex, R: complex) -> NullTransform:
@@ -180,7 +178,6 @@ def segre_LR_matrix(L: complex, R: complex) -> NullTransform:
     acting on the 2x2-determinant model of the cone.
 
     (L, R) = (-c i, -c i) recovers ``parabolic_rotation_matrix(c)``.
-    The orthogonality flag is set from the numerical check.
     """
     L, R = complex(L), complex(R)
     s, d, p = L + R, L - R, L * R
@@ -190,8 +187,7 @@ def segre_LR_matrix(L: complex, R: complex) -> NullTransform:
         [-0.5 * s, 0.5j * p, 1.0 - 0.5 * p, -0.5j * d],
         [0.0, 0.5 * d, 0.5j * d, 1.0],
     ], dtype=np.complex128)
-    ok, _ = is_complex_orthogonal(m)
-    return NullTransform(m, orthogonal=ok)
+    return NullTransform(m)
 
 
 def lorentz_parabolic_matrix(t: float) -> np.ndarray:

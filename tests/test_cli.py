@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from minsurf import specio
+from minsurf import catalog, specio
 from minsurf.cli import main, parse_complex
-from minsurf.surface import immerse, load_obj_vertices
-from minsurf.transforms import goursat, lawson, lopez_ros
+from minsurf.surface import conformal_factor, immerse, load_obj_vertices
+from minsurf.transforms import associate, goursat, lawson, lopez_ros
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -33,6 +33,7 @@ def test_parse_complex_forms():
     assert parse_complex("1+2i") == 1 + 2j
     assert parse_complex("-0.5i") == -0.5j
     assert parse_complex("i") == 1j
+    assert parse_complex("-i") == -1j
     assert parse_complex("2") == 2 + 0j
     assert parse_complex("1e-3-2.5i") == 1e-3 - 2.5j
     with pytest.raises(ValueError):
@@ -291,6 +292,9 @@ def test_non_finite_domain_is_machine_readable(cli, domain):
     (["--kind", "lawson", "--beta=0.7"],
      lambda s: specio.SurfaceSpec(curve=lawson(s.as_curve(), 0.0, 0.7),
                                   base_point=s.base_point)),
+    (["--kind", "associate", "--theta", "0.4"],
+     lambda s: specio.SurfaceSpec(curve=associate(s.as_curve(), 0.4),
+                                  base_point=s.base_point)),
 ])
 def test_deform_kinds_match_the_library(cli, argv, make):
     _, spec, _ = cli(["catalog", "show", "helicoid"])
@@ -373,6 +377,7 @@ _CORNERS = "x,y,X0,X1,X2\n" + "0,0,1,1,0\n0,0,1,-1,0\n0,0,-1,-1,0\n0,0,-1,1,0\n"
     (["verify"], '{"curve": ["(z", "i", "0"]}', "ParseError", "')'"),
     (["verify"], '{"curve": ["exp z", "i", "0"]}', "ParseError", "'('"),
     (["verify"], '{"curve": ["", "i", "0"]}', "ParseError", "end of input"),
+    (["sample", "--res", "64"], _HELICOID, "ValueError", "64x64"),
 ])
 def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
                                              error, fragment):
@@ -385,3 +390,56 @@ def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
     assert report["error"] == error
     assert fragment in report["message"]
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["catalog", "show", "helicoid"], ""),
+    (["deform", "--kind", "theorem51", "--c", "1+2i"], _HELICOID),
+    (["fit"], "x,y,X0,X1,X2\n" + "".join(
+        f"0,0,{t},{t * t},{1 - t}\n" for t in range(-4, 5))),
+])
+def test_input_and_output_files_match_the_streams(cli, tmp_path, argv,
+                                                 stdin):
+    code, streamed, _ = cli(argv, stdin=stdin)
+    assert code == 0 and streamed
+    source, target = tmp_path / "in", tmp_path / "out"
+    source.write_text(stdin)
+    files = ["--output", str(target)]
+    if argv[0] != "catalog":   # catalog reads no input
+        files += ["--input", str(source)]
+    code, out, _ = cli(argv + files, stdin="not read")
+    assert code == 0 and out == ""
+    assert target.read_bytes() == streamed.encode()
+
+
+@pytest.mark.parametrize("u0", [0.0, 0.5, 1.0])
+def test_complex_parabola_slices_fit_the_closed_form(cli, u0):
+    # fixed-u slices of the graph of z^2 (base point 0, so X0 = u) are
+    # parabolas with a known leading coefficient
+    _, spec, _ = cli(["catalog", "show", "complex-parabola"])
+    code, csv, _ = cli(["slice", "--axis", "0", "--value", str(u0)],
+                       stdin=spec)
+    assert code == 0
+    code, fitted, _ = cli(["fit"], stdin=csv)
+    rep = json.loads(fitted)
+    assert code == 0 and rep["classification"] == "parabola"
+    want = catalog.parabola_leading_coefficient(1.0, u0)
+    assert abs(rep["leading_coefficient"] - want) <= 1e-9
+
+
+def test_sample_reports_the_conformal_factor_at_valid_cells(cli):
+    code, out, _ = cli(["sample", "--res", "9x9", "--base-point", "1"],
+                       stdin=_PUNCTURED)
+    assert code == 0
+    got = json.loads(out)
+    null = np.array([[p is None for p in row] for row in got["conformal"]])
+    points = np.array(got["points"], dtype=float)
+    assert np.array_equal(np.isnan(points).any(axis=2), null)
+    assert np.array_equal(np.isnan(points).all(axis=2), null)
+    assert null.any() and not null.all()
+    u, v = np.array(got["u"]), np.array(got["v"])
+    zz = (u[:, None] + 1j * v[None, :])[~null]
+    curve = specio.loads(_PUNCTURED).as_curve()
+    conformal = np.array([p for row in got["conformal"] for p in row
+                          if p is not None])
+    assert np.array_equal(conformal, conformal_factor(curve, zz))

@@ -183,34 +183,35 @@ def test_only_outputs_are_checked_for_finiteness(text):
     assert evaluate(ex.parse(text), 0j) == 0
 
 
-_FUZZ_CONSTS = (0, 1, -1, 2, 0.5j, 1 - 1j)
 _FUZZ_KINDS = (ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Neg, ex.Pow, ex.Exp, ex.Log,
                ex.Sinh, ex.Cosh)
 
 
-def _raw_tree(rng, depth):
+def _raw_tree(rng, depth, leaf, consts):
     """A random tree of depth at most ``depth``, built from the node
-    classes, so that no smart constructor folds it."""
-    if depth == 0 or rng.random() < 0.2:
-        k = rng.integers(len(_FUZZ_CONSTS) + 1)
-        return ex.Z if k == len(_FUZZ_CONSTS) else ex.Const(complex(_FUZZ_CONSTS[k]))
+    classes, so that no smart constructor folds it.  A node is a leaf
+    (z or one of ``consts``) with probability ``leaf``, and at depth 0."""
+    if depth == 0 or rng.random() < leaf:
+        k = rng.integers(len(consts) + 1)
+        return ex.Z if k == len(consts) else ex.Const(complex(consts[k]))
     kind = _FUZZ_KINDS[rng.integers(len(_FUZZ_KINDS))]
+    sub = lambda: _raw_tree(rng, depth - 1, leaf, consts)
     if kind in (ex.Add, ex.Sub, ex.Mul, ex.Div):
-        return kind(_raw_tree(rng, depth - 1), _raw_tree(rng, depth - 1))
+        return kind(sub(), sub())
     if kind is ex.Pow:
-        return ex.Pow(_raw_tree(rng, depth - 1), int(rng.integers(-2, 4)))
-    return kind(_raw_tree(rng, depth - 1))
+        return ex.Pow(sub(), int(rng.integers(-2, 4)))
+    return kind(sub())
 
 
-def test_folding_keeps_finiteness_and_values_of_random_trees():
-    # parse(to_source(tree)) goes through the smart constructors; their
-    # folds must not turn a NaN into a value or change a finite one.
-    # Unit factors were once dropped beside 1/0: (1+0j)*inf is NaN.
+def _fold_mismatches(leaf, consts):
+    """Sources of the seeded random trees whose folded form, through
+    parse(to_source(tree)) and so the smart constructors, turns a NaN
+    into a value or changes a finite one."""
     rng = np.random.default_rng(0)
     z = np.array([0, 0.5 + 0.3j, -0.7 + 0.9j, 1.1 - 0.4j, -0.2 - 1.3j])
     bad = []
     for _ in range(5000):
-        tree = _raw_tree(rng, 4)
+        tree = _raw_tree(rng, 4, leaf, consts)
         raw = eval_program(compile_expr(tree), z)
         folded = eval_program(compile_expr(ex.parse(ex.to_source(tree))), z)
         finite = np.isfinite(raw)
@@ -219,7 +220,18 @@ def test_folding_keeps_finiteness_and_values_of_random_trees():
         if (not np.array_equal(finite, np.isfinite(folded))
                 or not np.all(close[finite])):
             bad.append(ex.to_source(tree))
-    assert bad == []
+    return bad
+
+
+def test_folding_keeps_finiteness_and_values_of_random_trees():
+    # unit factors were once dropped beside 1/0: (1+0j)*inf is NaN
+    assert _fold_mismatches(0.2, (0, 1, -1, 2, 0.5j, 1 - 1j)) == []
+
+
+def test_folding_keeps_finiteness_and_values_of_deeper_random_trees():
+    # deeper trees reach (x^(-1))^3 beside an infinite x, which once
+    # folded to x^(-3): NaN where the tree as written is 0
+    assert _fold_mismatches(0.1, (0, 1, -1, 2, 0.5j)) == []
 
 
 def test_operator_overloading_matches_constructors(rng):

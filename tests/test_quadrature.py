@@ -133,10 +133,16 @@ def test_segment_endpoint_shapes_must_match():
         integrate_segments(ex.Z, [0, 1], [1j, 1 + 1j, 2])
 
 
-def test_depth_cap_raises():
-    with pytest.raises(NoConvergence):
-        integrate_segments(ex.parse("1/z"), [-1 + 1e-8j], [1 + 1e-8j],
-                           1e-14, max_depth=3)
+def test_depth_cap_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
+    with pytest.raises(NoConvergence, match="within depth 3"):
+        integrate_segments(ex.parse("1/z"), [-1 + 1e-8j], [1 + 1e-8j], 1e-14)
+
+
+@pytest.mark.parametrize("expr, shape", [((ex.Z, ex.Z), (2, 0)), (ex.Z, (0,))])
+def test_empty_batch_integrates_to_an_empty_array(expr, shape):
+    got = integrate_segments(expr, [], [])
+    assert got.shape == shape and got.dtype == np.complex128
 
 
 def test_tolerance_rejects_nonpositive():
@@ -186,11 +192,12 @@ def test_stalled_component_batch_never_exceeds_its_scalar_run(monkeypatch):
     stalled, other = ex.parse("1/(z-1e-6*i)"), ex.parse("(z+1e6)-1e6")
     a, b = np.array([-1.0, 0.2]), np.array([1.0, 2.0 + 0.1j])
     sizes = _batches(monkeypatch)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 8)
     with pytest.raises(NoConvergence):
-        integrate_segments(stalled, a, b, 1e-11, max_depth=8)
+        integrate_segments(stalled, a, b, 1e-11)
     alone = list(sizes)
     sizes.clear()
     with pytest.raises(NoConvergence):
-        integrate_segments((other, stalled), a, b, 1e-11, max_depth=8)
+        integrate_segments((other, stalled), a, b, 1e-11)
     assert len(sizes) == len(alone)
     assert all(v <= s for v, s in zip(sizes, alone))

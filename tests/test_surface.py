@@ -300,16 +300,30 @@ def test_puncture_masks_cells():
     assert np.all(np.isfinite(p.points[p.valid]))
 
 
-def test_punctured_conformal_is_nan_exactly_off_valid_cells():
+def test_punctured_points_are_nan_exactly_off_valid_cells():
     # the full catenoid G = z, Psi = 1/z^2; cells reachable by neither
-    # L-path from the base point 1 are invalid, not only the masked ones
+    # tree from the base point 1 are invalid, not only the masked ones
     dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
     c = from_weierstrass(WeierstrassData(ex.Z, ex.parse("1/z^2"), dom))
     p = immerse(c, res=(33, 33), zeta0=1 + 0j)
-    assert np.array_equal(np.isnan(p.conformal), ~p.valid)
     assert np.array_equal(np.isnan(p.points).any(axis=2), ~p.valid)
+    assert np.array_equal(np.isnan(p.points).all(axis=2), ~p.valid)
     assert np.sum(~p.valid) > np.sum(dom.puncture_distance(
         p.u[:, None] + 1j * p.v[None, :]) <= 1.25 * np.hypot(*p.spacing()))
+
+
+def test_transposed_tree_with_no_edge_to_integrate(monkeypatch):
+    # every row edge the transposed tree wants is cut by the puncture, so
+    # its quadrature call has no segment; G = exp(z^2) has no primitive
+    dom = DomainSpec(-1, 1, -1, 1, punctures=(0.3 - 0.2j,))
+    c = from_weierstrass(WeierstrassData(ex.parse("exp(z^2)"), ex.const(1),
+                                         dom))
+    calls = _quadrature_calls(monkeypatch)
+    p = immerse(c, zeta0=-0.5 + 1j, res=(5, 5))
+    assert len(calls) == 2 and calls[1] == 0
+    assert p.valid.sum() == 11
+    assert np.array_equal(np.isnan(p.points).any(axis=2), ~p.valid)
+    assert np.all(p.points[1, -1] == 0)    # the base point
 
 
 def test_unpunctured_grid_is_one_call_of_nu_nv_segments(monkeypatch):
@@ -417,8 +431,7 @@ def test_immerse_uses_the_curves_branch_cut():
     p = immerse(c, res=(9, 9), tol=1e-12)
     zz = p.u[:, None] + 1j * p.v[None, :]
     assert p.valid.all()
-    assert np.array_equal(p.conformal, conformal_factor(c, zz))
-    np.testing.assert_allclose(p.conformal,
+    np.testing.assert_allclose(conformal_factor(c, zz),
                                np.abs(np.log(zz) - 2j * np.pi) ** 2, rtol=1e-13)
 
     def antiderivative(z):   # of log z on this branch
@@ -649,11 +662,10 @@ def test_primitive_above_its_roundoff_budget_falls_back(monkeypatch):
     assert np.max(np.abs(p.points - want)) <= tol
 
 
-def test_exact_route_samples_the_conformal_factor_in_the_same_pass(
-        monkeypatch):
-    # one compile, F at each valid grid point and at zeta0, nothing else;
-    # the conformal factor equals conformal_factor's bit for bit, and X
-    # vanishes exactly at the base point
+def test_exact_route_evaluates_only_the_primitive_terms(monkeypatch):
+    # one compile, of the primitive's terms and nothing else, evaluated
+    # at each valid grid point and at zeta0; X vanishes exactly at the
+    # base point
     w = cat.catenoid_exp()
     dom = replace(w.domain, punctures=(0.3 + 0.2j,))
     curve = parabolic_deform_rotated(WeierstrassData(w.G, w.Psi, dom), 0.7)
@@ -661,8 +673,9 @@ def test_exact_route_samples_the_conformal_factor_in_the_same_pass(
     compile_expr, eval_program = engine_mod.compile_expr, engine_mod.eval_program
 
     def counting_compile(e):
-        compiles.append(e)
-        return compile_expr(e)
+        prog = compile_expr(e)
+        compiles.append((e, len(prog.outputs)))
+        return prog
 
     def counting_eval(prog, z, **kw):
         points.append(np.size(z))
@@ -675,11 +688,20 @@ def test_exact_route_samples_the_conformal_factor_in_the_same_pass(
     assert calls == [] and not p.valid.all()
     assert len(compiles) == 1 and sum(points) <= p.valid.sum() + 1
     monkeypatch.undo()
+    terms = [t for e in curve.components for t in ex.antiderivative(e)]
+    (compiled, outputs), = compiles
+    assert outputs == len(terms) == len(compiled)
+    assert list(map(ex.to_source, compiled)) == list(map(ex.to_source, terms))
     zz = p.u[:, None] + 1j * p.v[None, :]
-    assert np.array_equal(p.conformal[p.valid],
-                          conformal_factor(curve, zz[p.valid]))
     at = zz == p.base_point
     assert at.sum() == 1 and np.all(p.points[at] == 0)
+
+
+def test_zero_curve_immerses_to_zeros(monkeypatch):
+    # the primitive has no terms at all
+    calls = _quadrature_calls(monkeypatch)
+    p = immerse(NullCurve((ex.const(0),) * 3, DomainSpec()), res=(9, 9))
+    assert calls == [] and p.valid.all() and np.all(p.points == 0)
 
 
 def test_parametric_surface_compiles_once(monkeypatch):
