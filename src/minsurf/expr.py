@@ -6,12 +6,12 @@ opaque callables) buys exact differentiation, text round-tripping for the
 CLI/JSON interfaces, and a compact instruction tape for fast bulk
 evaluation (see ``engine``).
 
-Smart constructors fold constants and drop algebraic no-ops (x+0, 1*x,
-x**1, ...) so that derivative trees and matrix-applied curves stay small;
-no deeper rewriting is attempted.  A factor 0, 1 or -1, or a divisor 1,
-folds away only beside an operand free of Div, Log and negative powers
-(``0*inf`` and ``(1+0j)*inf`` are NaN), and ``0/x`` only for a nonzero
-constant ``x``: folding never hides a singularity.
+A tree evaluates as its text reads.  The smart constructors ``add``,
+``sub``, ``mul``, ``div``, ``neg`` and ``powi`` fold only when every
+operand is a ``Const``, and only to a finite value: ``0^(-1)``, ``1/0``
+and ``1e200^2`` keep their node for evaluation to report.  Nothing else
+is rewritten, so ``x+0``, ``1*x``, ``0*x``, ``--x`` and ``(x^2)^3`` stay
+as written.  Every ``Const`` is finite (``InvalidConstant`` otherwise).
 
 ``antiderivative`` gives an exact primitive of the exponential-polynomial
 class, the finite sums of terms ``c z^n e^{kz}`` with ``n >= 0``, to
@@ -21,9 +21,10 @@ which every entire catalog curve and its linear deformations belong.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import InvalidConstant, ParseError
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
@@ -75,6 +76,10 @@ class Expr:
 @dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: complex
+
+    def __post_init__(self):
+        if not cmath.isfinite(self.value):
+            raise InvalidConstant(f"constant {self.value!r} is not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,107 +158,48 @@ def _coerce(x) -> Expr:
     return const(x)
 
 
-def _is_const(e, value=None):
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
-
-
-def _finite(e: Expr) -> bool:
-    """True when no Div, Log or negative power occurs in ``e``, so that
-    ``e`` has no singularity for ``0 * e`` or ``1 * e`` to hide."""
-    seen, stack = set(), [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Div, Log)) or (isinstance(node, Pow) and node.n < 0):
-            return False
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(getattr(node, f) for f in ("a", "b") if hasattr(node, f))
-    return True
+def _fold(node, op, *args):
+    """``node``, or the Const of ``op`` over the values of ``args`` when
+    every operand is a Const and the value is finite; 0/0, 0^(-1) and an
+    overflow keep the node for evaluation to report."""
+    if all(isinstance(x, Const) for x in args):
+        try:
+            value = op(*(x.value for x in args))
+        except (ZeroDivisionError, OverflowError):
+            return node
+        if cmath.isfinite(value):
+            return Const(value)
+    return node
 
 
 def add(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    return Add(a, b)
+    return _fold(Add(a, b), operator.add, a, b)
 
 
 def sub(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(b, 0):
-        return a
-    if _is_const(a, 0):
-        return neg(b)
-    return Sub(a, b)
+    return _fold(Sub(a, b), operator.sub, a, b)
 
 
 def mul(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if (_is_const(a, 0) and _finite(b)) or (_is_const(b, 0) and _finite(a)):
-        return _ZERO
-    if _is_const(a, 1) and _finite(b):
-        return b
-    if _is_const(b, 1) and _finite(a):
-        return a
-    if _is_const(a, -1) and _finite(b):
-        return neg(b)
-    if _is_const(b, -1) and _finite(a):
-        return neg(a)
-    # keep constants on the left so printed output reads like "2*z"
-    if isinstance(b, Const) and not isinstance(a, Const):
-        a, b = b, a
-    if isinstance(a, Const) and isinstance(b, Mul) and isinstance(b.a, Const):
-        return mul(Const(a.value * b.a.value), b.b)
-    return Mul(a, b)
+    return _fold(Mul(a, b), operator.mul, a, b)
 
 
 def div(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(a.value / b.value)
-    if _is_const(b, 1) and _finite(a):
-        return a
-    return Div(a, b)
+    return _fold(Div(a, b), operator.truediv, a, b)
 
 
 def neg(a) -> Expr:
     a = _coerce(a)
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.a
-    return Neg(a)
+    return _fold(Neg(a), operator.neg, a)
 
 
 def powi(a, n) -> Expr:
-    a = _coerce(a)
-    n = int(n)
-    if n == 0:
-        return _ONE
-    if n == 1:
-        return a
-    if isinstance(a, Const):
-        try:
-            return Const(a.value ** n)
-        except (ZeroDivisionError, OverflowError):
-            pass  # 0^(-n) or an overflow: left for evaluation to report
-    if isinstance(a, Pow) and (min(a.n, n) > 0 or (a.n < 0) != (n < 0)
-                               and _finite(a.a)):
-        # (a^(-n))^(-m) is not folded: at a = 0 it is singular, a^(n m) is
-        # not.  One negative exponent folds only for an ``a`` that cannot
-        # be infinite: (inf^(-1))^3 is 0, inf^(-3) is NaN
-        return powi(a.a, a.n * n)
-    return Pow(a, n)
+    a, n = _coerce(a), int(n)
+    return _fold(Pow(a, n), lambda x: x ** n, a)
 
 
 def exp(a) -> Expr:
@@ -291,8 +237,8 @@ def differentiate(e: Expr) -> Expr:
     if isinstance(e, Mul):
         return add(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
     if isinstance(e, Div) and isinstance(e.a, Const):
-        db = differentiate(e.b)   # with no 1*db, which mul keeps at a pole
-        return div(neg(db if _is_const(e.a, 1) else mul(e.a, db)), powi(e.b, 2))
+        db = differentiate(e.b)   # with no 1*db
+        return div(neg(db if e.a.value == 1 else mul(e.a, db)), powi(e.b, 2))
     if isinstance(e, Div):
         num = sub(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
         return div(num, powi(e.b, 2))
@@ -404,10 +350,21 @@ def _read_normal_form(e, memo):
     return None
 
 
+def _scaled(c, x) -> Expr:
+    """The node c x, written x or -x for c = 1 or -1."""
+    if c == 1:
+        return x
+    return Neg(x) if c == -1 else Mul(Const(c), x)
+
+
 def _term(c, m, k) -> Expr:
-    """The node c z^m e^{kz}."""
-    growth = exp(mul(const(k), Z)) if k != 0 else _ONE
-    return mul(const(c), mul(powi(Z, m), growth))
+    """The node c z^m e^{kz} (m, k not both 0), with no factor z^0, e^{0z}
+    or 1: each is entire, so leaving it out hides nothing."""
+    power = Z if m == 1 else Pow(Z, m)
+    growth = Exp(_scaled(k, Z))
+    if k == 0:
+        return _scaled(c, power)
+    return _scaled(c, growth if m == 0 else Mul(power, growth))
 
 
 def antiderivative(e: Expr):
@@ -418,11 +375,12 @@ def antiderivative(e: Expr):
     z, sums, differences and products of the class, powers n >= 0 (and
     any power of a single c e^{kz}), quotients by a single c e^{kz}, and
     exp, sinh and cosh of an affine argument.  Log, negative powers of z
-    and non-affine exponents give None.  Each term is c z^m e^{kz}, built
-    with the smart constructors; the primitive of z^n (k = 0) is
-    z^{n+1}/(n+1), and that of z^n e^{kz} the integration by parts sum
-    e^{kz} sum_j (-1)^j n!/(n-j)! z^{n-j} / k^{j+1}.  The zero function
-    has the empty tuple as its primitive.
+    and non-affine exponents give None, and so does a primitive with a
+    coefficient or exponent beyond float range.  Each term is written
+    c z^m e^{kz}, with no factor z^0, e^{0z} or 1; the primitive of z^n
+    (k = 0) is z^{n+1}/(n+1), and that of z^n e^{kz} the integration by
+    parts sum e^{kz} sum_j (-1)^j n!/(n-j)! z^{n-j} / k^{j+1}.  The zero
+    function has the empty tuple as its primitive.
     """
     try:
         nf = _normal_form(e, {})
@@ -439,6 +397,9 @@ def antiderivative(e: Expr):
                 coef *= -(n - j) / k
     except (OverflowError, ZeroDivisionError):
         return None     # a coefficient beyond float range
+    if not all(cmath.isfinite(x) for (_, k), c in (*nf.items(), *out.items())
+               for x in (k, c)):
+        return None
     return tuple(_term(c, m, k) for (m, k), c in out.items())
 
 
@@ -481,7 +442,7 @@ def _render(e: Expr):
     if isinstance(e, (Add, Sub)):
         op = "+" if isinstance(e, Add) else "-"
         a = _wrap(e.a, _PREC_ADD)
-        b = _wrap(e.b, _PREC_ADD + (0 if isinstance(e, Add) else 1))
+        b = _wrap(e.b, _PREC_ADD + 1)
         return f"{a}{op}{b}", _PREC_ADD
     if isinstance(e, (Mul, Div)):
         op = "*" if isinstance(e, Mul) else "/"
@@ -506,7 +467,9 @@ def _wrap(e: Expr, min_prec: int) -> str:
 
 
 def to_source(e: Expr) -> str:
-    """Infix text form; ``parse(to_source(e))`` evaluates identically."""
+    """Infix text form that ``parse`` reads back as the same tree, up to
+    the folding of constant operands: a tree evaluates as its text reads.
+    A ``+`` or ``-`` right operand of ``+`` or ``-`` is parenthesised."""
     return _render(e)[0]
 
 

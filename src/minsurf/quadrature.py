@@ -32,6 +32,8 @@ a segment through a puncture raises SingularPath before any evaluation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .domain import DomainSpec
@@ -148,6 +150,14 @@ def _panels(prog, a, b, cut, tol):
     return res, ok
 
 
+def check_tol(tol) -> float:
+    """``tol`` as a float; ValueError unless it is positive and finite."""
+    tol = float(tol)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol
+
+
 def integrate_segments(expr, a, b, tol: float = 1e-12, *,
                        domain=None) -> np.ndarray:
     """Integrate ``expr``, or each of a tuple of k expressions, along
@@ -161,8 +171,10 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *,
     level; a segment is split only while some component is still pending
     there.  All pending segments of a refinement level are evaluated by
     one program.  ``domain`` (a DomainSpec) supplies the log
-    branch cut and the punctures no segment may pass through.
+    branch cut and the punctures no segment may pass through.  ``tol``
+    must be positive and finite (ValueError).
     """
+    tol = check_tol(tol)
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
     if a.shape != b.shape:
@@ -195,7 +207,7 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *,
             total[:, keep] += halves[:, :mid.size] + halves[:, mid.size:]
         return total
 
-    total = refine(a, b, np.full(a.size, float(tol)),
+    total = refine(a, b, np.full(a.size, tol),
                    np.ones((len(prog.outputs), a.size), dtype=bool), 0)
     return total[0] if prog.single else total
 
@@ -208,7 +220,5 @@ def integrate_path(expr, z0, z1, tol: float = 1e-12, *, domain=None) -> complex:
     punctures are checked against the segment and its branch cut angle
     is used for log.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return complex(integrate_segments(expr, [z0], [z1], tol, domain=domain)[0])
 

@@ -43,7 +43,7 @@ from .conic import ParametricSurface
 from .errors import ZeroVector
 from .expr import antiderivative
 from .nullcurve import NullCurve
-from .quadrature import CHUNK_NODES, integrate_segments
+from .quadrature import CHUNK_NODES, check_tol, integrate_segments
 
 __all__ = [
     "SurfacePatch", "GaussMapSample", "DegeneracyReport",
@@ -102,6 +102,7 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     Otherwise each tree is one ``integrate_segments`` call, each edge
     within tol / (nu + nv) (see the module docstring).
     """
+    tol = check_tol(tol)
     domain = c.domain
     nu, nv = res
     u, v = domain.grid(nu, nv)
@@ -320,29 +321,31 @@ def verify_minimal(p: SurfacePatch) -> dict:
     E, G, F from central differences.  Harmonicity defect: the 5-point
     Laplacian (per-direction spacing) over (E + G) / 2, the conformal
     factor to O(h^2).  Both are O(h^2) on a true minimal immersion.
+    Points where E + G = 0 are left out; ValueError when no interior
+    point is left.
     """
     nu, nv = p.resolution
     if nu < 5 or nv < 5:
         raise ValueError("verification needs at least a 5x5 grid")
     xu, xv, ok = _central_differences(p)
+    E = np.sum(xu * xu, axis=2)
+    G = np.sum(xv * xv, axis=2)
+    F = np.sum(xu * xv, axis=2)
+    scale = E + G
+    ok &= scale != 0        # a zero metric gives no scale to read a defect on
     if not np.any(ok):
         raise ValueError("no interior points to verify")
 
     hu, hv = p.spacing()
     X = p.points
-    E = np.sum(xu * xu, axis=2)
-    G = np.sum(xv * xv, axis=2)
-    F = np.sum(xu * xv, axis=2)
-    scale = E + G
-    conf = np.maximum(np.abs(E - G), 2 * np.abs(F)) / scale
-
+    conf = np.maximum(np.abs(E - G), 2 * np.abs(F))[ok] / scale[ok]
     lap = ((X[2:, 1:-1] - 2 * X[1:-1, 1:-1] + X[:-2, 1:-1]) / hu ** 2
            + (X[1:-1, 2:] - 2 * X[1:-1, 1:-1] + X[1:-1, :-2]) / hv ** 2)
-    harm = np.max(np.abs(lap), axis=2) / (0.5 * scale)
+    harm = np.max(np.abs(lap), axis=2)[ok] / (0.5 * scale[ok])
 
     return {
-        "conformality_defect": float(np.max(conf[ok])),
-        "harmonicity_defect": float(np.max(harm[ok])),
+        "conformality_defect": float(np.max(conf)),
+        "harmonicity_defect": float(np.max(harm)),
         "interior_points": int(np.sum(ok)),
     }
 
@@ -419,6 +422,7 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     curve with an exact primitive (compiled once, here); otherwise, or over
     that budget, the L-paths z0 -> (u, Im z0) -> (u, v) of a surface call's
     points in one integrate_segments call, each leg within tol."""
+    tol = check_tol(tol)
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
     sample = _primitive_sampler(c, z0, tol)

@@ -3,8 +3,9 @@
 Matrix deformations act symbolically: ``apply_transform`` produces new
 component ASTs (linear combinations with constant coefficients), so the
 result can still be differentiated and integrated exactly.  Zero matrix
-entries are skipped and unit coefficients dropped, which keeps untouched
-components bit-identical to the input.
+entries, and terms or partial sums that are the constant 0, are skipped
+and unit coefficients dropped, which keeps untouched components
+bit-identical to the input.
 
 Families provided:
 
@@ -75,6 +76,10 @@ def is_complex_orthogonal(T: NullTransform | np.ndarray):
     return dev <= ORTHOGONALITY_TOLERANCE, dev
 
 
+def _is_zero(e) -> bool:
+    return isinstance(e, ex.Const) and e.value == 0
+
+
 def apply_transform(T: NullTransform, c: NullCurve) -> NullCurve:
     """New curve with components sum_j M_ij phi_j, built symbolically."""
     if T.n != c.n:
@@ -89,7 +94,10 @@ def apply_transform(T: NullTransform, c: NullCurve) -> NullCurve:
                 continue
             term = c.components[j] if mij == 1 else ex.mul(ex.const(mij),
                                                            c.components[j])
-            acc = term if acc is None else ex.add(acc, term)
+            if acc is None or _is_zero(acc):
+                acc = term
+            elif not _is_zero(term):
+                acc = ex.add(acc, term)
         rows.append(acc if acc is not None else ex.const(0))
     return NullCurve(tuple(rows), c.domain)
 

@@ -245,3 +245,14 @@ def test_catalog_lookup():
     assert cat.get("helicoid").kind == "weierstrass"
     with pytest.raises(KeyError):
         cat.get("plane")
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_hoffman_osserman_rejects_a_nonpositive_alpha(alpha):
+    with pytest.raises(InvalidConstant, match="alpha"):
+        cat.hoffman_osserman(1, 0, 1, alpha)
+
+
+def test_complex_parabola_patch_rejects_zero():
+    with pytest.raises(InvalidConstant, match="mu"):
+        cat.complex_parabola_patch(0)

@@ -443,3 +443,47 @@ def test_sample_reports_the_conformal_factor_at_valid_cells(cli):
     conformal = np.array([p for row in got["conformal"] for p in row
                           if p is not None])
     assert np.array_equal(conformal, conformal_factor(curve, zz))
+
+
+_ZERO_CURVE = '{"curve": ["0", "0", "0"]}'
+_LINE = '{"curve": ["1", "i", "0"]}'
+
+
+@pytest.mark.filterwarnings("error")   # a numpy warning would not be one line
+@pytest.mark.parametrize("argv, stdin, error, fragment", [
+    (["verify"], _ZERO_CURVE, "ValueError", "no interior points"),
+    (["verify", "--res", "9x9"], '{"curve": ["1e400*z", "i", "0"]}',
+     "InvalidConstant", "not finite"),
+    (["deform", "--kind", "associate", "--theta", "0.4"],
+     '{"curve": ["1e400*z", "i", "0"]}', "InvalidConstant", "not finite"),
+    (["verify", "--res", "9x9"], '{"curve": ["1e200*1e200*z", "i", "0"]}',
+     "EvaluationSingularity", "1e+200*1e+200*z"),
+    (["deform", "--kind", "parabolic", "--c", "1e200"], _HELICOID,
+     "InvalidConstant", "not finite"),
+    (["deform", "--kind", "theorem51", "--c", "1e200"], _HELICOID,
+     "InvalidConstant", "not finite"),
+] + [([cmd, f"--tol={tol}", *flags], _LINE, "ValueError", "positive and finite")
+     for tol in ("nan", "-1", "0", "inf")
+     for cmd, flags in (("verify", ["--res", "9x9"]),
+                        ("slice", ["--axis", "0", "--value", "0"]))])
+def test_degenerate_and_non_finite_inputs_are_machine_readable(
+        cli, argv, stdin, error, fragment):
+    code, out, err = cli(argv, stdin=stdin)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == error
+    assert fragment in report["message"]
+
+
+def test_an_overflowing_product_is_passed_on_as_written(cli):
+    # 1e200*1e200 is not folded to inf: deform writes it as it reads, and
+    # evaluation reports it
+    stdin = '{"curve": ["1e200*1e200*z", "i", "0"]}'
+    code, spec, _ = cli(["deform", "--kind", "associate", "--theta", "0.4"],
+                        stdin=stdin)
+    assert code == 0
+    assert json.loads(spec)["curve"][0].endswith("*(1e+200*1e+200*z)")
+    code, out, err = cli(["verify", "--res", "9x9"], stdin=spec)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "EvaluationSingularity"

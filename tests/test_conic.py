@@ -404,3 +404,40 @@ def test_deformed_helicoid_dichotomy_random_parameters(rng):
         fit = fit_conic(slice_surface(hd.surface, 3, v_line, npoints=80,
                                       sweep=(-1.3, 1.3)))
         assert fit.classification == "line"
+
+
+@pytest.mark.parametrize("lines, kind", [
+    # x^2 - y^2 = 0: two crossing lines; y^2 = 1: two parallel lines
+    ([(1.0, 1.0), (1.0, -1.0)], "line-pair"),
+    ([(1.0, 0.0), (1.0, 0.0)], "degenerate"),
+])
+def test_a_pair_of_lines_fits_as_a_degenerate_conic(lines, kind):
+    t = np.linspace(-1, 1, 10)
+    offsets = [0.0, 0.0] if kind == "line-pair" else [1.0, -1.0]
+    xy = np.concatenate([np.column_stack([t * dx, t * dy + off])
+                         for (dx, dy), off in zip(lines, offsets)])
+    pts = np.column_stack([xy, np.zeros(len(xy))])
+    fit = fit_conic(planar_sample(pts))
+    assert fit.classification == kind
+    with pytest.raises(DegenerateConic):
+        eccentricity(fit)
+
+
+@pytest.mark.parametrize("sample, want", [
+    (lambda: _circle3(), 0.0),
+    (lambda: np.column_stack([2 * np.cos(np.linspace(0, 6, 50)),
+                              np.sin(np.linspace(0, 6, 50)), np.zeros(50)]),
+     math.sqrt(0.75)),
+    (lambda: np.column_stack([np.linspace(-1, 1, 20),
+                              np.linspace(-1, 1, 20) ** 2, np.zeros(20)]), 1.0),
+])
+def test_eccentricity_of_a_fitted_conic(sample, want):
+    fit = fit_conic(planar_sample(sample()))
+    assert abs(eccentricity(fit) - want) <= 1e-9
+
+
+def test_a_parabola_without_a_linear_term_is_degenerate():
+    # x^2 = 1 has the parabola's vanishing discriminant but no linear
+    # term along its axis: it is two parallel lines
+    with pytest.raises(DegenerateConic, match="linear term"):
+        conic._parabola_leading(np.array([1.0, 0, 0, 0, 0, -1.0]))

@@ -8,7 +8,7 @@ import pytest
 from minsurf import catalog as cat
 from minsurf import expr as ex
 from minsurf.engine import compile_expr, eval_program, evaluate
-from minsurf.errors import EvaluationSingularity, ParseError
+from minsurf.errors import EvaluationSingularity, InvalidConstant, ParseError
 from minsurf.nullcurve import from_weierstrass
 from minsurf.transforms import (apply_transform, associate, parabolic_deform,
                                 parabolic_deform_rotated,
@@ -63,14 +63,18 @@ def test_log_branch_cut_rotation():
 
 
 def test_differentiate_power():
+    # the power and chain rules as written: 2 z^1 times dz/dz
     d = ex.differentiate(ex.powi(ex.Z, 2))
-    assert ex.to_source(d) == "2*z"
+    assert ex.to_source(d) == "2*z^1*1"
     assert evaluate(d, 3 + 1j) == 6 + 2j
 
 
-def test_differentiate_exp_fixed_point():
+def test_differentiate_exp_fixed_point(rng):
     e = ex.exp(ex.Z)
-    assert ex.to_source(ex.differentiate(e)) == "exp(z)"
+    d = ex.differentiate(e)
+    assert ex.to_source(d) == "exp(z)*1"
+    zs = random_complex(rng, 8)
+    assert np.array_equal(evaluate(d, zs), evaluate(e, zs))
 
 
 def test_differentiate_central_difference(rng):
@@ -158,13 +162,15 @@ def test_zero_does_not_absorb_a_singularity(tree):
     assert evaluate(ex.parse(ex.to_source(tree)), 2 + 1j) == 0
 
 
-def test_zero_absorbs_a_finite_factor():
+def test_zero_factor_is_kept_as_written(rng):
     poly = ex.mul(ex.add(ex.powi(ex.Z, 3), ex.Z), ex.sinh(ex.mul(2, ex.Z)))
-    assert ex.mul(poly, 0) is ex.mul(0, ex.exp(ex.Z))
-    assert isinstance(ex.mul(0, poly), ex.Const)
-    assert ex.to_source(ex.div(0, 2j)) == "0"
+    zs = random_complex(rng, 8)
+    for tree in (ex.mul(poly, 0), ex.mul(0, poly), ex.mul(0, ex.exp(ex.Z))):
+        assert isinstance(tree, ex.Mul)
+        assert np.all(evaluate(tree, zs) == 0)
+    assert ex.to_source(ex.div(0, 2j)) == "0"     # constants still fold
     assert ex.to_source(ex.differentiate(ex.parse("3*z^2-2*z+exp(5)"))) \
-        == "6*z-2"
+        == "3*(2*z^1*1)-2+exp(5)*0"
 
 
 @pytest.mark.parametrize("text, want", [
@@ -203,23 +209,29 @@ def _raw_tree(rng, depth, leaf, consts):
     return kind(sub())
 
 
-def _fold_mismatches(leaf, consts):
-    """Sources of the seeded random trees whose folded form, through
-    parse(to_source(tree)) and so the smart constructors, turns a NaN
-    into a value or changes a finite one."""
+def _round_trips(leaf, consts):
+    """(source, values as built, values of parse(source)) of 5000 seeded
+    random trees: the parse goes through the smart constructors."""
     rng = np.random.default_rng(0)
     z = np.array([0, 0.5 + 0.3j, -0.7 + 0.9j, 1.1 - 0.4j, -0.2 - 1.3j])
-    bad = []
     for _ in range(5000):
         tree = _raw_tree(rng, 4, leaf, consts)
-        raw = eval_program(compile_expr(tree), z)
-        folded = eval_program(compile_expr(ex.parse(ex.to_source(tree))), z)
+        source = ex.to_source(tree)
+        yield (source, eval_program(compile_expr(tree), z),
+               eval_program(compile_expr(ex.parse(source)), z))
+
+
+def _fold_mismatches(leaf, consts):
+    """Sources of the seeded random trees whose folded form turns a NaN
+    into a value or changes a finite one."""
+    bad = []
+    for source, raw, folded in _round_trips(leaf, consts):
         finite = np.isfinite(raw)
         with np.errstate(invalid="ignore"):
             close = np.abs(raw - folded) <= 1e-12 * np.maximum(np.abs(raw), 1)
         if (not np.array_equal(finite, np.isfinite(folded))
                 or not np.all(close[finite])):
-            bad.append(ex.to_source(tree))
+            bad.append(source)
     return bad
 
 
@@ -234,6 +246,30 @@ def test_folding_keeps_finiteness_and_values_of_deeper_random_trees():
     assert _fold_mismatches(0.1, (0, 1, -1, 2, 0.5j)) == []
 
 
+def test_folding_keeps_the_sign_of_a_zero():
+    # at z = 0, -1*z is -0+0j and -z is -0-0j: writing one for the other
+    # puts exp(sinh(log(-1*z))) on the other side of log's cut
+    assert _fold_mismatches(0.1, (0, 1, -1, 0.5j)) == []
+    assert ex.to_source(ex.parse("-1*z")) == "-1*z"
+
+
+def test_trees_over_exact_constants_round_trip_bitwise():
+    # every constant fold of {0, 1, -1, 0.5i} is exact, so a tree and its
+    # printed text evaluate to the same values
+    bad = [source for source, raw, folded in _round_trips(0.2, (0, 1, -1, 0.5j))
+           if not np.array_equal(raw, folded, equal_nan=True)]
+    assert bad == []
+
+
+def test_printer_keeps_a_right_operand_sum_grouped():
+    # z+sinh(1)-1 would parse as (z+sinh(1))-1
+    e = ex.Add(ex.Z, ex.Sub(ex.sinh(1), ex.const(1)))
+    assert ex.to_source(e) == "z+(sinh(1)-1)"
+    back = ex.parse(ex.to_source(e))
+    assert isinstance(back, ex.Add) and isinstance(back.b, ex.Sub)
+    assert ex.to_source(ex.Sub(ex.Z, ex.Add(ex.Z, ex.Z))) == "z-(z+z)"
+
+
 def test_operator_overloading_matches_constructors(rng):
     z = ex.Z
     e1 = (1 - z ** 2) / (1 + z ** 2) - ex.exp(-z) * 0.5
@@ -243,12 +279,29 @@ def test_operator_overloading_matches_constructors(rng):
     assert np.allclose(evaluate(e1, zs), evaluate(e2, zs), atol=1e-15)
 
 
-def test_simplification_drops_noops():
+def test_noops_are_kept_as_written():
     z = ex.Z
-    assert ex.add(z, 0) is z
-    assert ex.mul(1, z) is z
-    assert ex.powi(z, 1) is z
-    assert isinstance(ex.mul(0, ex.exp(z)), ex.Const)
+    for tree, text in ((ex.add(z, 0), "z+0"), (ex.sub(0, z), "0-z"),
+                       (ex.mul(1, z), "1*z"), (ex.mul(z, -1), "z*-1"),
+                       (ex.mul(2, ex.mul(3, z)), "2*(3*z)"),
+                       (ex.div(z, 1), "z/1"), (ex.neg(ex.neg(z)), "--z"),
+                       (ex.powi(z, 0), "z^0"), (ex.powi(z, 1), "z^1")):
+        assert ex.to_source(tree) == text
+        assert ex.to_source(ex.parse(text)) == text
+
+
+@pytest.mark.parametrize("make, binary", [
+    (ex.add, True), (ex.sub, True), (ex.mul, True), (ex.div, True),
+    (lambda a, b: ex.neg(a), False), (lambda a, b: ex.powi(a, 2), False),
+])
+def test_only_constant_operands_fold(make, binary):
+    a, b = ex.const(1.5 - 2j), ex.const(0.5)
+    folded = make(a, b)
+    assert isinstance(folded, ex.Const)
+    assert folded.value == evaluate(make(ex.Z, b), a.value)
+    for x in (ex.Z, ex.exp(a)):
+        assert not isinstance(make(x, b), ex.Const)
+        assert not binary or not isinstance(make(b, x), ex.Const)
 
 
 def test_negative_power_of_a_negative_power_is_not_folded():
@@ -261,14 +314,13 @@ def test_negative_power_of_a_negative_power_is_not_folded():
     assert evaluate(e, 2 + 1j) == pytest.approx(2 + 1j, abs=1e-15)
 
 
-def test_power_of_a_power_folds_unless_both_are_negative():
-    assert ex.to_source(ex.parse("(z^2)^3")) == "z^6"
-    assert ex.to_source(ex.parse("(z^(-2))^3")) == "z^(-6)"
-    assert ex.to_source(ex.parse("(z^2)^(-3)")) == "z^(-6)"
-    # the fold goes through powi's own rules, which fold constants
-    folded = ex.powi(ex.Pow(ex.const(2), 3), 2)
-    assert isinstance(folded, ex.Const) and folded.value == 64
-    assert ex.powi(ex.Pow(ex.exp(ex.Z), -1), -1).n == -1
+def test_power_of_a_power_is_kept_as_written():
+    for text in ("(z^2)^3", "(z^(-2))^3", "(z^2)^(-3)", "(exp(z)^(-1))^(-1)"):
+        e = ex.parse(text)
+        assert isinstance(e, ex.Pow) and isinstance(e.a, ex.Pow)
+        assert ex.to_source(e) == text
+    # a power of a constant folds
+    assert ex.powi(ex.powi(2, 3), 2).value == 64
 
 
 def _in_class_curves():
@@ -333,3 +385,56 @@ def test_antiderivative_outside_the_class_is_none():
                  "1/z", "z^(-2)*exp(z)", "1/(1+exp(z))", "sinh(1/z)",
                  "(z^(-1))^(-1)"):
         assert ex.antiderivative(ex.parse(text)) is None, text
+
+
+def test_a_constant_is_finite():
+    for value in (math.inf, complex(0, -math.inf), math.nan):
+        with pytest.raises(InvalidConstant):
+            ex.const(value)
+    with pytest.raises(InvalidConstant):
+        ex.parse("1e400*z")
+
+
+@pytest.mark.parametrize("text", ["1e200*1e200", "-1e200*1e200", "1e308+1e308",
+                                  "1e200/1e-200", "1/0", "0/0", "1e200^2"])
+def test_a_fold_beyond_float_range_keeps_its_node(text):
+    e = ex.parse(text)
+    assert not isinstance(e, ex.Const)
+    assert ex.to_source(ex.parse(ex.to_source(e))) == ex.to_source(e)
+    with pytest.raises(EvaluationSingularity):
+        evaluate(e, 1.0)
+
+
+@pytest.mark.parametrize("text", [
+    "1e300*z*exp(1e-300*z)",     # coefficients inf and -inf+nan i
+    "exp(1e200*1e200*z)",        # an infinite exponent
+    "exp(800+z)",                # e^800 overflows in the normal form
+    "(1e-200*exp(z))^(-2)",      # 1/(1e-200)^2 divides by zero
+    "sinh(z^2)", "cosh(z^2)",    # not an affine argument
+])
+def test_antiderivative_beyond_float_range_or_the_class_is_none(text):
+    assert ex.antiderivative(ex.parse(text)) is None
+
+
+def test_operators_build_the_constructors_nodes():
+    z = ex.Z
+    assert ex.to_source(z + 1) == "z+1"
+    assert ex.to_source(1 + z) == "1+z"
+    assert ex.to_source(2 * z) == "2*z"
+    assert ex.to_source(1 / z) == "1/z"
+    assert ex.to_source(1 - z) == "1-z"
+    assert str(z ** 2 - 1) == "z^2-1"
+
+
+def test_parse_unary_plus_and_an_unexpected_token():
+    assert ex.to_source(ex.parse("+z*+2")) == "z*2"
+    with pytest.raises(ParseError) as info:
+        ex.parse("2*)")
+    assert info.value.offset == 2 and "unexpected token ')'" in str(info.value)
+
+
+@pytest.mark.parametrize("call", [ex.differentiate, ex.to_source,
+                                  lambda x: compile_expr((ex.Z, x))])
+def test_a_non_node_is_a_type_error(call):
+    with pytest.raises(TypeError, match="not an expression node"):
+        call(2.5)

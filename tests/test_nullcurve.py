@@ -99,3 +99,9 @@ def test_weierstrass_rejects_zero_component():
     dom = DomainSpec(-1, 1, -1, 1)
     with pytest.raises(ValueError):
         WeierstrassData(ex.const(0), ex.exp(ex.Z), dom)
+
+
+def test_embed_3_to_4_needs_three_components():
+    c4 = embed_3_to_4(from_weierstrass(cat.helicoid()))
+    with pytest.raises(ValueError, match="3-component"):
+        embed_3_to_4(c4)

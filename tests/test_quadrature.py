@@ -150,6 +150,16 @@ def test_tolerance_rejects_nonpositive():
         integrate_path(ex.Z, 0, 1, 0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # NaN and inf once fell back to the roundoff floor or accepted every
+    # panel; an empty batch is checked too
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate_path(ex.Z, 0, 1, tol)
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate_segments((ex.Z, ex.Z), [], [], tol)
+
+
 def _batches(monkeypatch):
     """Record the segment count of every panel batch."""
     sizes = []

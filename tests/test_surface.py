@@ -762,3 +762,35 @@ def test_running_sums_carry_nan_beyond_a_nan_edge():
     np.testing.assert_array_equal(got[0], want - want[8])
     assert np.isnan(got[1, 14:]).all() and np.isnan(got[1, :4]).all()
     assert np.isfinite(got[1, 4:14]).all() and got[1, 8] == 0
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+@pytest.mark.parametrize("curve", [from_weierstrass(cat.helicoid()),
+                                   _punctured_catenoid()],
+                         ids=["exact", "quadrature"])
+def test_immersions_need_a_positive_finite_tol(monkeypatch, curve, tol):
+    # refused before either route compiles anything
+    def no_compile(e):
+        raise AssertionError("compiled before tol was checked")
+
+    monkeypatch.setattr(engine_mod, "compile_expr", no_compile)
+    monkeypatch.setattr(surface_mod, "antiderivative", no_compile)
+    with pytest.raises(ValueError, match="positive and finite"):
+        immerse(curve, zeta0=1 + 0j, res=(9, 9), tol=tol)
+    with pytest.raises(ValueError, match="positive and finite"):
+        parametric_immersion(curve, zeta0=1 + 0j, tol=tol)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_leaves_out_points_of_zero_metric():
+    # X = Re(z^2/2, i z^2/2, 0) has a branch point at the grid's centre,
+    # where both central differences vanish exactly
+    c = NullCurve((ex.Z, ex.mul(1j, ex.Z), ex.const(0)),
+                  DomainSpec(-1, 1, -1, 1))
+    rep = verify_minimal(immerse(c, res=(9, 9)))
+    assert rep["interior_points"] == 7 * 7 - 1
+    assert rep["conformality_defect"] <= 1e-12
+    assert rep["harmonicity_defect"] <= 1e-12
+    zero = NullCurve((ex.const(0),) * 3, DomainSpec(-1, 1, -1, 1))
+    with pytest.raises(ValueError, match="no interior points"):
+        verify_minimal(immerse(zero, res=(9, 9)))
