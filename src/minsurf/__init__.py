@@ -14,7 +14,8 @@ from .errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
                      InvalidConstant, MinsurfError, NoConvergence,
                      NotHyperbola, NotPlanar, ParseError, SingularPath,
                      ZeroVector)
-from .expr import Z, antiderivative, differentiate, parse, to_source
+from .expr import (Z, antiderivative, differentiate, parse, residue,
+                   to_source)
 from .nullcurve import (NullCurve, NullResidualReport, WeierstrassData,
                         embed_3_to_4, from_weierstrass, null_residual,
                         quadratic_form)
@@ -27,7 +28,7 @@ from .transforms import (NullTransform, apply_transform, associate, goursat,
                          segre_LR_matrix)
 from .surface import (DegeneracyReport, GaussMapSample, SurfacePatch,
                       conformal_factor, degeneracy_rank, export_mesh,
-                      gauss_map, immerse, parametric_immersion,
+                      gauss_map, immerse, parametric_immersion, real_period,
                       verify_minimal)
 from .conic import (ConicFit, ParametricSurface, PlanarCurveSample,
                     asymptotes, eccentricity, fit_conic, planar_sample,

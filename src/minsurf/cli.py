@@ -29,7 +29,8 @@ from .errors import MinsurfError
 from .conic import asymptotes, fit_conic, planar_sample, slice_surface
 from .nullcurve import embed_3_to_4, null_residual
 from .surface import (conformal_factor, degeneracy_rank, export_mesh,
-                      immerse, parametric_immersion, verify_minimal)
+                      immerse, parametric_immersion, real_period,
+                      verify_minimal)
 from .transforms import (associate, goursat, lawson, lopez_ros,
                          parabolic_deform, parabolic_deform_rotated,
                          parabolic_rotation_matrix, segre_LR_matrix,
@@ -212,6 +213,8 @@ def _cmd_verify(args) -> int:
     }
     if deg.hyperplane is not None:
         report["hyperplane"] = [[c.real, c.imag] for c in deg.hyperplane]
+    period = real_period(curve)
+    report["real_period"] = None if period is None else period.tolist()
     nu, nv = _parse_res(args.res)
     patch = immerse(curve, zeta0=_base_point(args, spec), res=(nu, nv),
                     tol=args.tol)

@@ -13,9 +13,11 @@ and ``1e200^2`` keep their node for evaluation to report.  Nothing else
 is rewritten, so ``x+0``, ``1*x``, ``0*x``, ``--x`` and ``(x^2)^3`` stay
 as written.  Every ``Const`` is finite (``InvalidConstant`` otherwise).
 
-``antiderivative`` gives an exact primitive of the exponential-polynomial
-class, the finite sums of terms ``c z^n e^{kz}`` with ``n >= 0``, to
-which every entire catalog curve and its linear deformations belong.
+``antiderivative`` gives an exact primitive of the exponential-Laurent
+class, the finite sums of terms ``c z^n e^{kz}`` with integer ``n``,
+negative only where ``k = 0``: every catalog curve and its linear
+deformations belong to it.  ``residue`` reads the ``z^{-1}`` coefficient,
+whose primitive is the one ``log`` term.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ __all__ = [
     "Exp", "Log", "Sinh", "Cosh",
     "Z", "const", "add", "sub", "mul", "div", "neg", "powi",
     "exp", "log", "sinh", "cosh",
-    "differentiate", "antiderivative", "parse", "to_source",
+    "differentiate", "antiderivative", "residue", "parse", "to_source",
 ]
 
 
@@ -258,7 +260,7 @@ def differentiate(e: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# exact primitives of exponential polynomials
+# exact primitives of exponential-Laurent polynomials
 # ---------------------------------------------------------------------------
 
 def _merge(out, key, c):
@@ -291,19 +293,19 @@ def _nf_exp(p, s):
     return {(0, s * p.get((1, 0j), 0j)): cmath.exp(s * p.get((0, 0j), 0j))}
 
 
-def _single_exp(p):
-    """(k, c) when the form ``p`` is the one term c e^{kz}, else None."""
+def _monomial(p):
+    """(n, k, c) when the form ``p`` is the one term c z^n e^{kz}, else
+    None."""
     if len(p) == 1:
         ((n, k), c), = p.items()
-        if n == 0:
-            return k, c
+        return n, k, c
     return None
 
 
 def _normal_form(e, memo):
-    """``e`` as a dict {(n, k): c} of terms c z^n e^{kz} with n >= 0 and
-    nonzero c, or None outside that class.  ``memo`` maps id(node) to its
-    form, so a shared subtree is read once."""
+    """``e`` as a dict {(n, k): c} of terms c z^n e^{kz} with nonzero c
+    and integer n, or None outside that class.  ``memo`` maps id(node) to
+    its form, so a shared subtree is read once."""
     key = id(e)
     if key not in memo:
         memo[key] = _read_normal_form(e, memo)
@@ -327,17 +329,17 @@ def _read_normal_form(e, memo):
     if isinstance(e, Mul):
         return _nf_mul(p, args[1])
     if isinstance(e, Div):
-        # only a single c e^{kz} divides within the class
-        kc = _single_exp(args[1])
-        return None if kc is None else _nf_mul(p, {(0, -kc[0]): 1 / kc[1]})
+        # only a single c z^n e^{kz} divides within the class
+        t = _monomial(args[1])
+        return None if t is None else _nf_mul(p, {(-t[0], -t[1]): 1 / t[2]})
     if isinstance(e, Pow) and e.n >= 0:
         out = {(0, 0j): 1 + 0j}
         for _ in range(e.n):
             out = _nf_mul(out, p)
         return out
     if isinstance(e, Pow):
-        kc = _single_exp(p)
-        return None if kc is None else {(0, e.n * kc[0]): kc[1] ** e.n}
+        t = _monomial(p)
+        return None if t is None else {(e.n * t[0], e.n * t[1]): t[2] ** e.n}
     if isinstance(e, Exp):
         return _nf_exp(p, 1)
     if isinstance(e, (Sinh, Cosh)):
@@ -348,6 +350,29 @@ def _read_normal_form(e, memo):
         return _nf_add({key: 0.5 * c for key, c in up.items()},
                        {key: half * c for key, c in down.items()})
     return None
+
+
+def _finite_form(e):
+    """The normal form of ``e`` when each term has n >= 0 or k = 0 (the
+    primitive of z^{-m} e^{kz}, k != 0, is an exponential integral) and a
+    finite coefficient and exponent; else None."""
+    try:
+        nf = _normal_form(e, {})
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if nf is None or not all(
+            (n >= 0 or k == 0) and cmath.isfinite(k) and cmath.isfinite(c)
+            for (n, k), c in nf.items()):
+        return None
+    return nf
+
+
+def residue(e: Expr):
+    """The coefficient c of c/z in ``e``'s normal form (0 when there is
+    none), or None when ``e`` is outside the class of ``antiderivative``.
+    Its primitive c log z has the real period Re(2 pi i c) around 0."""
+    nf = _finite_form(e)
+    return None if nf is None else nf.get((-1, 0j), 0j)
 
 
 def _scaled(c, x) -> Expr:
@@ -371,25 +396,29 @@ def antiderivative(e: Expr):
     """Exact primitive F of ``e`` (F' = e), as a tuple of terms whose sum
     is F, or None when ``e`` is outside the class.
 
-    The class is the finite sums of c z^n e^{kz} with n >= 0: constants,
-    z, sums, differences and products of the class, powers n >= 0 (and
-    any power of a single c e^{kz}), quotients by a single c e^{kz}, and
-    exp, sinh and cosh of an affine argument.  Log, negative powers of z
-    and non-affine exponents give None, and so does a primitive with a
-    coefficient or exponent beyond float range.  Each term is written
-    c z^m e^{kz}, with no factor z^0, e^{0z} or 1; the primitive of z^n
-    (k = 0) is z^{n+1}/(n+1), and that of z^n e^{kz} the integration by
-    parts sum e^{kz} sum_j (-1)^j n!/(n-j)! z^{n-j} / k^{j+1}.  The zero
-    function has the empty tuple as its primitive.
+    The class is the finite sums of c z^n e^{kz} with integer n, negative
+    only where k = 0: constants, z, sums, differences and products of the
+    class, powers n >= 0, any power of and quotient by a single
+    c z^n e^{kz}, and exp, sinh and cosh of an affine argument.  Log,
+    non-affine exponents and z^{-m} e^{kz} with k != 0 (an exponential
+    integral) give None, and so does a primitive with a coefficient or
+    exponent beyond float range.  Each term is written c z^m e^{kz}, with
+    no factor z^0, e^{0z} or 1; the primitive of z^n (k = 0) is
+    z^{n+1}/(n+1) for n != -1 and log z for n = -1 (the last term, on the
+    branch cut the caller evaluates it with), and that of z^n e^{kz}
+    (n >= 0) the integration by parts sum e^{kz} sum_j (-1)^j n!/(n-j)!
+    z^{n-j} / k^{j+1}.  The zero function has the empty tuple as its
+    primitive.
     """
+    nf = _finite_form(e)
+    if nf is None:
+        return None
+    out = {}
     try:
-        nf = _normal_form(e, {})
-        if nf is None:
-            return None
-        out = {}
         for (n, k), c in nf.items():
             if k == 0:
-                _merge(out, (n + 1, 0j), c / (n + 1))
+                if n != -1:
+                    _merge(out, (n + 1, 0j), c / (n + 1))
                 continue
             coef = c / k
             for j in range(n + 1):
@@ -397,10 +426,11 @@ def antiderivative(e: Expr):
                 coef *= -(n - j) / k
     except (OverflowError, ZeroDivisionError):
         return None     # a coefficient beyond float range
-    if not all(cmath.isfinite(x) for (_, k), c in (*nf.items(), *out.items())
-               for x in (k, c)):
+    if not all(cmath.isfinite(c) for c in out.values()):
         return None
-    return tuple(_term(c, m, k) for (m, k), c in out.items())
+    terms = tuple(_term(c, m, k) for (m, k), c in out.items())
+    log_coef = nf.get((-1, 0j))
+    return terms if log_coef is None else terms + (_scaled(log_coef, Log(Z)),)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 The immersion is X = Re of the path integral of the curve, anchored so
 that X(z0) = 0; on the puncture-free rectangle it does not depend on the
 path.  When ``expr.antiderivative`` gives every component an exact
-primitive F = sum_t F_t (sums of c z^n e^{kz}, n >= 0: the helicoid, the
-exponential catenoid and their constant linear deformations), ``immerse``
-takes X = Re(F(z) - F(z0)) at each grid point, with tol as each point's
-budget for the roundoff level PRIMITIVE_ULPS eps (sum_t |F_t(z)| +
-sum_t |F_t(z0)|).  Otherwise it integrates a spanning tree of the grid
-by quadrature in one ``integrate_segments`` call of nu nv segments (a
-stem from z0 to the nearest grid point g(j0, k0), the edges of row k0 and
-of every column), each within tol / (nu + nv), and sums them outward in
+primitive F = sum_t F_t (sums of c z^n e^{kz}, n negative only where
+k = 0: every catalog curve and its constant linear deformations) and each
+z^{-1} coefficient is real, so that X has no real period about 0,
+``immerse`` takes X = Re(F(z) - F(z0)) at each grid point, on the
+domain's branch cut, with tol as each point's budget for the roundoff
+level PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t |F_t(z0)|).  Otherwise
+it integrates a spanning tree of the grid by quadrature in one
+``integrate_segments`` call of nu nv segments (a stem from z0 to the
+nearest grid point g(j0, k0), the edges of row k0 and of every
+column), each within tol / (nu + nv), and sums them outward in
 blocks of about sqrt(m) of a line's m edges.  Where a puncture cuts the
 tree, the transposed tree reaches what it can; on both routes the valid
 cells are those the trees reach.  Every stage reads the curve's own
@@ -23,6 +25,8 @@ Verification instruments:
 * Gauss map         z -> [phi(z)] on the projective null quadric
 * degeneracy rank   numerical rank of sampled curve values via SVD,
                     with hyperplane coefficients from the null space
+                    when it is one-dimensional
+* real period       Re(2 pi i res_0 phi) from the z^{-1} coefficients
 * verify_minimal    second-order finite-difference conformality
                     (E = G, F = 0) and harmonicity (5-point Laplacian)
                     defects, both scaled by the sampled metric E + G,
@@ -41,14 +45,15 @@ import numpy as np
 from . import engine   # looked up at each call, so wrappers on it see them
 from .conic import ParametricSurface
 from .errors import ZeroVector
-from .expr import antiderivative
+from .expr import antiderivative, residue
 from .nullcurve import NullCurve
 from .quadrature import CHUNK_NODES, check_tol, integrate_segments
 
 __all__ = [
     "SurfacePatch", "GaussMapSample", "DegeneracyReport",
     "immerse", "conformal_factor", "gauss_map", "degeneracy_rank",
-    "verify_minimal", "export_mesh", "parametric_immersion", "RANK_CUTOFF",
+    "verify_minimal", "export_mesh", "parametric_immersion", "real_period",
+    "RANK_CUTOFF",
 ]
 
 # singular values below RANK_CUTOFF * sigma_1 count as numerical zero;
@@ -57,7 +62,9 @@ RANK_CUTOFF = 1e-8
 # ulps of roundoff per primitive term and point: a term c z^m e^{kz}
 # rounds in k z (an absolute error that exp turns relative, about |k z|
 # ulps, of order one on the catalog domains), in exp, in z^m and in the
-# product with c, and F(z) - F(z0) rounds once more
+# product with c (c log z in log and the product), and F(z) - F(z0)
+# rounds once more.  A z^{-1} coefficient counts as real when its
+# imaginary part is within PRIMITIVE_ULPS eps of its modulus.
 PRIMITIVE_ULPS = 4
 _PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
 
@@ -145,15 +152,20 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
 
 def _primitive_sampler(c, zeta0, tol):
     """None when a component has no exact primitive F = sum_t F_t (see
-    ``expr.antiderivative``), else a function of points z, shape (m,),
-    giving X = Re(F(z) - F(zeta0)), shape (m, n), or None when a value
-    is not finite or PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t
-    |F_t(zeta0)|) exceeds tol.  One program of the terms is compiled
-    here, and evaluated at zeta0 and in chunks of at most CHUNK_NODES
-    values per component."""
+    ``expr.antiderivative``) or a z^{-1} coefficient that is not real to
+    PRIMITIVE_ULPS of its size (X then has a real period about 0, and
+    Re F(z) jumps across the branch cut), else a function of points z,
+    shape (m,), giving X = Re(F(z) - F(zeta0)), shape (m, n), or None
+    when a value is not finite or PRIMITIVE_ULPS eps (sum_t |F_t(z)| +
+    sum_t |F_t(zeta0)|) exceeds tol.  One program of the terms is
+    compiled here, and evaluated with the domain's branch cut at zeta0
+    and in chunks of at most CHUNK_NODES values per component."""
     prims = [antiderivative(e) for e in c.components]
-    if any(p is None for p in prims):
+    if any(p is None for p in prims) or not all(
+            abs(r.imag) <= _PRIMITIVE_ROUNDOFF * abs(r)
+            for r in map(residue, c.components)):
         return None
+    cut = c.domain.branch_cut
     prog = engine.compile_expr(tuple(t for p in prims for t in p))
     # the terms of component i are outputs cuts[i]:cuts[i + 1]; the zero
     # curve has none
@@ -166,12 +178,13 @@ def _primitive_sampler(c, zeta0, tol):
         return (np.array([t.sum(axis=0) for t in terms]),
                 np.array([np.abs(t).sum(axis=0) for t in terms]))
 
-    base, base_mag = primitive(engine.eval_program(prog, np.array([zeta0])))
+    base, base_mag = primitive(engine.eval_program(prog, np.array([zeta0]),
+                                                   cut=cut))
 
     def sample(z):
         x = np.empty((z.size, c.n))
         for lo in range(0, z.size, step):
-            vals = engine.eval_program(prog, z[lo:lo + step])
+            vals = engine.eval_program(prog, z[lo:lo + step], cut=cut)
             F, mag = primitive(vals)
             if not (np.all(np.isfinite(vals)) and np.all(
                     _PRIMITIVE_ROUNDOFF * (mag + base_mag) <= tol)):
@@ -283,23 +296,46 @@ def degeneracy_rank(c: NullCurve, samples: int = 64, skip: int = 0) -> Degenerac
     """Numerical rank of the span of sampled curve values.
 
     SVD of the samples x n matrix; rank counts singular values above
-    RANK_CUTOFF relative to the largest.  When the span misses a
-    hyperplane (rank = n - 1) the null right-singular vector is returned
-    as hyperplane coefficients; for deeper degeneracy the first normal
-    direction is returned.
+    RANK_CUTOFF relative to the largest.  When the span misses exactly
+    one hyperplane (rank = n - 1) its unit coefficient vector is
+    returned, with a fixed phase (see ``_rank_and_hyperplane``); for
+    deeper degeneracy the normal space has no one direction to return.
     """
     if samples < 2 * c.n:
         raise ValueError("need at least 2n samples for a stable rank")
     z = c.domain.sample_points(samples, skip=skip)
-    a = c(z)
+    rank, s, hyper = _rank_and_hyperplane(c(z))
+    return DegeneracyReport(rank, s, hyper, samples)
+
+
+def _rank_and_hyperplane(a):
+    """Rank, singular values and hyperplane of the samples x n matrix a.
+    The hyperplane, only for rank n - 1, is the conjugated null
+    right-singular vector (so that a . phi = 0, not a . conj(phi)),
+    turned so that its first entry above half the largest magnitude is
+    real and positive: the SVD's arbitrary phase, or a last-digit change
+    in the samples, then neither turns nor flips it."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     rank = int(np.sum(s > RANK_CUTOFF * s[0])) if s[0] > 0 else 0
-    hyper = None
-    if 1 <= rank <= c.n - 1:
-        # rows of vh beyond the rank are an orthonormal basis of the
-        # normal space; conjugate so that a . phi = 0 (not a . conj(phi))
-        hyper = np.conj(vh[rank])
-    return DegeneracyReport(rank, s, hyper, samples)
+    if rank != a.shape[1] - 1:
+        return rank, s, None
+    hyper = np.conj(vh[rank])
+    mag = np.abs(hyper)
+    lead = np.argmax(mag > 0.5 * mag.max())
+    hyper = hyper * (np.conj(hyper[lead]) / mag[lead])
+    hyper[lead] = mag[lead]     # exactly real, not to roundoff
+    return rank, s, hyper
+
+
+def real_period(c: NullCurve):
+    """The real period of X = Re integral of the curve once around z = 0,
+    Re(2 pi i c_k) for the z^{-1} coefficient c_k of each component
+    (``expr.residue``), shape (n,); None when a component is outside the
+    class of ``expr.antiderivative``."""
+    res = [residue(e) for e in c.components]
+    if any(r is None for r in res):
+        return None
+    return np.array([(2j * math.pi * r).real for r in res])
 
 
 def _central_differences(p: SurfacePatch):

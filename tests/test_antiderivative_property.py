@@ -1,5 +1,5 @@
-"""Property test: the exact primitive of a random exponential polynomial
-differentiates back to it."""
+"""Property test: the exact primitive of a random exponential-Laurent
+polynomial differentiates back to it."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,11 @@ POINTS = np.array([0, 0.3 - 0.7j, -0.9 + 0.2j, 1.1 + 1j, -0.4 - 1.2j])
 
 coefficients = st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
                                   allow_nan=False, allow_infinity=False)
-terms = st.tuples(coefficients, st.integers(0, 4), st.sampled_from(RATES))
+# negative powers of z only without an exponential factor: z^{-m} e^{kz}
+# (k != 0) integrates to an exponential integral, outside the class
+terms = st.one_of(
+    st.tuples(coefficients, st.integers(0, 4), st.sampled_from(RATES)),
+    st.tuples(coefficients, st.integers(-4, -1), st.just(0)))
 
 
 def _term(c, n, k):
@@ -34,9 +38,11 @@ def test_primitive_differentiates_back(drawn):
     total = ex.const(0)
     for t in prims:
         total = ex.add(total, t)
-    got = evaluate(ex.differentiate(total), POINTS)
+    # a Laurent term is singular at 0, the first point
+    z = POINTS if all(n >= 0 for _, n, _ in drawn) else POINTS[1:]
+    got = evaluate(ex.differentiate(total), z)
     # roundoff scale: the derivative terms cancel down to the integrand
-    scale = sum(np.abs(evaluate(ex.differentiate(t), POINTS)) for t in prims)
-    scale = scale + sum(np.abs(evaluate(_term(*t), POINTS)) for t in drawn)
-    assert np.all(np.abs(got - evaluate(f, POINTS))
+    scale = sum(np.abs(evaluate(ex.differentiate(t), z)) for t in prims)
+    scale = scale + sum(np.abs(evaluate(_term(*t), z)) for t in drawn)
+    assert np.all(np.abs(got - evaluate(f, z))
                   <= 16 * np.finfo(float).eps * (1 + scale))

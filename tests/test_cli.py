@@ -70,6 +70,38 @@ def test_deform_pipeline_verify(cli):
     assert rep["degeneracy_rank"] == 3
 
 
+_PERIODIC = ('{"curve": ["i/z", "1/z", "0"], "domain": {"rect": [-1.5, 1.5, '
+             '-1.5, 1.5], "punctures": [[0, 0]]}, "base_point": [1, 0]}')
+
+
+@pytest.mark.parametrize("spec, period", [
+    (_PERIODIC, [-2 * math.pi, 0.0, 0.0]),
+    ('{"weierstrass": {"G": "z", "Psi": "1/z^2"}, "domain": {"rect": '
+     '[-1.5, 1.5, -1.5, 1.5], "punctures": [[0, 0]]}, "base_point": [1, 0]}',
+     [0.0, 0.0, 0.0]),
+    ('{"weierstrass": {"G": "exp(z)", "Psi": "-i*exp(-z)"}}', [0.0, 0.0, 0.0]),
+    ('{"curve": ["log(z)", "i*log(z)", "0"], "domain": {"rect": '
+     '[0.5, 1, 0.5, 1]}}', None),
+])
+def test_verify_reports_the_real_period(cli, spec, period):
+    code, report, _ = cli(["verify", "--res", "17x17"], stdin=spec)
+    assert code == 0
+    assert json.loads(report)["real_period"] == period
+
+
+def test_verify_gives_a_hyperplane_only_for_rank_n_minus_1(cli):
+    _, spec, _ = cli(["catalog", "show", "lagrangian-catenoid"])
+    _, report, _ = cli(["verify", "--res", "9x9"], stdin=spec)
+    rep = json.loads(report)
+    assert rep["degeneracy_rank"] == 2 and "hyperplane" not in rep
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    _, deformed, _ = cli(["deform", "--kind", "theorem51", "--c", "1+2i"],
+                         stdin=spec)
+    _, report, _ = cli(["verify", "--res", "9x9"], stdin=deformed)
+    rep = json.loads(report)
+    assert rep["degeneracy_rank"] == 3 and len(rep["hyperplane"]) == 4
+
+
 def test_identity_pipeline_round_trips(cli):
     _, spec, _ = cli(["catalog", "show", "catenoid-exp"])
     _, sampled1, _ = cli(["sample", "--res", "9x9"], stdin=spec)

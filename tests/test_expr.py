@@ -7,6 +7,7 @@ import pytest
 
 from minsurf import catalog as cat
 from minsurf import expr as ex
+from minsurf.domain import DomainSpec
 from minsurf.engine import compile_expr, eval_program, evaluate
 from minsurf.errors import EvaluationSingularity, InvalidConstant, ParseError
 from minsurf.nullcurve import from_weierstrass
@@ -324,11 +325,12 @@ def test_power_of_a_power_is_kept_as_written():
 
 
 def _in_class_curves():
-    """The catalog curves of the exponential-polynomial class and their
+    """The catalog curves, all of the exponential-Laurent class, and their
     deformations: parabolic rotations and associates."""
     curves = []
     for name, w in (("helicoid", cat.helicoid()),
-                    ("catenoid-exp", cat.catenoid_exp())):
+                    ("catenoid-exp", cat.catenoid_exp()),
+                    ("catenoid", cat.catenoid())):
         base = from_weierstrass(w)
         curves += [(name, base),
                    (f"{name} parabolic", parabolic_deform(w, 1.3 - 0.8j)),
@@ -340,7 +342,9 @@ def _in_class_curves():
         curves += [(name, c), (f"{name} associate", associate(c, -1.2)),
                    (f"{name} parabolic", apply_transform(
                        parabolic_rotation_matrix(-0.4 + 0.9j), c))]
-    return curves
+    ho = cat.hoffman_osserman(1 + 1j, 2, 1, 1)   # five components
+    return curves + [("hoffman-osserman", ho),
+                     ("hoffman-osserman associate", associate(ho, 0.4))]
 
 
 IN_CLASS = _in_class_curves()
@@ -370,21 +374,65 @@ def test_antiderivative_differentiates_back_to_each_component(name, curve):
     ("1/exp(z)", ["-exp(-z)"]),
     ("cosh(z)", ["0.5*exp(z)", "-0.5*exp(-z)"]),
     ("0", []),
+    ("1/z", ["log(z)"]),
+    ("z^(-2)", ["-z^(-1)"]),
+    ("(2-3i)/z^3+1/z", ["(-1+1.5*i)*z^(-2)", "log(z)"]),
+    ("(1-i)/(2*z)", ["(0.5-0.5*i)*log(z)"]),
+    ("(z^(-1))^(-1)", ["0.5*z^2"]),
+    ("exp(z)/(z*exp(z))", ["log(z)"]),
+    ("exp(z)/z*exp(-z)", ["log(z)"]),
 ])
 def test_antiderivative_terms(text, terms):
     assert [ex.to_source(t) for t in ex.antiderivative(ex.parse(text))] == terms
 
 
-def test_antiderivative_outside_the_class_is_none():
+def test_antiderivative_of_the_laurent_catalog_curves():
+    # the catenoid (z, 1/z^2) and Hoffman-Osserman: every component has a
+    # primitive, and only the z^{-1} components a log term
     catenoid = from_weierstrass(cat.catenoid())
-    assert all(ex.antiderivative(c) is None for c in catenoid.components)
     ho = cat.hoffman_osserman(1 + 1j, 2, 1, 1)
-    assert [ex.antiderivative(c) is None for c in ho.components] == [
-        True, True, True, False, False]
+    for curve, logs in ((catenoid, [0, 0, 1]), (ho, [0, 0, 1, 0, 0])):
+        prims = [ex.antiderivative(c) for c in curve.components]
+        assert all(p is not None for p in prims)
+        assert [sum("log(z)" in ex.to_source(t) for t in p)
+                for p in prims] == logs
+    assert [ex.residue(c) for c in catenoid.components] == [0, 0, 1]
+    assert [ex.residue(c) for c in ho.components] == [0, 0, 1, 0, 0]
+
+
+def test_antiderivative_outside_the_class_is_none():
     for text in ("log(z)", "z*log(z)", "exp(z^2)", "exp(z)*exp(z^2)",
-                 "1/z", "z^(-2)*exp(z)", "1/(1+exp(z))", "sinh(1/z)",
-                 "(z^(-1))^(-1)"):
+                 "z^(-2)*exp(z)", "exp(z)/z", "z*exp(z)/z^2", "1/(z*exp(z))",
+                 "1/(1+z)",
+                 "1/(1+exp(z))", "sinh(1/z)", "exp(1/z)"):
         assert ex.antiderivative(ex.parse(text)) is None, text
+        assert ex.residue(ex.parse(text)) is None, text
+
+
+@pytest.mark.parametrize("text, res", [
+    ("1/z", 1), ("(2-3i)/z^3+(0.5+i)/z-z", 0.5 + 1j), ("exp(z)", 0),
+    ("z^(-2)", 0), ("sinh(z)/z^0", 0), ("i*z/z^2", 1j),
+])
+def test_residue_is_the_z_inverse_coefficient(text, res):
+    assert ex.residue(ex.parse(text)) == res
+
+
+@pytest.mark.parametrize("text", [
+    "1/z", "z^(-2)", "(2-3i)/z^3+(0.5+i)/z-z", "(1+z)^3/z^4",
+    "(z^(-1))^(-1)", "(0.5*z*exp(z))^(-2)*exp(2*z)", "(z-1/z)^2",
+])
+def test_laurent_primitives_differentiate_back(text):
+    # on Halton samples of a punctured square, clear of the pole at 0
+    e = ex.parse(text)
+    terms = ex.antiderivative(e)
+    total = ex.const(0)
+    for t in terms:
+        total = ex.add(total, t)
+    z = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,)).sample_points(64)
+    got = evaluate(ex.differentiate(total), z)
+    want = evaluate(e, z)
+    scale = sum(np.abs(evaluate(ex.differentiate(t), z)) for t in terms)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (1 + scale))
 
 
 def test_a_constant_is_finite():

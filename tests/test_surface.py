@@ -18,7 +18,7 @@ from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
 from minsurf.surface import (_triangles, conformal_factor, degeneracy_rank,
                              export_mesh, gauss_map, immerse,
                              load_obj_vertices, parametric_immersion,
-                             verify_minimal, wirtinger_defect)
+                             real_period, verify_minimal, wirtinger_defect)
 from minsurf.transforms import (associate, lawson, parabolic_deform,
                                 parabolic_deform_rotated)
 
@@ -232,6 +232,35 @@ def test_degeneracy_scalar_invariance():
     assert degeneracy_rank(d, 64).rank == degeneracy_rank(scaled, 64).rank
 
 
+def test_hyperplane_only_when_one_hyperplane_is_missed():
+    # rank n - 2: the normal space is a plane, with no one direction
+    rep = degeneracy_rank(cat.lagrangian_catenoid(), 64)
+    assert rep.rank == 2 and rep.hyperplane is None
+    rep = degeneracy_rank(cat.osserman_graph(-1j), 64)
+    assert rep.rank == 2 and rep.hyperplane is None
+    assert degeneracy_rank(from_weierstrass(cat.helicoid()), 64).hyperplane is None
+
+
+def test_hyperplane_survives_one_ulp_changes_and_a_phase(rng):
+    d = parabolic_deform(cat.helicoid(), 2 - 1j)
+    a = d(d.domain.sample_points(64))
+    rank, _, hyper = surface_mod._rank_and_hyperplane(a)
+    assert rank == 3
+    mag = np.abs(hyper)
+    lead = hyper[np.argmax(mag > 0.5 * mag.max())]
+    assert lead.imag == 0 and lead.real > 0
+    changed = [a * np.exp(0.7j), a[::-1]]
+    for _ in range(5):
+        # each part of each sample moved by one ulp, up or down
+        changed.append(np.nextafter(a.real, rng.choice([-np.inf, np.inf], a.shape))
+                       + 1j * np.nextafter(a.imag,
+                                           rng.choice([-np.inf, np.inf], a.shape)))
+    for b in changed:
+        assert not np.array_equal(a, b)
+        _, _, other = surface_mod._rank_and_hyperplane(b)
+        assert np.max(np.abs(other - hyper)) <= 1e-14
+
+
 def test_degeneracy_sample_floor():
     with pytest.raises(ValueError):
         degeneracy_rank(cat.lagrangian_catenoid(), 4)
@@ -345,6 +374,13 @@ def _punctured_catenoid():
     return from_weierstrass(WeierstrassData(ex.Z, ex.parse("1/z^2"), dom))
 
 
+def _punctured_with_period():
+    """(i/z, 1/z, 0) about a puncture at 0: X0 = -arg z has the real period
+    -2 pi, so the curve keeps the quadrature tree."""
+    dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
+    return NullCurve((ex.parse("i/z"), ex.parse("1/z"), ex.const(0)), dom)
+
+
 def _from_origin(x0, x1, y):
     """Distance from 0 to the segment (x0, y) -> (x1, y)."""
     return np.hypot(np.clip(0.0, np.minimum(x0, x1), np.maximum(x0, x1)), y)
@@ -376,17 +412,23 @@ def test_off_grid_base_point_on_the_punctured_catenoid():
     assert np.max(np.abs(p.points[p.valid] - oracle)) <= 1e-12
 
 
-def test_transposed_tree_reaches_cells_behind_the_puncture():
+def test_transposed_tree_reaches_cells_behind_the_puncture(monkeypatch):
     # from base point 1 the base row v = 0 runs into the puncture, so the
     # cell at (-1, 1) lies beyond a cut edge of the first tree; the
-    # transposed tree reaches it along the row v = 1
-    p = immerse(_punctured_catenoid(), zeta0=1 + 0j, res=(33, 33))
-    j, k = np.argmin(np.abs(p.u + 1)), np.argmin(np.abs(p.v - 1))
-    assert _from_origin(1.0, p.u[j], 0.0) == 0.0
-    assert p.valid[j, k]
-    f = cat.catenoid_closed_form().func
-    want = np.asarray(f(p.u[j], p.v[k])) - np.asarray(f(1.0, 0.0))
-    assert np.max(np.abs(p.points[j, k] - want)) <= 1e-12
+    # transposed tree reaches it along the row v = 1, on the exact route
+    # and, with no primitive, by quadrature
+    calls = _quadrature_calls(monkeypatch)
+    for route in ("exact", "quadrature"):
+        if route == "quadrature":
+            monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+        p = immerse(_punctured_catenoid(), zeta0=1 + 0j, res=(33, 33))
+        assert len(calls) == (0 if route == "exact" else 2)
+        j, k = np.argmin(np.abs(p.u + 1)), np.argmin(np.abs(p.v - 1))
+        assert _from_origin(1.0, p.u[j], 0.0) == 0.0
+        assert p.valid[j, k]
+        f = cat.catenoid_closed_form().func
+        want = np.asarray(f(p.u[j], p.v[k])) - np.asarray(f(1.0, 0.0))
+        assert np.max(np.abs(p.points[j, k] - want)) <= 1e-12
 
 
 def test_transposed_tree_integrates_only_edges_toward_missed_cells(
@@ -397,7 +439,7 @@ def test_transposed_tree_integrates_only_edges_toward_missed_cells(
     calls = _quadrature_calls(monkeypatch)
     for z0, n in ((1 + 0j, 33), (0.37 - 0.81j, 41)):
         calls.clear()
-        p = immerse(_punctured_catenoid(), zeta0=z0, res=(n, n))
+        p = immerse(_punctured_with_period(), zeta0=z0, res=(n, n))
         u, v = p.u, p.v
         clearance = 1.25 * np.hypot(*p.spacing())
         j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
@@ -413,6 +455,89 @@ def test_transposed_tree_integrates_only_edges_toward_missed_cells(
                 want += np.sum(_from_origin(u[j], u[j + 1], v[k]) > clearance)
         assert 0 < want < (n - 1) * (n - 1)
         assert len(calls) == 2 and calls[1] == want
+
+
+@pytest.mark.parametrize("res", [257, 513])
+def test_punctured_catenoid_takes_the_exact_route(monkeypatch, res):
+    # the Laurent primitive (-1/(2z) - z/2, -i/(2z) + iz/2, log z): no
+    # quadrature, the valid cells are the tree's reach, bitwise, and the
+    # points are within 5e-15 of the closed form
+    calls = _quadrature_calls(monkeypatch)
+    c = _punctured_catenoid()
+    p = immerse(c, zeta0=1 + 0j, res=(res, res), tol=1e-10)
+    assert calls == []
+    f = cat.catenoid_closed_form().func
+    uu, vv = np.meshgrid(p.u, p.v, indexing="ij")
+    oracle = f(uu[p.valid], vv[p.valid]) - f(1.0, 0.0)
+    assert np.max(np.abs(p.points[p.valid] - oracle)) <= 5e-15
+    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    tree = immerse(c, zeta0=1 + 0j, res=(res, res), tol=1e-10)
+    assert len(calls) == 2
+    assert np.array_equal(p.valid, tree.valid)
+    assert np.array_equal(np.isnan(p.points), np.isnan(tree.points))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+def test_hoffman_osserman_takes_the_exact_route(monkeypatch, alpha):
+    # primitive (d1 z - C/z, d2 z - i C/z, alpha log z, d4 z, d5 z)
+    d4, d5, C = 1 + 1j, 2, 0.5 - 0.25j
+    c = cat.hoffman_osserman(d4, d5, C, alpha)
+    calls = _quadrature_calls(monkeypatch)
+    p = immerse(c, res=(65, 65), tol=1e-10)
+    assert calls == [] and p.valid.all()
+    s = (d4 * d4 + d5 * d5) * C / alpha ** 2
+    q = alpha ** 2 / (4 * C)
+    d1, d2 = s - q, 1j * (s + q)
+
+    def F(z):
+        return np.stack([(d1 * z - C / z).real, (d2 * z - 1j * C / z).real,
+                         alpha * np.log(np.abs(z)), (d4 * z).real,
+                         (d5 * z).real], axis=-1)
+
+    zz = p.u[:, None] + 1j * p.v[None, :]
+    want = F(zz) - F(np.array(p.base_point))
+    assert np.max(np.abs(p.points - want)) <= 1e-13
+
+
+def test_a_real_period_keeps_the_quadrature_tree(monkeypatch):
+    # (i/z, 1/z, 0): Re(2 pi i i) = -2 pi; X0 tears across the cut, so
+    # the curve takes the tree, whose output is that of a curve with no
+    # primitive, bitwise
+    c = _punctured_with_period()
+    assert np.array_equal(real_period(c), [-2 * np.pi, 0.0, 0.0])
+    calls = _quadrature_calls(monkeypatch)
+    p = immerse(c, zeta0=1 + 0j, res=(33, 33))
+    assert len(calls) == 2
+    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    tree = immerse(c, zeta0=1 + 0j, res=(33, 33))
+    assert np.array_equal(p.valid, tree.valid)
+    assert np.array_equal(p.points, tree.points, equal_nan=True)
+
+
+@pytest.mark.parametrize("im, exact", [(1e-16, True), (1e-13, False)])
+def test_a_residue_is_real_to_primitive_ulps_of_its_size(monkeypatch, im,
+                                                        exact):
+    # the catenoid with r/z, Im r = 1e-16 (under 4 eps |r|), as its third
+    # component takes the exact route; with 1e-13 the period -2 pi Im r
+    # of X2 keeps the tree
+    cat3 = _punctured_catenoid()
+    r = 1 + 1j * im
+    c = replace(cat3, components=cat3.components[:2] + (ex.div(r, ex.Z),))
+    calls = _quadrature_calls(monkeypatch)
+    immerse(c, zeta0=0.5 + 0.5j, res=(17, 17))
+    assert (calls == []) == exact
+
+
+def test_real_period_of_the_catalog():
+    # every catalog curve is in the class, with real residues
+    for entry in cat.entries():
+        curve = entry.construction()
+        if isinstance(curve, WeierstrassData):
+            curve = from_weierstrass(curve)
+        assert np.array_equal(real_period(curve), np.zeros(curve.n)), entry.name
+    log = NullCurve((ex.log(ex.Z), ex.mul(1j, ex.log(ex.Z)), ex.const(0)),
+                    DomainSpec(0.5, 1, 0.5, 1))
+    assert real_period(log) is None
 
 
 def test_base_point_must_lie_in_the_domain_clear_of_punctures():
@@ -766,7 +891,7 @@ def test_running_sums_carry_nan_beyond_a_nan_edge():
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
 @pytest.mark.parametrize("curve", [from_weierstrass(cat.helicoid()),
-                                   _punctured_catenoid()],
+                                   _punctured_with_period()],
                          ids=["exact", "quadrature"])
 def test_immersions_need_a_positive_finite_tol(monkeypatch, curve, tol):
     # refused before either route compiles anything
