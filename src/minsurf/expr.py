@@ -424,8 +424,8 @@ def antiderivative(e: Expr):
             for j in range(n + 1):
                 _merge(out, (n - j, k), coef)
                 coef *= -(n - j) / k
-    except (OverflowError, ZeroDivisionError):
-        return None     # a coefficient beyond float range
+    except OverflowError:
+        return None     # an exponent n + 1 beyond float range
     if not all(cmath.isfinite(c) for c in out.values()):
         return None
     terms = tuple(_term(c, m, k) for (m, k), c in out.items())

@@ -2,22 +2,23 @@
 
 The immersion is X = Re of the path integral of the curve, anchored so
 that X(z0) = 0; on the puncture-free rectangle it does not depend on the
-path.  When ``expr.antiderivative`` gives every component an exact
-primitive F = sum_t F_t (sums of c z^n e^{kz}, n negative only where
-k = 0: every catalog curve and its constant linear deformations) and each
-z^{-1} coefficient is real, so that X has no real period about 0,
-``immerse`` takes X = Re(F(z) - F(z0)) at each grid point, on the
-domain's branch cut, with tol as each point's budget for the roundoff
-level PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t |F_t(z0)|).  Otherwise
-it integrates a spanning tree of the grid by quadrature in one
-``integrate_segments`` call of nu nv segments (a stem from z0 to the
-nearest grid point g(j0, k0), the edges of row k0 and of every
-column), each within tol / (nu + nv), and sums them outward in
-blocks of about sqrt(m) of a line's m edges.  Where a puncture cuts the
-tree, the transposed tree reaches what it can; on both routes the valid
-cells are those the trees reach.  Every stage reads the curve's own
-``domain``: the grid rectangle, the punctures that mask cells and
-segments, and the log branch cut.
+path.  ``immerse`` first finds the valid grid points: those that keep
+more than 1.25 cell diagonals from every puncture, as does one of their
+L-paths from z0, the stem to the nearest grid point g(j0, k0) then row
+k0 and column j, or the stem, column j0 and row k.  When
+``expr.antiderivative`` gives every component an exact primitive
+F = sum_t F_t (sums of c z^n e^{kz}, n negative only where k = 0: every
+catalog curve and its constant linear deformations) and each z^{-1}
+coefficient is real, so that X has no real period about 0, X is
+Re(F(z) - F(z0)) at each valid point, on the domain's branch cut, with
+tol as each point's budget for the roundoff level PRIMITIVE_ULPS eps
+(sum_t |F_t(z)| + sum_t |F_t(z0)|).  Otherwise one ``integrate_segments``
+call takes the stem and the edges of row k0 and of every column toward
+the points the first L-path reaches, each within tol / (nu + nv),
+summed outward in blocks of about sqrt(m) of a line's m edges, and a
+second the transposed tree's row edges toward the other valid points.
+Every stage reads the curve's ``domain``: the grid rectangle, the
+punctures and the log branch cut.
 
 Verification instruments:
 
@@ -100,14 +101,12 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     """Sample X = Re integral of the curve on a grid of the curve's
     domain, with X(zeta0) = 0.
 
-    zeta0 defaults to the grid point nearest the domain center.  Cells
-    within 1.25 cell-diagonals of a puncture, or reached by neither
-    spanning tree, are flagged invalid; their points are NaN.  With an
-    exact primitive each valid point is Re(F(z) - F(zeta0)) within tol,
-    in one pass over chunks of them; a declared puncture masks cells,
-    but no path exists to pass through it.
-    Otherwise each tree is one ``integrate_segments`` call, each edge
-    within tol / (nu + nv) (see the module docstring).
+    zeta0 defaults to the grid point nearest the domain center.  A grid
+    point is valid when it and one of its L-paths from zeta0 keep more
+    than 1.25 cell diagonals from every puncture (see the module
+    docstring); the others are NaN.  With an exact primitive each valid
+    point is Re(F(z) - F(zeta0)) within tol, in one pass over chunks of
+    them; otherwise each tree is one ``integrate_segments`` call.
     """
     tol = check_tol(tol)
     domain = c.domain
@@ -124,29 +123,28 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
 
     zz = u[:, None] + 1j * v[None, :]
     clearance = 1.25 * float(np.hypot(u[1] - u[0], v[1] - v[0]))
-    valid = domain.puncture_distance(zz) > clearance
     j0 = _nearest_index(u, zeta0.real)
     k0 = _nearest_index(v, zeta0.imag)
+
+    def clear(a, b=None):
+        return domain.puncture_distance(a, b) > clearance
+
+    # the reach rule: a point and one of its L-paths clear the punctures,
+    # the stem to g then row k0 and column j (the spanning tree's path, to
+    # the points ``first``), or the stem, column j0 and row k
+    g = zz[j0, k0]
+    stem = clear(zeta0, g)
+    first = stem & clear(g, zz[:, k0])[:, None] & clear(zz[:, k0, None], zz)
+    valid = clear(zz) & (first | stem & clear(g, zz[j0]) & clear(zz[j0], zz))
     if not valid[j0, k0]:
         raise ValueError("base point is masked by a puncture")
-    tree = (domain, clearance, zz, zeta0, j0, k0, valid)
 
     sample = _primitive_sampler(c, zeta0, tol)
-    if sample is not None:
-        # edges that cost nothing reach the cells that quadrature reaches
-        reach = valid & np.isfinite(
-            _tree_integrals(lambda a, b: np.zeros((1, a.size)), *tree)[0])
-        sampled = sample(zz[reach])
-        if sampled is not None:
-            points = np.full((nu, nv, c.n), np.nan)
-            points[reach] = sampled
-            return SurfacePatch(u, v, points, reach, zeta0)
-
-    points = _tree_integrals(lambda a, b: integrate_segments(
-        c.components, a, b, tol / (nu + nv), domain=domain), *tree)
-    points = points.real.transpose(1, 2, 0)
-    valid &= np.all(np.isfinite(points), axis=2)
-    points = np.where(valid[:, :, None], points, np.nan)
+    x = sample(zz[valid]) if sample is not None else None
+    if x is None:
+        x = _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid)
+    points = np.full((nu, nv, c.n), np.nan)
+    points[valid] = x
     return SurfacePatch(u, v, points, valid, zeta0)
 
 
@@ -195,39 +193,41 @@ def _primitive_sampler(c, zeta0, tol):
     return sample
 
 
-def _tree_integrals(integrate, domain, clearance, zz, zeta0, j0, k0, valid):
-    """Integrals from zeta0 to every grid point zz, shape (k, nu, nv): the
-    k-row ``integrate(a, b)`` of the tree edges a -> b clear of the
-    punctures (the others are NaN, untried), summed along the spanning
-    tree and then the transposed one; NaN where neither reaches."""
+def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
+    """X at the ``valid`` grid points zz, shape (m, n): the spanning tree's
+    edges toward the points it reaches (``first``, so each edge is clear),
+    summed outward, then the transposed tree's row edges toward the valid
+    points it misses; one ``integrate_segments`` call per tree."""
+    nu, nv = zz.shape
+
     def edges(a, b, need):
-        ok = need & (domain.puncture_distance(a, b) > clearance)
-        got = integrate(a[ok], b[ok])
+        got = integrate_segments(c.components, a[need], b[need],
+                                 tol / (nu + nv), domain=c.domain)
         vals = np.full((len(got),) + a.shape, np.nan, dtype=np.complex128)
-        vals[:, ok] = got
+        vals[:, need] = got
         return vals
 
-    nu, nv = zz.shape
     # the spanning tree: a stem z0 -> g(j0, k0), the edges of row k0 and
-    # the edges of every column, in one call of nu * nv segments
+    # of every column, each taken when its node away from g is reached
     a = np.concatenate([[zeta0], zz[:-1, k0], zz[:, :-1].ravel()])
     b = np.concatenate([[zz[j0, k0]], zz[1:, k0], zz[:, 1:].ravel()])
-    vals = edges(a, b, True)
+    need = np.concatenate([[True], np.delete(first[:, k0], j0),
+                           np.delete(first, k0, axis=1).ravel()])
+    vals = edges(a, b, need)
     stem = vals[:, 0, None, None]
     col = _running_sums(vals[:, nu:].reshape(-1, nu, nv - 1), k0)
     total = stem + _running_sums(vals[:, 1:nu], j0)[:, :, None] + col
-    missed = valid & ~np.all(np.isfinite(total), axis=0)
+    missed = valid & ~first
     if np.any(missed):
         # the transposed tree reaches the rest: column j0, then the row
-        # edges between j0 and a missed cell (row k0 is the first tree's)
+        # edges between j0 and a missed cell
         beyond = np.zeros((nu - 1, nv), bool)
         beyond[j0:] = np.logical_or.accumulate(missed[:j0:-1], axis=0)[::-1]
         beyond[:j0] = np.logical_or.accumulate(missed[:j0], axis=0)
-        beyond[:, k0] = False
         rows = edges(zz[:-1].T, zz[1:].T, beyond.T)
         alt = stem + col[:, j0, :, None] + _running_sums(rows, j0)
-        total = np.where(np.isfinite(total), total, alt.transpose(0, 2, 1))
-    return total
+        total = np.where(first, total, alt.transpose(0, 2, 1))
+    return total.real.transpose(1, 2, 0)[valid]
 
 
 def _running_sums(edges, i0):

@@ -410,6 +410,11 @@ _CORNERS = "x,y,X0,X1,X2\n" + "0,0,1,1,0\n0,0,1,-1,0\n0,0,-1,-1,0\n0,0,-1,1,0\n"
     (["verify"], '{"curve": ["exp z", "i", "0"]}', "ParseError", "'('"),
     (["verify"], '{"curve": ["", "i", "0"]}', "ParseError", "end of input"),
     (["sample", "--res", "64"], _HELICOID, "ValueError", "64x64"),
+    # the stem from the base point to the grid point 0 passes the puncture
+    (["export", "--res", "21x21", "--base-point", "0.049+0.049i",
+      "--output", "{out}"], '{"weierstrass": {"G": "exp(z)", "Psi": '
+     '"exp(-z)"}, "domain": {"rect": [-1, 1, -1, 1], "punctures": '
+     '[[0.15, 0.1]]}}', "ValueError", "masked by a puncture"),
 ])
 def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
                                              error, fragment):

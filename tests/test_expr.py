@@ -458,6 +458,7 @@ def test_a_fold_beyond_float_range_keeps_its_node(text):
     "exp(1e200*1e200*z)",        # an infinite exponent
     "exp(800+z)",                # e^800 overflows in the normal form
     "(1e-200*exp(z))^(-2)",      # 1/(1e-200)^2 divides by zero
+    "(z^(-1e200))^(-1e200)",     # z^(1e400): n + 1 is no float
     "sinh(z^2)", "cosh(z^2)",    # not an affine argument
 ])
 def test_antiderivative_beyond_float_range_or_the_class_is_none(text):

@@ -38,6 +38,16 @@ def _quadrature_calls(monkeypatch):
     return calls
 
 
+def _no_tree(monkeypatch):
+    """Make surface's quadrature tree raise; returns the real one."""
+    def no_tree(*args):
+        raise AssertionError("the exact route ran the quadrature tree")
+
+    tree_integrals = surface_mod._tree_integrals
+    monkeypatch.setattr(surface_mod, "_tree_integrals", no_tree)
+    return tree_integrals
+
+
 def _closed_form_grid(surface, patch):
     vals = np.empty_like(patch.points)
     for j, u in enumerate(patch.u):
@@ -341,15 +351,16 @@ def test_punctured_points_are_nan_exactly_off_valid_cells():
         p.u[:, None] + 1j * p.v[None, :]) <= 1.25 * np.hypot(*p.spacing()))
 
 
-def test_transposed_tree_with_no_edge_to_integrate(monkeypatch):
-    # every row edge the transposed tree wants is cut by the puncture, so
-    # its quadrature call has no segment; G = exp(z^2) has no primitive
+def test_no_second_call_for_cells_that_no_tree_reaches(monkeypatch):
+    # the puncture cuts every L-path to the cells the first tree misses,
+    # so they are invalid and the grid takes one quadrature call;
+    # G = exp(z^2) has no primitive
     dom = DomainSpec(-1, 1, -1, 1, punctures=(0.3 - 0.2j,))
     c = from_weierstrass(WeierstrassData(ex.parse("exp(z^2)"), ex.const(1),
                                          dom))
     calls = _quadrature_calls(monkeypatch)
     p = immerse(c, zeta0=-0.5 + 1j, res=(5, 5))
-    assert len(calls) == 2 and calls[1] == 0
+    assert calls == [11]
     assert p.valid.sum() == 11
     assert np.array_equal(np.isnan(p.points).any(axis=2), ~p.valid)
     assert np.all(p.points[1, -1] == 0)    # the base point
@@ -386,11 +397,12 @@ def _from_origin(x0, x1, y):
     return np.hypot(np.clip(0.0, np.minimum(x0, x1), np.maximum(x0, x1)), y)
 
 
-def _tree_geometry(u, v, z0):
-    """Grid points that a spanning tree from z0 reaches more than 1.25 cell
-    diagonals away from a puncture at 0: along row k0 then up or down
-    column j, or along column j0 then along row k, where (j0, k0) is the
-    grid point nearest z0."""
+def _l_paths(u, v, z0):
+    """Grid points more than 1.25 cell diagonals from a puncture at 0, and
+    those whose L-path from z0 keeps that far from it: along row k0 then
+    up or down column j (the spanning tree's), and along column j0 then
+    along row k (the transposed tree's), where (j0, k0) is the grid point
+    nearest z0."""
     clearance = 1.25 * np.hypot(u[1] - u[0], v[1] - v[0])
     j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
     U, V = np.meshgrid(u, v, indexing="ij")
@@ -398,7 +410,13 @@ def _tree_geometry(u, v, z0):
                  & (_from_origin(v[k0], V, U) > clearance))
     col_first = ((_from_origin(v[k0], V, u[j0]) > clearance)
                  & (_from_origin(u[j0], U, V) > clearance))
-    return (np.hypot(U, V) > clearance) & (row_first | col_first)
+    return np.hypot(U, V) > clearance, row_first, col_first
+
+
+def _tree_geometry(u, v, z0):
+    """Grid points that a spanning tree from z0 reaches (see _l_paths)."""
+    clear, row_first, col_first = _l_paths(u, v, z0)
+    return clear & (row_first | col_first)
 
 
 def test_off_grid_base_point_on_the_punctured_catenoid():
@@ -434,8 +452,8 @@ def test_transposed_tree_reaches_cells_behind_the_puncture(monkeypatch):
 def test_transposed_tree_integrates_only_edges_toward_missed_cells(
         monkeypatch):
     # the second call takes the row edges, off the base row, that lie
-    # between column j0 and a cell the first tree missed and that clear
-    # the puncture
+    # between column j0 and a cell the transposed tree reaches and the
+    # first one misses, and that clear the puncture
     calls = _quadrature_calls(monkeypatch)
     for z0, n in ((1 + 0j, 33), (0.37 - 0.81j, 41)):
         calls.clear()
@@ -443,10 +461,8 @@ def test_transposed_tree_integrates_only_edges_toward_missed_cells(
         u, v = p.u, p.v
         clearance = 1.25 * np.hypot(*p.spacing())
         j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
-        U, V = np.meshgrid(u, v, indexing="ij")
-        first = ((_from_origin(u[j0], U, v[k0]) > clearance)
-                 & (_from_origin(v[k0], V, U) > clearance))
-        missed = (np.hypot(U, V) > clearance) & ~first
+        clear, first, second = _l_paths(u, v, z0)
+        missed = clear & second & ~first
         want = 0
         for k in range(n):
             js = np.flatnonzero(missed[:, k])
@@ -455,6 +471,90 @@ def test_transposed_tree_integrates_only_edges_toward_missed_cells(
                 want += np.sum(_from_origin(u[j], u[j + 1], v[k]) > clearance)
         assert 0 < want < (n - 1) * (n - 1)
         assert len(calls) == 2 and calls[1] == want
+        assert calls[0] == np.sum(clear & first)
+
+
+def _walk(dom, u, v, z0):
+    """The points of the grid u x v that the spanning tree from z0
+    reaches, and the valid ones: edge by edge, each edge a -> b tested by
+    ``puncture_distance`` against 1.25 cell diagonals, along the stem to
+    the nearest grid point g, row k0 and column j, or the stem, column j0
+    and row k; a valid point also clears the punctures itself."""
+    zz = u[:, None] + 1j * v[None, :]
+    clearance = 1.25 * np.hypot(u[1] - u[0], v[1] - v[0])
+    j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
+
+    def ok(a, b):
+        return dom.puncture_distance(a, b) > clearance
+
+    def outward(edge_ok, i0):
+        # nodes along the last axis whose edges back to node i0 are all ok
+        out = np.ones(edge_ok.shape[:-1] + (edge_ok.shape[-1] + 1,), bool)
+        out[..., i0 + 1:] = np.logical_and.accumulate(edge_ok[..., i0:], -1)
+        out[..., :i0] = np.logical_and.accumulate(
+            edge_ok[..., :i0][..., ::-1], -1)[..., ::-1]
+        return out
+
+    stem = ok(z0, zz[j0, k0])
+    cols = outward(ok(zz[:, :-1], zz[:, 1:]), k0)
+    first = stem & outward(ok(zz[:-1, k0], zz[1:, k0]), j0)[:, None] & cols
+    second = stem & cols[j0] & outward(ok(zz[:-1].T, zz[1:].T), j0).T
+    return first, (dom.puncture_distance(zz) > clearance) & (first | second)
+
+
+def test_reach_rule_matches_an_edge_by_edge_walk(monkeypatch):
+    # random rectangles, 0-3 punctures, 5-80 points a side, base points on
+    # and off the grid; the quadrature route (a constant curve with its
+    # primitive withheld) takes the stem and one edge into each point the
+    # spanning tree reaches other than g, and writes exactly the valid ones
+    rng = np.random.default_rng(20261018)
+    calls = _quadrature_calls(monkeypatch)
+    curve = NullCurve((ex.const(1), ex.const(1j), ex.const(0)), DomainSpec())
+    raised = masked = 0
+    for trial in range(200):
+        lo = rng.uniform(-2, 1, 2)
+        hi = lo + rng.uniform(0.2, 3, 2)
+        punctures = lo + rng.uniform(-0.1, 1.1, (rng.integers(0, 4), 2)) * (hi - lo)
+        dom = DomainSpec(lo[0], hi[0], lo[1], hi[1],
+                         punctures=[complex(*p) for p in punctures])
+        nu, nv = rng.integers(5, 81, 2)
+        u, v = dom.grid(nu, nv)
+        if trial % 2:
+            z0 = complex(u[rng.integers(nu)], v[rng.integers(nv)])
+        else:
+            z0 = complex(*(lo + rng.uniform(0, 1, 2) * (hi - lo)))
+        first, valid = _walk(dom, u, v, z0)
+        c = replace(curve, domain=dom)
+        j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
+        if not valid[j0, k0]:
+            raised += 1
+            with pytest.raises(ValueError, match="masked by a puncture"):
+                immerse(c, zeta0=z0, res=(nu, nv))
+            continue
+        masked += not valid.all()
+        assert np.array_equal(immerse(c, zeta0=z0, res=(nu, nv)).valid, valid)
+        with monkeypatch.context() as m:
+            m.setattr(surface_mod, "antiderivative", lambda e: None)
+            calls.clear()
+            p = immerse(c, zeta0=z0, res=(nu, nv))
+        assert np.array_equal(p.valid, valid)
+        assert np.array_equal(np.isnan(p.points).any(axis=2), ~valid)
+        assert np.all(np.isfinite(p.points[valid]))
+        assert calls[0] == first.sum()
+    assert raised >= 10 and masked >= 100
+
+
+def test_a_stem_past_a_puncture_masks_the_base_point(monkeypatch):
+    # g = 0 clears the puncture at 0.15 + 0.1i by more than 1.25 cell
+    # diagonals, but the stem from 0.049 + 0.049i to it does not; on both
+    # routes the base point is refused rather than every cell masked
+    dom = DomainSpec(-1, 1, -1, 1, punctures=(0.15 + 0.1j,))
+    calls = _quadrature_calls(monkeypatch)
+    for G, Psi in (("exp(z)", "exp(-z)"), ("exp(z^2)", "1")):
+        c = from_weierstrass(WeierstrassData(ex.parse(G), ex.parse(Psi), dom))
+        with pytest.raises(ValueError, match="masked by a puncture"):
+            immerse(c, zeta0=0.049 + 0.049j, res=(21, 21))
+    assert calls == []
 
 
 @pytest.mark.parametrize("res", [257, 513])
@@ -464,8 +564,10 @@ def test_punctured_catenoid_takes_the_exact_route(monkeypatch, res):
     # points are within 5e-15 of the closed form
     calls = _quadrature_calls(monkeypatch)
     c = _punctured_catenoid()
+    tree_integrals = _no_tree(monkeypatch)
     p = immerse(c, zeta0=1 + 0j, res=(res, res), tol=1e-10)
     assert calls == []
+    monkeypatch.setattr(surface_mod, "_tree_integrals", tree_integrals)
     f = cat.catenoid_closed_form().func
     uu, vv = np.meshgrid(p.u, p.v, indexing="ij")
     oracle = f(uu[p.valid], vv[p.valid]) - f(1.0, 0.0)
@@ -707,6 +809,27 @@ def test_parametric_immersion_array_matches_pointwise():
     assert np.array_equal(got, want)
 
 
+def test_parametric_immersion_without_a_primitive(monkeypatch):
+    # (1, i cosh(z^2), sinh(z^2)) has no exact primitive: the L-paths of
+    # a call's points are one quadrature call; an array call is its
+    # points' calls bitwise, and agrees with the tree within tol
+    dom = DomainSpec(-0.5, 0.5, -0.5, 0.5)
+    c = NullCurve((ex.const(1), ex.parse("i*cosh(z^2)"),
+                   ex.parse("sinh(z^2)")), dom)
+    assert ex.antiderivative(c.components[1]) is None
+    z0, tol = 0.1 - 0.2j, 1e-11
+    tree = immerse(c, zeta0=z0, res=(9, 7), tol=tol)
+    surf = parametric_immersion(c, zeta0=z0, tol=tol)
+    calls = _quadrature_calls(monkeypatch)
+    uu, vv = np.meshgrid(tree.u, tree.v, indexing="ij")
+    got = surf(uu, vv)
+    assert calls == [2 * uu.size]
+    want = np.array([[surf(a, b) for b in tree.v] for a in tree.u])
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(got - tree.points)) <= tol
+    assert np.max(np.abs(got[..., 0] - (uu - z0.real))) <= tol
+
+
 def test_lawson_lift_conformal_factor_preserved(rng):
     c3 = from_weierstrass(cat.helicoid())
     c6 = lawson(c3, 0.5, 0.8)
@@ -734,6 +857,7 @@ def _corollary53_closed_form(theta, patch):
 ])
 def test_entire_curves_take_the_exact_route(monkeypatch, kind, param, res):
     calls = _quadrature_calls(monkeypatch)
+    _no_tree(monkeypatch)
     if kind == "theorem51":
         curve = parabolic_deform(cat.helicoid(), param)
     else:
@@ -758,8 +882,10 @@ def test_exact_and_quadrature_routes_agree_on_a_punctured_domain(monkeypatch):
     curve = from_weierstrass(WeierstrassData(w.G, w.Psi, dom))
     tol = 1e-10
     calls = _quadrature_calls(monkeypatch)
+    tree_integrals = _no_tree(monkeypatch)
     exact = immerse(curve, zeta0=-1 + 0.5j, res=(65, 65), tol=tol)
     assert calls == [] and not exact.valid.all()
+    monkeypatch.setattr(surface_mod, "_tree_integrals", tree_integrals)
     monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
     quad = immerse(curve, zeta0=-1 + 0.5j, res=(65, 65), tol=tol)
     assert len(calls) == 2
