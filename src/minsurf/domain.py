@@ -73,7 +73,11 @@ class DomainSpec:
 
     def puncture_distance(self, a, b=None) -> np.ndarray:
         """Distance from the points ``a``, or from the segments a -> b, to
-        the nearest puncture (inf if none).  A point is the segment a -> a."""
+        the nearest puncture; with none, a read-only inf of the broadcast
+        shape, which takes no memory.  A point is the segment a -> a."""
+        if not self.punctures:
+            return np.broadcast_to(
+                np.inf, np.broadcast_shapes(np.shape(a), np.shape(b)))
         a = np.asarray(a, dtype=np.complex128)
         d = np.asarray(a if b is None else b, dtype=np.complex128) - a
         len2 = np.abs(d) ** 2

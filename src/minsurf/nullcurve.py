@@ -17,6 +17,7 @@ exponential-type data grow like e^{2u}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,10 @@ class NullResidualReport:
 
     @property
     def is_null(self) -> bool:
-        return self.max_abs_residual <= NULL_TOLERANCE * self.normalizer
+        # False when a sample overflows: inf <= inf would pass, and under a
+        # finite normalizer a residual that is inf or NaN fails
+        return (math.isfinite(self.normalizer)
+                and self.max_abs_residual <= NULL_TOLERANCE * self.normalizer)
 
 
 def quadratic_form(v):

@@ -34,6 +34,11 @@ Verification instruments:
                     so they read the patch alone
 * export_mesh       OBJ (text, 9 significant digits) / PLY (binary,
                     float64, all n coordinates as vertex properties)
+
+The exact route, verify_minimal and export_mesh take the grid in blocks of
+about BLOCK_POINTS points, building no full-grid temporary, and their
+outputs do not depend on the block size.  The quadrature keeps its own
+chunk size, quadrature.CHUNK_NODES.
 """
 
 from __future__ import annotations
@@ -48,13 +53,13 @@ from .conic import ParametricSurface
 from .errors import ZeroVector
 from .expr import antiderivative, residue
 from .nullcurve import NullCurve
-from .quadrature import CHUNK_NODES, check_tol, integrate_segments
+from .quadrature import check_tol, integrate_segments
 
 __all__ = [
     "SurfacePatch", "GaussMapSample", "DegeneracyReport",
     "immerse", "conformal_factor", "gauss_map", "degeneracy_rank",
     "verify_minimal", "export_mesh", "parametric_immersion", "real_period",
-    "RANK_CUTOFF",
+    "RANK_CUTOFF", "BLOCK_POINTS",
 ]
 
 # singular values below RANK_CUTOFF * sigma_1 count as numerical zero;
@@ -68,6 +73,9 @@ RANK_CUTOFF = 1e-8
 # imaginary part is within PRIMITIVE_ULPS eps of its modulus.
 PRIMITIVE_ULPS = 4
 _PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
+# grid points per block (values per component on the exact route): the
+# temporaries of a block stay in cache, and 2048 to 16384 time alike
+BLOCK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     point is valid when it and one of its L-paths from zeta0 keep more
     than 1.25 cell diagonals from every puncture (see the module
     docstring); the others are NaN.  With an exact primitive each valid
-    point is Re(F(z) - F(zeta0)) within tol, in one pass over chunks of
+    point is Re(F(z) - F(zeta0)) within tol, in one pass over blocks of
     them; otherwise each tree is one ``integrate_segments`` call.
     """
     tol = check_tol(tol)
@@ -139,25 +147,25 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     if not valid[j0, k0]:
         raise ValueError("base point is masked by a puncture")
 
+    at = np.flatnonzero(valid)
+    points = np.full((nu * nv, c.n), np.nan)
     sample = _primitive_sampler(c, zeta0, tol)
-    x = sample(zz[valid]) if sample is not None else None
-    if x is None:
-        x = _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid)
-    points = np.full((nu, nv, c.n), np.nan)
-    points[valid] = x
-    return SurfacePatch(u, v, points, valid, zeta0)
+    if sample is None or not sample(zz.ravel(), at, points):
+        points[at] = _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid)
+    return SurfacePatch(u, v, points.reshape(nu, nv, c.n), valid, zeta0)
 
 
 def _primitive_sampler(c, zeta0, tol):
     """None when a component has no exact primitive F = sum_t F_t (see
     ``expr.antiderivative``) or a z^{-1} coefficient that is not real to
     PRIMITIVE_ULPS of its size (X then has a real period about 0, and
-    Re F(z) jumps across the branch cut), else a function of points z,
-    shape (m,), giving X = Re(F(z) - F(zeta0)), shape (m, n), or None
-    when a value is not finite or PRIMITIVE_ULPS eps (sum_t |F_t(z)| +
-    sum_t |F_t(zeta0)|) exceeds tol.  One program of the terms is
-    compiled here, and evaluated with the domain's branch cut at zeta0
-    and in chunks of at most CHUNK_NODES values per component."""
+    Re F(z) jumps across the branch cut), else ``sample(z, at, out)``,
+    which writes X = Re(F(z[i]) - F(zeta0)) into out[i] for each i in
+    ``at``, or returns False when a value is not finite or PRIMITIVE_ULPS
+    eps (sum_t |F_t(z)| + sum_t |F_t(zeta0)|) exceeds tol.  One program
+    of the terms is compiled here, and evaluated with the domain's branch
+    cut at zeta0 and in blocks of at most BLOCK_POINTS values per
+    component; X does not depend on the block size."""
     prims = [antiderivative(e) for e in c.components]
     if any(p is None for p in prims) or not all(
             abs(r.imag) <= _PRIMITIVE_ROUNDOFF * abs(r)
@@ -165,32 +173,38 @@ def _primitive_sampler(c, zeta0, tol):
         return None
     cut = c.domain.branch_cut
     prog = engine.compile_expr(tuple(t for p in prims for t in p))
-    # the terms of component i are outputs cuts[i]:cuts[i + 1]; the zero
-    # curve has none
+    # the terms of component i are outputs cuts[i]:cuts[i + 1], its span;
+    # the zero curve has none
     cuts = np.cumsum([0] + [len(p) for p in prims])
-    step = max(1, CHUNK_NODES * c.n // max(1, len(prog.outputs)))
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    step = max(1, BLOCK_POINTS * c.n // max(1, len(prog.outputs)))
 
     def primitive(vals):
-        # F and sum_t |F_t| per component, shape (n, m) each
-        terms = [vals[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-        return (np.array([t.sum(axis=0) for t in terms]),
-                np.array([np.abs(t).sum(axis=0) for t in terms]))
+        # Re F and sum_t |F_t| per component, shape (n, m) each
+        mags = np.abs(vals)
+        return (np.array([_sum_rows(vals[lo:hi].real) for lo, hi in spans]),
+                np.array([_sum_rows(mags[lo:hi]) for lo, hi in spans]))
 
     base, base_mag = primitive(engine.eval_program(prog, np.array([zeta0]),
                                                    cut=cut))
 
-    def sample(z):
-        x = np.empty((z.size, c.n))
-        for lo in range(0, z.size, step):
-            vals = engine.eval_program(prog, z[lo:lo + step], cut=cut)
-            F, mag = primitive(vals)
-            if not (np.all(np.isfinite(vals)) and np.all(
-                    _PRIMITIVE_ROUNDOFF * (mag + base_mag) <= tol)):
-                return None
-            x[lo:lo + step] = (F - base).real.T
-        return x
+    def sample(z, at, out):
+        for lo in range(0, at.size, step):
+            rows = at[lo:lo + step]
+            F, mag = primitive(engine.eval_program(prog, z[rows], cut=cut))
+            # a value that is not finite makes its level inf or NaN
+            if not np.all(_PRIMITIVE_ROUNDOFF * (mag + base_mag) <= tol):
+                return False
+            out[rows] = (F - base).T
+        return True
 
     return sample
+
+
+def _sum_rows(t):
+    """t.sum(axis=0) in numpy's order for two or more columns, from 0 row
+    after row, also for one column (which numpy sums pairwise)."""
+    return sum(t, np.zeros(t.shape[1:], t.dtype))
 
 
 def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
@@ -338,15 +352,14 @@ def real_period(c: NullCurve):
     return np.array([(2j * math.pi * r).real for r in res])
 
 
-def _central_differences(p: SurfacePatch):
-    """X_u and X_v by central differences at the interior grid points,
-    with the mask of those whose four neighbours are all valid."""
-    hu, hv = p.spacing()
-    X = p.points
+def _central_differences(X, valid, hu, hv):
+    """X_u and X_v by central differences at the interior points of the
+    grid samples X, with the mask of those whose four neighbours are all
+    ``valid``."""
     xu = (X[2:, 1:-1] - X[:-2, 1:-1]) / (2 * hu)
     xv = (X[1:-1, 2:] - X[1:-1, :-2]) / (2 * hv)
-    ok = (p.valid[1:-1, 1:-1] & p.valid[:-2, 1:-1] & p.valid[2:, 1:-1]
-          & p.valid[1:-1, :-2] & p.valid[1:-1, 2:])
+    ok = (valid[1:-1, 1:-1] & valid[:-2, 1:-1] & valid[2:, 1:-1]
+          & valid[1:-1, :-2] & valid[1:-1, 2:])
     return xu, xv, ok
 
 
@@ -358,38 +371,46 @@ def verify_minimal(p: SurfacePatch) -> dict:
     Laplacian (per-direction spacing) over (E + G) / 2, the conformal
     factor to O(h^2).  Both are O(h^2) on a true minimal immersion.
     Points where E + G = 0 are left out; ValueError when no interior
-    point is left.
+    point is left.  The interior rows are taken in blocks of about
+    BLOCK_POINTS points, each with a halo row on either side; a NaN
+    defect in any block gives a NaN maximum.
     """
     nu, nv = p.resolution
     if nu < 5 or nv < 5:
         raise ValueError("verification needs at least a 5x5 grid")
-    xu, xv, ok = _central_differences(p)
-    E = np.sum(xu * xu, axis=2)
-    G = np.sum(xv * xv, axis=2)
-    F = np.sum(xu * xv, axis=2)
-    scale = E + G
-    ok &= scale != 0        # a zero metric gives no scale to read a defect on
-    if not np.any(ok):
+    hu, hv = p.spacing()
+    rows = max(1, BLOCK_POINTS // nv)
+    conf, harm, count = -np.inf, -np.inf, 0
+    for lo in range(1, nu - 1, rows):
+        X, valid = (a[lo - 1:lo + rows + 1] for a in (p.points, p.valid))
+        xu, xv, ok = _central_differences(X, valid, hu, hv)
+        E = np.sum(xu * xu, axis=2)
+        G = np.sum(xv * xv, axis=2)
+        F = np.sum(xu * xv, axis=2)
+        scale = E + G
+        ok &= scale != 0    # a zero metric gives no scale to read a defect on
+        count += int(np.sum(ok))
+        lap = ((X[2:, 1:-1] - 2 * X[1:-1, 1:-1] + X[:-2, 1:-1]) / hu ** 2
+               + (X[1:-1, 2:] - 2 * X[1:-1, 1:-1] + X[1:-1, :-2]) / hv ** 2)
+        # np.max, unlike max, keeps a NaN of an earlier block
+        conf = np.max(np.maximum(np.abs(E - G), 2 * np.abs(F))[ok]
+                      / scale[ok], initial=conf)
+        harm = np.max(np.max(np.abs(lap), axis=2)[ok] / (0.5 * scale[ok]),
+                      initial=harm)
+    if not count:
         raise ValueError("no interior points to verify")
 
-    hu, hv = p.spacing()
-    X = p.points
-    conf = np.maximum(np.abs(E - G), 2 * np.abs(F))[ok] / scale[ok]
-    lap = ((X[2:, 1:-1] - 2 * X[1:-1, 1:-1] + X[:-2, 1:-1]) / hu ** 2
-           + (X[1:-1, 2:] - 2 * X[1:-1, 1:-1] + X[1:-1, :-2]) / hv ** 2)
-    harm = np.max(np.abs(lap), axis=2)[ok] / (0.5 * scale[ok])
-
     return {
-        "conformality_defect": float(np.max(conf)),
-        "harmonicity_defect": float(np.max(harm)),
-        "interior_points": int(np.sum(ok)),
+        "conformality_defect": float(conf),
+        "harmonicity_defect": float(harm),
+        "interior_points": count,
     }
 
 
 def wirtinger_defect(p: SurfacePatch, c: NullCurve) -> float:
     """Max |2 dX/dz - phi| over interior points, via central differences.
     Checks that the sampled immersion really derives from the curve."""
-    xu, xv, ok = _central_differences(p)
+    xu, xv, ok = _central_differences(p.points, p.valid, *p.spacing())
     phi = c(p.u[1:-1, None] + 1j * p.v[None, 1:-1])
     diff = np.abs((xu - 1j * xv) - phi).max(axis=-1)
     return float(np.max(diff[ok]))
@@ -399,17 +420,17 @@ def wirtinger_defect(p: SurfacePatch, c: NullCurve) -> float:
 # mesh export
 # ---------------------------------------------------------------------------
 
-OBJ_BLOCK_ROWS = 1 << 16   # rows per OBJ write: bounds the text buffer
-
-
-def _triangles(p: SurfacePatch) -> np.ndarray:
-    """Triangles (a, b, c), (a, c, d), shape (m, 3), of each cell with all
-    corners a..d = (j, k), (j+1, k), (j+1, k+1), (j, k+1) valid, row-major."""
-    vid = np.arange(p.valid.size).reshape(p.valid.shape)
-    ok = p.valid[:-1, :-1] & p.valid[1:, :-1] & p.valid[1:, 1:] & p.valid[:-1, 1:]
-    a, b, c, d = (vid[:-1, :-1][ok], vid[1:, :-1][ok],
-                  vid[1:, 1:][ok], vid[:-1, 1:][ok])
-    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+def _triangle_blocks(cells):
+    """Triangles (a, b, c), (a, c, d), shape (m, 3), of each of the
+    ``cells`` (j, k) with corners a..d = (j, k), (j+1, k), (j+1, k+1),
+    (j, k+1), row-major, in blocks of rows of about BLOCK_POINTS cells."""
+    nv = cells.shape[1] + 1
+    rows = max(1, BLOCK_POINTS // nv)
+    for lo in range(0, len(cells), rows):
+        j, k = np.nonzero(cells[lo:lo + rows])
+        a = (j + lo) * nv + k
+        yield np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1],
+                       axis=-1).reshape(-1, 3)
 
 
 def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> None:
@@ -418,35 +439,40 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
     OBJ carries exactly three coordinates: the first three axes unless a
     ``projection`` (tuple of 3 axis indices) selects others.  PLY is
     binary little-endian and stores all n coordinates as float64 vertex
-    properties named x, y, z, w, ...
+    properties named x, y, z, w, ...  Vertices and faces are written in
+    blocks of about BLOCK_POINTS.
     """
     fmt = fmt.lower()
-    verts = p.points.reshape(-1, p.n)
-    verts = np.where(np.isfinite(verts), verts, 0.0)
-    tris = _triangles(p)
+    ok = p.valid
+    cells = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    # the points in blocks of BLOCK_POINTS, masked (NaN) coordinates as 0
+    verts = (np.where(np.isfinite(b), b, 0.0) for b in np.split(
+        p.points.reshape(-1, p.n), range(BLOCK_POINTS, ok.size, BLOCK_POINTS)))
     if fmt == "obj":
-        axes = tuple(projection) if projection is not None else (0, 1, 2)
+        axes = list(projection) if projection is not None else [0, 1, 2]
         if len(axes) != 3 or any(not 0 <= a < p.n for a in axes):
             raise ValueError(f"projection must pick 3 of {p.n} axes")
         with open(path, "w") as fh:
-            for line, rows in (("v %.9g %.9g %.9g\n", verts[:, list(axes)]),
-                               ("f %d %d %d\n", tris + 1)):
-                for lo in range(0, len(rows), OBJ_BLOCK_ROWS):
-                    block = rows[lo:lo + OBJ_BLOCK_ROWS]
+            for line, blocks in (
+                    ("v %.9g %.9g %.9g\n", (b[:, axes] for b in verts)),
+                    ("f %d %d %d\n", (t + 1 for t in _triangle_blocks(cells)))):
+                for block in blocks:
                     fh.write(line * len(block) % tuple(block.ravel().tolist()))
     elif fmt == "ply":
         names = ["x", "y", "z", "w", "p4", "p5"][:p.n]
         header = ["ply", "format binary_little_endian 1.0",
-                  f"element vertex {len(verts)}"]
+                  f"element vertex {ok.size}"]
         header += [f"property double {nm}" for nm in names]
-        header += [f"element face {len(tris)}",
+        header += [f"element face {2 * np.count_nonzero(cells)}",
                    "property list uchar int vertex_indices", "end_header"]
-        faces = np.empty(len(tris), dtype=[("n", "u1"), ("v", "<i4", 3)])
-        faces["n"], faces["v"] = 3, tris
         with open(path, "wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("ascii"))
-            fh.write(np.ascontiguousarray(verts, dtype="<f8").tobytes())
-            fh.write(faces.tobytes())
+            for block in verts:
+                fh.write(block.astype("<f8", copy=False).tobytes())
+            for tris in _triangle_blocks(cells):
+                faces = np.empty(len(tris), dtype=[("n", "u1"), ("v", "<i4", 3)])
+                faces["n"], faces["v"] = 3, tris
+                fh.write(faces.tobytes())
     else:
         raise ValueError(f"unknown mesh format {fmt!r}")
 
@@ -464,9 +490,10 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     sample = _primitive_sampler(c, z0, tol)
 
     def f(u, v):
-        sampled = sample((u + 1j * v).ravel()) if sample is not None else None
-        if sampled is not None:
-            return sampled.reshape(u.shape + (c.n,))
+        z = (u + 1j * v).ravel()
+        x = np.empty((z.size, c.n))
+        if sample is not None and sample(z, np.arange(z.size), x):
+            return x.reshape(u.shape + (c.n,))
         corner = (u + 1j * z0.imag).ravel()
         vals = integrate_segments(c.components,
                                   np.append(np.full(corner.size, z0), corner),

@@ -12,10 +12,6 @@ from minsurf.surface import conformal_factor, immerse, load_obj_vertices
 from minsurf.transforms import associate, goursat, lawson, lopez_ros
 
 
-def run_cli(capsys, argv, stdin=None, monkeypatch=None):
-    raise RuntimeError("use the fixture")
-
-
 @pytest.fixture
 def cli(capsys, monkeypatch):
     def run(argv, stdin=""):
@@ -87,6 +83,19 @@ def test_verify_reports_the_real_period(cli, spec, period):
     code, report, _ = cli(["verify", "--res", "17x17"], stdin=spec)
     assert code == 0
     assert json.loads(report)["real_period"] == period
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_of_an_overflowing_curve_is_not_null(cli):
+    # the squares of 1e200 overflow; the report says so rather than null
+    spec = ('{"curve": ["-1", "1e-300", "1e200"], '
+            '"domain": {"rect": [0, 3, 0, 3]}}')
+    code, report, _ = cli(["verify", "--res", "9x9"], stdin=spec)
+    assert code == 0
+    rep = json.loads(report)
+    assert rep["is_null"] is False
+    assert rep["null_residual"] == rep["normalizer"] == math.inf
+    assert math.isnan(rep["minimality"]["conformality_defect"])
 
 
 def test_verify_gives_a_hyperplane_only_for_rank_n_minus_1(cli):

@@ -49,6 +49,19 @@ def test_no_punctures_is_infinitely_far():
     assert float(dom.puncture_distance(0j)) == math.inf
 
 
+@pytest.mark.parametrize("a, b, shape", [
+    (0.5j, None, ()),
+    (np.zeros(5, complex), None, (5,)),
+    (0.5j, np.ones(5, complex), (5,)),
+    (np.zeros((5, 1), complex), np.ones((5, 3), complex), (5, 3)),
+    (np.zeros((5, 1), complex), np.ones(3, complex), (5, 3)),
+])
+def test_no_punctures_has_the_broadcast_shape(a, b, shape):
+    got = DomainSpec(-1, 1, -1, 1).puncture_distance(a, b)
+    assert isinstance(got, np.ndarray) and got.shape == shape
+    assert np.all(got == np.inf)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(u_max=math.inf), dict(v_min=-math.inf), dict(u_min=math.nan),
     dict(u_min=-1e308, u_max=1e308),   # finite bounds, infinite width

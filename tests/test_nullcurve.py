@@ -6,7 +6,8 @@ import pytest
 from minsurf import catalog as cat
 from minsurf import expr as ex
 from minsurf.domain import DomainSpec
-from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
+from minsurf.nullcurve import (NullCurve, NullResidualReport,
+                               WeierstrassData, embed_3_to_4,
                                from_weierstrass, null_residual,
                                quadratic_form)
 
@@ -69,6 +70,23 @@ def test_null_residual_detects_non_null():
     rep = null_residual(c, 64)
     assert not rep.is_null
     assert abs(rep.max_abs_residual - 3.0) < 1e-14
+
+
+def test_null_residual_overflow_is_not_null():
+    # the squares of 1e200 overflow: residual and normalizer are both inf,
+    # and inf <= 1e-9 * inf must not pass for null
+    c = NullCurve((ex.const(-1), ex.const(1e-300), ex.const(1e200)),
+                  DomainSpec(0, 3, 0, 3))
+    rep = null_residual(c)
+    assert rep.max_abs_residual == rep.normalizer == np.inf
+    assert rep.is_null is False
+
+
+@pytest.mark.parametrize("residual, normalizer", [
+    (np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
+    (1.0, np.inf), (np.inf, 1.0)])
+def test_non_finite_report_is_not_null(residual, normalizer):
+    assert NullResidualReport(residual, normalizer, 8).is_null is False
 
 
 def test_null_residual_helicoid_tight():

@@ -15,7 +15,7 @@ from minsurf.engine import evaluate
 from minsurf.errors import ZeroVector
 from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
                                from_weierstrass)
-from minsurf.surface import (_triangles, conformal_factor, degeneracy_rank,
+from minsurf.surface import (_triangle_blocks, conformal_factor, degeneracy_rank,
                              export_mesh, gauss_map, immerse,
                              load_obj_vertices, parametric_immersion,
                              real_period, verify_minimal, wirtinger_defect)
@@ -768,7 +768,9 @@ def _loop_triangles(p):
 def test_triangles_match_double_loop():
     p = _punctured_patch()
     assert not p.valid.all()
-    tris = _triangles(p)
+    ok = p.valid
+    cells = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    tris = np.concatenate(list(_triangle_blocks(cells)))
     assert tris.shape == (len(_loop_triangles(p)), 3)
     assert tris.tolist() == [list(t) for t in _loop_triangles(p)]
 
@@ -793,7 +795,7 @@ def test_obj_text_matches_row_formatting(tmp_path, monkeypatch):
     export_mesh(p, path, fmt="obj")
     assert path.read_text() == want
     # rows split across several blocks give the same text
-    monkeypatch.setattr(surface_mod, "OBJ_BLOCK_ROWS", 7)
+    monkeypatch.setattr(surface_mod, "BLOCK_POINTS", 7)
     export_mesh(p, path, fmt="obj")
     assert path.read_text() == want
 
@@ -1045,3 +1047,131 @@ def test_verify_leaves_out_points_of_zero_metric():
     zero = NullCurve((ex.const(0),) * 3, DomainSpec(-1, 1, -1, 1))
     with pytest.raises(ValueError, match="no interior points"):
         verify_minimal(immerse(zero, res=(9, 9)))
+
+
+# ---------------------------------------------------------------------------
+# blocks of BLOCK_POINTS: outputs do not depend on the block size
+# ---------------------------------------------------------------------------
+
+def _bits(p):
+    return p.points.tobytes(), p.valid.tobytes()
+
+
+def _blocked(monkeypatch, run, sizes=(1, 7)):
+    """run() at the default BLOCK_POINTS, then at each of ``sizes``."""
+    want = run()
+    got = []
+    for size in sizes:
+        monkeypatch.setattr(surface_mod, "BLOCK_POINTS", size)
+        got.append(run())
+    monkeypatch.undo()
+    return want, got
+
+
+@pytest.mark.parametrize("curve, route", [
+    (_punctured_catenoid, "exact"), (_punctured_with_period, "quadrature")])
+def test_punctured_immerse_and_verify_do_not_depend_on_the_block(
+        monkeypatch, curve, route):
+    c = curve()
+    assert (surface_mod._primitive_sampler(c, 1 + 0j, 1e-10) is None) == (
+        route == "quadrature")
+
+    def run():
+        p = immerse(c, zeta0=1 + 0j, res=(41, 33))
+        return p, verify_minimal(p)
+
+    (want, rep), got = _blocked(monkeypatch, run)
+    # the mask has holes in the middle rows, across many blocks of 1 or 7
+    assert not want.valid[20].all() and want.valid[20].any()
+    for p, r in got:
+        assert _bits(p) == _bits(want)
+        assert repr(r) == repr(rep)
+
+
+def test_non_square_immerse_and_verify_do_not_depend_on_the_block(monkeypatch):
+    c = parabolic_deform_rotated(cat.catenoid_exp(), 0.5)
+
+    def run():
+        p = immerse(c, res=(257, 129))
+        return p, verify_minimal(p)
+
+    (want, rep), got = _blocked(monkeypatch, run)
+    assert want.resolution == (257, 129) and want.valid.all()
+    for p, r in got:
+        assert _bits(p) == _bits(want)
+        assert repr(r) == repr(rep)
+
+
+def test_many_terms_sum_alike_in_a_block_of_one_point(monkeypatch):
+    # nine terms z^(k+1)/(k+1) per component: numpy sums a single column of
+    # eight or more pairwise, so a one-point block must not sum that way
+    poly = ex.parse("+".join(f"{k + 1}.5*z^{k}" for k in range(9)))
+    c = NullCurve((poly, ex.mul(ex.const(1j), poly), ex.const(0)),
+                  DomainSpec(-1, 1, -1, 1))
+    assert len(ex.antiderivative(poly)) == 9
+
+    def run():
+        return immerse(c, zeta0=0.3 - 0.1j, res=(9, 7))
+
+    want, got = _blocked(monkeypatch, run)
+    for p in got:
+        assert _bits(p) == _bits(want)
+    surf = parametric_immersion(c, zeta0=0.3 - 0.1j)
+    uu, vv = np.meshgrid(want.u, want.v, indexing="ij")
+    one = np.array([[surf(a, b) for b in want.v] for a in want.u])
+    assert one.tobytes() == surf(uu, vv).tobytes() == want.points.tobytes()
+
+
+def test_roundoff_over_tol_in_a_late_block_takes_the_tree(monkeypatch):
+    # (cosh z, i sinh z, i) on [0, 13] x [-1, 1]: the primitive's terms
+    # e^{+-z}/2 reach 2.2e5, and 4 eps of them exceeds tol = 1e-10 only
+    # for u > 12.3, in the last rows of the grid
+    c = NullCurve((ex.parse("cosh(z)"), ex.parse("i*sinh(z)"),
+                   ex.const(1j)), DomainSpec(0, 13, -1, 1))
+    res, z0 = (41, 9), 6.5 + 0j
+    monkeypatch.setattr(surface_mod, "BLOCK_POINTS", 7)
+    exact = immerse(c, zeta0=z0, res=res, tol=1e-6)   # within budget
+    calls = []
+    eval_program = engine_mod.eval_program
+
+    def counting(prog, z, **kw):
+        calls.append(np.size(z))
+        return eval_program(prog, z, **kw)
+
+    monkeypatch.setattr(engine_mod, "eval_program", counting)
+    got = immerse(c, zeta0=z0, res=res, tol=1e-10)
+    # the base point, then blocks of 4 points up to the first failing one
+    assert calls[0] == 1 and set(calls[1:]) == {4} and len(calls) > 50
+    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    tree = immerse(c, zeta0=z0, res=res, tol=1e-10)
+    assert _bits(got) == _bits(tree)
+    # and the exact route's rows would show, had any been left
+    assert exact.points[:30].tobytes() != tree.points[:30].tobytes()
+
+
+def _overflowing():
+    return NullCurve((ex.const(-1), ex.const(1e-300), ex.const(1e200)),
+                     DomainSpec(0, 3, 0, 3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("res", [(9, 9), (200, 150)])
+def test_verify_keeps_a_nan_defect(res):
+    # E and G overflow to inf, so |E - G| / (E + G) is NaN; at 200 x 150
+    # the grid takes several blocks
+    rep = verify_minimal(immerse(_overflowing(), res=res))
+    assert np.isnan(rep["conformality_defect"])
+    assert rep["interior_points"] == (res[0] - 2) * (res[1] - 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_keeps_a_nan_from_a_middle_block(monkeypatch):
+    # a NaN sample in one middle row, with finite blocks before and after
+    p = immerse(parabolic_deform(cat.helicoid(), 1 + 2j), res=(65, 33))
+    points = p.points.copy()
+    points[40, 10, 1] = np.nan
+    p = replace(p, points=points)
+    monkeypatch.setattr(surface_mod, "BLOCK_POINTS", 3 * 33)
+    rep = verify_minimal(p)
+    assert np.isnan(rep["conformality_defect"])
+    assert np.isnan(rep["harmonicity_defect"])
