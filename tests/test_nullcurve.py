@@ -72,6 +72,7 @@ def test_null_residual_detects_non_null():
     assert abs(rep.max_abs_residual - 3.0) < 1e-14
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_null_residual_overflow_is_not_null():
     # the squares of 1e200 overflow: residual and normalizer are both inf,
     # and inf <= 1e-9 * inf must not pass for null

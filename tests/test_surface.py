@@ -15,8 +15,8 @@ from minsurf.engine import evaluate
 from minsurf.errors import ZeroVector
 from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
                                from_weierstrass)
-from minsurf.surface import (_triangle_blocks, conformal_factor, degeneracy_rank,
-                             export_mesh, gauss_map, immerse,
+from minsurf.surface import (_triangle_blocks, conformal_factor,
+                             degeneracy_rank, export_mesh, gauss_map, immerse,
                              load_obj_vertices, parametric_immersion,
                              real_period, verify_minimal, wirtinger_defect)
 from minsurf.transforms import (associate, lawson, parabolic_deform,
