@@ -92,11 +92,13 @@ class NullResidualReport:
 
 
 def quadratic_form(v):
-    """Sum of squared components (no conjugation), over the last axis."""
+    """Sum of squared components (no conjugation), over the last axis;
+    inf or NaN, with no warning, where it overflows."""
     v = np.asarray(v, dtype=np.complex128)
     if v.shape[-1] < 2:
         raise ValueError("need at least two components")
-    return np.sum(v * v, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(v * v, axis=-1)
 
 
 def from_weierstrass(w: WeierstrassData) -> NullCurve:
@@ -124,5 +126,6 @@ def null_residual(c: NullCurve, samples: int = 100, skip: int = 0) -> NullResidu
     z = c.domain.sample_points(samples, skip=skip)
     vals = c(z)
     residual = np.abs(quadratic_form(vals))
-    scale = np.sum(np.abs(vals) ** 2, axis=-1)
+    with np.errstate(over="ignore"):   # an inf normalizer fails is_null
+        scale = np.sum(np.abs(vals) ** 2, axis=-1)
     return NullResidualReport(float(residual.max()), float(scale.max()), samples)

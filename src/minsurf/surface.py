@@ -8,17 +8,18 @@ L-paths from z0, the stem to the nearest grid point g(j0, k0) then row
 k0 and column j, or the stem, column j0 and row k.  When
 ``expr.antiderivative`` gives every component an exact primitive
 F = sum_t F_t (sums of c z^n e^{kz}, n negative only where k = 0: every
-catalog curve and its constant linear deformations) and each z^{-1}
-coefficient is real, so that X has no real period about 0, X is
-Re(F(z) - F(z0)) at each valid point, on the domain's branch cut, with
-tol as each point's budget for the roundoff level PRIMITIVE_ULPS eps
-(sum_t |F_t(z)| + sum_t |F_t(z0)|).  Otherwise one ``integrate_segments``
-call takes the stem and the edges of row k0 and of every column toward
-the points the first L-path reaches, each within tol / (nu + nv),
-summed outward in blocks of about sqrt(m) of a line's m edges, and a
-second the transposed tree's row edges toward the other valid points.
-Every stage reads the curve's ``domain``: the grid rectangle, the
-punctures and the log branch cut.
+catalog curve and its constant linear deformations), and either each
+z^{-1} coefficient is real, so that X has no real period about 0, or the
+log's branch cut misses the closed rectangle, so that log z is
+continuous on it, X is Re(F(z) - F(z0)) at each valid point, on the
+domain's branch cut, with tol as each point's budget for the roundoff
+level PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t |F_t(z0)|).  Otherwise
+one ``integrate_segments`` call takes the stem and the edges of row k0
+and of every column toward the points the first L-path reaches, each
+within tol / (nu + nv), summed outward in blocks of about sqrt(m) of a
+line's m edges, and a second the transposed tree's row edges toward the
+other valid points.  Every stage reads the curve's ``domain``: the grid
+rectangle, the punctures and the log branch cut.
 
 Verification instruments:
 
@@ -31,7 +32,10 @@ Verification instruments:
 * verify_minimal    second-order finite-difference conformality
                     (E = G, F = 0) and harmonicity (5-point Laplacian)
                     defects, both scaled by the sampled metric E + G,
-                    so they read the patch alone
+                    so they read the patch alone; the stencil works on
+                    one component plane at a time, and E, G, F add the
+                    planes in the order of numpy's sum over components
+* wirtinger_defect  max |2 dX/dz - phi| on the same central differences
 * export_mesh       OBJ (text, 9 significant digits) / PLY (binary,
                     float64, all n coordinates as vertex properties)
 
@@ -43,6 +47,7 @@ chunk size, quadrature.CHUNK_NODES.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -157,21 +162,28 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
 
 def _primitive_sampler(c, zeta0, tol):
     """None when a component has no exact primitive F = sum_t F_t (see
-    ``expr.antiderivative``) or a z^{-1} coefficient that is not real to
-    PRIMITIVE_ULPS of its size (X then has a real period about 0, and
-    Re F(z) jumps across the branch cut), else ``sample(z, at, out)``,
+    ``expr.antiderivative``), or has a z^{-1} coefficient that is not real
+    to PRIMITIVE_ULPS of its size (X then has a real period about 0, and
+    Re F(z) jumps across the branch cut) while the cut meets the domain's
+    closed rectangle or zeta0 lies off it; else ``sample(z, at, out)``,
     which writes X = Re(F(z[i]) - F(zeta0)) into out[i] for each i in
-    ``at``, or returns False when a value is not finite or PRIMITIVE_ULPS
-    eps (sum_t |F_t(z)| + sum_t |F_t(zeta0)|) exceeds tol.  One program
+    ``at``, or returns False when a value is not finite, PRIMITIVE_ULPS
+    eps (sum_t |F_t(z)| + sum_t |F_t(zeta0)|) exceeds tol, or, for such a
+    coefficient, a z[i] lies off the rectangle.  One program
     of the terms is compiled here, and evaluated with the domain's branch
     cut at zeta0 and in blocks of at most BLOCK_POINTS values per
     component; X does not depend on the block size."""
+    dom = c.domain
     prims = [antiderivative(e) for e in c.components]
-    if any(p is None for p in prims) or not all(
-            abs(r.imag) <= _PRIMITIVE_ROUNDOFF * abs(r)
-            for r in map(residue, c.components)):
+    if any(p is None for p in prims):
         return None
-    cut = c.domain.branch_cut
+    # Re F of a non-real z^{-1} coefficient is exact only on a rectangle
+    # that the cut misses, so then zeta0 and every z must lie in it
+    real = all(abs(r.imag) <= _PRIMITIVE_ROUNDOFF * abs(r)
+               for r in map(residue, c.components))
+    if not (real or _cut_misses(dom) and dom.contains(zeta0)):
+        return None
+    cut = dom.branch_cut
     prog = engine.compile_expr(tuple(t for p in prims for t in p))
     # the terms of component i are outputs cuts[i]:cuts[i + 1], its span;
     # the zero curve has none
@@ -191,7 +203,12 @@ def _primitive_sampler(c, zeta0, tol):
     def sample(z, at, out):
         for lo in range(0, at.size, step):
             rows = at[lo:lo + step]
-            F, mag = primitive(engine.eval_program(prog, z[rows], cut=cut))
+            zb = z[rows]
+            x, y = zb.real, zb.imag
+            if not (real or np.all((dom.u_min <= x) & (x <= dom.u_max)
+                                   & (dom.v_min <= y) & (y <= dom.v_max))):
+                return False
+            F, mag = primitive(engine.eval_program(prog, zb, cut=cut))
             # a value that is not finite makes its level inf or NaN
             if not np.all(_PRIMITIVE_ROUNDOFF * (mag + base_mag) <= tol):
                 return False
@@ -199,6 +216,26 @@ def _primitive_sampler(c, zeta0, tol):
         return True
 
     return sample
+
+
+def _cut_misses(dom):
+    """True when the log's cut ray {r e^{i branch_cut} : r >= 0} misses the
+    closed rectangle widened by 8 eps of its largest coordinate, about what
+    the engine's rotation of z by the cut rounds: log z, and so the
+    primitive c log z of a z^{-1} term, is then continuous on it.  The
+    slab test: the ray's r in the u slab and in the v slab do not meet."""
+    d = cmath.exp(1j * dom.branch_cut)
+    rect = ((dom.u_min, dom.u_max), (dom.v_min, dom.v_max))
+    pad = 8 * np.finfo(np.float64).eps * max(abs(x) for ab in rect for x in ab)
+    lo, hi = 0.0, math.inf
+    for (a, b), s in zip(rect, (d.real, d.imag)):
+        if s == 0:
+            if not a - pad <= 0 <= b + pad:
+                return True
+        else:
+            t0, t1 = sorted(((a - pad) / s, (b + pad) / s))
+            lo, hi = max(lo, t0), min(hi, t1)
+    return lo > hi
 
 
 def _sum_rows(t):
@@ -354,10 +391,11 @@ def real_period(c: NullCurve):
 
 def _central_differences(X, valid, hu, hv):
     """X_u and X_v by central differences at the interior points of the
-    grid samples X, with the mask of those whose four neighbours are all
-    ``valid``."""
-    xu = (X[2:, 1:-1] - X[:-2, 1:-1]) / (2 * hu)
-    xv = (X[1:-1, 2:] - X[1:-1, :-2]) / (2 * hv)
+    component-major grid samples X, shape (n, nu, nv), each of shape
+    (n, nu - 2, nv - 2), with the mask of the interior points whose four
+    neighbours are all ``valid``."""
+    xu = (X[:, 2:, 1:-1] - X[:, :-2, 1:-1]) / (2 * hu)
+    xv = (X[:, 1:-1, 2:] - X[:, 1:-1, :-2]) / (2 * hv)
     ok = (valid[1:-1, 1:-1] & valid[:-2, 1:-1] & valid[2:, 1:-1]
           & valid[1:-1, :-2] & valid[1:-1, 2:])
     return xu, xv, ok
@@ -372,8 +410,10 @@ def verify_minimal(p: SurfacePatch) -> dict:
     factor to O(h^2).  Both are O(h^2) on a true minimal immersion.
     Points where E + G = 0 are left out; ValueError when no interior
     point is left.  The interior rows are taken in blocks of about
-    BLOCK_POINTS points, each with a halo row on either side; a NaN
-    defect in any block gives a NaN maximum.
+    BLOCK_POINTS points, each with a halo row on either side and copied
+    component-major, so that the stencil works on one component plane at
+    a time; a NaN defect in any block gives a NaN maximum.  An overflow
+    to inf or NaN is read as such, with no warning.
     """
     nu, nv = p.resolution
     if nu < 5 or nv < 5:
@@ -381,22 +421,37 @@ def verify_minimal(p: SurfacePatch) -> dict:
     hu, hv = p.spacing()
     rows = max(1, BLOCK_POINTS // nv)
     conf, harm, count = -np.inf, -np.inf, 0
-    for lo in range(1, nu - 1, rows):
-        X, valid = (a[lo - 1:lo + rows + 1] for a in (p.points, p.valid))
-        xu, xv, ok = _central_differences(X, valid, hu, hv)
-        E = np.sum(xu * xu, axis=2)
-        G = np.sum(xv * xv, axis=2)
-        F = np.sum(xu * xv, axis=2)
-        scale = E + G
-        ok &= scale != 0    # a zero metric gives no scale to read a defect on
-        count += int(np.sum(ok))
-        lap = ((X[2:, 1:-1] - 2 * X[1:-1, 1:-1] + X[:-2, 1:-1]) / hu ** 2
-               + (X[1:-1, 2:] - 2 * X[1:-1, 1:-1] + X[1:-1, :-2]) / hv ** 2)
-        # np.max, unlike max, keeps a NaN of an earlier block
-        conf = np.max(np.maximum(np.abs(E - G), 2 * np.abs(F))[ok]
-                      / scale[ok], initial=conf)
-        harm = np.max(np.max(np.abs(lap), axis=2)[ok] / (0.5 * scale[ok]),
-                      initial=harm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(1, nu - 1, rows):
+            X = np.ascontiguousarray(
+                np.moveaxis(p.points[lo - 1:lo + rows + 1], 2, 0))
+            xu, xv, ok = _central_differences(
+                X, p.valid[lo - 1:lo + rows + 1], hu, hv)
+            # the planes summed in order, which holds the bits of numpy's
+            # sum over a last axis only while n < 8 (it adds fewer than 8
+            # elements in order, more pairwise): every allowed n is 3 to 6
+            E, G, F = xu[0] * xu[0], xv[0] * xv[0], xu[0] * xv[0]
+            for a, b in zip(xu[1:], xv[1:]):
+                E += a * a
+                G += b * b
+                F += a * b
+            scale = E + G
+            ok &= scale != 0    # a zero metric gives no scale to read a defect on
+            count += int(np.sum(ok))
+            # the 5-point Laplacian in place, as numpy reuses no temporary
+            # of a block this small
+            twice = 2 * X[:, 1:-1, 1:-1]
+            lap, lav = X[:, 2:, 1:-1] - twice, X[:, 1:-1, 2:] - twice
+            lap += X[:, :-2, 1:-1]
+            lav += X[:, 1:-1, :-2]
+            lap /= hu ** 2
+            lav /= hv ** 2
+            lap += lav
+            # np.max, unlike max, keeps a NaN of an earlier block
+            conf = np.max(np.maximum(np.abs(E - G), 2 * np.abs(F))[ok]
+                          / scale[ok], initial=conf)
+            harm = np.max(np.max(np.abs(lap), axis=0)[ok] / (0.5 * scale[ok]),
+                          initial=harm)
     if not count:
         raise ValueError("no interior points to verify")
 
@@ -409,11 +464,13 @@ def verify_minimal(p: SurfacePatch) -> dict:
 
 def wirtinger_defect(p: SurfacePatch, c: NullCurve) -> float:
     """Max |2 dX/dz - phi| over interior points, via central differences.
-    Checks that the sampled immersion really derives from the curve."""
-    xu, xv, ok = _central_differences(p.points, p.valid, *p.spacing())
-    phi = c(p.u[1:-1, None] + 1j * p.v[None, 1:-1])
-    diff = np.abs((xu - 1j * xv) - phi).max(axis=-1)
-    return float(np.max(diff[ok]))
+    Checks that the sampled immersion really derives from the curve.
+    phi is evaluated only where the stencil's points are all valid, so a
+    pole on a masked grid point is never evaluated."""
+    xu, xv, ok = _central_differences(np.moveaxis(p.points, 2, 0), p.valid,
+                                      *p.spacing())
+    phi = c((p.u[1:-1, None] + 1j * p.v[None, 1:-1])[ok])
+    return float(np.max(np.abs((xu - 1j * xv)[:, ok].T - phi)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """CLI pipeline: spec JSON in/out, determinism, composability."""
 
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -85,17 +87,29 @@ def test_verify_reports_the_real_period(cli, spec, period):
     assert json.loads(report)["real_period"] == period
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+_OVERFLOWING = ('{"curve": ["-1", "1e-300", "1e200"], '
+                '"domain": {"rect": [0, 3, 0, 3]}}')
+
+
 def test_verify_of_an_overflowing_curve_is_not_null(cli):
     # the squares of 1e200 overflow; the report says so rather than null
-    spec = ('{"curve": ["-1", "1e-300", "1e200"], '
-            '"domain": {"rect": [0, 3, 0, 3]}}')
-    code, report, _ = cli(["verify", "--res", "9x9"], stdin=spec)
+    code, report, _ = cli(["verify", "--res", "9x9"], stdin=_OVERFLOWING)
     assert code == 0
     rep = json.loads(report)
     assert rep["is_null"] is False
     assert rep["null_residual"] == rep["normalizer"] == math.inf
     assert math.isnan(rep["minimality"]["conformality_defect"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_successful_verify_writes_nothing_to_stderr(capfd, monkeypatch):
+    # stderr is the one-line JSON error channel: numpy's overflow warnings
+    # on the overflowing curve would be noise on a successful run
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_OVERFLOWING))
+    assert main(["verify", "--res", "9x9"]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert json.loads(out)["is_null"] is False
 
 
 def test_verify_gives_a_hyperplane_only_for_rank_n_minus_1(cli):

@@ -312,11 +312,23 @@ def test_deformed_catenoid_defects():
 
 
 def test_wirtinger_consistency():
-    dom = DomainSpec(-1, 1, -1, 1)
-    c3 = from_weierstrass(cat.helicoid())
-    p = immerse(replace(c3, domain=dom), res=(64, 64), zeta0=0)
-    h = p.spacing()[0]
-    assert wirtinger_defect(p, c3) <= 10 * h * h
+    # a puncture on the entire helicoid masks cells but leaves phi finite,
+    # so a NaN from a masked point would show past the ok mask
+    for punctures in [(), (0.3 - 0.2j,)]:
+        dom = DomainSpec(-1, 1, -1, 1, punctures=punctures)
+        c3 = replace(from_weierstrass(cat.helicoid()), domain=dom)
+        p = immerse(c3, res=(64, 64), zeta0=0)
+        assert p.valid.all() == (not punctures)
+        h = p.spacing()[0]
+        assert wirtinger_defect(p, c3) <= 10 * h * h
+
+
+def test_wirtinger_defect_skips_a_pole_on_a_masked_point():
+    # the catenoid's pole 0 is a grid point of the punctured 65 x 65 grid
+    c = _punctured_catenoid()
+    p = immerse(c, zeta0=1 + 0j, res=(65, 65))
+    assert p.u[32] == p.v[32] == 0 and not p.valid[32, 32]
+    assert np.isfinite(wirtinger_defect(p, c))
 
 
 def test_verify_needs_grid():
@@ -628,6 +640,67 @@ def test_a_residue_is_real_to_primitive_ulps_of_its_size(monkeypatch, im,
     calls = _quadrature_calls(monkeypatch)
     immerse(c, zeta0=0.5 + 0.5j, res=(17, 17))
     assert (calls == []) == exact
+
+
+def _associated_catenoid(**domain):
+    """The catenoid (z, 1/z^2) turned by e^{-0.7i}: its third component
+    e^{-0.7i}/z has a non-real z^{-1} coefficient, so X2 has the real
+    period 2 pi sin 0.7 about 0."""
+    c = associate(from_weierstrass(cat.catenoid()), 0.7)
+    return replace(c, domain=replace(c.domain, **domain))
+
+
+@pytest.mark.parametrize("domain", [
+    {}, {"u_min": -2.0, "u_max": -0.2, "branch_cut": 0.0}])
+def test_a_non_real_residue_is_exact_where_the_cut_misses(monkeypatch,
+                                                          domain):
+    # the catalog rectangle [0.2, 2] x [-1, 1] with the cut along the
+    # negative axis, and its mirror with the cut along the positive one
+    c = _associated_catenoid(**domain)
+    assert real_period(c)[2] != 0
+    calls = _quadrature_calls(monkeypatch)
+    p = immerse(c, res=(65, 65), tol=1e-10)
+    assert calls == []
+    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    tree = immerse(c, res=(65, 65), tol=1e-10)
+    assert calls
+    assert np.array_equal(p.valid, tree.valid) and p.valid.all()
+    assert np.max(np.abs(p.points - tree.points)) <= 1e-10
+
+
+@pytest.mark.parametrize("rect, cut", [
+    ((-2, -0.2, -1, 1), np.pi),        # the cut crosses the rectangle
+    ((-2, -0.2, -1, 0), np.pi),        # the cut runs along its edge
+    ((-1, 1, -1, 1), np.pi),           # the rectangle holds 0
+    ((0.2, 2, -1, 1), 0.0),            # a rotated cut crosses it
+    ((0.2, 2, -1, 1), 0.1),
+])
+def test_a_non_real_residue_keeps_the_tree_where_the_cut_meets(monkeypatch,
+                                                               rect, cut):
+    u_min, u_max, v_min, v_max = rect
+    c = _associated_catenoid(u_min=u_min, u_max=u_max, v_min=v_min,
+                             v_max=v_max, branch_cut=cut)
+    calls = _quadrature_calls(monkeypatch)
+    zeta0 = complex(u_min, v_max)
+    p = immerse(c, zeta0=zeta0, res=(17, 17), tol=1e-10)
+    assert calls
+    assert surface_mod._primitive_sampler(c, zeta0, 1e-10) is None
+    assert np.all(np.isfinite(p.points[p.valid]))
+
+
+def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths():
+    # -1 - 0.5i lies off [0.2, 2] x [-1, 1], and the L-path to it from
+    # 1.1 + 0.5i crosses the cut: X2 is Re(e^{-0.7i} log z) with arg z
+    # continued across it, not Re F on the principal branch
+    c = _associated_catenoid()
+    z0, z = 1.1 + 0.5j, -1 - 0.5j
+    surf = parametric_immersion(c, zeta0=z0, tol=1e-11)
+    log_z = np.log(abs(z)) + 1j * (np.angle(z) + 2 * np.pi)
+    want = (np.exp(-0.7j) * (log_z - np.log(z0))).real
+    assert abs(surf(z.real, z.imag)[2] - want) <= 1e-9
+    inside = surf(1.5, -0.5)[2]
+    assert abs(inside - (np.exp(-0.7j) * np.log((1.5 - 0.5j) / z0)).real
+               ) <= 1e-12
 
 
 def test_real_period_of_the_catalog():
@@ -1154,7 +1227,7 @@ def _overflowing():
                      DomainSpec(0, 3, 0, 3))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("res", [(9, 9), (200, 150)])
 def test_verify_keeps_a_nan_defect(res):
     # E and G overflow to inf, so |E - G| / (E + G) is NaN; at 200 x 150
@@ -1164,7 +1237,7 @@ def test_verify_keeps_a_nan_defect(res):
     assert rep["interior_points"] == (res[0] - 2) * (res[1] - 2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_verify_keeps_a_nan_from_a_middle_block(monkeypatch):
     # a NaN sample in one middle row, with finite blocks before and after
     p = immerse(parabolic_deform(cat.helicoid(), 1 + 2j), res=(65, 33))
@@ -1175,3 +1248,64 @@ def test_verify_keeps_a_nan_from_a_middle_block(monkeypatch):
     rep = verify_minimal(p)
     assert np.isnan(rep["conformality_defect"])
     assert np.isnan(rep["harmonicity_defect"])
+
+
+def _verify_minimal_row_major(p):
+    """verify_minimal with the stencil on (rows, nv, n) blocks and numpy's
+    sums and maxima over the last axis, as it was before it went
+    component-major: the reference that the new one matches bitwise."""
+    nu, nv = p.resolution
+    hu, hv = p.spacing()
+    rows = max(1, surface_mod.BLOCK_POINTS // nv)
+    conf, harm, count = -np.inf, -np.inf, 0
+    for lo in range(1, nu - 1, rows):
+        X, valid = (a[lo - 1:lo + rows + 1] for a in (p.points, p.valid))
+        xu = (X[2:, 1:-1] - X[:-2, 1:-1]) / (2 * hu)
+        xv = (X[1:-1, 2:] - X[1:-1, :-2]) / (2 * hv)
+        ok = (valid[1:-1, 1:-1] & valid[:-2, 1:-1] & valid[2:, 1:-1]
+              & valid[1:-1, :-2] & valid[1:-1, 2:])
+        E = np.sum(xu * xu, axis=2)
+        G = np.sum(xv * xv, axis=2)
+        F = np.sum(xu * xv, axis=2)
+        scale = E + G
+        ok &= scale != 0
+        count += int(np.sum(ok))
+        lap = ((X[2:, 1:-1] - 2 * X[1:-1, 1:-1] + X[:-2, 1:-1]) / hu ** 2
+               + (X[1:-1, 2:] - 2 * X[1:-1, 1:-1] + X[1:-1, :-2]) / hv ** 2)
+        conf = np.max(np.maximum(np.abs(E - G), 2 * np.abs(F))[ok]
+                      / scale[ok], initial=conf)
+        harm = np.max(np.max(np.abs(lap), axis=2)[ok] / (0.5 * scale[ok]),
+                      initial=harm)
+    return {"conformality_defect": float(conf),
+            "harmonicity_defect": float(harm), "interior_points": count}
+
+
+@pytest.mark.filterwarnings("error")    # of the new stencil: none
+@pytest.mark.parametrize("res", [(5, 5), (9, 200), (200, 150)])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_component_major_stencil_matches_the_row_major_one(monkeypatch, n,
+                                                           res):
+    # random samples with a random mask, a zero metric at the centre (its
+    # four neighbours alike), and then a point of 1e200 whose squares
+    # overflow: the defects, NaN included, are bitwise the reference's
+    rng = np.random.default_rng([n, *res])
+    nu, nv = res
+    j, k = nu // 2, nv // 2
+    valid = rng.random(res) > 0.05
+    valid[j - 1:j + 2, k - 1:k + 2] = valid[-3:, :3] = True
+    points = np.where(valid[..., None], rng.standard_normal(res + (n,)),
+                      np.nan)
+    points[[j - 1, j + 1, j, j], [k, k, k - 1, k + 1]] = points[j, k]
+    overflowing = points.copy()
+    overflowing[-2, 1] = 1e200
+    for X in (points, overflowing):
+        p = surface_mod.SurfacePatch(np.linspace(0, 1, nu),
+                                     np.linspace(-1, 2, nv), X, valid, 0j)
+        for size in (surface_mod.BLOCK_POINTS, 1, 7):
+            monkeypatch.setattr(surface_mod, "BLOCK_POINTS", size)
+            with np.errstate(all="ignore"):
+                want = _verify_minimal_row_major(p)
+            got = verify_minimal(p)
+            assert want["interior_points"] > 0
+            assert repr(got) == repr(want), size
+        assert np.isnan(got["conformality_defect"]) == (X is overflowing)
