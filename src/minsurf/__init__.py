@@ -14,8 +14,8 @@ from .errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
                      InvalidConstant, MinsurfError, NoConvergence,
                      NotHyperbola, NotPlanar, ParseError, SingularPath,
                      ZeroVector)
-from .expr import (Z, antiderivative, differentiate, parse, residue,
-                   to_source)
+from .expr import (Z, antiderivative, differentiate, normal_forms, parse,
+                   residue, to_source)
 from .nullcurve import (NullCurve, NullResidualReport, WeierstrassData,
                         embed_3_to_4, from_weierstrass, null_residual,
                         quadratic_form)

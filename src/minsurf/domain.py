@@ -28,7 +28,10 @@ def real_numbers(value, count: int, what: str) -> tuple:
 
 def halton(count: int, skip: int = 0) -> np.ndarray:
     """First ``count`` points of the (2,3)-Halton sequence after ``skip``,
-    as an array of shape (count, 2) in the unit square."""
+    as an array of shape (count, 2) in the unit square.  A negative skip
+    is a ValueError: the digits of a negative index never run out."""
+    if skip < 0:
+        raise ValueError(f"Halton skip must be non-negative, got {skip}")
     pts = np.zeros((count, 2))
     for j, base in enumerate((2, 3)):   # radical inverses, digit by digit
         n, denom = np.arange(skip + 1, skip + count + 1), 1.0
@@ -96,8 +99,9 @@ class DomainSpec:
                 np.linspace(self.v_min, self.v_max, nv))
 
     def sample_points(self, count: int, skip: int = 0) -> np.ndarray:
-        """Halton samples over the rectangle, skipping points within 2% of
-        the rectangle diagonal of a puncture."""
+        """Halton samples over the rectangle after the first ``skip``
+        (ValueError when negative), leaving out points within 2% of the
+        rectangle diagonal of a puncture."""
         clearance = 0.02 * math.hypot(self.u_max - self.u_min,
                                       self.v_max - self.v_min)
         out = np.empty(count, dtype=np.complex128)

@@ -13,11 +13,11 @@ and ``1e200^2`` keep their node for evaluation to report.  Nothing else
 is rewritten, so ``x+0``, ``1*x``, ``0*x``, ``--x`` and ``(x^2)^3`` stay
 as written.  Every ``Const`` is finite (``InvalidConstant`` otherwise).
 
-``antiderivative`` gives an exact primitive of the exponential-Laurent
-class, the finite sums of terms ``c z^n e^{kz}`` with integer ``n``,
-negative only where ``k = 0``: every catalog curve and its linear
-deformations belong to it.  ``residue`` reads the ``z^{-1}`` coefficient,
-whose primitive is the one ``log`` term.
+``normal_forms`` reads expressions into the exponential-Laurent class,
+the finite sums of terms ``c z^n e^{kz}`` with integer ``n``, negative
+only where ``k = 0`` (every catalog curve and its linear deformations).
+From a form, ``antiderivative`` writes an exact primitive and ``residue``
+reads the ``z^{-1}`` coefficient, whose primitive is the one ``log`` term.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Exp", "Log", "Sinh", "Cosh",
     "Z", "const", "add", "sub", "mul", "div", "neg", "powi",
-    "exp", "log", "sinh", "cosh",
+    "exp", "log", "sinh", "cosh", "normal_forms",
     "differentiate", "antiderivative", "residue", "parse", "to_source",
 ]
 
@@ -294,8 +294,7 @@ def _nf_exp(p, s):
 
 
 def _monomial(p):
-    """(n, k, c) when the form ``p`` is the one term c z^n e^{kz}, else
-    None."""
+    """(n, k, c) when the form p is the one term c z^n e^{kz}, else None."""
     if len(p) == 1:
         ((n, k), c), = p.items()
         return n, k, c
@@ -303,9 +302,7 @@ def _monomial(p):
 
 
 def _normal_form(e, memo):
-    """``e`` as a dict {(n, k): c} of terms c z^n e^{kz} with nonzero c
-    and integer n, or None outside that class.  ``memo`` maps id(node) to
-    its form, so a shared subtree is read once."""
+    """``_read_normal_form`` of e, memoised by id(node) in ``memo``."""
     key = id(e)
     if key not in memo:
         memo[key] = _read_normal_form(e, memo)
@@ -352,26 +349,31 @@ def _read_normal_form(e, memo):
     return None
 
 
-def _finite_form(e):
-    """The normal form of ``e`` when each term has n >= 0 or k = 0 (the
-    primitive of z^{-m} e^{kz}, k != 0, is an exponential integral) and a
-    finite coefficient and exponent; else None."""
-    try:
-        nf = _normal_form(e, {})
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if nf is None or not all(
+def normal_forms(exprs) -> tuple:
+    """Each of ``exprs`` as a dict {(n, k): c} of terms c z^n e^{kz} with
+    nonzero c, or None outside the class of finite sums of such terms with
+    integer n, negative only where k = 0, and finite c and k: constants,
+    z, sums, differences and products of the class, powers n >= 0, any
+    power of and quotient by a single c z^n e^{kz}, and exp, sinh and cosh
+    of an affine argument (not log, nor z^{-m} e^{kz} with k != 0, an
+    exponential integral).  One memo serves them all, so a subtree they
+    share is read once; the forms are shared, and read-only."""
+    memo, out = {}, []
+    for e in exprs:
+        try:
+            nf = _normal_form(e, memo)
+        except (OverflowError, ZeroDivisionError):
+            nf = None
+        finite = nf is not None and all(
             (n >= 0 or k == 0) and cmath.isfinite(k) and cmath.isfinite(c)
-            for (n, k), c in nf.items()):
-        return None
-    return nf
+            for (n, k), c in nf.items())
+        out.append(nf if finite else None)
+    return tuple(out)
 
 
-def residue(e: Expr):
-    """The coefficient c of c/z in ``e``'s normal form (0 when there is
-    none), or None when ``e`` is outside the class of ``antiderivative``.
-    Its primitive c log z has the real period Re(2 pi i c) around 0."""
-    nf = _finite_form(e)
+def residue(nf):
+    """The c/z coefficient c of the form ``nf`` (0 with none; None for
+    None): c log z has the real period Re(2 pi i c) around 0."""
     return None if nf is None else nf.get((-1, 0j), 0j)
 
 
@@ -392,25 +394,17 @@ def _term(c, m, k) -> Expr:
     return _scaled(c, growth if m == 0 else Mul(power, growth))
 
 
-def antiderivative(e: Expr):
-    """Exact primitive F of ``e`` (F' = e), as a tuple of terms whose sum
-    is F, or None when ``e`` is outside the class.
-
-    The class is the finite sums of c z^n e^{kz} with integer n, negative
-    only where k = 0: constants, z, sums, differences and products of the
-    class, powers n >= 0, any power of and quotient by a single
-    c z^n e^{kz}, and exp, sinh and cosh of an affine argument.  Log,
-    non-affine exponents and z^{-m} e^{kz} with k != 0 (an exponential
-    integral) give None, and so does a primitive with a coefficient or
-    exponent beyond float range.  Each term is written c z^m e^{kz}, with
-    no factor z^0, e^{0z} or 1; the primitive of z^n (k = 0) is
-    z^{n+1}/(n+1) for n != -1 and log z for n = -1 (the last term, on the
-    branch cut the caller evaluates it with), and that of z^n e^{kz}
-    (n >= 0) the integration by parts sum e^{kz} sum_j (-1)^j n!/(n-j)!
-    z^{n-j} / k^{j+1}.  The zero function has the empty tuple as its
-    primitive.
+def antiderivative(nf):
+    """Exact primitive F of the expression whose form is ``nf`` (see
+    ``normal_forms``), as a tuple of terms whose sum is F; None for None
+    or a coefficient or exponent beyond float range.  Each term is written
+    c z^m e^{kz}, with no factor z^0, e^{0z} or 1; the primitive of z^n
+    (k = 0) is z^{n+1}/(n+1) for n != -1 and log z for n = -1 (the last
+    term, on the branch cut the caller evaluates it with), and that of
+    z^n e^{kz} (n >= 0) the integration by parts sum
+    e^{kz} sum_j (-1)^j n!/(n-j)! z^{n-j} / k^{j+1}.  The zero function
+    has the empty tuple as its primitive.
     """
-    nf = _finite_form(e)
     if nf is None:
         return None
     out = {}

@@ -17,6 +17,7 @@ exponential-type data grow like e^{2u}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,11 @@ class NullCurve:
     @property
     def n(self) -> int:
         return len(self.components)
+
+    @functools.cached_property
+    def forms(self) -> tuple:
+        """``expr.normal_forms`` of the components, read once per curve."""
+        return ex.normal_forms(self.components)
 
     def __call__(self, z):
         """Component values at point(s) z, stacked on the last axis."""

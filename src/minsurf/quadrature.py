@@ -158,6 +158,12 @@ def check_tol(tol) -> float:
     return tol
 
 
+def hits_puncture(domain, a, b) -> np.ndarray:
+    """Whether each segment a -> b passes within 1e-9 (1 + |b - a|) of a
+    puncture of ``domain``, which ``integrate_segments`` refuses."""
+    return domain.puncture_distance(a, b) < 1e-9 * (1.0 + np.abs(b - a))
+
+
 def integrate_segments(expr, a, b, tol: float = 1e-12, *,
                        domain=None) -> np.ndarray:
     """Integrate ``expr``, or each of a tuple of k expressions, along
@@ -181,8 +187,7 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *,
         raise ValueError("segment endpoint arrays must have the same shape")
     domain = domain if domain is not None else DomainSpec()
     cut = domain.branch_cut
-    if domain.punctures and np.any(
-            domain.puncture_distance(a, b) < 1e-9 * (1.0 + np.abs(b - a))):
+    if domain.punctures and np.any(hits_puncture(domain, a, b)):
         raise SingularPath("integration segment passes through a puncture")
 
     prog = compile_expr(expr)

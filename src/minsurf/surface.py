@@ -6,20 +6,20 @@ path.  ``immerse`` first finds the valid grid points: those that keep
 more than 1.25 cell diagonals from every puncture, as does one of their
 L-paths from z0, the stem to the nearest grid point g(j0, k0) then row
 k0 and column j, or the stem, column j0 and row k.  When
-``expr.antiderivative`` gives every component an exact primitive
-F = sum_t F_t (sums of c z^n e^{kz}, n negative only where k = 0: every
-catalog curve and its constant linear deformations), and either each
-z^{-1} coefficient is real, so that X has no real period about 0, or the
-log's branch cut misses the closed rectangle, so that log z is
-continuous on it, X is Re(F(z) - F(z0)) at each valid point, on the
-domain's branch cut, with tol as each point's budget for the roundoff
-level PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t |F_t(z0)|).  Otherwise
-one ``integrate_segments`` call takes the stem and the edges of row k0
-and of every column toward the points the first L-path reaches, each
-within tol / (nu + nv), summed outward in blocks of about sqrt(m) of a
-line's m edges, and a second the transposed tree's row edges toward the
-other valid points.  Every stage reads the curve's ``domain``: the grid
-rectangle, the punctures and the log branch cut.
+``expr.antiderivative`` of each of the curve's ``forms`` (read once per
+curve) is an exact primitive F = sum_t F_t (sums of c z^n e^{kz}, n
+negative only where k = 0: every catalog curve and its constant linear
+deformations), and either each z^{-1} coefficient is real, so that X has
+no real period about 0, or the log's branch cut misses the closed
+rectangle, so that log z is continuous on it, X is Re(F(z) - F(z0)) at
+each valid point, on the domain's branch cut, with tol as each point's
+budget for the roundoff level PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t
+|F_t(z0)|).  Otherwise one ``integrate_segments`` call takes the stem
+and the edges of row k0 and of every column toward the points the first
+L-path reaches, each within tol / (nu + nv), summed outward in blocks of
+about sqrt(m) of a line's m edges, and a second the transposed tree's
+row edges toward the other valid points.  Every stage reads the curve's
+``domain``: the grid rectangle, the punctures and the log branch cut.
 
 Verification instruments:
 
@@ -55,10 +55,10 @@ import numpy as np
 
 from . import engine   # looked up at each call, so wrappers on it see them
 from .conic import ParametricSurface
-from .errors import ZeroVector
+from .errors import SingularPath, ZeroVector
 from .expr import antiderivative, residue
 from .nullcurve import NullCurve
-from .quadrature import check_tol, integrate_segments
+from .quadrature import check_tol, hits_puncture, integrate_segments
 
 __all__ = [
     "SurfacePatch", "GaussMapSample", "DegeneracyReport",
@@ -174,13 +174,13 @@ def _primitive_sampler(c, zeta0, tol):
     cut at zeta0 and in blocks of at most BLOCK_POINTS values per
     component; X does not depend on the block size."""
     dom = c.domain
-    prims = [antiderivative(e) for e in c.components]
+    prims = [antiderivative(nf) for nf in c.forms]
     if any(p is None for p in prims):
         return None
     # Re F of a non-real z^{-1} coefficient is exact only on a rectangle
     # that the cut misses, so then zeta0 and every z must lie in it
     real = all(abs(r.imag) <= _PRIMITIVE_ROUNDOFF * abs(r)
-               for r in map(residue, c.components))
+               for r in map(residue, c.forms))
     if not (real or _cut_misses(dom) and dom.contains(zeta0)):
         return None
     cut = dom.branch_cut
@@ -381,9 +381,9 @@ def _rank_and_hyperplane(a):
 def real_period(c: NullCurve):
     """The real period of X = Re integral of the curve once around z = 0,
     Re(2 pi i c_k) for the z^{-1} coefficient c_k of each component
-    (``expr.residue``), shape (n,); None when a component is outside the
-    class of ``expr.antiderivative``."""
-    res = [residue(e) for e in c.components]
+    (``expr.residue`` of its form), shape (n,); None when a component is
+    outside the class of ``expr.normal_forms``."""
+    res = [residue(nf) for nf in c.forms]
     if any(r is None for r in res):
         return None
     return np.array([(2j * math.pi * r).real for r in res])
@@ -539,8 +539,10 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     """Immersion X(u, v) = Re integral of the curve, anchored at zeta0,
     for slicing and spot checks: Re(F(u + iv) - F(zeta0)) within tol for a
     curve with an exact primitive (compiled once, here); otherwise, or over
-    that budget, the L-paths z0 -> (u, Im z0) -> (u, v) of a surface call's
-    points in one integrate_segments call, each leg within tol."""
+    that budget, an L-path of each of a surface call's points in one
+    integrate_segments call, each leg within tol: z0 -> (u, Im z0) ->
+    (u, v), or where a leg of it passes a puncture the transposed
+    z0 -> (Re z0, v) -> (u, v).  SingularPath when both do."""
     tol = check_tol(tol)
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
@@ -551,11 +553,19 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
         x = np.empty((z.size, c.n))
         if sample is not None and sample(z, np.arange(z.size), x):
             return x.reshape(u.shape + (c.n,))
+
+        def blocked(w):   # whether a leg z0 -> w -> z passes a puncture
+            return hits_puncture(dom, z0, w) | hits_puncture(dom, w, z)
+
         corner = (u + 1j * z0.imag).ravel()
+        corner = np.where(blocked(corner), (z0.real + 1j * v).ravel(), corner)
+        bad = blocked(corner)
+        if np.any(bad):
+            raise SingularPath(f"no L-path from {z0} to {z[bad][0]} keeps "
+                               "off the punctures")
         vals = integrate_segments(c.components,
                                   np.append(np.full(corner.size, z0), corner),
-                                  np.append(corner, u + 1j * v), tol,
-                                  domain=dom)
+                                  np.append(corner, z), tol, domain=dom)
         # sum the two legs; copied C-contiguous, as a strided result rounds
         # the slice's plane fit differently
         x = vals.real.reshape(c.n, 2, -1).sum(axis=1).T.copy()

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConstant
 from .nullcurve import NullCurve, WeierstrassData, embed_3_to_4, from_weierstrass
 
 __all__ = [
@@ -117,10 +117,14 @@ def associate(c: NullCurve, theta: float) -> NullCurve:
 
 
 def goursat(c3: NullCurve, t: float) -> NullCurve:
-    """Hyperbolic shear of the first two components; third untouched."""
+    """Hyperbolic shear of the first two components; third untouched.
+    InvalidConstant when cosh t is beyond float range."""
     if c3.n != 3:
         raise DimensionMismatch("Goursat shear expects a 3-component curve")
-    ch, sh = math.cosh(t), math.sinh(t)
+    try:
+        ch, sh = math.cosh(t), math.sinh(t)
+    except OverflowError:
+        raise InvalidConstant(f"cosh({t}) is beyond float range") from None
     m = np.array([[ch, -1j * sh, 0.0],
                   [1j * sh, ch, 0.0],
                   [0.0, 0.0, 1.0]], dtype=np.complex128)

@@ -525,7 +525,14 @@ _LINE = '{"curve": ["1", "i", "0"]}'
 ] + [([cmd, f"--tol={tol}", *flags], _LINE, "ValueError", "positive and finite")
      for tol in ("nan", "-1", "0", "inf")
      for cmd, flags in (("verify", ["--res", "9x9"]),
-                        ("slice", ["--axis", "0", "--value", "0"]))])
+                        ("slice", ["--axis", "0", "--value", "0"]))] + [
+    (["deform", "--kind", "goursat", "--t", "1000"], _HELICOID,
+     "InvalidConstant", "beyond float range"),
+    (["deform", "--kind", "goursat", "--t=-800"], _HELICOID,
+     "InvalidConstant", "beyond float range"),
+    (["verify", "--res", "9x9", "--seed", "-3"], _LINE, "ValueError",
+     "non-negative"),
+])
 def test_degenerate_and_non_finite_inputs_are_machine_readable(
         cli, argv, stdin, error, fragment):
     code, out, err = cli(argv, stdin=stdin)

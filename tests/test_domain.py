@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from minsurf.domain import DomainSpec
+from minsurf.domain import DomainSpec, halton
 
 
 def test_segment_through_a_puncture_is_at_distance_zero():
@@ -96,3 +96,14 @@ def test_degenerate_rectangle_is_rejected(rect):
 def test_grid_needs_two_points_a_side(res):
     with pytest.raises(ValueError, match="2x2"):
         DomainSpec(-1, 1, -1, 1).grid(*res)
+
+
+@pytest.mark.parametrize("skip", [-1, -2, -3])
+def test_a_negative_halton_skip_is_refused(skip):
+    # the digits of a negative index never reach 0: -1 would give the
+    # point (0, 0) and -2 or less would never return
+    with pytest.raises(ValueError, match="non-negative"):
+        halton(4, skip)
+    with pytest.raises(ValueError, match="non-negative"):
+        DomainSpec().sample_points(4, skip=skip)
+    assert halton(4, 0).shape == (4, 2)

@@ -12,7 +12,7 @@ from minsurf import engine as engine_mod
 from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
 from minsurf.engine import evaluate
-from minsurf.errors import ZeroVector
+from minsurf.errors import SingularPath, ZeroVector
 from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
                                from_weierstrass)
 from minsurf.surface import (_triangle_blocks, conformal_factor,
@@ -385,7 +385,7 @@ def test_unpunctured_grid_is_one_call_of_nu_nv_segments(monkeypatch):
     w = WeierstrassData(ex.parse("exp(z^2)"), ex.const(1),
                         DomainSpec(-0.5, 0.5, -0.5, 0.5))
     c = from_weierstrass(w)
-    assert any(ex.antiderivative(e) is None for e in c.components)
+    assert any(ex.antiderivative(nf) is None for nf in c.forms)
     for res, z0 in (((17, 11), None), ((9, 13), 0.31 - 0.42j)):
         calls.clear()
         immerse(c, zeta0=z0, res=res)
@@ -688,6 +688,42 @@ def test_a_non_real_residue_keeps_the_tree_where_the_cut_meets(monkeypatch,
     assert np.all(np.isfinite(p.points[p.valid]))
 
 
+@pytest.mark.parametrize("v_range, punctures, exact", [
+    ((0.5, 1.5), (), True),            # the cut along the u axis misses it
+    ((-0.5, 0.5), (0j,), False),       # the cut runs through the rectangle
+])
+def test_a_cut_parallel_to_an_axis_is_tested_on_that_axis(
+        monkeypatch, v_range, punctures, exact):
+    # (i/z, 1/z, 0) with the cut along the positive u axis: the ray's v is
+    # 0 throughout, so the rectangle's v range alone decides
+    c = replace(_punctured_with_period(), domain=DomainSpec(
+        -1, 1, *v_range, punctures=punctures, branch_cut=0.0))
+    assert surface_mod._cut_misses(c.domain) == exact
+    calls = _quadrature_calls(monkeypatch)
+    zeta0, tol = complex(-1, v_range[1]), 1e-10
+    p = immerse(c, zeta0=zeta0, res=(17, 17), tol=tol)
+    assert (calls == []) == exact
+    assert (surface_mod._primitive_sampler(c, zeta0, tol) is None) != exact
+    monkeypatch.setattr(surface_mod, "antiderivative", lambda nf: None)
+    tree = immerse(c, zeta0=zeta0, res=(17, 17), tol=tol)
+    assert calls and np.array_equal(p.valid, tree.valid)
+    assert np.max(np.abs(p.points - tree.points)[p.valid]) <= tol
+
+
+def test_parametric_immersion_takes_the_transposed_l_path_past_a_puncture():
+    # from 1, the first L-path to 0.7i runs along v = 0 through the
+    # puncture at 0; the transposed one, up u = 1 and along v = 0.7, is
+    # the path immerse takes.  No L-path to -1 keeps off the puncture.
+    c, tol = _punctured_with_period(), 1e-10
+    p = immerse(c, zeta0=1 + 0j, res=(31, 31), tol=tol)
+    j, k = 15, 22
+    assert p.u[j] == 0 and abs(p.v[k] - 0.7) < 1e-15 and p.valid[j, k]
+    surf = parametric_immersion(c, zeta0=1 + 0j, tol=tol)
+    assert np.max(np.abs(surf(p.u[j], p.v[k]) - p.points[j, k])) <= tol
+    with pytest.raises(SingularPath, match=r"to \(-1\+0j\)"):
+        surf(np.array([0.5, -1.0]), np.array([0.5, 0.0]))
+
+
 def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths():
     # -1 - 0.5i lies off [0.2, 2] x [-1, 1], and the L-path to it from
     # 1.1 + 0.5i crosses the cut: X2 is Re(e^{-0.7i} log z) with arg z
@@ -701,6 +737,36 @@ def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths():
     inside = surf(1.5, -0.5)[2]
     assert abs(inside - (np.exp(-0.7j) * np.log((1.5 - 0.5j) / z0)).real
                ) <= 1e-12
+
+
+def _distinct_nodes(exprs):
+    """The number of distinct nodes (by identity) under ``exprs``."""
+    seen, todo = set(), list(exprs)
+    while todo:
+        e = todo.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            todo += [getattr(e, f) for f in ("a", "b") if hasattr(e, f)]
+    return len(seen)
+
+
+def test_a_curve_is_read_into_normal_forms_once(monkeypatch):
+    # two immersions, the real period and a parametric immersion read each
+    # distinct node of the components once, a subtree they share (Psi,
+    # G^2) too: 25 reads, not one walk per component per reader
+    c = parabolic_deform(cat.helicoid(), 1 + 2j)
+    reads, read = [], ex._read_normal_form
+
+    def counting_read(e, memo):
+        reads.append(e)
+        return read(e, memo)
+
+    monkeypatch.setattr(ex, "_read_normal_form", counting_read)
+    immerse(c, res=(9, 9))
+    immerse(c, res=(17, 17))
+    assert real_period(c) is not None
+    parametric_immersion(c)(0.1, 0.2)
+    assert len(reads) == _distinct_nodes(c.components) == 25
 
 
 def test_real_period_of_the_catalog():
@@ -891,7 +957,7 @@ def test_parametric_immersion_without_a_primitive(monkeypatch):
     dom = DomainSpec(-0.5, 0.5, -0.5, 0.5)
     c = NullCurve((ex.const(1), ex.parse("i*cosh(z^2)"),
                    ex.parse("sinh(z^2)")), dom)
-    assert ex.antiderivative(c.components[1]) is None
+    assert ex.antiderivative(c.forms[1]) is None
     z0, tol = 0.1 - 0.2j, 1e-11
     tree = immerse(c, zeta0=z0, res=(9, 7), tol=tol)
     surf = parametric_immersion(c, zeta0=z0, tol=tol)
@@ -975,8 +1041,8 @@ def test_primitive_above_its_roundoff_budget_falls_back(monkeypatch):
     # whose difference rounds away every digit; quadrature takes the call
     k = 5.551115123125783e-17
     e = ex.parse(f"exp({k!r}*z)")
-    assert ex.antiderivative(e) is not None
     c = NullCurve((e, ex.mul(ex.const(1j), e), ex.const(0)), DomainSpec())
+    assert ex.antiderivative(c.forms[0]) is not None
     calls = _quadrature_calls(monkeypatch)
     tol = 1e-12
     p = immerse(c, zeta0=0.3 - 0.2j, res=(9, 7), tol=tol)
@@ -1014,7 +1080,7 @@ def test_exact_route_evaluates_only_the_primitive_terms(monkeypatch):
     assert calls == [] and not p.valid.all()
     assert len(compiles) == 1 and sum(points) <= p.valid.sum() + 1
     monkeypatch.undo()
-    terms = [t for e in curve.components for t in ex.antiderivative(e)]
+    terms = [t for nf in curve.forms for t in ex.antiderivative(nf)]
     (compiled, outputs), = compiles
     assert outputs == len(terms) == len(compiled)
     assert list(map(ex.to_source, compiled)) == list(map(ex.to_source, terms))
@@ -1181,7 +1247,7 @@ def test_many_terms_sum_alike_in_a_block_of_one_point(monkeypatch):
     poly = ex.parse("+".join(f"{k + 1}.5*z^{k}" for k in range(9)))
     c = NullCurve((poly, ex.mul(ex.const(1j), poly), ex.const(0)),
                   DomainSpec(-1, 1, -1, 1))
-    assert len(ex.antiderivative(poly)) == 9
+    assert len(ex.antiderivative(c.forms[0])) == 9
 
     def run():
         return immerse(c, zeta0=0.3 - 0.1j, res=(9, 7))
