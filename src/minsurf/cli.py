@@ -60,6 +60,18 @@ def _parse_res(text: str):
     return int(m.group(1)), int(m.group(2))
 
 
+def _parse_sweep(text: str):
+    """(lo, hi) from 'lo:hi', two finite numbers; ValueError otherwise."""
+    try:
+        sweep = tuple(float(t) for t in text.split(":"))
+    except ValueError:
+        sweep = ()
+    if len(sweep) != 2 or not all(map(math.isfinite, sweep)):
+        raise ValueError(f"--sweep must be lo:hi, two finite numbers, "
+                         f"got {text!r}")
+    return sweep
+
+
 def _read_spec(args) -> specio.SurfaceSpec:
     if args.input:
         with open(args.input) as fh:
@@ -224,14 +236,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_slice(args) -> int:
+    sweep = None if args.sweep is None else _parse_sweep(args.sweep)
     spec = _read_spec(args)
     curve = spec.as_curve()
     surf = parametric_immersion(curve, zeta0=_base_point(args, spec),
                                 tol=args.tol)
-    sweep = None
-    if args.sweep:
-        lo, hi = args.sweep.split(":")
-        sweep = (float(lo), float(hi))
     pc = slice_surface(surf, args.axis, args.value, npoints=args.npoints,
                        sweep=sweep)
     cols = ["x", "y"] + [f"X{i}" for i in range(pc.points.shape[1])]

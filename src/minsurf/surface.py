@@ -9,17 +9,17 @@ k0 and column j, or the stem, column j0 and row k.  When
 ``expr.antiderivative`` of each of the curve's ``forms`` (read once per
 curve) is an exact primitive F = sum_t F_t (sums of c z^n e^{kz}, n
 negative only where k = 0: every catalog curve and its constant linear
-deformations), and either each z^{-1} coefficient is real, so that X has
-no real period about 0, or the log's branch cut misses the closed
-rectangle, so that log z is continuous on it, X is Re(F(z) - F(z0)) at
-each valid point, on the domain's branch cut, with tol as each point's
+deformations), X is Re(F(z) - F(z0)) on the domain's branch cut plus w
+Re(2 pi i c) for each z^{-1} coefficient c, w the signed number of times
+the point's L-path crosses the cut, with tol as each valid point's
 budget for the roundoff level PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t
-|F_t(z0)|).  Otherwise one ``integrate_segments`` call takes the stem
-and the edges of row k0 and of every column toward the points the first
-L-path reaches, each within tol / (nu + nv), summed outward in blocks of
-about sqrt(m) of a line's m edges, and a second the transposed tree's
-row edges toward the other valid points.  Every stage reads the curve's
-``domain``: the grid rectangle, the punctures and the log branch cut.
+|F_t(z0)|).  Otherwise (outside the class, or over that budget) one
+``integrate_segments`` call takes the stem and the edges of row k0 and
+of every column toward the points the first L-path reaches, each within
+tol / (nu + nv), summed outward in blocks of about sqrt(m) of a line's m
+edges, and a second the transposed tree's row edges toward the other
+valid points.  Every stage reads the curve's ``domain``: the grid
+rectangle, the punctures and the log branch cut.
 
 Verification instruments:
 
@@ -47,7 +47,6 @@ chunk size, quadrature.CHUNK_NODES.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -56,7 +55,7 @@ import numpy as np
 from . import engine   # looked up at each call, so wrappers on it see them
 from .conic import ParametricSurface
 from .errors import SingularPath, ZeroVector
-from .expr import antiderivative, residue
+from .expr import Z, antiderivative, log, residue
 from .nullcurve import NullCurve
 from .quadrature import check_tol, hits_puncture, integrate_segments
 
@@ -74,10 +73,10 @@ RANK_CUTOFF = 1e-8
 # rounds in k z (an absolute error that exp turns relative, about |k z|
 # ulps, of order one on the catalog domains), in exp, in z^m and in the
 # product with c (c log z in log and the product), and F(z) - F(z0)
-# rounds once more.  A z^{-1} coefficient counts as real when its
-# imaginary part is within PRIMITIVE_ULPS eps of its modulus.
+# rounds once more
 PRIMITIVE_ULPS = 4
 _PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
+_LOG = engine.compile_expr(log(Z))     # Im log z: the engine's own arg z
 # grid points per block (values per component on the exact route): the
 # temporaries of a block stay in cache, and 2048 to 16384 time alike
 BLOCK_POINTS = 1 << 12
@@ -118,8 +117,9 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     point is valid when it and one of its L-paths from zeta0 keep more
     than 1.25 cell diagonals from every puncture (see the module
     docstring); the others are NaN.  With an exact primitive each valid
-    point is Re(F(z) - F(zeta0)) within tol, in one pass over blocks of
-    them; otherwise each tree is one ``integrate_segments`` call.
+    point is Re(F(z) - F(zeta0)) within tol, continued along that L-path
+    across the log's cut, in one pass over blocks of them; otherwise each
+    tree is one ``integrate_segments`` call.
     """
     tol = check_tol(tol)
     domain = c.domain
@@ -154,36 +154,32 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
 
     at = np.flatnonzero(valid)
     points = np.full((nu * nv, c.n), np.nan)
+
+    def via(rows):   # the corners of the points' L-paths after the stem
+        j, k = np.divmod(rows, nv)
+        return g, np.where(first.ravel()[rows], zz[j, k0], zz[j0, k])
+
     sample = _primitive_sampler(c, zeta0, tol)
-    if sample is None or not sample(zz.ravel(), at, points):
+    if sample is None or not sample(zz.ravel(), at, points, via):
         points[at] = _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid)
     return SurfacePatch(u, v, points.reshape(nu, nv, c.n), valid, zeta0)
 
 
 def _primitive_sampler(c, zeta0, tol):
     """None when a component has no exact primitive F = sum_t F_t (see
-    ``expr.antiderivative``), or has a z^{-1} coefficient that is not real
-    to PRIMITIVE_ULPS of its size (X then has a real period about 0, and
-    Re F(z) jumps across the branch cut) while the cut meets the domain's
-    closed rectangle or zeta0 lies off it; else ``sample(z, at, out)``,
-    which writes X = Re(F(z[i]) - F(zeta0)) into out[i] for each i in
-    ``at``, or returns False when a value is not finite, PRIMITIVE_ULPS
-    eps (sum_t |F_t(z)| + sum_t |F_t(zeta0)|) exceeds tol, or, for such a
-    coefficient, a z[i] lies off the rectangle.  One program
-    of the terms is compiled here, and evaluated with the domain's branch
-    cut at zeta0 and in blocks of at most BLOCK_POINTS values per
-    component; X does not depend on the block size."""
-    dom = c.domain
+    ``expr.antiderivative``); else ``sample(z, at, out, via)``, which
+    writes X = Re(F(z[i]) - F(zeta0)) + w real_period(c) into out[i] for
+    each i in ``at``, w from ``_sheet`` on the path zeta0 -> *via(rows) ->
+    z[i] (via is called, on each block ``rows`` of ``at``, only for a
+    nonzero period), or returns False when a value is not finite, a leg
+    passes through 0, or PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t
+    |F_t(zeta0)|) exceeds tol.  One program of the terms, compiled here,
+    runs in blocks of at most BLOCK_POINTS values per component."""
     prims = [antiderivative(nf) for nf in c.forms]
     if any(p is None for p in prims):
         return None
-    # Re F of a non-real z^{-1} coefficient is exact only on a rectangle
-    # that the cut misses, so then zeta0 and every z must lie in it
-    real = all(abs(r.imag) <= _PRIMITIVE_ROUNDOFF * abs(r)
-               for r in map(residue, c.forms))
-    if not (real or _cut_misses(dom) and dom.contains(zeta0)):
-        return None
-    cut = dom.branch_cut
+    cut = c.domain.branch_cut
+    period = real_period(c)
     prog = engine.compile_expr(tuple(t for p in prims for t in p))
     # the terms of component i are outputs cuts[i]:cuts[i + 1], its span;
     # the zero curve has none
@@ -200,42 +196,42 @@ def _primitive_sampler(c, zeta0, tol):
     base, base_mag = primitive(engine.eval_program(prog, np.array([zeta0]),
                                                    cut=cut))
 
-    def sample(z, at, out):
+    def sample(z, at, out, via):
         for lo in range(0, at.size, step):
             rows = at[lo:lo + step]
             zb = z[rows]
-            x, y = zb.real, zb.imag
-            if not (real or np.all((dom.u_min <= x) & (x <= dom.u_max)
-                                   & (dom.v_min <= y) & (y <= dom.v_max))):
-                return False
             F, mag = primitive(engine.eval_program(prog, zb, cut=cut))
             # a value that is not finite makes its level inf or NaN
             if not np.all(_PRIMITIVE_ROUNDOFF * (mag + base_mag) <= tol):
                 return False
-            out[rows] = (F - base).T
+            x = F - base
+            if period.any():
+                w = _sheet((zeta0, *via(rows), zb), cut)
+                if w is None:
+                    return False
+                off = np.flatnonzero(w)     # the points off F's sheet
+                x[:, off] += np.outer(period, w[off])
+            out[rows] = x.T
         return True
 
     return sample
 
 
-def _cut_misses(dom):
-    """True when the log's cut ray {r e^{i branch_cut} : r >= 0} misses the
-    closed rectangle widened by 8 eps of its largest coordinate, about what
-    the engine's rotation of z by the cut rounds: log z, and so the
-    primitive c log z of a z^{-1} term, is then continuous on it.  The
-    slab test: the ray's r in the u slab and in the v slab do not meet."""
-    d = cmath.exp(1j * dom.branch_cut)
-    rect = ((dom.u_min, dom.u_max), (dom.v_min, dom.v_max))
-    pad = 8 * np.finfo(np.float64).eps * max(abs(x) for ab in rect for x in ab)
-    lo, hi = 0.0, math.inf
-    for (a, b), s in zip(rect, (d.real, d.imag)):
-        if s == 0:
-            if not a - pad <= 0 <= b + pad:
-                return True
-        else:
-            t0, t1 = sorted(((a - pad) / s, (b + pad) / s))
-            lo, hi = max(lo, t0), min(hi, t1)
-    return lo > hi
+def _sheet(path, cut):
+    """The signed number of times each path path[0] -> ... -> path[-1]
+    crosses the log's cut: the turn of arg z along its straight legs, less
+    the change of the engine's arg z, over 2 pi.  None when a leg passes
+    through 0, its ends' ratio being real and not positive, or not finite."""
+    turn = 0.0
+    with np.errstate(all="ignore"):
+        for a, b in zip(path[:-1], path[1:]):
+            r = np.divide(b, a)
+            if np.any(~np.isfinite(r) | (r.imag == 0) & (r.real <= 0)):
+                return None
+            turn = turn + np.angle(r)
+        ends = np.append(path[0], path[-1])
+        arg = engine.eval_program(_LOG, ends, cut=cut).imag
+    return np.rint((turn - arg[1:] + arg[0]) / (2 * math.pi))
 
 
 def _sum_rows(t):
@@ -537,12 +533,11 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
 def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
                          tol: float = 1e-11) -> ParametricSurface:
     """Immersion X(u, v) = Re integral of the curve, anchored at zeta0,
-    for slicing and spot checks: Re(F(u + iv) - F(zeta0)) within tol for a
-    curve with an exact primitive (compiled once, here); otherwise, or over
-    that budget, an L-path of each of a surface call's points in one
-    integrate_segments call, each leg within tol: z0 -> (u, Im z0) ->
-    (u, v), or where a leg of it passes a puncture the transposed
-    z0 -> (Re z0, v) -> (u, v).  SingularPath when both do."""
+    for slicing and spot checks, along the L-path z0 -> (u, Im z0) -> (u, v)
+    or, where a leg of it passes a puncture, z0 -> (Re z0, v) -> (u, v):
+    as in ``immerse`` for a curve with an exact primitive (compiled once,
+    here); otherwise, or over that budget, one integrate_segments call of
+    the legs, each within tol, or SingularPath when both paths fail."""
     tol = check_tol(tol)
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
@@ -551,21 +546,25 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     def f(u, v):
         z = (u + 1j * v).ravel()
         x = np.empty((z.size, c.n))
-        if sample is not None and sample(z, np.arange(z.size), x):
+
+        def blocked(w, to):   # whether a leg z0 -> w -> to passes a puncture
+            return hits_puncture(dom, z0, w) | hits_puncture(dom, w, to)
+
+        def corner(to):
+            w = to.real + 1j * z0.imag
+            return np.where(blocked(w, to), z0.real + 1j * to.imag, w)
+
+        if sample is not None and sample(z, np.arange(z.size), x,
+                                         lambda rows: (corner(z[rows]),)):
             return x.reshape(u.shape + (c.n,))
-
-        def blocked(w):   # whether a leg z0 -> w -> z passes a puncture
-            return hits_puncture(dom, z0, w) | hits_puncture(dom, w, z)
-
-        corner = (u + 1j * z0.imag).ravel()
-        corner = np.where(blocked(corner), (z0.real + 1j * v).ravel(), corner)
-        bad = blocked(corner)
+        corners = corner(z)
+        bad = blocked(corners, z)
         if np.any(bad):
             raise SingularPath(f"no L-path from {z0} to {z[bad][0]} keeps "
                                "off the punctures")
         vals = integrate_segments(c.components,
-                                  np.append(np.full(corner.size, z0), corner),
-                                  np.append(corner, z), tol, domain=dom)
+                                  np.append(np.full(z.size, z0), corners),
+                                  np.append(corners, z), tol, domain=dom)
         # sum the two legs; copied C-contiguous, as a strided result rounds
         # the slice's plane fit differently
         x = vals.real.reshape(c.n, 2, -1).sum(axis=1).T.copy()

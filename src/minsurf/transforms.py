@@ -76,6 +76,14 @@ def is_complex_orthogonal(T: NullTransform | np.ndarray):
     return dev <= ORTHOGONALITY_TOLERANCE, dev
 
 
+def _finite(name, x) -> float:
+    """x as a float; InvalidConstant naming the parameter unless finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise InvalidConstant(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def _is_zero(e) -> bool:
     return isinstance(e, ex.Const) and e.value == 0
 
@@ -108,7 +116,9 @@ def apply_transform(T: NullTransform, c: NullCurve) -> NullCurve:
 
 def associate(c: NullCurve, theta: float) -> NullCurve:
     """Rotate every component by e^{-i theta}; theta = pi/2 gives the
-    conjugate surface.  Works in any dimension."""
+    conjugate surface.  Works in any dimension.  InvalidConstant unless
+    theta is finite."""
+    theta = _finite("theta", theta)
     if theta == 0.0:
         return c
     w = complex(math.cos(-theta), math.sin(-theta))
@@ -118,9 +128,11 @@ def associate(c: NullCurve, theta: float) -> NullCurve:
 
 def goursat(c3: NullCurve, t: float) -> NullCurve:
     """Hyperbolic shear of the first two components; third untouched.
-    InvalidConstant when cosh t is beyond float range."""
+    InvalidConstant unless t is finite, or when cosh t is beyond float
+    range."""
     if c3.n != 3:
         raise DimensionMismatch("Goursat shear expects a 3-component curve")
+    t = _finite("t", t)
     try:
         ch, sh = math.cosh(t), math.sinh(t)
     except OverflowError:
@@ -151,9 +163,11 @@ def lopez_ros(w: WeierstrassData, lam: float) -> WeierstrassData:
 
 def lawson(c3: NullCurve, alpha: float, beta: float) -> NullCurve:
     """Isometric lift into C^6:
-    e^{-i alpha} (cos b (p1,0,p2,0,p3,0) + sin b (0,-i p1,0,-i p2,0,-i p3))."""
+    e^{-i alpha} (cos b (p1,0,p2,0,p3,0) + sin b (0,-i p1,0,-i p2,0,-i p3)).
+    InvalidConstant unless alpha and beta are finite."""
     if c3.n != 3:
         raise DimensionMismatch("Lawson lift expects a 3-component curve")
+    alpha, beta = _finite("alpha", alpha), _finite("beta", beta)
     rot = complex(math.cos(-alpha), math.sin(-alpha))
     even = ex.const(rot * math.cos(beta))
     odd = ex.const(rot * math.sin(beta) * -1j)

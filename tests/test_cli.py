@@ -532,7 +532,19 @@ _LINE = '{"curve": ["1", "i", "0"]}'
      "InvalidConstant", "beyond float range"),
     (["verify", "--res", "9x9", "--seed", "-3"], _LINE, "ValueError",
      "non-negative"),
-])
+] + [(["deform", "--kind", kind, f"--{flag}={value}"], _HELICOID,
+      "InvalidConstant", f"{flag} must be finite, got {value}")
+     for kind, flag, value in (("associate", "theta", "inf"),
+                               ("associate", "theta", "nan"),
+                               ("lawson", "alpha", "inf"),
+                               ("lawson", "beta", "nan"),
+                               ("goursat", "t", "nan"),
+                               ("goursat", "t", "-inf"))] + [
+    # the sweep is checked before the spec (here none) is read
+    (["slice", "--axis", "0", "--value", "0", f"--sweep={sweep}"], "",
+     "ValueError", f"--sweep must be lo:hi, two finite numbers, got "
+     f"'{sweep}'")
+    for sweep in ("inf:1", "nan:1", "1", "1:2:3", "a:1", "")])
 def test_degenerate_and_non_finite_inputs_are_machine_readable(
         cli, argv, stdin, error, fragment):
     code, out, err = cli(argv, stdin=stdin)

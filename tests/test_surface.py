@@ -398,10 +398,35 @@ def _punctured_catenoid():
 
 
 def _punctured_with_period():
-    """(i/z, 1/z, 0) about a puncture at 0: X0 = -arg z has the real period
-    -2 pi, so the curve keeps the quadrature tree."""
+    """(i/z, 1/z, 0) about a puncture at 0: X0 = -arg z, continued along
+    each L-path, has the real period -2 pi."""
     dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
     return NullCurve((ex.parse("i/z"), ex.parse("1/z"), ex.const(0)), dom)
+
+
+def _punctured_tree_curve():
+    """(1, i cosh z^2, sinh z^2), entire and outside the class of exact
+    primitives, with the same puncture at 0: it takes the quadrature
+    tree."""
+    dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
+    return NullCurve((ex.const(1), ex.parse("i*cosh(z^2)"),
+                      ex.parse("sinh(z^2)")), dom)
+
+
+def _agrees_with_the_tree(monkeypatch, c, zeta0, res, tol=1e-10):
+    """immerse of c with no quadrature call, and with the primitive
+    withheld (the tree): valid bitwise equal, points within tol.  Returns
+    the exact patch."""
+    calls = _quadrature_calls(monkeypatch)
+    p = immerse(c, zeta0=zeta0, res=res, tol=tol)
+    assert calls == []
+    with monkeypatch.context() as m:
+        m.setattr(surface_mod, "antiderivative", lambda nf: None)
+        tree = immerse(c, zeta0=zeta0, res=res, tol=tol)
+    assert calls
+    assert np.array_equal(p.valid, tree.valid)
+    assert np.max(np.abs(p.points - tree.points)[p.valid]) <= tol
+    return p
 
 
 def _from_origin(x0, x1, y):
@@ -469,7 +494,7 @@ def test_transposed_tree_integrates_only_edges_toward_missed_cells(
     calls = _quadrature_calls(monkeypatch)
     for z0, n in ((1 + 0j, 33), (0.37 - 0.81j, 41)):
         calls.clear()
-        p = immerse(_punctured_with_period(), zeta0=z0, res=(n, n))
+        p = immerse(_punctured_tree_curve(), zeta0=z0, res=(n, n))
         u, v = p.u, p.v
         clearance = 1.25 * np.hypot(*p.spacing())
         j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
@@ -613,33 +638,46 @@ def test_hoffman_osserman_takes_the_exact_route(monkeypatch, alpha):
     assert np.max(np.abs(p.points - want)) <= 1e-13
 
 
-def test_a_real_period_keeps_the_quadrature_tree(monkeypatch):
-    # (i/z, 1/z, 0): Re(2 pi i i) = -2 pi; X0 tears across the cut, so
-    # the curve takes the tree, whose output is that of a curve with no
-    # primitive, bitwise
+def test_a_real_period_is_continued_along_the_l_paths(monkeypatch):
+    # (i/z, 1/z, 0): Re(2 pi i i) = -2 pi, so X0 = -arg z continued along
+    # each point's L-path; the exact route counts the path's crossings of
+    # the cut and agrees with the tree for every cut and base point.  From
+    # 1 no L-path crosses the negative axis; from the others 285 or 300
+    # of the 1080 valid points lie off the principal sheet of -arg z
     c = _punctured_with_period()
     assert np.array_equal(real_period(c), [-2 * np.pi, 0.0, 0.0])
-    calls = _quadrature_calls(monkeypatch)
-    p = immerse(c, zeta0=1 + 0j, res=(33, 33))
-    assert len(calls) == 2
-    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
-    tree = immerse(c, zeta0=1 + 0j, res=(33, 33))
-    assert np.array_equal(p.valid, tree.valid)
-    assert np.array_equal(p.points, tree.points, equal_nan=True)
+    for cut in (np.pi, 0.0, 0.1, -2.0):
+        c = replace(c, domain=replace(c.domain, branch_cut=cut))
+        for z0, off in ((1 + 0j, 0), (-1 + 0.5j, 285), (-0.17 + 0.36j, 285),
+                        (-1.5 - 1.5j, 300)):
+            p = _agrees_with_the_tree(monkeypatch, c, z0, (33, 33))
+            zz = p.u[:, None] + 1j * p.v[None, :]
+            principal = np.angle(z0) - np.angle(zz)
+            sheets = (p.points[..., 0] - principal)[p.valid] / (2 * np.pi)
+            assert np.max(np.abs(sheets - np.rint(sheets))) <= 1e-12
+            assert np.count_nonzero(np.rint(sheets)) == off
+    # a second puncture, off the pole, and a base point off the grid
+    c = replace(c, domain=replace(c.domain, punctures=(0j, 0.6 + 0.4j)))
+    p = _agrees_with_the_tree(monkeypatch, c, 0.23 - 0.71j, (41, 37))
+    assert not p.valid.all()
 
 
 @pytest.mark.parametrize("im, exact", [(1e-16, True), (1e-13, False)])
 def test_a_residue_is_real_to_primitive_ulps_of_its_size(monkeypatch, im,
                                                         exact):
-    # the catenoid with r/z, Im r = 1e-16 (under 4 eps |r|), as its third
-    # component takes the exact route; with 1e-13 the period -2 pi Im r
-    # of X2 keeps the tree
+    # the catenoid with r/z as its third component: the period -2 pi Im r
+    # of X2 is added where the L-path from 0.5 + 0.5i crosses the cut.
+    # With Im r = 1e-16 (under 4 eps |r|) X2 moves by less than the
+    # route's roundoff from the real residue's; with 1e-13 by more, and
+    # the tree, to 1e-13, tells a missing period of 6e-13
     cat3 = _punctured_catenoid()
-    r = 1 + 1j * im
-    c = replace(cat3, components=cat3.components[:2] + (ex.div(r, ex.Z),))
-    calls = _quadrature_calls(monkeypatch)
-    immerse(c, zeta0=0.5 + 0.5j, res=(17, 17))
-    assert (calls == []) == exact
+    p = {}
+    for r in (1, 1 + 1j * im):
+        c = replace(cat3, components=cat3.components[:2] + (ex.div(r, ex.Z),))
+        p[r] = _agrees_with_the_tree(monkeypatch, c, 0.5 + 0.5j, (17, 17),
+                                     tol=1e-13)
+    shift = np.abs(p[1].points - p[1 + 1j * im].points)[p[1].valid]
+    assert (shift.max() <= 4 * np.finfo(float).eps * 2 * np.pi) == exact
 
 
 def _associated_catenoid(**domain):
@@ -677,37 +715,39 @@ def test_a_non_real_residue_is_exact_where_the_cut_misses(monkeypatch,
 ])
 def test_a_non_real_residue_keeps_the_tree_where_the_cut_meets(monkeypatch,
                                                                rect, cut):
+    # the exact route keeps the tree's values: X2 continued across the cut
     u_min, u_max, v_min, v_max = rect
     c = _associated_catenoid(u_min=u_min, u_max=u_max, v_min=v_min,
                              v_max=v_max, branch_cut=cut)
-    calls = _quadrature_calls(monkeypatch)
-    zeta0 = complex(u_min, v_max)
-    p = immerse(c, zeta0=zeta0, res=(17, 17), tol=1e-10)
-    assert calls
-    assert surface_mod._primitive_sampler(c, zeta0, 1e-10) is None
+    p = _agrees_with_the_tree(monkeypatch, c, complex(u_min, v_max), (17, 17))
     assert np.all(np.isfinite(p.points[p.valid]))
 
 
-@pytest.mark.parametrize("v_range, punctures, exact", [
+@pytest.mark.parametrize("v_range, punctures, misses", [
     ((0.5, 1.5), (), True),            # the cut along the u axis misses it
     ((-0.5, 0.5), (0j,), False),       # the cut runs through the rectangle
 ])
 def test_a_cut_parallel_to_an_axis_is_tested_on_that_axis(
-        monkeypatch, v_range, punctures, exact):
+        monkeypatch, v_range, punctures, misses):
     # (i/z, 1/z, 0) with the cut along the positive u axis: the ray's v is
-    # 0 throughout, so the rectangle's v range alone decides
+    # 0 throughout, and the grid row v = 0 lies on it, where the engine's
+    # arg z is 0, its limit from below.  The L-paths from (-1, 0.5) reach
+    # that row from above, where arg z tends to -2 pi, so each point of it
+    # right of the puncture lies off the engine's sheet; where the cut
+    # misses the rectangle, none does
     c = replace(_punctured_with_period(), domain=DomainSpec(
         -1, 1, *v_range, punctures=punctures, branch_cut=0.0))
-    assert surface_mod._cut_misses(c.domain) == exact
-    calls = _quadrature_calls(monkeypatch)
-    zeta0, tol = complex(-1, v_range[1]), 1e-10
-    p = immerse(c, zeta0=zeta0, res=(17, 17), tol=tol)
-    assert (calls == []) == exact
-    assert (surface_mod._primitive_sampler(c, zeta0, tol) is None) != exact
-    monkeypatch.setattr(surface_mod, "antiderivative", lambda nf: None)
-    tree = immerse(c, zeta0=zeta0, res=(17, 17), tol=tol)
-    assert calls and np.array_equal(p.valid, tree.valid)
-    assert np.max(np.abs(p.points - tree.points)[p.valid]) <= tol
+    z0 = complex(-1, v_range[1])
+    p = _agrees_with_the_tree(monkeypatch, c, z0, (17, 17))
+    zz = p.u[:, None] + 1j * p.v[None, :]
+    arg = engine_mod.eval_program(engine_mod.compile_expr(ex.log(ex.Z)),
+                                  np.append(z0, zz), cut=0.0).imag
+    engine_x0 = arg[0] - arg[1:].reshape(zz.shape)
+    off = p.valid & (np.abs(p.points[..., 0] - engine_x0) > np.pi)
+    assert (off.sum() == 0) == misses
+    if not misses:
+        on_cut = p.valid & (zz.real > 0) & (zz.imag == 0)
+        assert on_cut.any() and off[on_cut].all()
 
 
 def test_parametric_immersion_takes_the_transposed_l_path_past_a_puncture():
@@ -724,10 +764,13 @@ def test_parametric_immersion_takes_the_transposed_l_path_past_a_puncture():
         surf(np.array([0.5, -1.0]), np.array([0.5, 0.0]))
 
 
-def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths():
+def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths(
+        monkeypatch):
     # -1 - 0.5i lies off [0.2, 2] x [-1, 1], and the L-path to it from
     # 1.1 + 0.5i crosses the cut: X2 is Re(e^{-0.7i} log z) with arg z
-    # continued across it, not Re F on the principal branch
+    # continued across it, not Re F on the principal branch, with no
+    # quadrature
+    calls = _quadrature_calls(monkeypatch)
     c = _associated_catenoid()
     z0, z = 1.1 + 0.5j, -1 - 0.5j
     surf = parametric_immersion(c, zeta0=z0, tol=1e-11)
@@ -737,6 +780,7 @@ def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths():
     inside = surf(1.5, -0.5)[2]
     assert abs(inside - (np.exp(-0.7j) * np.log((1.5 - 0.5j) / z0)).real
                ) <= 1e-12
+    assert calls == []
 
 
 def _distinct_nodes(exprs):
@@ -1208,7 +1252,8 @@ def _blocked(monkeypatch, run, sizes=(1, 7)):
 
 
 @pytest.mark.parametrize("curve, route", [
-    (_punctured_catenoid, "exact"), (_punctured_with_period, "quadrature")])
+    (_punctured_catenoid, "exact"), (_punctured_with_period, "exact"),
+    (_punctured_tree_curve, "quadrature")])
 def test_punctured_immerse_and_verify_do_not_depend_on_the_block(
         monkeypatch, curve, route):
     c = curve()
