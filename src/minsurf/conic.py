@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
-                     IllConditioned, NotHyperbola, NotPlanar)
+                     EvaluationSingularity, IllConditioned, NoConvergence,
+                     NotHyperbola, NotPlanar, SingularPath)
 
 __all__ = [
     "PlanarCurveSample", "ConicFit", "ParametricSurface",
@@ -133,7 +134,10 @@ def slice_parameter_line(surface: ParametricSurface, param: str, value: float,
                          npoints: int = 100, sweep=None) -> PlanarCurveSample:
     """Sample the curve obtained by freezing one parameter.
 
-    ``sweep`` overrides the swept range of the other parameter.
+    ``sweep`` overrides the swept range of the other parameter.  Where the
+    line cannot be evaluated (SingularPath, NoConvergence or
+    EvaluationSingularity), the error is raised again with the sweep and
+    the surface's rectangle named in its message.
     """
     _check_npoints(npoints)
     if param not in ("u", "v"):
@@ -141,7 +145,16 @@ def slice_parameter_line(surface: ParametricSurface, param: str, value: float,
     if sweep is None:
         sweep = surface.v_range if param == "u" else surface.u_range
     ts = np.linspace(*sweep, npoints)
-    return planar_sample(surface(value, ts) if param == "u" else surface(ts, value))
+    try:
+        pts = surface(value, ts) if param == "u" else surface(ts, value)
+    except (SingularPath, NoConvergence, EvaluationSingularity) as err:
+        (u0, u1), (v0, v1) = surface.u_range, surface.v_range
+        swept = "v" if param == "u" else "u"
+        raise type(err)(
+            f"sweep {sweep[0]:g}:{sweep[1]:g} of {swept} at {param} = "
+            f"{value:.17g} cannot be evaluated (the domain's rectangle is "
+            f"[{u0:g}, {u1:g}] x [{v0:g}, {v1:g}]): {err}") from None
+    return planar_sample(pts)
 
 
 def slice_surface(surface: ParametricSurface, axis: int, value: float,

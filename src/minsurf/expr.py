@@ -16,8 +16,10 @@ as written.  Every ``Const`` is finite (``InvalidConstant`` otherwise).
 ``normal_forms`` reads expressions into the exponential-Laurent class,
 the finite sums of terms ``c z^n e^{kz}`` with integer ``n``, negative
 only where ``k = 0`` (every catalog curve and its linear deformations).
-From a form, ``antiderivative`` writes an exact primitive and ``residue``
-reads the ``z^{-1}`` coefficient, whose primitive is the one ``log`` term.
+From a form, ``primitive_form`` reads an exact primitive as its terms'
+coefficients, ``antiderivative`` writes those terms as expressions, and
+``residue`` reads the ``z^{-1}`` coefficient, whose primitive is the one
+``log`` term.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ __all__ = [
     "Exp", "Log", "Sinh", "Cosh",
     "Z", "const", "add", "sub", "mul", "div", "neg", "powi",
     "exp", "log", "sinh", "cosh", "normal_forms",
-    "differentiate", "antiderivative", "residue", "parse", "to_source",
+    "differentiate", "primitive_form", "antiderivative", "residue", "parse",
+    "to_source",
 ]
 
 
@@ -394,16 +397,14 @@ def _term(c, m, k) -> Expr:
     return _scaled(c, growth if m == 0 else Mul(power, growth))
 
 
-def antiderivative(nf):
+def primitive_form(nf):
     """Exact primitive F of the expression whose form is ``nf`` (see
-    ``normal_forms``), as a tuple of terms whose sum is F; None for None
-    or a coefficient or exponent beyond float range.  Each term is written
-    c z^m e^{kz}, with no factor z^0, e^{0z} or 1; the primitive of z^n
-    (k = 0) is z^{n+1}/(n+1) for n != -1 and log z for n = -1 (the last
-    term, on the branch cut the caller evaluates it with), and that of
-    z^n e^{kz} (n >= 0) the integration by parts sum
-    e^{kz} sum_j (-1)^j n!/(n-j)! z^{n-j} / k^{j+1}.  The zero function
-    has the empty tuple as its primitive.
+    ``normal_forms``) as ({(m, k): c}, r): F is the sum of the terms
+    c z^m e^{kz}, each c nonzero, plus r log z, r the z^{-1} coefficient
+    of ``nf`` (0 with none); None for None or a coefficient or exponent
+    beyond float range.  The primitive of z^n (k = 0) is z^{n+1}/(n+1)
+    for n != -1 and log z for n = -1, and that of z^n e^{kz} (n >= 0) the
+    integration by parts sum e^{kz} sum_j (-1)^j n!/(n-j)! z^{n-j} / k^{j+1}.
     """
     if nf is None:
         return None
@@ -422,9 +423,20 @@ def antiderivative(nf):
         return None     # an exponent n + 1 beyond float range
     if not all(cmath.isfinite(c) for c in out.values()):
         return None
+    return out, residue(nf)
+
+
+def antiderivative(nf):
+    """The terms of ``primitive_form`` as a tuple of expressions whose sum
+    is F, or None: each c z^m e^{kz} with no factor z^0, e^{0z} or 1, and
+    r log z last (on the branch cut the caller evaluates it with) when
+    r != 0.  The zero function has the empty tuple as its primitive."""
+    form = primitive_form(nf)
+    if form is None:
+        return None
+    out, log_coef = form
     terms = tuple(_term(c, m, k) for (m, k), c in out.items())
-    log_coef = nf.get((-1, 0j))
-    return terms if log_coef is None else terms + (_scaled(log_coef, Log(Z)),)
+    return terms if log_coef == 0 else terms + (_scaled(log_coef, Log(Z)),)
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,24 @@ path.  ``immerse`` first finds the valid grid points: those that keep
 more than 1.25 cell diagonals from every puncture, as does one of their
 L-paths from z0, the stem to the nearest grid point g(j0, k0) then row
 k0 and column j, or the stem, column j0 and row k.  When
-``expr.antiderivative`` of each of the curve's ``forms`` (read once per
-curve) is an exact primitive F = sum_t F_t (sums of c z^n e^{kz}, n
-negative only where k = 0: every catalog curve and its constant linear
-deformations), X is Re(F(z) - F(z0)) on the domain's branch cut plus w
-Re(2 pi i c) for each z^{-1} coefficient c, w the signed number of times
-the point's L-path crosses the cut, with tol as each valid point's
-budget for the roundoff level PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t
-|F_t(z0)|).  Otherwise (outside the class, or over that budget) one
-``integrate_segments`` call takes the stem and the edges of row k0 and
-of every column toward the points the first L-path reaches, each within
-tol / (nu + nv), summed outward in blocks of about sqrt(m) of a line's m
-edges, and a second the transposed tree's row edges toward the other
-valid points.  Every stage reads the curve's ``domain``: the grid
-rectangle, the punctures and the log branch cut.
+``expr.primitive_form`` of each of the curve's ``forms`` (read once per
+curve) is an exact primitive (sums of c z^n e^{kz}, n negative only where
+k = 0: every catalog curve and its constant linear deformations), each
+component is F_i = sum_b C[i, b] z^m e^{kz} + r_i log z over the curve's
+distinct basis functions z^m e^{kz}, and X is Re(F(z) - F(z0)) on the
+domain's branch cut plus w Re(2 pi i r_i), w the signed number of times
+the point's L-path crosses the cut.  Each e^{kz} is e^{ku} e^{ikv}, from
+one program of the distinct e^{kz} run on the grid's rows u and columns
+iv, so a grid takes nu + nv exponentials per k, not one per point and
+term.  Each valid point has tol as its budget for the roundoff level
+PRIMITIVE_ULPS eps (level(z) + level(z0)), level = sum_b |C[i, b]| |z|^m
+|e^{ku}| |e^{ikv}| + |r_i| |log z|.  Otherwise (outside the class, or
+over that budget) one ``integrate_segments`` call takes the stem and the
+edges of row k0 and of every column toward the points the first L-path
+reaches, each within tol / (nu + nv), summed outward in blocks of about
+sqrt(m) of a line's m edges, and a second the transposed tree's row
+edges toward the other valid points.  Every stage reads the curve's
+``domain``: the grid rectangle, the punctures and the log branch cut.
 
 Verification instruments:
 
@@ -39,10 +43,11 @@ Verification instruments:
 * export_mesh       OBJ (text, 9 significant digits) / PLY (binary,
                     float64, all n coordinates as vertex properties)
 
-The exact route, verify_minimal and export_mesh take the grid in blocks of
-about BLOCK_POINTS points, building no full-grid temporary, and their
-outputs do not depend on the block size.  The quadrature keeps its own
-chunk size, quadrature.CHUNK_NODES.
+The exact route and verify_minimal take the grid in blocks of whole rows
+of about BLOCK_POINTS points, export_mesh in blocks of about BLOCK_POINTS
+points, building no full-grid temporary, and their outputs do not depend
+on the block size.  The quadrature keeps its own chunk size,
+quadrature.CHUNK_NODES.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 from . import engine   # looked up at each call, so wrappers on it see them
 from .conic import ParametricSurface
 from .errors import SingularPath, ZeroVector
-from .expr import Z, antiderivative, log, residue
+from .expr import Z, exp, log, primitive_form, residue
 from .nullcurve import NullCurve
 from .quadrature import check_tol, hits_puncture, integrate_segments
 
@@ -69,11 +74,13 @@ __all__ = [
 # singular values below RANK_CUTOFF * sigma_1 count as numerical zero;
 # the data are analytic, so a wide gap separates structure from roundoff
 RANK_CUTOFF = 1e-8
-# ulps of roundoff per primitive term and point: a term c z^m e^{kz}
-# rounds in k z (an absolute error that exp turns relative, about |k z|
-# ulps, of order one on the catalog domains), in exp, in z^m and in the
-# product with c (c log z in log and the product), and F(z) - F(z0)
-# rounds once more
+# ulps of roundoff per primitive term and point: a term c z^m e^{ku} e^{ikv}
+# rounds in k u and k iv (absolute errors that exp turns relative, about
+# |k u| and |k v| ulps, of order one on the catalog domains), in the two
+# exps, in their product when k is not real (for real k, e^{ku} is real
+# and the product rounds as exp(kz) does), in z^m and in the product with
+# c (c log z in log and the product), and the sum of the terms and F(z) -
+# F(z0) round once more
 PRIMITIVE_ULPS = 4
 _PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
 _LOG = engine.compile_expr(log(Z))     # Im log z: the engine's own arg z
@@ -118,8 +125,8 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     than 1.25 cell diagonals from every puncture (see the module
     docstring); the others are NaN.  With an exact primitive each valid
     point is Re(F(z) - F(zeta0)) within tol, continued along that L-path
-    across the log's cut, in one pass over blocks of them; otherwise each
-    tree is one ``integrate_segments`` call.
+    across the log's cut, in one pass over blocks of whole grid rows;
+    otherwise each tree is one ``integrate_segments`` call.
     """
     tol = check_tol(tol)
     domain = c.domain
@@ -152,7 +159,6 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     if not valid[j0, k0]:
         raise ValueError("base point is masked by a puncture")
 
-    at = np.flatnonzero(valid)
     points = np.full((nu * nv, c.n), np.nan)
 
     def via(rows):   # the corners of the points' L-paths after the stem
@@ -160,61 +166,144 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
         return g, np.where(first.ravel()[rows], zz[j, k0], zz[j0, k])
 
     sample = _primitive_sampler(c, zeta0, tol)
-    if sample is None or not sample(zz.ravel(), at, points, via):
-        points[at] = _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid)
+    if sample is None or not sample.grid(u, v, valid, points, via):
+        points[valid.ravel()] = _tree_integrals(c, tol, zz, zeta0, j0, k0,
+                                                first, valid)
     return SurfacePatch(u, v, points.reshape(nu, nv, c.n), valid, zeta0)
 
 
 def _primitive_sampler(c, zeta0, tol):
-    """None when a component has no exact primitive F = sum_t F_t (see
-    ``expr.antiderivative``); else ``sample(z, at, out, via)``, which
-    writes X = Re(F(z[i]) - F(zeta0)) + w real_period(c) into out[i] for
-    each i in ``at``, w from ``_sheet`` on the path zeta0 -> *via(rows) ->
-    z[i] (via is called, on each block ``rows`` of ``at``, only for a
-    nonzero period), or returns False when a value is not finite, a leg
-    passes through 0, or PRIMITIVE_ULPS eps (sum_t |F_t(z)| + sum_t
-    |F_t(zeta0)|) exceeds tol.  One program of the terms, compiled here,
-    runs in blocks of at most BLOCK_POINTS values per component."""
-    prims = [antiderivative(nf) for nf in c.forms]
-    if any(p is None for p in prims):
+    """None when a component has no exact primitive (see
+    ``expr.primitive_form``); else a ``_Primitive`` of the curve, anchored
+    at zeta0, with its one program of the distinct e^{kz} compiled here."""
+    forms = [primitive_form(nf) for nf in c.forms]
+    if any(f is None for f in forms):
         return None
-    cut = c.domain.branch_cut
-    period = real_period(c)
-    prog = engine.compile_expr(tuple(t for p in prims for t in p))
-    # the terms of component i are outputs cuts[i]:cuts[i + 1], its span;
-    # the zero curve has none
-    cuts = np.cumsum([0] + [len(p) for p in prims])
-    spans = list(zip(cuts[:-1], cuts[1:]))
-    step = max(1, BLOCK_POINTS * c.n // max(1, len(prog.outputs)))
+    return _Primitive(c, forms, complex(zeta0), tol)
 
-    def primitive(vals):
-        # Re F and sum_t |F_t| per component, shape (n, m) each
-        mags = np.abs(vals)
-        return (np.array([_sum_rows(vals[lo:hi].real) for lo, hi in spans]),
-                np.array([_sum_rows(mags[lo:hi]) for lo, hi in spans]))
 
-    base, base_mag = primitive(engine.eval_program(prog, np.array([zeta0]),
-                                                   cut=cut))
+class _Primitive:
+    """The exact route of the module docstring for one curve and zeta0:
+    each component's coefficients C[i, b] over the curve's distinct basis
+    functions z^m e^{kz}, its log z coefficient r_i (``_LOG`` on the cut),
+    and the one program of the distinct e^{kz}.  ``grid`` and ``points``
+    take the same elementwise steps at each point, so a point's bits
+    depend neither on the caller nor on the block."""
 
-    def sample(z, at, out, via):
-        for lo in range(0, at.size, step):
-            rows = at[lo:lo + step]
-            zb = z[rows]
-            F, mag = primitive(engine.eval_program(prog, zb, cut=cut))
-            # a value that is not finite makes its level inf or NaN
-            if not np.all(_PRIMITIVE_ROUNDOFF * (mag + base_mag) <= tol):
+    def __init__(self, c, forms, zeta0, tol):
+        self.n, self.zeta0, self.tol = c.n, zeta0, tol
+        self.cut = c.domain.branch_cut
+        self.period = real_period(c)
+        self.basis = basis = list(dict.fromkeys(
+            key for terms, _ in forms for key in terms))
+        self.ks = list(dict.fromkeys(k for _, k in basis if k != 0))
+        self.exps = engine.compile_expr(tuple(exp(k * Z) for k in self.ks))
+        # each component's (basis index, coefficient), in its primitive's order
+        self.coefs = [[(basis.index(key), coef) for key, coef in terms.items()]
+                      for terms, _ in forms]
+        self.logs = [r for _, r in forms]
+        # zeta0 by its two factors too, so that X(zeta0) = 0 exactly
+        e = self._tables(np.array([zeta0.real, 1j * zeta0.imag]))
+        F, level = self._primitive(e[:, :1], e[:, 1:], np.array([zeta0]))
+        self.base, self.base_level = F, level
+
+    def _tables(self, x):
+        """e^{kx} for each k != 0, shape (len(ks),) + x.shape."""
+        return engine.eval_program(self.exps, x)
+
+    def _primitive(self, eu, ev, z):
+        """Re F and its roundoff level per component, shape (n,) + z.shape
+        each, at z = u + iv from eu = e^{ku} and ev = e^{ikv}, which
+        broadcast against z after their leading axis."""
+        with np.errstate(all="ignore"):     # z^m at a pole or an overflow
+            az = np.abs(z)
+            au, av = np.abs(eu), np.abs(ev)
+            # z^m and |z|^m for each m != 0, z and |z| themselves for m = 1
+            powers, vals, mags = {1: (z, az)}, [], []
+            for m, k in self.basis:
+                if m and m not in powers:
+                    powers[m] = z ** m, az ** m
+                if k == 0:
+                    vals.append(powers[m][0])
+                    mags.append(powers[m][1])
+                    continue
+                i = self.ks.index(k)
+                val, mag = eu[i] * ev[i], au[i] * av[i]
+                vals.append(val if m == 0 else powers[m][0] * val)
+                mags.append(mag if m == 0 else powers[m][1] * mag)
+            F = np.zeros((self.n,) + z.shape)
+            level = np.zeros((self.n,) + z.shape)
+            # term by term, elementwise: a matrix product would round by the
+            # block's width, and a zero coefficient would meet a basis
+            # function that overflows as 0 inf = NaN
+            for i, terms in enumerate(self.coefs):
+                for b, coef in terms:
+                    F[i] += (coef * vals[b]).real
+                    level[i] += abs(coef) * mags[b]
+            if any(self.logs):
+                log_z = engine.eval_program(_LOG, z, cut=self.cut)
+                mag = np.abs(log_z)
+                for i, r in enumerate(self.logs):
+                    if r:
+                        F[i] += (r * log_z).real
+                        level[i] += abs(r) * mag
+        return F, level
+
+    def _block(self, eu, ev, z, ok, first, out, via):
+        """Write X at the points z, where ``ok`` (of z's shape) holds, into
+        their rows of out, shape (z.size, n), flat indices first onward;
+        False when a value is not finite, a leg passes through 0, or
+        PRIMITIVE_ULPS eps (level(z) + level(zeta0)) exceeds tol at one of
+        them.  No point is gathered: the points that ``ok`` leaves out are
+        computed and not read."""
+        F, level = self._primitive(eu, ev, z)
+        F, level = F.reshape(self.n, -1), level.reshape(self.n, -1)
+        ok = ok.ravel()
+        level += self.base_level
+        level *= _PRIMITIVE_ROUNDOFF
+        # a value that is not finite makes its level inf or NaN
+        if not np.all(np.all(level <= self.tol, axis=0) | ~ok):
+            return False
+        F -= self.base
+        if self.period.any():
+            at = np.flatnonzero(ok)
+            w = _sheet((self.zeta0, *via(first + at), z.ravel()[at]), self.cut)
+            if w is None:
                 return False
-            x = F - base
-            if period.any():
-                w = _sheet((zeta0, *via(rows), zb), cut)
-                if w is None:
-                    return False
-                off = np.flatnonzero(w)     # the points off F's sheet
-                x[:, off] += np.outer(period, w[off])
-            out[rows] = x.T
+            off = np.flatnonzero(w)     # the points off F's sheet
+            F[:, at[off]] += np.outer(self.period, w[off])
+        for x, col in zip(F, out.T):    # a column at a time, as numpy
+            np.copyto(col, x, where=ok)  # transposes (n, m) to (m, n) slowly
         return True
 
-    return sample
+    def grid(self, u, v, valid, out, via):
+        """X at the ``valid`` points of the grid u + iv into out, shape
+        (nu nv, n), in blocks of whole rows of about BLOCK_POINTS points; via
+        is called, on the flat indices ``rows`` of a block's valid points,
+        only for a nonzero period, for the corners of their paths from
+        zeta0 (see ``_sheet``).  False as soon as a block fails."""
+        nv = v.size
+        ev = self._tables(1j * v)[:, None, :]
+        step = max(1, BLOCK_POINTS // nv)
+        for lo in range(0, u.size, step):
+            ub = u[lo:lo + step]
+            if not self._block(self._tables(ub)[:, :, None], ev,
+                               ub[:, None] + 1j * v, valid[lo:lo + step],
+                               lo * nv, out[lo * nv:(lo + step) * nv], via):
+                return False
+        return True
+
+    def points(self, z, out, via):
+        """X at each of the points z into out, shape (z.size, n), in blocks
+        of BLOCK_POINTS, as ``grid`` does; False as soon as a block fails."""
+        for lo in range(0, z.size, BLOCK_POINTS):
+            zb = z[lo:lo + BLOCK_POINTS]
+            e = self._tables(np.concatenate([zb.real, 1j * zb.imag]))
+            if not self._block(e[:, :zb.size], e[:, zb.size:], zb,
+                               np.ones(zb.size, bool), lo,
+                               out[lo:lo + BLOCK_POINTS], via):
+                return False
+        return True
 
 
 def _sheet(path, cut):
@@ -232,12 +321,6 @@ def _sheet(path, cut):
         ends = np.append(path[0], path[-1])
         arg = engine.eval_program(_LOG, ends, cut=cut).imag
     return np.rint((turn - arg[1:] + arg[0]) / (2 * math.pi))
-
-
-def _sum_rows(t):
-    """t.sum(axis=0) in numpy's order for two or more columns, from 0 row
-    after row, also for one column (which numpy sums pairwise)."""
-    return sum(t, np.zeros(t.shape[1:], t.dtype))
 
 
 def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
@@ -304,8 +387,10 @@ def _cumsum(x):
 
 
 def conformal_factor(c: NullCurve, zeta):
-    """(1/2) sum_k |phi_k(zeta)|^2 at scalar or array zeta."""
-    lam = 0.5 * np.sum(np.abs(c(zeta)) ** 2, axis=-1)
+    """(1/2) sum_k |phi_k(zeta)|^2 at scalar or array zeta; inf, with no
+    warning, where the squares overflow."""
+    with np.errstate(over="ignore"):
+        lam = 0.5 * np.sum(np.abs(c(zeta)) ** 2, axis=-1)
     return float(lam) if np.ndim(zeta) == 0 else lam
 
 
@@ -554,8 +639,8 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
             w = to.real + 1j * z0.imag
             return np.where(blocked(w, to), z0.real + 1j * to.imag, w)
 
-        if sample is not None and sample(z, np.arange(z.size), x,
-                                         lambda rows: (corner(z[rows]),)):
+        if sample is not None and sample.points(
+                z, x, lambda rows: (corner(z[rows]),)):
             return x.reshape(u.shape + (c.n,))
         corners = corner(z)
         bad = blocked(corners, z)

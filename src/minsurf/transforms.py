@@ -152,7 +152,9 @@ def goursat_parameter_for_scaling(lam: float) -> float:
 
 def lopez_ros(w: WeierstrassData, lam: float) -> WeierstrassData:
     """(G, Psi) -> (lambda G, Psi / lambda); preserves the height
-    differential G Psi and hence the third immersion coordinate."""
+    differential G Psi and hence the third immersion coordinate.
+    InvalidConstant unless lambda is finite; ValueError unless positive."""
+    lam = _finite("lambda", lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if lam == 1.0:

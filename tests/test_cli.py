@@ -555,6 +555,44 @@ def test_degenerate_and_non_finite_inputs_are_machine_readable(
     assert fragment in report["message"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_lopez_ros_lambda_is_named(cli, value):
+    code, out, err = cli(["deform", "--kind", "lopez-ros",
+                          f"--lambda={value}"], stdin=_HELICOID)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "InvalidConstant",
+                               "message": f"lambda must be finite, got {value}"}
+
+
+def test_a_sweep_that_cannot_be_evaluated_names_itself_and_the_rectangle(
+        cli):
+    # e^{+-z} overflows 1000 units off the rectangle, and the exact route
+    # and the quadrature both refuse the line; 3 units off, it evaluates
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    _, deformed, _ = cli(["deform", "--kind", "theorem51", "--c", "1+0i"],
+                         stdin=spec)
+    slice_ = ["slice", "--axis", "3", "--value", "0.3"]
+    code, out, err = cli(slice_ + ["--sweep=-1e3:1e3"], stdin=deformed)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "SingularPath"
+    assert report["message"].startswith("sweep -1000:1000 of u at v = ")
+    assert "rectangle is [-1.5, 1.5] x [-1.5, 1.5]" in report["message"]
+    code, out, _ = cli(slice_ + ["--sweep=-3:3"], stdin=deformed)
+    assert code == 0 and len(out.splitlines()) == 101
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_of_an_overflowing_metric_writes_nothing_on_stderr(cli):
+    # |1e200|^2 overflows in the conformal factor, which reads inf
+    stdin = ('{"curve": ["2", "2", "1e200", "sinh(1)"], '
+             '"domain": {"rect": [0, 1, 0, 1]}}')
+    code, out, err = cli(["sample", "--res", "3x3"], stdin=stdin)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["conformal"] == [[math.inf] * 3] * 3
+
+
 def test_an_overflowing_product_is_passed_on_as_written(cli):
     # 1e200*1e200 is not folded to inf: deform writes it as it reads, and
     # evaluation reports it

@@ -12,7 +12,8 @@ from minsurf.conic import (ParametricSurface, PlanarCurveSample, asymptotes,
                            fit_conic, planar_sample,
                            slice_parameter_line, slice_surface)
 from minsurf.errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
-                            IllConditioned, NotHyperbola, NotPlanar)
+                            IllConditioned, NoConvergence, NotHyperbola,
+                            NotPlanar, SingularPath)
 from minsurf.surface import parametric_immersion
 from minsurf.transforms import parabolic_deform
 
@@ -335,6 +336,26 @@ def test_slice_parameter_must_be_u_or_v():
     surf = cat.lagrangian_catenoid_patch()
     with pytest.raises(ValueError, match="param"):
         slice_parameter_line(surf, "w", 0.5)
+
+
+@pytest.mark.parametrize("error", [SingularPath, NoConvergence])
+def test_a_sweep_that_cannot_be_evaluated_is_named(error):
+    # the surface refuses |v| > 2: a sweep past that keeps the error's type
+    # and names the sweep, the frozen u and the rectangle; one within it
+    # evaluates off the rectangle
+    def func(u, v):
+        if np.any(np.abs(v) > 2):
+            raise error("the path passes a puncture")
+        return np.stack([u, v, u * v], -1)
+
+    surf = ParametricSurface(func, (-1, 1), (-1, 1))
+    with pytest.raises(error) as info:
+        slice_surface(surf, 0, 0.5, npoints=30, sweep=(-10, 2.5))
+    assert str(info.value) == (
+        "sweep -10:2.5 of v at u = 0.5 cannot be evaluated (the domain's "
+        "rectangle is [-1, 1] x [-1, 1]): the path passes a puncture")
+    pc = slice_surface(surf, 0, 0.5, npoints=30, sweep=(-2, 2))
+    assert np.all(pc.points[:, 0] == 0.5)
 
 
 def test_slice_level_out_of_range():

@@ -392,6 +392,22 @@ def test_antiderivative_terms(text, terms):
     assert [ex.to_source(t) for t in ex.antiderivative(_form(text))] == terms
 
 
+@pytest.mark.parametrize("text, terms, log_coef", [
+    ("cosh(z)", {(0, 1): 0.5, (0, -1): -0.5}, 0),
+    ("z*exp(2*z)", {(1, 2): 0.5, (0, 2): -0.25}, 0),
+    ("(2-3i)/z^3+1/z", {(-2, 0): -1 + 1.5j}, 1),
+    ("(1-i)/(2*z)", {}, 0.5 - 0.5j),
+    ("0", {}, 0),
+])
+def test_primitive_form_reads_the_terms_the_antiderivative_writes(
+        text, terms, log_coef):
+    form = _form(text)
+    assert ex.primitive_form(form) == (terms, log_coef)
+    written = [ex.to_source(t) for t in ex.antiderivative(form)]
+    assert len(written) == len(terms) + (log_coef != 0)
+    assert ex.primitive_form(None) is None
+
+
 def test_antiderivative_of_the_laurent_catalog_curves():
     # the catenoid (z, 1/z^2) and Hoffman-Osserman: every component has a
     # primitive, and only the z^{-1} components a log term

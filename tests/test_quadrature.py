@@ -49,7 +49,7 @@ def test_punctured_catenoid_at_513_matches_closed_form(monkeypatch):
     # the per-segment budget tol/(nu+nv) lies below the roundoff of the
     # near-pole segments here: they are accepted at the roundoff floor.
     # With no primitive the catenoid takes the quadrature tree
-    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    monkeypatch.setattr(surface_mod, "primitive_form", lambda e: None)
     dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
     c = from_weierstrass(WeierstrassData(ex.Z, ex.parse("1/z^2"), dom))
     p = immerse(c, res=(513, 513), zeta0=1 + 0j, tol=1e-10)

@@ -421,7 +421,7 @@ def _agrees_with_the_tree(monkeypatch, c, zeta0, res, tol=1e-10):
     p = immerse(c, zeta0=zeta0, res=res, tol=tol)
     assert calls == []
     with monkeypatch.context() as m:
-        m.setattr(surface_mod, "antiderivative", lambda nf: None)
+        m.setattr(surface_mod, "primitive_form", lambda nf: None)
         tree = immerse(c, zeta0=zeta0, res=res, tol=tol)
     assert calls
     assert np.array_equal(p.valid, tree.valid)
@@ -475,7 +475,7 @@ def test_transposed_tree_reaches_cells_behind_the_puncture(monkeypatch):
     calls = _quadrature_calls(monkeypatch)
     for route in ("exact", "quadrature"):
         if route == "quadrature":
-            monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+            monkeypatch.setattr(surface_mod, "primitive_form", lambda e: None)
         p = immerse(_punctured_catenoid(), zeta0=1 + 0j, res=(33, 33))
         assert len(calls) == (0 if route == "exact" else 2)
         j, k = np.argmin(np.abs(p.u + 1)), np.argmin(np.abs(p.v - 1))
@@ -571,7 +571,7 @@ def test_reach_rule_matches_an_edge_by_edge_walk(monkeypatch):
         masked += not valid.all()
         assert np.array_equal(immerse(c, zeta0=z0, res=(nu, nv)).valid, valid)
         with monkeypatch.context() as m:
-            m.setattr(surface_mod, "antiderivative", lambda e: None)
+            m.setattr(surface_mod, "primitive_form", lambda e: None)
             calls.clear()
             p = immerse(c, zeta0=z0, res=(nu, nv))
         assert np.array_equal(p.valid, valid)
@@ -609,7 +609,7 @@ def test_punctured_catenoid_takes_the_exact_route(monkeypatch, res):
     uu, vv = np.meshgrid(p.u, p.v, indexing="ij")
     oracle = f(uu[p.valid], vv[p.valid]) - f(1.0, 0.0)
     assert np.max(np.abs(p.points[p.valid] - oracle)) <= 5e-15
-    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    monkeypatch.setattr(surface_mod, "primitive_form", lambda e: None)
     tree = immerse(c, zeta0=1 + 0j, res=(res, res), tol=1e-10)
     assert len(calls) == 2
     assert np.array_equal(p.valid, tree.valid)
@@ -699,7 +699,7 @@ def test_a_non_real_residue_is_exact_where_the_cut_misses(monkeypatch,
     calls = _quadrature_calls(monkeypatch)
     p = immerse(c, res=(65, 65), tol=1e-10)
     assert calls == []
-    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    monkeypatch.setattr(surface_mod, "primitive_form", lambda e: None)
     tree = immerse(c, res=(65, 65), tol=1e-10)
     assert calls
     assert np.array_equal(p.valid, tree.valid) and p.valid.all()
@@ -1071,7 +1071,7 @@ def test_exact_and_quadrature_routes_agree_on_a_punctured_domain(monkeypatch):
     exact = immerse(curve, zeta0=-1 + 0.5j, res=(65, 65), tol=tol)
     assert calls == [] and not exact.valid.all()
     monkeypatch.setattr(surface_mod, "_tree_integrals", tree_integrals)
-    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    monkeypatch.setattr(surface_mod, "primitive_form", lambda e: None)
     quad = immerse(curve, zeta0=-1 + 0.5j, res=(65, 65), tol=tol)
     assert len(calls) == 2
     assert np.array_equal(exact.valid, quad.valid)
@@ -1098,10 +1098,11 @@ def test_primitive_above_its_roundoff_budget_falls_back(monkeypatch):
     assert np.max(np.abs(p.points - want)) <= tol
 
 
-def test_exact_route_evaluates_only_the_primitive_terms(monkeypatch):
-    # one compile, of the primitive's terms and nothing else, evaluated
-    # at each valid grid point and at zeta0; X vanishes exactly at the
-    # base point
+def test_exact_route_evaluates_the_exponentials_on_the_axes(monkeypatch):
+    # one compile, of the distinct e^{kz} of the primitive's B = 3 basis
+    # functions e^{-z}, e^z and z, run at the nu rows, the nv columns and
+    # the base point's two factors e^{ku0} and e^{ikv0}: not at each point
+    # and term.  X vanishes exactly at the base point
     w = cat.catenoid_exp()
     dom = replace(w.domain, punctures=(0.3 + 0.2j,))
     curve = parabolic_deform_rotated(WeierstrassData(w.G, w.Psi, dom), 0.7)
@@ -1109,9 +1110,8 @@ def test_exact_route_evaluates_only_the_primitive_terms(monkeypatch):
     compile_expr, eval_program = engine_mod.compile_expr, engine_mod.eval_program
 
     def counting_compile(e):
-        prog = compile_expr(e)
-        compiles.append((e, len(prog.outputs)))
-        return prog
+        compiles.append(e)
+        return compile_expr(e)
 
     def counting_eval(prog, z, **kw):
         points.append(np.size(z))
@@ -1120,17 +1120,52 @@ def test_exact_route_evaluates_only_the_primitive_terms(monkeypatch):
     monkeypatch.setattr(engine_mod, "compile_expr", counting_compile)
     monkeypatch.setattr(engine_mod, "eval_program", counting_eval)
     calls = _quadrature_calls(monkeypatch)
-    p = immerse(curve, res=(65, 65), tol=1e-10)
+    nu, nv = 65, 33
+    p = immerse(curve, res=(nu, nv), tol=1e-10)
     assert calls == [] and not p.valid.all()
-    assert len(compiles) == 1 and sum(points) <= p.valid.sum() + 1
+    assert len(compiles) == 1 and sum(points) == nu + nv + 2
     monkeypatch.undo()
-    terms = [t for nf in curve.forms for t in ex.antiderivative(nf)]
-    (compiled, outputs), = compiles
-    assert outputs == len(terms) == len(compiled)
-    assert list(map(ex.to_source, compiled)) == list(map(ex.to_source, terms))
+    basis = {key for nf in curve.forms for key in ex.primitive_form(nf)[0]}
+    assert basis == {(0, 1), (0, -1), (1, 0)}
+    compiled, = compiles
+    assert sorted(map(ex.to_source, compiled)) == ["exp(-1*z)", "exp(1*z)"]
     zz = p.u[:, None] + 1j * p.v[None, :]
     at = zz == p.base_point
     assert at.sum() == 1 and np.all(p.points[at] == 0)
+
+
+def _complex_rate():
+    """(e^{kz}, i e^{kz}, 0) with the complex rate k = 0.3 + 0.7i: each
+    e^{kz} is the product e^{ku} e^{ikv} of two complex factors, which
+    rounds otherwise than exp(kz)."""
+    e = ex.parse("exp((0.3+0.7i)*z)")
+    return NullCurve((e, ex.mul(ex.const(1j), e), ex.const(0)),
+                     DomainSpec(-1, 1, -1, 1))
+
+
+def test_a_complex_rate_agrees_with_the_tree(monkeypatch):
+    c = _complex_rate()
+    k = 0.3 + 0.7j
+    tol = 1e-10
+    p = _agrees_with_the_tree(monkeypatch, c, 0.3 - 0.2j, (33, 29), tol=tol)
+    zz = p.u[:, None] + 1j * p.v[None, :]
+    F = (np.exp(k * zz) - np.exp(k * (0.3 - 0.2j))) / k
+    want = np.stack([F.real, (1j * F).real, np.zeros(F.shape)], axis=-1)
+    assert p.valid.all() and np.max(np.abs(p.points - want)) <= tol
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("curve", [_punctured_catenoid, _punctured_with_period])
+def test_a_grid_point_on_the_pole_keeps_the_exact_route(monkeypatch, curve):
+    # whole rows are evaluated, the pole z = 0 among them: its values are
+    # inf or NaN, and neither read nor warned about
+    c = curve()
+    _no_tree(monkeypatch)
+    calls = _quadrature_calls(monkeypatch)
+    p = immerse(c, zeta0=1 + 0j, res=(33, 33))
+    assert p.u[16] == 0 and p.v[16] == 0 and not p.valid[16, 16]
+    assert calls == [] and np.all(np.isfinite(p.points[p.valid]))
+    assert np.all(np.isnan(p.points[~p.valid]))
 
 
 def test_zero_curve_immerses_to_zeros(monkeypatch):
@@ -1210,7 +1245,7 @@ def test_immersions_need_a_positive_finite_tol(monkeypatch, curve, tol):
         raise AssertionError("compiled before tol was checked")
 
     monkeypatch.setattr(engine_mod, "compile_expr", no_compile)
-    monkeypatch.setattr(surface_mod, "antiderivative", no_compile)
+    monkeypatch.setattr(surface_mod, "primitive_form", no_compile)
     with pytest.raises(ValueError, match="positive and finite"):
         immerse(curve, zeta0=1 + 0j, res=(9, 9), tol=tol)
     with pytest.raises(ValueError, match="positive and finite"):
@@ -1306,6 +1341,24 @@ def test_many_terms_sum_alike_in_a_block_of_one_point(monkeypatch):
     assert one.tobytes() == surf(uu, vv).tobytes() == want.points.tobytes()
 
 
+def test_a_complex_rate_does_not_depend_on_the_block_or_the_caller(
+        monkeypatch):
+    c = _complex_rate()
+
+    def run():
+        return immerse(c, res=(17, 13))
+
+    want, got = _blocked(monkeypatch, run)
+    for p in got:
+        assert _bits(p) == _bits(want)
+    zz = want.u[:, None] + 1j * want.v[None, :]
+    assert np.all(want.points[zz == want.base_point] == 0)
+    surf = parametric_immersion(c, zeta0=want.base_point)
+    uu, vv = np.meshgrid(want.u, want.v, indexing="ij")
+    one = np.array([[surf(a, b) for b in want.v] for a in want.u])
+    assert one.tobytes() == surf(uu, vv).tobytes() == want.points.tobytes()
+
+
 def test_roundoff_over_tol_in_a_late_block_takes_the_tree(monkeypatch):
     # (cosh z, i sinh z, i) on [0, 13] x [-1, 1]: the primitive's terms
     # e^{+-z}/2 reach 2.2e5, and 4 eps of them exceeds tol = 1e-10 only
@@ -1313,7 +1366,7 @@ def test_roundoff_over_tol_in_a_late_block_takes_the_tree(monkeypatch):
     c = NullCurve((ex.parse("cosh(z)"), ex.parse("i*sinh(z)"),
                    ex.const(1j)), DomainSpec(0, 13, -1, 1))
     res, z0 = (41, 9), 6.5 + 0j
-    monkeypatch.setattr(surface_mod, "BLOCK_POINTS", 7)
+    monkeypatch.setattr(surface_mod, "BLOCK_POINTS", 2 * 9)   # two rows
     exact = immerse(c, zeta0=z0, res=res, tol=1e-6)   # within budget
     calls = []
     eval_program = engine_mod.eval_program
@@ -1324,9 +1377,10 @@ def test_roundoff_over_tol_in_a_late_block_takes_the_tree(monkeypatch):
 
     monkeypatch.setattr(engine_mod, "eval_program", counting)
     got = immerse(c, zeta0=z0, res=res, tol=1e-10)
-    # the base point, then blocks of 4 points up to the first failing one
-    assert calls[0] == 1 and set(calls[1:]) == {4} and len(calls) > 50
-    monkeypatch.setattr(surface_mod, "antiderivative", lambda e: None)
+    # the base point's two factors, the 9 columns, then the rows of blocks
+    # of two, up to the first failing one and short of the last, of one row
+    assert calls[:2] == [2, 9] and set(calls[2:]) == {2} and len(calls) > 15
+    monkeypatch.setattr(surface_mod, "primitive_form", lambda e: None)
     tree = immerse(c, zeta0=z0, res=res, tol=1e-10)
     assert _bits(got) == _bits(tree)
     # and the exact route's rows would show, had any been left

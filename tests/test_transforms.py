@@ -8,7 +8,7 @@ import pytest
 from minsurf import catalog as cat
 from minsurf import expr as ex
 from minsurf.domain import DomainSpec
-from minsurf.errors import DimensionMismatch
+from minsurf.errors import DimensionMismatch, InvalidConstant
 from minsurf.nullcurve import (embed_3_to_4, from_weierstrass,
                                null_residual, quadratic_form)
 from minsurf.surface import conformal_factor
@@ -111,6 +111,15 @@ def test_lopez_ros_lambda_validation():
             lopez_ros(cat.helicoid(), lam)
         with pytest.raises(ValueError, match="positive"):
             goursat_parameter_for_scaling(lam)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_lopez_ros_names_a_non_finite_lambda(lam):
+    # checked before the sign, so NaN is not a "constant (nan+0j)" and
+    # -inf is not merely negative
+    with pytest.raises(InvalidConstant,
+                       match=f"^lambda must be finite, got {lam!r}$"):
+        lopez_ros(cat.helicoid(), lam)
 
 
 def test_lawson_needs_three_components():
