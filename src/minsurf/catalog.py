@@ -365,30 +365,26 @@ def parabola_leading_coefficient(mu: complex, u0: float) -> float:
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    kind: str                       # "weierstrass" or "curve"
-    make: object = field(repr=False)
+    make: object = field(repr=False)   # () -> WeierstrassData or NullCurve
     base_point: complex = 0j
     summary: str = ""
 
-    def construction(self):
-        return self.make()
-
 
 _ENTRIES = (
-    CatalogEntry("helicoid", "weierstrass", helicoid, 0j,
+    CatalogEntry("helicoid", helicoid, 0j,
                  "helicoid; level sets are horizontal lines"),
-    CatalogEntry("catenoid", "weierstrass", catenoid, 1 + 0j,
+    CatalogEntry("catenoid", catenoid, 1 + 0j,
                  "catenoid chart with a pole at z = 0"),
-    CatalogEntry("catenoid-exp", "weierstrass", catenoid_exp, 0j,
+    CatalogEntry("catenoid-exp", catenoid_exp, 0j,
                  "catenoid in the exponential chart (entire data)"),
-    CatalogEntry("osserman-graph", "curve", osserman_graph, 0j,
+    CatalogEntry("osserman-graph", osserman_graph, 0j,
                  "entire non-planar minimal graph in R^4"),
-    CatalogEntry("hoffman-osserman", "curve",
+    CatalogEntry("hoffman-osserman",
                  lambda: hoffman_osserman(1 + 1j, 2, 1, 1), 1 + 0j,
                  "five-component curve with constrained constants"),
-    CatalogEntry("lagrangian-catenoid", "curve", lagrangian_catenoid, 0j,
+    CatalogEntry("lagrangian-catenoid", lagrangian_catenoid, 0j,
                  "holomorphic curve (sinh, cosh) as a surface in R^4"),
-    CatalogEntry("complex-parabola", "curve", complex_parabola, 0j,
+    CatalogEntry("complex-parabola", complex_parabola, 0j,
                  "graph of z -> z^2 in C^2; parabola-foliated"),
 )
 

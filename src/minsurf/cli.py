@@ -7,6 +7,8 @@ whole verification run is scriptable, e.g.::
       | minsurf deform --kind theorem51 --c 1+2i \
       | minsurf verify
 
+``_DEFORMS`` is the one place where a deformation kind's flags, their
+defaults and its input form (Weierstrass data or a curve) are defined.
 Complex flags use the form ``a+bi`` with no spaces.  Outputs are
 deterministic: the same spec yields byte-identical JSON/CSV, and meshes
 are fixed at 9 significant digits.  Errors exit with a one-line JSON
@@ -27,7 +29,7 @@ from . import catalog as _catalog
 from . import specio
 from .errors import MinsurfError
 from .conic import asymptotes, fit_conic, planar_sample, slice_surface
-from .nullcurve import embed_3_to_4, null_residual
+from .nullcurve import WeierstrassData, embed_3_to_4, null_residual
 from .surface import (conformal_factor, degeneracy_rank, export_mesh,
                       immerse, parametric_immersion, real_period,
                       verify_minimal)
@@ -72,11 +74,21 @@ def _parse_sweep(text: str):
     return sweep
 
 
-def _read_spec(args) -> specio.SurfaceSpec:
+def _read_input(args) -> str:
     if args.input:
         with open(args.input) as fh:
-            return specio.load(fh)
-    return specio.loads(sys.stdin.read())
+            return fh.read()
+    return sys.stdin.read()
+
+
+def _read_spec(args) -> specio.SurfaceSpec:
+    return specio.loads(_read_input(args))
+
+
+def _spec_of(made, base_point) -> specio.SurfaceSpec:
+    """The spec of what a construction made, in the form of its type."""
+    form = "weierstrass" if isinstance(made, WeierstrassData) else "curve"
+    return specio.SurfaceSpec(**{form: made}, base_point=base_point)
 
 
 def _write_text(args, text: str) -> None:
@@ -107,33 +119,35 @@ def _cmd_catalog(args) -> int:
         _write_text(args, "\n".join(lines) + "\n")
         return 0
     entry = _catalog.get(args.name)
-    made = entry.construction()
-    if entry.kind == "weierstrass":
-        spec = specio.SurfaceSpec(weierstrass=made, base_point=entry.base_point)
-    else:
-        spec = specio.SurfaceSpec(curve=made, base_point=entry.base_point)
+    spec = _spec_of(entry.make(), entry.base_point)
     _write_text(args, specio.dumps(spec) + "\n")
     return 0
 
 
-def _need_weierstrass(spec, kind):
-    if spec.weierstrass is None:
-        raise MinsurfError(
-            f"deformation kind {kind!r} needs Weierstrass-form input")
-    return spec.weierstrass
+def _apply_in_c4(T, curve):
+    """T applied to the curve, a 3-component curve first embedded in C^4."""
+    return apply_transform(T, embed_3_to_4(curve) if curve.n == 3 else curve)
 
 
-# the parameter flags (argparse dests) each deformation kind reads, with
-# their defaults; a kind given a flag it does not read is an error
-_DEFORM_PARAMS = {
-    "associate": {"theta": 0.0},
-    "goursat": {"t": 0.0},
-    "lopez-ros": {"lam": 1.0},
-    "lawson": {"alpha": 0.0, "beta": 0.0},
-    "parabolic": {"c": "0"},
-    "segre": {"L": "0", "R": "0"},
-    "theorem51": {"c": "0"},
-    "corollary53": {"theta": 0.0},
+# kind -> (reads Weierstrass data rather than a curve, the parameter flags
+# (argparse dests) it reads with their defaults, the call on the input and
+# the parsed flags); a kind given a flag it does not read is an error.  A
+# call looks its function up in this module's globals each time it runs.
+_DEFORMS = {
+    "associate": (False, {"theta": 0.0},
+                  lambda curve, a: associate(curve, a.theta)),
+    "goursat": (False, {"t": 0.0}, lambda curve, a: goursat(curve, a.t)),
+    "lopez-ros": (True, {"lam": 1.0}, lambda w, a: lopez_ros(w, a.lam)),
+    "lawson": (False, {"alpha": 0.0, "beta": 0.0},
+               lambda curve, a: lawson(curve, a.alpha, a.beta)),
+    "parabolic": (False, {"c": "0"}, lambda curve, a: _apply_in_c4(
+        parabolic_rotation_matrix(parse_complex(a.c)), curve)),
+    "segre": (False, {"L": "0", "R": "0"}, lambda curve, a: _apply_in_c4(
+        segre_LR_matrix(parse_complex(a.L), parse_complex(a.R)), curve)),
+    "theorem51": (True, {"c": "0"},
+                  lambda w, a: parabolic_deform(w, parse_complex(a.c))),
+    "corollary53": (True, {"theta": 0.0},
+                    lambda w, a: parabolic_deform_rotated(w, a.theta)),
 }
 _DEFORM_FLAGS = {"theta": ("--theta", float), "t": ("--t", float),
                  "lam": ("--lambda", float), "c": ("--c", str),
@@ -142,48 +156,21 @@ _DEFORM_FLAGS = {"theta": ("--theta", float), "t": ("--t", float),
 
 
 def _cmd_deform(args) -> int:
-    kind = args.kind
-    reads = _DEFORM_PARAMS[kind]
+    reads_weierstrass, reads, call = _DEFORMS[args.kind]
     unread = [flag for dest, (flag, _) in _DEFORM_FLAGS.items()
               if hasattr(args, dest) and dest not in reads]
     if unread:
-        raise ValueError(f"deform --kind {kind} does not read "
+        raise ValueError(f"deform --kind {args.kind} does not read "
                          f"{', '.join(unread)}")
     for dest, default in reads.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
+        vars(args).setdefault(dest, default)
     spec = _read_spec(args)
-    base = spec.base_point
-    if kind == "lopez-ros":
-        w = _need_weierstrass(spec, kind)
-        out = specio.SurfaceSpec(weierstrass=lopez_ros(w, args.lam),
-                                 base_point=base)
-    elif kind == "theorem51":
-        w = _need_weierstrass(spec, kind)
-        out = specio.SurfaceSpec(curve=parabolic_deform(w, parse_complex(args.c)),
-                                 base_point=base)
-    elif kind == "corollary53":
-        w = _need_weierstrass(spec, kind)
-        out = specio.SurfaceSpec(curve=parabolic_deform_rotated(w, args.theta),
-                                 base_point=base)
-    else:
-        curve = spec.as_curve()
-        if kind == "associate":
-            curve = associate(curve, args.theta)
-        elif kind == "goursat":
-            curve = goursat(curve, args.t)
-        elif kind == "lawson":
-            curve = lawson(curve, args.alpha, args.beta)
-        else:   # parabolic or segre; argparse rejects any other kind
-            if curve.n == 3:
-                curve = embed_3_to_4(curve)
-            if kind == "parabolic":
-                T = parabolic_rotation_matrix(parse_complex(args.c))
-            else:
-                T = segre_LR_matrix(parse_complex(args.L), parse_complex(args.R))
-            curve = apply_transform(T, curve)
-        out = specio.SurfaceSpec(curve=curve, base_point=base)
-    _write_text(args, specio.dumps(out) + "\n")
+    if reads_weierstrass and spec.weierstrass is None:
+        raise MinsurfError(f"deformation kind {args.kind!r} needs "
+                           f"Weierstrass-form input")
+    made = call(spec.weierstrass if reads_weierstrass else spec.as_curve(),
+                args)
+    _write_text(args, specio.dumps(_spec_of(made, spec.base_point)) + "\n")
     return 0
 
 
@@ -251,11 +238,7 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.input:
-        with open(args.input) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    text = _read_input(args)
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
     if not rows:
         raise ValueError("fit input has no data rows")
@@ -338,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deform", parents=[io],
                        help="apply a null-curve deformation")
-    p.add_argument("--kind", required=True, choices=list(_DEFORM_PARAMS))
+    p.add_argument("--kind", required=True, choices=list(_DEFORMS))
     # absent unless given, so that _cmd_deform can tell which were given
     for dest, (flag, convert) in _DEFORM_FLAGS.items():
         p.add_argument(flag, dest=dest, type=convert, default=argparse.SUPPRESS)

@@ -8,8 +8,8 @@ import pytest
 from minsurf import catalog as cat
 from minsurf import expr as ex
 from minsurf.errors import InvalidConstant
-from minsurf.nullcurve import (from_weierstrass, null_residual,
-                               quadratic_form)
+from minsurf.nullcurve import (WeierstrassData, from_weierstrass,
+                               null_residual, quadratic_form)
 from minsurf.surface import immerse
 
 from conftest import random_complex
@@ -17,8 +17,9 @@ from conftest import random_complex
 
 def test_every_entry_is_null():
     for entry in cat.entries():
-        made = entry.construction()
-        curve = from_weierstrass(made) if entry.kind == "weierstrass" else made
+        made = entry.make()
+        curve = (from_weierstrass(made) if isinstance(made, WeierstrassData)
+                 else made)
         rep = null_residual(curve, 100)
         assert rep.is_null, entry.name
 
@@ -242,7 +243,7 @@ def test_complex_parabola_rejects_zero():
 
 
 def test_catalog_lookup():
-    assert cat.get("helicoid").kind == "weierstrass"
+    assert isinstance(cat.get("helicoid").make(), WeierstrassData)
     with pytest.raises(KeyError):
         cat.get("plane")
 

@@ -10,8 +10,12 @@ import pytest
 
 from minsurf import catalog, specio
 from minsurf.cli import main, parse_complex
+from minsurf.nullcurve import embed_3_to_4
 from minsurf.surface import conformal_factor, immerse, load_obj_vertices
-from minsurf.transforms import associate, goursat, lawson, lopez_ros
+from minsurf.transforms import (apply_transform, associate, goursat, lawson,
+                                lopez_ros, parabolic_deform,
+                                parabolic_deform_rotated,
+                                parabolic_rotation_matrix, segre_LR_matrix)
 
 
 @pytest.fixture
@@ -350,6 +354,25 @@ def test_non_finite_domain_is_machine_readable(cli, domain):
     (["--kind", "associate", "--theta", "0.4"],
      lambda s: specio.SurfaceSpec(curve=associate(s.as_curve(), 0.4),
                                   base_point=s.base_point)),
+    # the helicoid's curve has 3 components: parabolic and segre embed it
+    # in C^4 first
+    (["--kind", "parabolic", "--c", "0.6+0.4i"],
+     lambda s: specio.SurfaceSpec(
+         curve=apply_transform(parabolic_rotation_matrix(0.6 + 0.4j),
+                               embed_3_to_4(s.as_curve())),
+         base_point=s.base_point)),
+    (["--kind", "segre", "--L", "1", "--R", "i"],
+     lambda s: specio.SurfaceSpec(
+         curve=apply_transform(segre_LR_matrix(1, 1j),
+                               embed_3_to_4(s.as_curve())),
+         base_point=s.base_point)),
+    (["--kind", "theorem51", "--c", "1+2i"],
+     lambda s: specio.SurfaceSpec(curve=parabolic_deform(s.weierstrass, 1 + 2j),
+                                  base_point=s.base_point)),
+    (["--kind", "corollary53", "--theta", "0.7"],
+     lambda s: specio.SurfaceSpec(
+         curve=parabolic_deform_rotated(s.weierstrass, 0.7),
+         base_point=s.base_point)),
 ])
 def test_deform_kinds_match_the_library(cli, argv, make):
     _, spec, _ = cli(["catalog", "show", "helicoid"])

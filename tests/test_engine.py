@@ -6,15 +6,15 @@ import pytest
 from minsurf import catalog as cat
 from minsurf import expr as ex
 from minsurf.engine import compile_expr, eval_program, evaluate
-from minsurf.nullcurve import from_weierstrass
+from minsurf.nullcurve import WeierstrassData, from_weierstrass
 from minsurf.transforms import parabolic_deform, parabolic_deform_rotated
 
 
 def _curves():
     for entry in cat.entries():
-        made = entry.construction()
+        made = entry.make()
         yield entry.name, (from_weierstrass(made)
-                           if entry.kind == "weierstrass" else made)
+                           if isinstance(made, WeierstrassData) else made)
     yield "theorem51", parabolic_deform(cat.helicoid(), 1 + 1j)
     yield "corollary53", parabolic_deform_rotated(cat.catenoid_exp(), 0.7)
 

@@ -15,6 +15,7 @@ from minsurf.engine import evaluate
 from minsurf.errors import SingularPath, ZeroVector
 from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
                                from_weierstrass)
+from minsurf.quadrature import hits_puncture
 from minsurf.surface import (_triangle_blocks, conformal_factor,
                              degeneracy_rank, export_mesh, gauss_map, immerse,
                              load_obj_vertices, parametric_immersion,
@@ -764,6 +765,43 @@ def test_parametric_immersion_takes_the_transposed_l_path_past_a_puncture():
         surf(np.array([0.5, -1.0]), np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("n, sheets", [(13, 5), (33, 15)])
+def test_immerse_and_parametric_immersion_differ_only_by_whole_periods(
+        n, sheets):
+    # the two choose between the L-paths by different rules: immerse takes
+    # the row-first path when its stem, row k0 and column j keep more than
+    # 1.25 cell diagonals from the puncture, parametric_immersion when the
+    # row from z0 and the column only miss it (quadrature.hits_puncture).
+    # Where the rules differ, the paths can pass the puncture on opposite
+    # sides, and the points then lie a whole period apart; where they
+    # agree, the bits do too
+    c, z0, tol = _punctured_with_period(), -1 + 0.5j, 1e-10
+    p = immerse(c, zeta0=z0, res=(n, n), tol=tol)
+    zz = p.u[:, None] + 1j * p.v[None, :]
+    got = parametric_immersion(c, zeta0=z0, tol=tol)(zz.real[p.valid],
+                                                     zz.imag[p.valid])
+    dom = c.domain
+    clearance = 1.25 * np.hypot(p.u[1] - p.u[0], p.v[1] - p.v[0])
+    j0, k0 = np.argmin(np.abs(p.u - z0.real)), np.argmin(np.abs(p.v - z0.imag))
+    g = zz[j0, k0]
+
+    def clear(a, b):
+        return dom.puncture_distance(a, b) > clearance
+    immerse_row_first = (clear(z0, g) & clear(g, zz[:, k0])[:, None]
+                         & clear(zz[:, k0, None], zz))
+    corner = zz.real + 1j * z0.imag
+    parametric_row_first = ~(hits_puncture(dom, z0, corner)
+                             | hits_puncture(dom, corner, zz))
+    same = (immerse_row_first == parametric_row_first)[p.valid]
+
+    period, want = real_period(c), p.points[p.valid]
+    assert period[0] == -2 * np.pi
+    w = np.round((got[:, 0] - want[:, 0]) / period[0])
+    assert np.max(np.abs(got - want - w[:, None] * period)) <= 1e-12
+    assert np.all(w[same] == 0) and np.array_equal(got[same], want[same])
+    assert np.count_nonzero(w) == sheets and not same.all()
+
+
 def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths(
         monkeypatch):
     # -1 - 0.5i lies off [0.2, 2] x [-1, 1], and the L-path to it from
@@ -816,7 +854,7 @@ def test_a_curve_is_read_into_normal_forms_once(monkeypatch):
 def test_real_period_of_the_catalog():
     # every catalog curve is in the class, with real residues
     for entry in cat.entries():
-        curve = entry.construction()
+        curve = entry.make()
         if isinstance(curve, WeierstrassData):
             curve = from_weierstrass(curve)
         assert np.array_equal(real_period(curve), np.zeros(curve.n)), entry.name
