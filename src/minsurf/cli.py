@@ -42,7 +42,8 @@ _COMPLEX_RE = re.compile(r"^[0-9eE+\-.ij]+$")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' (no spaces); accepts 'i', '-i', '2', '1e-3-2i'."""
+    """Parse 'a+bi' (no spaces); accepts 'i', '-i', '2', '1e-3-2i'.  Any
+    other text, '1+2' among it, is a ValueError that names it."""
     s = text.strip().replace("i", "j")
     if not _COMPLEX_RE.match(text.strip()):
         raise ValueError(f"not a complex number: {text!r}")
@@ -52,7 +53,10 @@ def parse_complex(text: str) -> complex:
         s = "-1j"
     else:
         s = re.sub(r"(?<![0-9.])j", "1j", s)
-    return complex(s)
+    try:
+        return complex(s)
+    except ValueError:
+        raise ValueError(f"not a complex number: {text!r}") from None
 
 
 def _parse_res(text: str):
@@ -118,6 +122,8 @@ def _cmd_catalog(args) -> int:
         lines = [f"{e.name:22s} {e.summary}" for e in _catalog.entries()]
         _write_text(args, "\n".join(lines) + "\n")
         return 0
+    if args.name is None:
+        raise ValueError("catalog show needs the name of an entry")
     entry = _catalog.get(args.name)
     spec = _spec_of(entry.make(), entry.base_point)
     _write_text(args, specio.dumps(spec) + "\n")
@@ -366,7 +372,9 @@ def main(argv=None) -> int:
     except Exception as err:   # one JSON line on stderr, never a traceback
         known = isinstance(err, (MinsurfError, ValueError, KeyError, OSError))
         error = type(err).__name__ if known else "InternalError"
-        message = str(err) if known else f"{type(err).__name__}: {err}"
+        # a KeyError's str() is the repr of its message
+        text = err.args[0] if isinstance(err, KeyError) and err.args else err
+        message = str(text) if known else f"{type(err).__name__}: {err}"
         sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
         return 1 if known else 2
 

@@ -5,7 +5,9 @@ that X(z0) = 0; on the puncture-free rectangle it does not depend on the
 path.  ``immerse`` first finds the valid grid points: those that keep
 more than 1.25 cell diagonals from every puncture, as does one of their
 L-paths from z0, the stem to the nearest grid point g(j0, k0) then row
-k0 and column j, or the stem, column j0 and row k.  When
+k0 and column j, or the stem, column j0 and row k.  The L-paths keep
+inside the rectangle, so when every puncture lies farther than that from
+it, every point is valid and no distance is measured.  When
 ``expr.primitive_form`` of each of the curve's ``forms`` (read once per
 curve) is an exact primitive (sums of c z^n e^{kz}, n negative only where
 k = 0: every catalog curve and its constant linear deformations), each
@@ -13,17 +15,21 @@ component is F_i = sum_b C[i, b] z^m e^{kz} + r_i log z over the curve's
 distinct basis functions z^m e^{kz}, and X is Re(F(z) - F(z0)) on the
 domain's branch cut plus w Re(2 pi i r_i), w the signed number of times
 the point's L-path crosses the cut.  Each e^{kz} is e^{ku} e^{ikv}, from
-one program of the distinct e^{kz} run on the grid's rows u and columns
-iv, so a grid takes nu + nv exponentials per k, not one per point and
-term.  Each valid point has tol as its budget for the roundoff level
-PRIMITIVE_ULPS eps (level(z) + level(z0)), level = sum_b |C[i, b]| |z|^m
-|e^{ku}| |e^{ikv}| + |r_i| |log z|.  Otherwise (outside the class, or
-over that budget) one ``integrate_segments`` call takes the stem and the
-edges of row k0 and of every column toward the points the first L-path
-reaches, each within tol / (nu + nv), summed outward in blocks of about
-sqrt(m) of a line's m edges, and a second the transposed tree's row
-edges toward the other valid points.  Every stage reads the curve's
-``domain``: the grid rectangle, the punctures and the log branch cut.
+one program of the distinct e^{kz} run once on the grid's nu rows u and
+once on its nv columns iv, so a grid takes nu + nv exponentials per k,
+not one per point and term.  Each valid point has tol as its budget for
+the roundoff level PRIMITIVE_ULPS eps (level(z) + level(z0)), level =
+sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| + |r_i| |log z|.  The budget is
+checked first on the axis tables, with twice the largest |z|^m |e^{ku}|
+|e^{ikv}| of each term, which bounds every point's level; only where
+that fails, or with a log z term, is level(z) computed point by point.
+Otherwise (outside the class, or over that budget) one
+``integrate_segments`` call takes the stem and the edges of row k0 and
+of every column toward the points the first L-path reaches, each within
+tol / (nu + nv), summed outward in blocks of about sqrt(m) of a line's m
+edges, and a second the transposed tree's row edges toward the other
+valid points.  Every stage reads the curve's ``domain``: the grid
+rectangle, the punctures and the log branch cut.
 
 Verification instruments:
 
@@ -43,11 +49,12 @@ Verification instruments:
 * export_mesh       OBJ (text, 9 significant digits) / PLY (binary,
                     float64, all n coordinates as vertex properties)
 
-The exact route and verify_minimal take the grid in blocks of whole rows
-of about BLOCK_POINTS points, export_mesh in blocks of about BLOCK_POINTS
-points, building no full-grid temporary, and their outputs do not depend
-on the block size.  The quadrature keeps its own chunk size,
-quadrature.CHUNK_NODES.
+``immerse`` stores the samples component-major, as n planes of nu nv
+values, and a patch's points are the (nu, nv, n) view of those planes.
+The exact route, verify_minimal and export_mesh take the grid in blocks
+of whole rows of about BLOCK_POINTS points, building no full-grid
+temporary, and their outputs do not depend on the block size.  The
+quadrature keeps its own chunk size, quadrature.CHUNK_NODES.
 """
 
 from __future__ import annotations
@@ -91,7 +98,10 @@ BLOCK_POINTS = 1 << 12
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Grid of immersion samples.  points[j, k] = X(u_j + i v_k)."""
+    """Grid of immersion samples.  points[j, k] = X(u_j + i v_k).  From
+    ``immerse``, points is a view of component-major planes, shape (n, nu
+    nv), as planes.reshape(n, nu, nv).transpose(1, 2, 0); any (nu, nv, n)
+    array serves."""
 
     u: np.ndarray                 # (nu,)
     v: np.ndarray                 # (nv,)
@@ -141,35 +151,70 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     if not domain.contains(zeta0):
         raise ValueError("base point lies outside the domain")
 
-    zz = u[:, None] + 1j * v[None, :]
     clearance = 1.25 * float(np.hypot(u[1] - u[0], v[1] - v[0]))
     j0 = _nearest_index(u, zeta0.real)
     k0 = _nearest_index(v, zeta0.imag)
+    # row k0 and column j0 of the grid, as _grid_points makes them
+    row = _grid_points(u, v[k0:k0 + 1])[:, 0]
+    col = _grid_points(u[j0:j0 + 1], v)[0]
+    g = col[k0]
 
+    if _far_from_punctures(domain, clearance):
+        # every L-path keeps inside the rectangle, so all of them clear
+        valid = first = np.ones((nu, nv), bool)
+    else:
+        valid, first = _reach(domain, clearance, _grid_points(u, v), zeta0,
+                              j0, k0)
+        if not valid[j0, k0]:
+            raise ValueError("base point is masked by a puncture")
+
+    planes = np.full((c.n, nu * nv), np.nan)
+
+    def via(rows):   # the corners of the points' L-paths after the stem
+        j, k = np.divmod(rows, nv)
+        return g, np.where(first.ravel()[rows], row[j], col[k])
+
+    sample = _primitive_sampler(c, zeta0, tol)
+    if sample is None or not sample.grid(u, v, valid, planes, via):
+        planes[:, valid.ravel()] = _tree_integrals(
+            c, tol, _grid_points(u, v), zeta0, j0, k0, first, valid)
+    points = planes.reshape(c.n, nu, nv).transpose(1, 2, 0)
+    return SurfacePatch(u, v, points, valid, zeta0)
+
+
+def _grid_points(u, v):
+    """The complex grid zz[j, k] = u_j + i v_k."""
+    return u[:, None] + 1j * v[None, :]
+
+
+def _far_from_punctures(domain, clearance):
+    """Whether every puncture lies farther than clearance from the closed
+    rectangle, by more than the roundoff of ``puncture_distance`` (a few
+    eps of the largest coordinate; 2^-40 of it is ample): then every grid
+    point and L-path clears them, as ``_reach`` would find."""
+    bounds = (domain.u_min, domain.u_max, domain.v_min, domain.v_max)
+    for p in domain.punctures:
+        du = max(domain.u_min - p.real, 0.0, p.real - domain.u_max)
+        dv = max(domain.v_min - p.imag, 0.0, p.imag - domain.v_max)
+        scale = max(abs(p), *map(abs, bounds))
+        if math.hypot(du, dv) <= clearance + 2.0 ** -40 * scale:
+            return False
+    return True
+
+
+def _reach(domain, clearance, zz, zeta0, j0, k0):
+    """The reach rule of the module docstring on the grid zz: ``valid``, a
+    point and one of its L-paths clear the punctures, the stem to g then
+    row k0 and column j (the spanning tree's path, to the points
+    ``first``), or the stem, column j0 and row k."""
     def clear(a, b=None):
         return domain.puncture_distance(a, b) > clearance
 
-    # the reach rule: a point and one of its L-paths clear the punctures,
-    # the stem to g then row k0 and column j (the spanning tree's path, to
-    # the points ``first``), or the stem, column j0 and row k
     g = zz[j0, k0]
     stem = clear(zeta0, g)
     first = stem & clear(g, zz[:, k0])[:, None] & clear(zz[:, k0, None], zz)
     valid = clear(zz) & (first | stem & clear(g, zz[j0]) & clear(zz[j0], zz))
-    if not valid[j0, k0]:
-        raise ValueError("base point is masked by a puncture")
-
-    points = np.full((nu * nv, c.n), np.nan)
-
-    def via(rows):   # the corners of the points' L-paths after the stem
-        j, k = np.divmod(rows, nv)
-        return g, np.where(first.ravel()[rows], zz[j, k0], zz[j0, k])
-
-    sample = _primitive_sampler(c, zeta0, tol)
-    if sample is None or not sample.grid(u, v, valid, points, via):
-        points[valid.ravel()] = _tree_integrals(c, tol, zz, zeta0, j0, k0,
-                                                first, valid)
-    return SurfacePatch(u, v, points.reshape(nu, nv, c.n), valid, zeta0)
+    return valid, first
 
 
 def _primitive_sampler(c, zeta0, tol):
@@ -211,59 +256,93 @@ class _Primitive:
         """e^{kx} for each k != 0, shape (len(ks),) + x.shape."""
         return engine.eval_program(self.exps, x)
 
-    def _primitive(self, eu, ev, z):
-        """Re F and its roundoff level per component, shape (n,) + z.shape
-        each, at z = u + iv from eu = e^{ku} and ev = e^{ikv}, which
-        broadcast against z after their leading axis."""
+    def _basis(self, z, eu, ev):
+        """Each basis function z^m e^{ku} e^{ikv} at z from the tables eu =
+        e^{ku} and ev = e^{ikv}, which broadcast against z after their
+        leading axis; given |z|, |eu| and |ev| instead, each one's modulus
+        as the roundoff level reads it."""
+        powers, out = {1: z}, []        # z^m for each m != 0
+        for m, k in self.basis:
+            if m and m not in powers:
+                powers[m] = z ** m
+            if k == 0:
+                out.append(powers[m])
+                continue
+            i = self.ks.index(k)
+            val = eu[i] * ev[i]
+            out.append(val if m == 0 else powers[m] * val)
+        return out
+
+    def _primitive(self, eu, ev, z, level=True):
+        """Re F and, if ``level``, its roundoff level (else None) per
+        component, shape (n,) + z.shape each, at z = u + iv from eu = e^{ku}
+        and ev = e^{ikv} (see ``_basis``)."""
         with np.errstate(all="ignore"):     # z^m at a pole or an overflow
-            az = np.abs(z)
-            au, av = np.abs(eu), np.abs(ev)
-            # z^m and |z|^m for each m != 0, z and |z| themselves for m = 1
-            powers, vals, mags = {1: (z, az)}, [], []
-            for m, k in self.basis:
-                if m and m not in powers:
-                    powers[m] = z ** m, az ** m
-                if k == 0:
-                    vals.append(powers[m][0])
-                    mags.append(powers[m][1])
-                    continue
-                i = self.ks.index(k)
-                val, mag = eu[i] * ev[i], au[i] * av[i]
-                vals.append(val if m == 0 else powers[m][0] * val)
-                mags.append(mag if m == 0 else powers[m][1] * mag)
+            vals = self._basis(z, eu, ev)
+            if level:
+                mags = self._basis(np.abs(z), np.abs(eu), np.abs(ev))
             F = np.zeros((self.n,) + z.shape)
-            level = np.zeros((self.n,) + z.shape)
+            levels = np.zeros((self.n,) + z.shape) if level else None
             # term by term, elementwise: a matrix product would round by the
             # block's width, and a zero coefficient would meet a basis
             # function that overflows as 0 inf = NaN
             for i, terms in enumerate(self.coefs):
                 for b, coef in terms:
                     F[i] += (coef * vals[b]).real
-                    level[i] += abs(coef) * mags[b]
+                    if level:
+                        levels[i] += abs(coef) * mags[b]
             if any(self.logs):
                 log_z = engine.eval_program(_LOG, z, cut=self.cut)
                 mag = np.abs(log_z)
                 for i, r in enumerate(self.logs):
                     if r:
                         F[i] += (r * log_z).real
-                        level[i] += abs(r) * mag
-        return F, level
+                        if level:
+                            levels[i] += abs(r) * mag
+        return F, levels
 
-    def _block(self, eu, ev, z, ok, first, out, via):
+    def _within_budget(self, u, v, eu, ev):
+        """Whether every point of the grid u + iv is within the roundoff
+        budget, read off the axes and their tables eu = e^{ku}, ev =
+        e^{ikv}.  |z| is largest at hypot(max |u|, max |v|) and smallest at
+        hypot(min |u|, min |v|), so the larger of |z|^m max |e^{ku}|
+        max |e^{ikv}| at those two bounds each basis function's modulus on
+        the grid, and twice sum_b |C[i, b]| of them bounds level(z) with
+        room for the roundings of both.  Within the budget on that bound,
+        every point is within its own, and a finite bound makes every value
+        finite.  False for a curve with a log z term, or a bound over the
+        budget or not finite (a pole on a grid point makes it inf): each
+        block then checks its points."""
+        if any(self.logs):
+            return False
+        with np.errstate(all="ignore"):
+            au, av = np.abs(u), np.abs(v)
+            ends = np.hypot([au.max(), au.min()], [av.max(), av.min()])
+            tops = [np.max(t) for t in self._basis(
+                ends, np.abs(eu).max(axis=1), np.abs(ev).max(axis=1))]
+            bound = np.array([sum(abs(coef) * tops[b] for b, coef in terms)
+                              for terms in self.coefs], dtype=float)
+            budget = _PRIMITIVE_ROUNDOFF * (2 * bound + self.base_level[:, 0])
+        return bool(np.all(budget <= self.tol))
+
+    def _block(self, eu, ev, z, ok, first, out, via, checked=False):
         """Write X at the points z, where ``ok`` (of z's shape) holds, into
-        their rows of out, shape (z.size, n), flat indices first onward;
+        their columns of out, shape (n, z.size), flat indices first onward;
         False when a value is not finite, a leg passes through 0, or
         PRIMITIVE_ULPS eps (level(z) + level(zeta0)) exceeds tol at one of
-        them.  No point is gathered: the points that ``ok`` leaves out are
-        computed and not read."""
-        F, level = self._primitive(eu, ev, z)
-        F, level = F.reshape(self.n, -1), level.reshape(self.n, -1)
+        them.  ``checked`` when ``_within_budget`` has passed them all, and
+        no level is computed.  No point is gathered: the points that ``ok``
+        leaves out are computed and not read."""
+        F, level = self._primitive(eu, ev, z, level=not checked)
+        F = F.reshape(self.n, -1)
         ok = ok.ravel()
-        level += self.base_level
-        level *= _PRIMITIVE_ROUNDOFF
-        # a value that is not finite makes its level inf or NaN
-        if not np.all(np.all(level <= self.tol, axis=0) | ~ok):
-            return False
+        if not checked:
+            level = level.reshape(self.n, -1)
+            level += self.base_level
+            level *= _PRIMITIVE_ROUNDOFF
+            # a value that is not finite makes its level inf or NaN
+            if not np.all(np.all(level <= self.tol, axis=0) | ~ok):
+                return False
         F -= self.base
         if self.period.any():
             at = np.flatnonzero(ok)
@@ -272,36 +351,43 @@ class _Primitive:
                 return False
             off = np.flatnonzero(w)     # the points off F's sheet
             F[:, at[off]] += np.outer(self.period, w[off])
-        for x, col in zip(F, out.T):    # a column at a time, as numpy
-            np.copyto(col, x, where=ok)  # transposes (n, m) to (m, n) slowly
+        np.copyto(out, F, where=ok)
         return True
 
     def grid(self, u, v, valid, out, via):
         """X at the ``valid`` points of the grid u + iv into out, shape
-        (nu nv, n), in blocks of whole rows of about BLOCK_POINTS points; via
-        is called, on the flat indices ``rows`` of a block's valid points,
+        (n, nu nv), in blocks of whole rows of about BLOCK_POINTS points,
+        from one table of the nv columns e^{ikv} and one of the nu rows
+        e^{ku}; the roundoff budget is checked once on those tables
+        (``_within_budget``), and per point only where that fails.  via is
+        called, on the flat indices ``rows`` of a block's valid points,
         only for a nonzero period, for the corners of their paths from
         zeta0 (see ``_sheet``).  False as soon as a block fails."""
         nv = v.size
-        ev = self._tables(1j * v)[:, None, :]
+        ev = self._tables(1j * v)
+        eu = self._tables(u)
+        checked = self._within_budget(u, v, eu, ev)
+        ev = ev[:, None, :]
         step = max(1, BLOCK_POINTS // nv)
         for lo in range(0, u.size, step):
             ub = u[lo:lo + step]
-            if not self._block(self._tables(ub)[:, :, None], ev,
+            if not self._block(eu[:, lo:lo + step, None], ev,
                                ub[:, None] + 1j * v, valid[lo:lo + step],
-                               lo * nv, out[lo * nv:(lo + step) * nv], via):
+                               lo * nv, out[:, lo * nv:(lo + step) * nv], via,
+                               checked):
                 return False
         return True
 
     def points(self, z, out, via):
-        """X at each of the points z into out, shape (z.size, n), in blocks
-        of BLOCK_POINTS, as ``grid`` does; False as soon as a block fails."""
+        """X at each of the points z into out, shape (n, z.size), in blocks
+        of BLOCK_POINTS, as ``grid`` does but with each point's own budget
+        check; False as soon as a block fails."""
         for lo in range(0, z.size, BLOCK_POINTS):
             zb = z[lo:lo + BLOCK_POINTS]
             e = self._tables(np.concatenate([zb.real, 1j * zb.imag]))
             if not self._block(e[:, :zb.size], e[:, zb.size:], zb,
                                np.ones(zb.size, bool), lo,
-                               out[lo:lo + BLOCK_POINTS], via):
+                               out[:, lo:lo + BLOCK_POINTS], via):
                 return False
         return True
 
@@ -324,7 +410,7 @@ def _sheet(path, cut):
 
 
 def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
-    """X at the ``valid`` grid points zz, shape (m, n): the spanning tree's
+    """X at the ``valid`` grid points zz, shape (n, m): the spanning tree's
     edges toward the points it reaches (``first``, so each edge is clear),
     summed outward, then the transposed tree's row edges toward the valid
     points it misses; one ``integrate_segments`` call per tree."""
@@ -357,7 +443,7 @@ def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
         rows = edges(zz[:-1].T, zz[1:].T, beyond.T)
         alt = stem + col[:, j0, :, None] + _running_sums(rows, j0)
         total = np.where(first, total, alt.transpose(0, 2, 1))
-    return total.real.transpose(1, 2, 0)[valid]
+    return total.real[:, valid]
 
 
 def _running_sums(edges, i0):
@@ -491,10 +577,11 @@ def verify_minimal(p: SurfacePatch) -> dict:
     factor to O(h^2).  Both are O(h^2) on a true minimal immersion.
     Points where E + G = 0 are left out; ValueError when no interior
     point is left.  The interior rows are taken in blocks of about
-    BLOCK_POINTS points, each with a halo row on either side and copied
-    component-major, so that the stencil works on one component plane at
-    a time; a NaN defect in any block gives a NaN maximum.  An overflow
-    to inf or NaN is read as such, with no warning.
+    BLOCK_POINTS points, each with a halo row on either side, and the
+    stencil works on one component plane at a time: for a patch from
+    ``immerse``, which is component-major, a slice of its planes with no
+    copy.  A NaN defect in any block gives a NaN maximum.  An overflow to
+    inf or NaN is read as such, with no warning.
     """
     nu, nv = p.resolution
     if nu < 5 or nv < 5:
@@ -504,8 +591,7 @@ def verify_minimal(p: SurfacePatch) -> dict:
     conf, harm, count = -np.inf, -np.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(1, nu - 1, rows):
-            X = np.ascontiguousarray(
-                np.moveaxis(p.points[lo - 1:lo + rows + 1], 2, 0))
+            X = np.moveaxis(p.points[lo - 1:lo + rows + 1], 2, 0)
             xu, xv, ok = _central_differences(
                 X, p.valid[lo - 1:lo + rows + 1], hu, hv)
             # the planes summed in order, which holds the bits of numpy's
@@ -578,14 +664,17 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
     ``projection`` (tuple of 3 axis indices) selects others.  PLY is
     binary little-endian and stores all n coordinates as float64 vertex
     properties named x, y, z, w, ...  Vertices and faces are written in
-    blocks of about BLOCK_POINTS.
+    blocks of rows of about BLOCK_POINTS points.
     """
     fmt = fmt.lower()
     ok = p.valid
     cells = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
-    # the points in blocks of BLOCK_POINTS, masked (NaN) coordinates as 0
-    verts = (np.where(np.isfinite(b), b, 0.0) for b in np.split(
-        p.points.reshape(-1, p.n), range(BLOCK_POINTS, ok.size, BLOCK_POINTS)))
+    # the points in blocks of rows of about BLOCK_POINTS, each copied
+    # point-major, masked (NaN) coordinates as 0
+    rows = max(1, BLOCK_POINTS // ok.shape[1])
+    verts = (np.where(np.isfinite(b), b, 0.0) for b in (
+        p.points[lo:lo + rows].reshape(-1, p.n)
+        for lo in range(0, len(ok), rows)))
     if fmt == "obj":
         axes = list(projection) if projection is not None else [0, 1, 2]
         if len(axes) != 3 or any(not 0 <= a < p.n for a in axes):
@@ -630,7 +719,7 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
 
     def f(u, v):
         z = (u + 1j * v).ravel()
-        x = np.empty((z.size, c.n))
+        x = np.empty((z.size, c.n))     # C-contiguous, written through x.T
 
         def blocked(w, to):   # whether a leg z0 -> w -> to passes a puncture
             return hits_puncture(dom, z0, w) | hits_puncture(dom, w, to)
@@ -640,7 +729,7 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
             return np.where(blocked(w, to), z0.real + 1j * to.imag, w)
 
         if sample is not None and sample.points(
-                z, x, lambda rows: (corner(z[rows]),)):
+                z, x.T, lambda rows: (corner(z[rows]),)):
             return x.reshape(u.shape + (c.n,))
         corners = corner(z)
         bad = blocked(corners, z)

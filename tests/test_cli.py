@@ -42,6 +42,28 @@ def test_parse_complex_forms():
         parse_complex("nope")
 
 
+@pytest.mark.parametrize("text", ["1+2", "zz", "1e", "2+i3", "", "1+2ii"])
+def test_parse_complex_names_what_it_cannot_read(text):
+    # '1+2' passes the character check and then fails in complex()
+    with pytest.raises(ValueError) as info:
+        parse_complex(text)
+    assert str(info.value) == f"not a complex number: {text!r}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["deform", "--kind", "theorem51", "--c", "1+2"],
+    ["deform", "--kind", "parabolic", "--c", "1+2"],
+    ["deform", "--kind", "segre", "--L", "1+2", "--R", "i"],
+    ["deform", "--kind", "segre", "--L", "1", "--R", "1+2"],
+    ["sample", "--res", "5x5", "--base-point", "1+2"]])
+def test_a_malformed_complex_flag_is_named(cli, argv):
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    code, out, err = cli(argv, stdin=spec)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "not a complex number: '1+2'"}
+
+
 def test_catalog_list_and_show(cli):
     code, out, _ = cli(["catalog", "list"])
     assert code == 0 and "helicoid" in out
@@ -56,6 +78,22 @@ def test_unknown_catalog_entry_errors(cli):
     code, _, err = cli(["catalog", "show", "mystery"])
     assert code == 1
     assert json.loads(err)["error"] == "KeyError"
+
+
+def test_an_unknown_catalog_entry_is_named_without_quotes_around_it(cli):
+    # a KeyError's str() would quote the message once more
+    code, out, err = cli(["catalog", "show", "nope"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "KeyError",
+                               "message": "no catalog entry named 'nope'"}
+
+
+def test_catalog_show_needs_a_name(cli):
+    code, out, err = cli(["catalog", "show"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "catalog show needs the name of an entry"}
 
 
 def test_deform_pipeline_verify(cli):

@@ -1406,18 +1406,25 @@ def test_roundoff_over_tol_in_a_late_block_takes_the_tree(monkeypatch):
     res, z0 = (41, 9), 6.5 + 0j
     monkeypatch.setattr(surface_mod, "BLOCK_POINTS", 2 * 9)   # two rows
     exact = immerse(c, zeta0=z0, res=res, tol=1e-6)   # within budget
-    calls = []
-    eval_program = engine_mod.eval_program
+    calls, blocks = [], []
+    eval_program, block = engine_mod.eval_program, surface_mod._Primitive._block
 
     def counting(prog, z, **kw):
         calls.append(np.size(z))
         return eval_program(prog, z, **kw)
 
+    def counting_blocks(self, eu, ev, z, *args):
+        blocks.append(z.shape)
+        return block(self, eu, ev, z, *args)
+
     monkeypatch.setattr(engine_mod, "eval_program", counting)
+    monkeypatch.setattr(surface_mod._Primitive, "_block", counting_blocks)
     got = immerse(c, zeta0=z0, res=res, tol=1e-10)
-    # the base point's two factors, the 9 columns, then the rows of blocks
-    # of two, up to the first failing one and short of the last, of one row
-    assert calls[:2] == [2, 9] and set(calls[2:]) == {2} and len(calls) > 15
+    # the base point's two factors, the 9 columns and the 41 rows; then
+    # blocks of two rows, up to the first failing one and short of the
+    # last, of one row
+    assert calls == [2, 9, 41]
+    assert set(blocks) == {(2, 9)} and 15 < len(blocks) < 21
     monkeypatch.setattr(surface_mod, "primitive_form", lambda e: None)
     tree = immerse(c, zeta0=z0, res=res, tol=1e-10)
     assert _bits(got) == _bits(tree)
