@@ -59,13 +59,6 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"not a complex number: {text!r}") from None
 
 
-def _parse_res(text: str):
-    m = re.match(r"^(\d+)x(\d+)$", text)
-    if not m:
-        raise ValueError(f"resolution must look like 64x64, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
-
-
 def _parse_sweep(text: str):
     """(lo, hi) from 'lo:hi', two finite numbers; ValueError otherwise."""
     try:
@@ -111,6 +104,15 @@ def _base_point(args, spec):
     if args.base_point:
         return parse_complex(args.base_point)
     return spec.base_point
+
+
+def _immerse(args, spec, curve):
+    """The patch of sample, verify and export: --res, --base-point, --tol."""
+    res = re.match(r"^(\d+)x(\d+)$", args.res)
+    if not res:
+        raise ValueError(f"resolution must look like 64x64, got {args.res!r}")
+    return immerse(curve, res=(int(res[1]), int(res[2])),
+                   zeta0=_base_point(args, spec), tol=args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +185,7 @@ def _cmd_deform(args) -> int:
 def _cmd_sample(args) -> int:
     spec = _read_spec(args)
     curve = spec.as_curve()
-    nu, nv = _parse_res(args.res)
-    patch = immerse(curve, zeta0=_base_point(args, spec), res=(nu, nv),
-                    tol=args.tol)
+    patch = _immerse(args, spec, curve)
     zz = patch.u[:, None] + 1j * patch.v[None, :]
     conformal = np.full(patch.valid.shape, None, dtype=object)
     conformal[patch.valid] = conformal_factor(curve, zz[patch.valid])
@@ -220,9 +220,7 @@ def _cmd_verify(args) -> int:
         report["hyperplane"] = [[c.real, c.imag] for c in deg.hyperplane]
     period = real_period(curve)
     report["real_period"] = None if period is None else period.tolist()
-    nu, nv = _parse_res(args.res)
-    patch = immerse(curve, zeta0=_base_point(args, spec), res=(nu, nv),
-                    tol=args.tol)
+    patch = _immerse(args, spec, curve)
     report["minimality"] = verify_minimal(patch)
     _write_text(args, _json_dumps(report))
     return 0
@@ -283,9 +281,7 @@ def _cmd_export(args) -> int:
         raise MinsurfError("export requires --output FILE")
     spec = _read_spec(args)
     curve = spec.as_curve()
-    nu, nv = _parse_res(args.res)
-    patch = immerse(curve, zeta0=_base_point(args, spec), res=(nu, nv),
-                    tol=args.tol)
+    patch = _immerse(args, spec, curve)
     projection = None
     if args.projection:
         projection = tuple(int(t) for t in args.projection.split(","))

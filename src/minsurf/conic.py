@@ -40,7 +40,7 @@ DEGENERATE_TOL = 1e-9    # smallest |eigenvalue| of the 3x3 conic matrix
 LINE_SV_TOL = 1e-9       # sigma_2 / sigma_1 of the centered sample
 AMBIGUOUS_GAP = 1e-6     # relative gap between two smallest design SVs
 PLANARITY_TOL = 1e-6     # max out-of-plane distance / diameter of a fit
-AXIS_PROBES = 9          # probe grid side for a coordinate's parameter
+AXIS_PROBES = 8          # probe grid side; even, to miss a punctured centre
 
 
 class ParametricSurface:
@@ -106,8 +106,9 @@ def planar_sample(points: np.ndarray) -> PlanarCurveSample:
 
 def _axis_dependence(surface: ParametricSurface, axis: int):
     """Which parameter the given coordinate depends on ('u', 'v' or None),
-    its probe values, the coordinate along the middle probe line of that
-    parameter, and the value the other parameter holds on that line."""
+    its probe values, the coordinate along probe line AXIS_PROBES // 2 of
+    that parameter, the first past the middle, and the value the other
+    parameter holds on that line."""
     us = np.linspace(*surface.u_range, AXIS_PROBES)
     vs = np.linspace(*surface.v_range, AXIS_PROBES)
     probe = surface(us[:, None], vs[None, :])
@@ -164,11 +165,12 @@ def slice_surface(surface: ParametricSurface, axis: int, value: float,
     The chosen coordinate must depend monotonically on exactly one
     parameter (true for all surfaces treated here); otherwise
     AxisNotMonotone is raised, and an axis outside 0..n-1 raises
-    ValueError.  The parameter value is found on the middle probe line:
-    each round samples the bracket at AXIS_PROBES points in one surface
-    call and keeps the sub-interval where the coordinate crosses the
-    level, down to a width of 1e-15 max(1, |lo| + |hi|), unless a sample
-    meets the level exactly.  The other parameter is swept.
+    ValueError.  The parameter value is found on probe line
+    AXIS_PROBES // 2, the first past the rectangle's middle: each round
+    samples the bracket at AXIS_PROBES points in one surface call and
+    keeps the sub-interval where the coordinate crosses the level, down to
+    a width of 1e-15 max(1, |lo| + |hi|), unless a sample meets the level
+    exactly.  The other parameter is swept.
     """
     _check_npoints(npoints)
     param, ts, coord, held = _axis_dependence(surface, axis)

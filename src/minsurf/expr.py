@@ -36,7 +36,7 @@ __all__ = [
     "Z", "const", "add", "sub", "mul", "div", "neg", "powi",
     "exp", "log", "sinh", "cosh", "normal_forms",
     "differentiate", "primitive_form", "antiderivative", "residue", "parse",
-    "to_source",
+    "to_source", "MAX_DEPTH",
 ]
 
 
@@ -515,6 +515,8 @@ def to_source(e: Expr) -> str:
 
 _FUNCS = {"exp": exp, "log": log, "sinh": sinh, "cosh": cosh}
 
+MAX_DEPTH = 100   # the parser and every tree walker recurse: see ``parse``
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -567,63 +569,73 @@ class _Lexer:
 
 
 class _Parser:
-    """Recursive descent over +- / */ / unary - / ^ with integer exponents."""
+    """Recursive descent over +- / */ / unary - / ^ with integer exponents.
+    Each method takes the count of parentheses and prefix signs open
+    (``nest``) and returns a tree and its height, a constant's being 1."""
 
     def __init__(self, text: str):
         self.lex = _Lexer(text)
 
     def parse(self) -> Expr:
-        e = self._sum()
+        e, _ = self._sum(0)
         tok = self.lex.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return e
 
-    def _sum(self) -> Expr:
-        e = self._term()
+    def _within(self, depth, tok):
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH}", tok[2])
+        return depth
+
+    def _node(self, e, heights, tok):
+        return e, self._within(1 if isinstance(e, Const) else 1 + max(heights), tok)
+
+    def _sum(self, nest):
+        e, h = self._term(nest)
         while True:
             tok = self.lex.peek()
             if tok[0] == "op" and tok[1] in "+-":
                 self.lex.next()
-                rhs = self._term()
-                e = add(e, rhs) if tok[1] == "+" else sub(e, rhs)
+                rhs, hr = self._term(nest)
+                e, h = self._node(add(e, rhs) if tok[1] == "+" else sub(e, rhs),
+                                  (h, hr), tok)
             else:
-                return e
+                return e, h
 
-    def _term(self) -> Expr:
-        e = self._factor()
+    def _term(self, nest):
+        e, h = self._factor(nest)
         while True:
             tok = self.lex.peek()
             if tok[0] == "op" and tok[1] in "*/":
                 self.lex.next()
-                rhs = self._factor()
-                e = mul(e, rhs) if tok[1] == "*" else div(e, rhs)
+                rhs, hr = self._factor(nest)
+                e, h = self._node(mul(e, rhs) if tok[1] == "*" else div(e, rhs),
+                                  (h, hr), tok)
             else:
-                return e
+                return e, h
 
-    def _factor(self) -> Expr:
+    def _factor(self, nest):
         tok = self.lex.peek()
-        if tok[0] == "op" and tok[1] == "-":
+        if tok[0] == "op" and tok[1] in "+-":
             self.lex.next()
-            return neg(self._factor())
-        if tok[0] == "op" and tok[1] == "+":
-            self.lex.next()
-            return self._factor()
-        return self._power()
+            e, h = self._factor(self._within(nest + 1, tok))
+            return self._node(neg(e), (h,), tok) if tok[1] == "-" else (e, h)
+        return self._power(nest)
 
-    def _power(self) -> Expr:
-        base = self._atom()
+    def _power(self, nest):
+        base, h = self._atom(nest)
         tok = self.lex.peek()
         if tok[0] == "op" and tok[1] == "^":
             self.lex.next()
-            return powi(base, self._exponent())
-        return base
+            return self._node(powi(base, self._exponent(nest)), (h,), tok)
+        return base, h
 
-    def _exponent(self) -> int:
+    def _exponent(self, nest) -> int:
         tok = self.lex.next()
         sign = 1
         if tok[0] == "op" and tok[1] == "(":
-            n = self._exponent()
+            n = self._exponent(self._within(nest + 1, tok))
             close = self.lex.next()
             if close[:2] != ("op", ")"):
                 raise ParseError("expected ')' after exponent", close[2])
@@ -635,37 +647,41 @@ class _Parser:
             raise ParseError("exponent must be an integer", tok[2])
         return sign * int(tok[1].real)
 
-    def _atom(self) -> Expr:
+    def _atom(self, nest):
         tok = self.lex.next()
         if tok[0] == "number":
-            return Const(tok[1])
+            return Const(tok[1]), 1
         if tok[0] == "name":
             name = tok[1]
             if name in ("z", "zeta"):
-                return Z
+                return Z, 1
             if name == "i":
-                return Const(1j)
+                return Const(1j), 1
             if name in _FUNCS:
                 open_ = self.lex.next()
                 if open_[:2] != ("op", "("):
                     raise ParseError(f"expected '(' after {name}", open_[2])
-                arg = self._sum()
+                arg, h = self._sum(self._within(nest + 1, open_))
                 close = self.lex.next()
                 if close[:2] != ("op", ")"):
                     raise ParseError(f"expected ')' closing {name}(...)", close[2])
-                return _FUNCS[name](arg)
+                return self._node(_FUNCS[name](arg), (h,), tok)
             raise ParseError(f"unknown identifier {name!r}", tok[2])
         if tok[0] == "op" and tok[1] == "(":
-            e = self._sum()
+            group = self._sum(self._within(nest + 1, tok))
             close = self.lex.next()
             if close[:2] != ("op", ")"):
                 raise ParseError("expected ')'", close[2])
-            return e
+            return group
         if tok[0] == "end":
             raise ParseError("unexpected end of input", tok[2])
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
 def parse(text: str) -> Expr:
-    """Parse infix expression text, e.g. ``"-i*exp(-z)"`` or ``"1/z^2"``."""
+    """Parse infix expression text, e.g. ``"-i*exp(-z)"`` or ``"1/z^2"``.
+
+    ParseError where the tree's height, or the count of parentheses and
+    prefix signs open, passes MAX_DEPTH; a depth-100 tree leaves Python's
+    default recursion limit hundreds of frames for its walkers' callers."""
     return _Parser(text).parse()

@@ -12,10 +12,9 @@ up to a depth cap of 40.  Integrands here are entire or meromorphic away
 from punctures, so panels converge spectrally and nearly every segment
 is accepted at depth 0.
 
-The nodes and weights are computed at import: Laurie's algorithm
-("Calculation of Gauss-Kronrod quadrature rules", *Math. Comp.* 66,
-1997) extends the Legendre recurrence to the Jacobi-Kronrod matrix, and
-Golub-Welsch takes the rule from its eigen-decomposition.
+The nodes and weights are QUADPACK's ``qk15`` table at its published
+digits, so each is the correctly rounded double and the rule is the same
+on every machine.
 
 ``integrate_segments`` drives many segments at once through one compiled
 program (one batched pass per refinement level), which is what makes
@@ -52,68 +51,25 @@ ROUNDOFF_FACTOR = 50
 _ROUNDOFF = ROUNDOFF_FACTOR * np.finfo(np.float64).eps
 
 
-def _gauss(alpha, beta):
-    """Golub-Welsch: nodes and weights of the Gauss rule of the Jacobi
-    matrix with diagonal ``alpha`` and off-diagonal sqrt(beta[1:]), for a
-    symmetric measure of mass beta[0].  The rule is made symmetric and
-    its weights are scaled to the mass, which rounding in the
-    eigenvectors misses by a few ulps."""
-    off = np.sqrt(beta[1:len(alpha)])
-    x, v = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
-    w = v[0] ** 2
-    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    return x, beta[0] * w / w.sum()
+# QUADPACK's qk15 table: the nonnegative Kronrod nodes, descending, their
+# K15 weights, and the G7 weights of xgk[1::2]
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
-
-def _kronrod_matrix(n, a, b):
-    """Laurie's algorithm: the diagonal and squared off-diagonal of the
-    order-(2n+1) Jacobi-Kronrod matrix, from the first 3n/2 + 1
-    recurrence coefficients ``a`` (alpha) and ``b`` (beta) of the measure.
-    Its Gauss rule is the Kronrod extension of the n-point Gauss rule."""
-    a = np.concatenate([a[:3 * n // 2 + 1], np.zeros(2 * n + 1)])[:2 * n + 1]
-    b = np.concatenate([b[:-(-3 * n // 2) + 1], np.zeros(2 * n + 1)])[:2 * n + 1]
-    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        l = m - k
-        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1]
-                             + b[k + n + 1] * s[k] - b[l] * s[k + 1])
-        s, t = t, s
-    j = np.arange(n // 2, -1, -1)
-    s[j + 1] = s[j]
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        l = m - k
-        j = n - 1 - l
-        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1]
-                             - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2])
-        j, k = j[-1], (m + 1) // 2
-        if m % 2 == 0:
-            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            b[k + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    return a, b
-
-
-def _g7k15():
-    """The 15 Kronrod nodes on [-1, 1] and a (15, 2) weight matrix whose
-    columns are the K15 weights and the G7 weights (zero at the eight
-    Kronrod-only nodes; the G7 nodes are every other Kronrod node)."""
-    # the first 3*7/2 + 1 Legendre recurrence coefficients:
-    # alpha_j = 0, beta_0 = 2 (the mass), beta_j = j^2/(4j^2 - 1)
-    j = np.arange(12.0)
-    alpha, beta = np.zeros(12), np.where(j > 0, j * j / (4 * j * j - 1), 2.0)
-    nodes, wk = _gauss(*_kronrod_matrix(7, alpha, beta))
-    weights = np.zeros((15, 2))
-    weights[:, 0] = wk
-    weights[1::2, 1] = _gauss(alpha[:7], beta[:7])[1]
-    return nodes, weights
-
-
-_NODES, _WEIGHTS = _g7k15()
+# the 15 nodes on [-1, 1], ascending, and the (15, 2) K15 and G7 weights;
+# G7 takes every other node, and is zero at the eight Kronrod-only nodes
+_NODES = np.concatenate([np.negative(_XGK[:-1]), _XGK[::-1]])
+_WEIGHTS = np.zeros((15, 2))
+_WEIGHTS[:, 0] = _WGK + _WGK[-2::-1]
+_WEIGHTS[1::2, 1] = _WG + _WG[-2::-1]
 
 
 def _panels(prog, a, b, cut, tol):

@@ -463,6 +463,8 @@ _HELICOID = '{"weierstrass": {"G": "exp(z)", "Psi": "-i*exp(-z)"}}'
 _PUNCTURED = ('{"weierstrass": {"G": "z", "Psi": "1/z^2"}, "domain": '
               '{"rect": [-1.5, 1.5, -1.5, 1.5], "punctures": [[0, 0]]}}')
 _CORNERS = "x,y,X0,X1,X2\n" + "0,0,1,1,0\n0,0,1,-1,0\n0,0,-1,-1,0\n0,0,-1,1,0\n" * 3
+# a sum of 400 terms and z in 200 parentheses: both pass parse's depth bound
+_DEEP_SUM, _DEEP_NEST = "+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200
 
 
 @pytest.mark.parametrize("argv, stdin, error, fragment", [
@@ -493,6 +495,13 @@ _CORNERS = "x,y,X0,X1,X2\n" + "0,0,1,1,0\n0,0,1,-1,0\n0,0,-1,-1,0\n0,0,-1,1,0\n"
     (["verify"], '{"curve": ["(z", "i", "0"]}', "ParseError", "')'"),
     (["verify"], '{"curve": ["exp z", "i", "0"]}', "ParseError", "'('"),
     (["verify"], '{"curve": ["", "i", "0"]}', "ParseError", "end of input"),
+    (["verify"], json.dumps({"curve": [_DEEP_SUM, f"i*({_DEEP_SUM})", "0"]}),
+     "ParseError", "deeper than 100 (at offset 199)"),
+    (["verify"], json.dumps({"curve": [_DEEP_NEST, f"i*({_DEEP_NEST})", "0"]}),
+     "ParseError", "deeper than 100 (at offset 100)"),
+    # the probe grid misses the puncture at the rectangle's centre
+    (["slice", "--axis", "1", "--value", "0.2"], _PERIODIC.replace(
+        "[1, 0]", "[-1, 0.5]"), "AxisNotMonotone", "single parameter"),
     (["sample", "--res", "64"], _HELICOID, "ValueError", "64x64"),
     # the stem from the base point to the grid point 0 passes the puncture
     (["export", "--res", "21x21", "--base-point", "0.049+0.049i",

@@ -149,6 +149,36 @@ def test_parse_errors_carry_their_offset(text, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("+".join(["z"] * 400), 199),              # the '+' making 101 terms
+    ("z*" * 400 + "z", 199),
+    ("exp(" * 400 + "z" + ")" * 400, 403),     # the 101st exp's '('
+    ("(" * 200 + "z" + ")" * 200, 100),        # the 101st '('
+    ("-" * 2000 + "z", 100),                   # the 101st prefix sign
+    ("z^" + "(" * 2000 + "2" + ")" * 2000, 102),
+], ids=["sum", "product", "exp", "parentheses", "signs", "exponent"])
+def test_parse_refuses_an_expression_past_its_depth_bound(text, offset):
+    # refused while parsing, before the parser's own recursion overflows
+    with pytest.raises(ParseError, match="deeper than 100") as info:
+        ex.parse(text)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["z"] * 100),
+    "(" * 100 + "z" + ")" * 100,
+    "exp(" * 99 + "z" + ")" * 99,
+    "-(" * 50 + "z" + ")" * 50,
+    "+".join(["1"] * 400),                     # folds to one constant
+], ids=["sum", "parentheses", "exp", "signs", "constants"])
+def test_an_expression_at_the_depth_bound_passes_every_walker(text):
+    e = ex.parse(text)
+    ex.normal_forms((e,))
+    compile_expr(e)
+    ex.parse(ex.to_source(e))
+    ex.differentiate(e)
+
+
 @pytest.mark.parametrize("tree", [
     ex.mul(ex.div(1, ex.Z), 0),
     ex.div(0, ex.Z),

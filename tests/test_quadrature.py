@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod path integration."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ def test_rule_is_symmetric_and_embeds_the_seven_point_gauss_rule():
     np.testing.assert_allclose(x[1::2], gx, rtol=0, atol=1e-15)
     np.testing.assert_allclose(w[1::2, 1], gw, rtol=0, atol=1e-15)
     assert np.all(np.abs(w.sum(axis=0) - 2.0) <= 1e-15)
+
+
+@pytest.mark.parametrize("column, degree", [(0, 22), (1, 12)])
+def test_rule_as_stored_meets_its_even_moments_in_exact_arithmetic(column, degree):
+    # the stored doubles, summed without rounding: correctly rounded nodes
+    # and weights miss each moment by under 1e-16
+    x = [Fraction(t) for t in quadrature._NODES]
+    w = [Fraction(t) for t in quadrature._WEIGHTS[:, column]]
+    for d in range(0, degree + 1, 2):
+        moment = sum(wi * xi ** d for xi, wi in zip(x, w))
+        assert abs(moment - Fraction(2, d + 1)) <= 1e-16
 
 
 def test_punctured_catenoid_at_513_matches_closed_form(monkeypatch):
