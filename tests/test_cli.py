@@ -495,6 +495,12 @@ _DEEP_SUM, _DEEP_NEST = "+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200
     (["verify"], '{"curve": ["(z", "i", "0"]}', "ParseError", "')'"),
     (["verify"], '{"curve": ["exp z", "i", "0"]}', "ParseError", "'('"),
     (["verify"], '{"curve": ["", "i", "0"]}', "ParseError", "end of input"),
+    (["sample", "--res", "64"], _HELICOID, "ValueError", "64x64"),
+    # the stem from the base point to the grid point 0 passes the puncture
+    (["export", "--res", "21x21", "--base-point", "0.049+0.049i",
+      "--output", "{out}"], '{"weierstrass": {"G": "exp(z)", "Psi": '
+     '"exp(-z)"}, "domain": {"rect": [-1, 1, -1, 1], "punctures": '
+     '[[0.15, 0.1]]}}', "ValueError", "masked by a puncture"),
     (["verify"], json.dumps({"curve": [_DEEP_SUM, f"i*({_DEEP_SUM})", "0"]}),
      "ParseError", "deeper than 100 (at offset 199)"),
     (["verify"], json.dumps({"curve": [_DEEP_NEST, f"i*({_DEEP_NEST})", "0"]}),
@@ -502,12 +508,6 @@ _DEEP_SUM, _DEEP_NEST = "+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200
     # the probe grid misses the puncture at the rectangle's centre
     (["slice", "--axis", "1", "--value", "0.2"], _PERIODIC.replace(
         "[1, 0]", "[-1, 0.5]"), "AxisNotMonotone", "single parameter"),
-    (["sample", "--res", "64"], _HELICOID, "ValueError", "64x64"),
-    # the stem from the base point to the grid point 0 passes the puncture
-    (["export", "--res", "21x21", "--base-point", "0.049+0.049i",
-      "--output", "{out}"], '{"weierstrass": {"G": "exp(z)", "Psi": '
-     '"exp(-z)"}, "domain": {"rect": [-1, 1, -1, 1], "punctures": '
-     '[[0.15, 0.1]]}}', "ValueError", "masked by a puncture"),
 ])
 def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
                                              error, fragment):
