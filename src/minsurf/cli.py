@@ -279,12 +279,17 @@ def _cmd_fit(args) -> int:
 def _cmd_export(args) -> int:
     if not args.output:
         raise MinsurfError("export requires --output FILE")
+    projection = None
+    if args.projection is not None:
+        try:
+            projection = tuple(int(t) for t in args.projection.split(","))
+        except ValueError:
+            raise ValueError(
+                "--projection must be three comma-separated axis indices, "
+                f"got {args.projection!r}") from None
     spec = _read_spec(args)
     curve = spec.as_curve()
     patch = _immerse(args, spec, curve)
-    projection = None
-    if args.projection:
-        projection = tuple(int(t) for t in args.projection.split(","))
     export_mesh(patch, args.output, fmt=args.format, projection=projection)
     return 0
 

@@ -20,9 +20,9 @@ once on its nv columns iv, so a grid takes nu + nv exponentials per k,
 not one per point and term.  Each valid point has tol as its budget for
 the roundoff level PRIMITIVE_ULPS eps (level(z) + level(z0)), level =
 sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| + |r_i| |log z|.  The budget is
-checked first on the axis tables, with twice the largest |z|^m |e^{ku}|
-|e^{ikv}| of each term, which bounds every point's level; only where
-that fails, or with a log z term, is level(z) computed point by point.
+checked first on the axis tables, on the level at the grid's nearest and
+farthest |z| with the tables' largest factors, doubled (a sum of |z|^m is
+convex in log |z|); else, or with a log z term, each point checks its own.
 Otherwise (outside the class, or over that budget) one
 ``integrate_segments`` call takes the stem and the edges of row k0 and
 of every column toward the points the first L-path reaches, each within
@@ -87,7 +87,8 @@ RANK_CUTOFF = 1e-8
 # exps, in their product when k is not real (for real k, e^{ku} is real
 # and the product rounds as exp(kz) does), in z^m and in the product with
 # c (c log z in log and the product), and the sum of the terms and F(z) -
-# F(z0) round once more
+# F(z0) round once more; a grid checks the level at its nearest and
+# farthest |z| with the tables' largest factors, doubled
 PRIMITIVE_ULPS = 4
 _PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
 _LOG = engine.compile_expr(log(Z))     # Im log z: the engine's own arg z
@@ -303,26 +304,21 @@ class _Primitive:
 
     def _within_budget(self, u, v, eu, ev):
         """Whether every point of the grid u + iv is within the roundoff
-        budget, read off the axes and their tables eu = e^{ku}, ev =
-        e^{ikv}.  |z| is largest at hypot(max |u|, max |v|) and smallest at
-        hypot(min |u|, min |v|), so the larger of |z|^m max |e^{ku}|
-        max |e^{ikv}| at those two bounds each basis function's modulus on
-        the grid, and twice sum_b |C[i, b]| of them bounds level(z) with
-        room for the roundings of both.  Within the budget on that bound,
-        every point is within its own, and a finite bound makes every value
-        finite.  False for a curve with a log z term, or a bound over the
-        budget or not finite (a pole on a grid point makes it inf): each
-        block then checks its points."""
+        budget, from the axis tables eu = e^{ku}, ev = e^{ikv}: the level at
+        the grid's nearest and farthest |z|, with the tables' largest factors
+        A_b, doubled, bounds every point's level with room for both
+        roundings, as each component's sum_b |C[i, b]| r^m_b A_b is convex in
+        log r and so largest on [r_min, r_max] at an end.  A finite bound
+        within budget makes every point finite and within its own.  False
+        with a log z term, or a bound over budget or not finite (a pole on a
+        grid point): each block then checks its points."""
         if any(self.logs):
             return False
-        with np.errstate(all="ignore"):
-            au, av = np.abs(u), np.abs(v)
-            ends = np.hypot([au.max(), au.min()], [av.max(), av.min()])
-            tops = [np.max(t) for t in self._basis(
-                ends, np.abs(eu).max(axis=1), np.abs(ev).max(axis=1))]
-            bound = np.array([sum(abs(coef) * tops[b] for b, coef in terms)
-                              for terms in self.coefs], dtype=float)
-            budget = _PRIMITIVE_ROUNDOFF * (2 * bound + self.base_level[:, 0])
+        au, av = np.abs(u), np.abs(v)
+        ends = np.hypot([au.min(), au.max()], [av.min(), av.max()])
+        factors = (np.abs(t).max(axis=1, keepdims=True) for t in (eu, ev))
+        level = self._primitive(*factors, ends)[1].max(axis=1)
+        budget = _PRIMITIVE_ROUNDOFF * (2 * level + self.base_level[:, 0])
         return bool(np.all(budget <= self.tol))
 
     def _block(self, eu, ev, z, ok, first, out, via, checked=False):
@@ -663,8 +659,8 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
     OBJ carries exactly three coordinates: the first three axes unless a
     ``projection`` (tuple of 3 axis indices) selects others.  PLY is
     binary little-endian and stores all n coordinates as float64 vertex
-    properties named x, y, z, w, ...  Vertices and faces are written in
-    blocks of rows of about BLOCK_POINTS points.
+    properties named x, y, z, w, ...; it refuses a projection.  Vertices
+    and faces are written in blocks of rows of about BLOCK_POINTS points.
     """
     fmt = fmt.lower()
     ok = p.valid
@@ -686,6 +682,9 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
                 for block in blocks:
                     fh.write(line * len(block) % tuple(block.ravel().tolist()))
     elif fmt == "ply":
+        if projection is not None:
+            raise ValueError("a PLY mesh stores all n coordinates and takes "
+                             "no projection")
         names = ["x", "y", "z", "w", "p4", "p5"][:p.n]
         header = ["ply", "format binary_little_endian 1.0",
                   f"element vertex {ok.size}"]
@@ -711,10 +710,13 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     or, where a leg of it passes a puncture, z0 -> (Re z0, v) -> (u, v):
     as in ``immerse`` for a curve with an exact primitive (compiled once,
     here); otherwise, or over that budget, one integrate_segments call of
-    the legs, each within tol, or SingularPath when both paths fail."""
+    the legs, each within tol, or SingularPath when both paths fail.  As
+    in ``immerse``, zeta0 must lie in the rectangle; the points need not."""
     tol = check_tol(tol)
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
+    if not dom.contains(z0):
+        raise ValueError("base point lies outside the domain")
     sample = _primitive_sampler(c, z0, tol)
 
     def f(u, v):

@@ -508,6 +508,16 @@ _DEEP_SUM, _DEEP_NEST = "+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200
     # the probe grid misses the puncture at the rectangle's centre
     (["slice", "--axis", "1", "--value", "0.2"], _PERIODIC.replace(
         "[1, 0]", "[-1, 0.5]"), "AxisNotMonotone", "single parameter"),
+    (["export", "--res", "9x9", "--format", "ply", "--projection", "0,1,2",
+      "--output", "{out}"], _HELICOID, "ValueError", "projection"),
+    (["export", "--projection", "a,b,c", "--output", "{out}"], _HELICOID,
+     "ValueError", "--projection must be three comma-separated axis indices, "
+     "got 'a,b,c'"),
+    (["slice", "--axis", "0", "--value", "0.2", "--npoints", "12",
+      "--base-point", "5+5i"], '{"curve": ["1", "i", "0"]}', "ValueError",
+     "base point lies outside the domain"),
+    (["export", "--projection=", "--output", "{out}"], _HELICOID,
+     "ValueError", "got ''"),
 ])
 def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
                                              error, fragment):

@@ -184,6 +184,29 @@ def test_the_cosh_strip_at_the_budgets_edge(tol, fast):
         assert tree is not fast
 
 
+def test_mixed_powers_are_bounded_at_the_ends_not_term_by_term():
+    # F = (z - 1/z, i(z + 1/z), 0): z grows toward the far end of [0.2, 2]
+    # x [-1, 1], 1/z toward the near one.  The level at either end is
+    # below the sum of each term's largest value, so the grid passes at
+    # 1.3e-14 on the axes, as each of its points does
+    dom = DomainSpec(0.2, 2, -1, 1, punctures=(0j,))
+    c = NullCurve((ex.parse("1 + z^-2"), ex.parse("i*(1 - z^-2)"),
+                   ex.const(0)), dom)
+    tree, d = _same_as_per_point(c, 1 + 0j, (129, 129), 1.3e-14)
+    assert d["budget"] == [True] and not tree
+
+
+def test_a_log_term_off_zero_is_not_bounded_at_the_ends():
+    # F = (i log z, log z, 0) on [-1.2, -0.8] x [0.1, 0.5]: |log z| is
+    # about 3 there, by arg z, while |log r| at the grid's nearest and
+    # farthest |z| on the real axis is below 0.27.  At 4e-15 the points
+    # are over their budget, which those ends would pass
+    dom = DomainSpec(-1.2, -0.8, 0.1, 0.5, punctures=(0j,))
+    c = NullCurve((ex.parse("i/z"), ex.parse("1/z"), ex.const(0)), dom)
+    tree, d = _same_as_per_point(c, -1 + 0.3j, (17, 17), 4e-15, block=7)
+    assert d["budget"] == [False] and tree
+
+
 @pytest.mark.parametrize("curve", ["catenoid", "periodic"])
 def test_a_pole_on_a_grid_point_and_a_log_term_check_each_point(curve):
     # the catenoid's z^-1 primitive term is inf at the grid point 0; the

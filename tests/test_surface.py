@@ -821,6 +821,20 @@ def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths(
     assert calls == []
 
 
+def test_parametric_immersion_refuses_a_base_point_off_the_rectangle():
+    # as immerse does; the points it is evaluated at may still leave it
+    c = NullCurve((ex.const(1), ex.const(1j), ex.const(0)),
+                  DomainSpec(-1, 1, -1, 1))
+    for z0 in (5 + 5j, 1.01, -1.01j):
+        for make in (parametric_immersion, immerse):
+            with pytest.raises(ValueError,
+                               match="base point lies outside the domain"):
+                make(c, zeta0=z0)
+    # X = Re(z - z0, i (z - z0), 0)
+    assert parametric_immersion(c, zeta0=1 + 1j)(3.0, -2.0).tolist() == [
+        2.0, 3.0, 0.0]
+
+
 def _distinct_nodes(exprs):
     """The number of distinct nodes (by identity) under ``exprs``."""
     seen, todo = set(), list(exprs)
@@ -945,6 +959,7 @@ def test_export_obj_projection(tmp_path):
     ("obj", (0, 1, 4), "projection"),
     ("obj", (0, -1, 2), "projection"),
     ("stl", None, "unknown mesh format"),
+    ("ply", (0, 1, 2), "projection"),
 ])
 def test_export_rejects_a_bad_projection_or_format(tmp_path, fmt, projection,
                                                    why):
