@@ -18,6 +18,7 @@ object on stderr: code 1 for library and input errors, 2 for any other.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -42,21 +43,18 @@ _COMPLEX_RE = re.compile(r"^[0-9eE+\-.ij]+$")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' (no spaces); accepts 'i', '-i', '2', '1e-3-2i'.  Any
-    other text, '1+2' among it, is a ValueError that names it."""
-    s = text.strip().replace("i", "j")
-    if not _COMPLEX_RE.match(text.strip()):
-        raise ValueError(f"not a complex number: {text!r}")
-    if s in ("j", "+j"):
-        s = "1j"
-    elif s == "-j":
-        s = "-1j"
-    else:
-        s = re.sub(r"(?<![0-9.])j", "1j", s)
+    """Parse 'a+bi' (no spaces) as ``complex`` reads it with i for j:
+    'i', '-i', '2', '1.i', '1e-3-2i'.  Any other text, '1+2', '9ei' and a
+    value beyond float range among it, is a ValueError that names it."""
+    s = text.strip()
     try:
-        return complex(s)
+        if _COMPLEX_RE.match(s):
+            value = complex(s.replace("i", "j"))
+            if cmath.isfinite(value):
+                return value
     except ValueError:
-        raise ValueError(f"not a complex number: {text!r}") from None
+        pass
+    raise ValueError(f"not a complex number: {text!r}")
 
 
 def _parse_sweep(text: str):
@@ -187,14 +185,15 @@ def _cmd_sample(args) -> int:
     curve = spec.as_curve()
     patch = _immerse(args, spec, curve)
     zz = patch.u[:, None] + 1j * patch.v[None, :]
-    conformal = np.full(patch.valid.shape, None, dtype=object)
+    conformal = np.full(patch.valid.shape, np.nan)
     conformal[patch.valid] = conformal_factor(curve, zz[patch.valid])
+    # null for an invalid cell and for a value beyond float range
     payload = {
         "base_point": [patch.base_point.real, patch.base_point.imag],
         "u": patch.u.tolist(),
         "v": patch.v.tolist(),
         "points": np.where(np.isfinite(patch.points), patch.points, None).tolist(),
-        "conformal": conformal.tolist(),
+        "conformal": np.where(np.isfinite(conformal), conformal, None).tolist(),
     }
     _write_text(args, _json_dumps(payload))
     return 0

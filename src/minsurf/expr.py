@@ -20,12 +20,19 @@ From a form, ``primitive_form`` reads an exact primitive as its terms'
 coefficients, ``antiderivative`` writes those terms as expressions, and
 ``residue`` reads the ``z^{-1}`` coefficient, whose primitive is the one
 ``log`` term.
+
+``parse`` reads one token at a time with the regular expression ``_TOKEN``:
+a number (decimal digits of any script with at most one '.', an optional
+exponent and an optional unit ``i``), a name (word characters, the first
+not a decimal digit), an operator (``**`` reads as ``^``), or any other
+character, a ParseError at its offset, as is a second '.' in a number.
 """
 
 from __future__ import annotations
 
 import cmath
 import operator
+import re
 from dataclasses import dataclass
 
 from .errors import InvalidConstant, ParseError
@@ -514,8 +521,18 @@ def to_source(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 _FUNCS = {"exp": exp, "log": log, "sinh": sinh, "cosh": cosh}
+_BINARY = ({"+": add, "-": sub}, {"*": mul, "/": div})   # loosest first
 
 MAX_DEPTH = 100   # the parser and every tree walker recurse: see ``parse``
+
+
+# ``dot`` is a second '.'; every token ends where the match ends
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>(?:\d+\.?\d*|\.\d+)(?:(?P<dot>\.)|(?:[eE][+-]?\d+)?i?))
+  | (?P<name>[^\W\d]\w*)
+  | (?P<op>\*\*|[-+*/^(),])
+  | (?P<stray>.)
+  | (?P<end>\Z))""", re.VERBOSE)
 
 
 class _Lexer:
@@ -523,48 +540,25 @@ class _Lexer:
         self.text = text
         self.pos = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos)
-        t, ch = self.text, self.text[self.pos]
-        start = self.pos
-        if ch.isdigit() or (ch == "." and start + 1 < len(t) and t[start + 1].isdigit()):
-            j = start
-            while j < len(t) and (t[j].isdigit() or t[j] == "."):
-                if t[j] == "." and "." in t[start:j]:
-                    raise ParseError("second '.' in a number", j)
-                j += 1
-            if j < len(t) and t[j] in "eE":
-                k = j + 1
-                if k < len(t) and t[k] in "+-":
-                    k += 1
-                if k < len(t) and t[k].isdigit():
-                    j = k
-                    while j < len(t) and t[j].isdigit():
-                        j += 1
-            if j < len(t) and t[j] == "i":
-                return ("number", complex(0.0, float(t[start:j])), start, j + 1)
-            return ("number", complex(float(t[start:j]), 0.0), start, j)
-        if ch.isalpha() or ch == "_":
-            j = start
-            while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                j += 1
-            return ("name", t[start:j], start, j)
-        if t.startswith("**", start):
-            return ("op", "^", start, start + 2)
-        if ch in "+-*/^(),":
-            return ("op", ch, start, start + 1)
-        raise ParseError(f"unexpected character {ch!r}", start)
+        """The next token as (kind, value, start, end)."""
+        m = _TOKEN.match(self.text, self.pos)
+        kind, end = m.lastgroup, m.end()
+        text = m[kind]
+        start = end - len(text)
+        if kind == "number":
+            if m["dot"]:
+                raise ParseError("second '.' in a number", end - 1)
+            value = (complex(0.0, float(text[:-1])) if text[-1] == "i"
+                     else complex(float(text), 0.0))
+            return (kind, value, start, end)
+        if kind == "stray":
+            raise ParseError(f"unexpected character {text!r}", start)
+        return (kind, "^" if text == "**" else text, start, end)
 
     def next(self):
         tok = self.peek()
-        if tok[0] != "end":
-            self.pos = tok[3]
+        self.pos = tok[3]
         return tok
 
 
@@ -577,7 +571,7 @@ class _Parser:
         self.lex = _Lexer(text)
 
     def parse(self) -> Expr:
-        e, _ = self._sum(0)
+        e, _ = self._chain(0)
         tok = self.lex.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
@@ -591,29 +585,16 @@ class _Parser:
     def _node(self, e, heights, tok):
         return e, self._within(1 if isinstance(e, Const) else 1 + max(heights), tok)
 
-    def _sum(self, nest):
-        e, h = self._term(nest)
-        while True:
-            tok = self.lex.peek()
-            if tok[0] == "op" and tok[1] in "+-":
-                self.lex.next()
-                rhs, hr = self._term(nest)
-                e, h = self._node(add(e, rhs) if tok[1] == "+" else sub(e, rhs),
-                                  (h, hr), tok)
-            else:
-                return e, h
-
-    def _term(self, nest):
-        e, h = self._factor(nest)
-        while True:
-            tok = self.lex.peek()
-            if tok[0] == "op" and tok[1] in "*/":
-                self.lex.next()
-                rhs, hr = self._factor(nest)
-                e, h = self._node(mul(e, rhs) if tok[1] == "*" else div(e, rhs),
-                                  (h, hr), tok)
-            else:
-                return e, h
+    def _chain(self, nest, level=0):
+        """A left-associative chain of ``_BINARY[level]``'s operators over
+        chains of the next level, or over factors after the last level."""
+        ops, last = _BINARY[level], level + 1 == len(_BINARY)
+        e, h = self._factor(nest) if last else self._chain(nest, level + 1)
+        while (tok := self.lex.peek())[0] == "op" and tok[1] in ops:
+            self.lex.next()
+            rhs, hr = self._factor(nest) if last else self._chain(nest, level + 1)
+            e, h = self._node(ops[tok[1]](e, rhs), (h, hr), tok)
+        return e, h
 
     def _factor(self, nest):
         tok = self.lex.peek()
@@ -661,14 +642,14 @@ class _Parser:
                 open_ = self.lex.next()
                 if open_[:2] != ("op", "("):
                     raise ParseError(f"expected '(' after {name}", open_[2])
-                arg, h = self._sum(self._within(nest + 1, open_))
+                arg, h = self._chain(self._within(nest + 1, open_))
                 close = self.lex.next()
                 if close[:2] != ("op", ")"):
                     raise ParseError(f"expected ')' closing {name}(...)", close[2])
                 return self._node(_FUNCS[name](arg), (h,), tok)
             raise ParseError(f"unknown identifier {name!r}", tok[2])
         if tok[0] == "op" and tok[1] == "(":
-            group = self._sum(self._within(nest + 1, tok))
+            group = self._chain(self._within(nest + 1, tok))
             close = self.lex.next()
             if close[:2] != ("op", ")"):
                 raise ParseError("expected ')'", close[2])

@@ -27,6 +27,7 @@ rather than assumed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -82,6 +83,15 @@ def _finite(name, x) -> float:
     if not math.isfinite(x):
         raise InvalidConstant(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _check_derived(params, derived):
+    """InvalidConstant naming the parameters ``params`` (text such as
+    'c = (1+2j)') when a constant in ``derived`` ({name: value}, each
+    computed from them) is not finite."""
+    for name, value in derived.items():
+        if not cmath.isfinite(value):
+            raise InvalidConstant(f"{name} is not finite for {params}")
 
 
 def _is_zero(e) -> bool:
@@ -191,6 +201,7 @@ def parabolic_rotation_matrix(c: complex) -> NullTransform:
     (see ``lorentz_parabolic_matrix``); the last axis is fixed.
     """
     c = complex(c)
+    _check_derived(f"c = {c}", {"c^2": c * c})
     h = 0.5 * c * c
     m = np.array([
         [1.0, -c, -c * 1j, 0.0],
@@ -209,6 +220,7 @@ def segre_LR_matrix(L: complex, R: complex) -> NullTransform:
     """
     L, R = complex(L), complex(R)
     s, d, p = L + R, L - R, L * R
+    _check_derived(f"L = {L}, R = {R}", {"L+R": s, "L-R": d, "LR": p})
     m = np.array([
         [1.0, -0.5j * s, 0.5 * s, 0.0],
         [0.5j * s, 1.0 + 0.5 * p, 0.5j * p, -0.5 * d],
@@ -242,6 +254,7 @@ def parabolic_deform(w: WeierstrassData, c: complex) -> NullCurve:
     hyperplane (the surface is degenerate).
     """
     c = complex(c)
+    _check_derived(f"c = {c}", {"c^2": c * c})
     g2 = ex.powi(w.G, 2)
     half = ex.const(0.5)
     ihalf = ex.const(0.5j)

@@ -42,7 +42,15 @@ def test_parse_complex_forms():
         parse_complex("nope")
 
 
-@pytest.mark.parametrize("text", ["1+2", "zz", "1e", "2+i3", "", "1+2ii"])
+@pytest.mark.parametrize("text, want", [
+    ("i", 1j), ("+i", 1j), ("-i", -1j), ("1-i", 1 - 1j), (".5i", 0.5j),
+    ("1.i", 1j), ("1e5+i", 1e5 + 1j), ("0i", 0j)])
+def test_parse_complex_reads_a_bare_unit_and_a_bare_point(text, want):
+    assert parse_complex(text) == want
+
+
+@pytest.mark.parametrize("text", ["1+2", "zz", "1e", "2+i3", "", "1+2ii",
+                                  "9ei", "3e-i", "1e400"])
 def test_parse_complex_names_what_it_cannot_read(text):
     # '1+2' passes the character check and then fails in complex()
     with pytest.raises(ValueError) as info:
@@ -518,6 +526,17 @@ _DEEP_SUM, _DEEP_NEST = "+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200
      "base point lies outside the domain"),
     (["export", "--projection=", "--output", "{out}"], _HELICOID,
      "ValueError", "got ''"),
+    (["deform", "--kind", "theorem51", "--c", "1e200"], _HELICOID,
+     "InvalidConstant", "c^2 is not finite for c = (1e+200+0j)"),
+    (["deform", "--kind", "parabolic", "--c", "1e200"], _HELICOID,
+     "InvalidConstant", "c^2 is not finite for c = (1e+200+0j)"),
+    (["deform", "--kind", "segre", "--L", "1e200", "--R", "1e200"],
+     _HELICOID, "InvalidConstant",
+     "LR is not finite for L = (1e+200+0j), R = (1e+200+0j)"),
+    (["deform", "--kind", "theorem51", "--c", "9ei"], _HELICOID,
+     "ValueError", "not a complex number: '9ei'"),
+    (["verify"], '{"curve": ["z^²", "i", "0"]}', "ParseError",
+     "exponent must be an integer (at offset 2)"),
 ])
 def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
                                              error, fragment):
@@ -662,15 +681,19 @@ def test_a_sweep_that_cannot_be_evaluated_names_itself_and_the_rectangle(
     assert code == 0 and len(out.splitlines()) == 101
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.filterwarnings("error")
 def test_sample_of_an_overflowing_metric_writes_nothing_on_stderr(cli):
-    # |1e200|^2 overflows in the conformal factor, which reads inf
+    # |1e200|^2 overflows in the conformal factor, which is written null
     stdin = ('{"curve": ["2", "2", "1e200", "sinh(1)"], '
              '"domain": {"rect": [0, 1, 0, 1]}}')
     code, out, err = cli(["sample", "--res", "3x3"], stdin=stdin)
     assert code == 0 and err == ""
-    report = json.loads(out)
-    assert report["conformal"] == [[math.inf] * 3] * 3
+    report = json.loads(out, parse_constant=_refuse_constant)
+    assert report["conformal"] == [[None] * 3] * 3
 
 
 def test_an_overflowing_product_is_passed_on_as_written(cli):

@@ -149,6 +149,33 @@ def test_parse_errors_carry_their_offset(text, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize("text, want", [
+    ("1.2.3*z", ("second '.' in a number", 3)),
+    ("1..2", ("second '.' in a number", 2)),
+    (".5.", ("second '.' in a number", 2)),
+    ("1.e5", "100000"),
+    ("1e5.3", ("trailing input (0.3+0j)", 3)),
+    ("1e", ("trailing input 'e'", 1)),       # an exponent needs a digit
+    ("1e+", ("trailing input 'e'", 1)),
+    ("2.5e-3i", "0.0025*i"),
+    ("z**2", "z^2"),
+    (" z ", "z"),
+    ("٣*z", "3*z"),                          # a decimal digit of any script
+    (".", ("unexpected character '.'", 0)),
+    ("z^²", ("exponent must be an integer", 2)),   # not a decimal digit
+    ("²", ("unknown identifier '²'", 0)),
+])
+def test_the_scanner_reads_numbers_and_stray_characters(text, want):
+    if isinstance(want, str):
+        assert ex.to_source(ex.parse(text)) == want
+        return
+    message, offset = want
+    with pytest.raises(ParseError) as info:
+        ex.parse(text)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.offset == offset
+
+
 @pytest.mark.parametrize("text, offset", [
     ("+".join(["z"] * 400), 199),              # the '+' making 101 terms
     ("z*" * 400 + "z", 199),
