@@ -95,7 +95,19 @@ def _write_text(args, text: str) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON of obj, each float that is not finite written null."""
+    return json.dumps(_finite_or_none(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _finite_or_none(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return obj
 
 
 def _base_point(args, spec):
@@ -192,8 +204,8 @@ def _cmd_sample(args) -> int:
         "base_point": [patch.base_point.real, patch.base_point.imag],
         "u": patch.u.tolist(),
         "v": patch.v.tolist(),
-        "points": np.where(np.isfinite(patch.points), patch.points, None).tolist(),
-        "conformal": np.where(np.isfinite(conformal), conformal, None).tolist(),
+        "points": patch.points.tolist(),
+        "conformal": conformal.tolist(),
     }
     _write_text(args, _json_dumps(payload))
     return 0
@@ -260,8 +272,7 @@ def _cmd_fit(args) -> int:
     report = {
         "classification": fit.classification,
         "coefficients": fit.coefficients.tolist(),
-        "eccentricity": (None if math.isnan(fit.eccentricity)
-                         else fit.eccentricity),
+        "eccentricity": fit.eccentricity,
         "residual": fit.residual,
         "planarity_residual": pc.planarity_residual,
     }

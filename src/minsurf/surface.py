@@ -2,12 +2,12 @@
 
 The immersion is X = Re of the path integral of the curve, anchored so
 that X(z0) = 0; on the puncture-free rectangle it does not depend on the
-path.  ``immerse`` first finds the valid grid points: those that keep
-more than 1.25 cell diagonals from every puncture, as does one of their
-L-paths from z0, the stem to the nearest grid point g(j0, k0) then row
-k0 and column j, or the stem, column j0 and row k.  The L-paths keep
-inside the rectangle, so when every puncture lies farther than that from
-it, every point is valid and no distance is measured.  When
+path.  ``immerse`` first finds the valid grid points: those one of whose
+L-paths from z0 (``_l_paths``), the stem to the nearest grid point
+g(j0, k0) then row k0 and column j, or the stem, column j0 and row k,
+keeps more than 1.25 cell diagonals from every puncture.  The L-paths
+keep inside the rectangle, so when every puncture lies farther than that
+from it, every point is valid and no distance is measured.  When
 ``expr.primitive_form`` of each of the curve's ``forms`` (read once per
 curve) is an exact primitive (sums of c z^n e^{kz}, n negative only where
 k = 0: every catalog curve and its constant linear deformations), each
@@ -45,7 +45,6 @@ Verification instruments:
                     so they read the patch alone; the stencil works on
                     one component plane at a time, and E, G, F add the
                     planes in the order of numpy's sum over components
-* wirtinger_defect  max |2 dX/dz - phi| on the same central differences
 * export_mesh       OBJ (text, 9 significant digits) / PLY (binary,
                     float64, all n coordinates as vertex properties)
 
@@ -131,41 +130,49 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     """Sample X = Re integral of the curve on a grid of the curve's
     domain, with X(zeta0) = 0.
 
-    zeta0 defaults to the grid point nearest the domain center.  A grid
-    point is valid when it and one of its L-paths from zeta0 keep more
-    than 1.25 cell diagonals from every puncture (see the module
-    docstring); the others are NaN.  With an exact primitive each valid
-    point is Re(F(z) - F(zeta0)) within tol, continued along that L-path
-    across the log's cut, in one pass over blocks of whole grid rows;
-    otherwise each tree is one ``integrate_segments`` call.
+    zeta0 defaults to the grid point nearest the domain's default base
+    point or, when a puncture masks that one, the grid point nearest it
+    that clears every puncture.  A grid point is valid when one of its
+    L-paths from zeta0 keeps more than 1.25 cell diagonals from every
+    puncture (see the module docstring); the others are NaN.  With an
+    exact primitive each valid point is Re(F(z) - F(zeta0)) within tol,
+    continued along that L-path across the log's cut, in one pass over
+    blocks of whole grid rows; otherwise each tree is one
+    ``integrate_segments`` call.
     """
     tol = check_tol(tol)
     domain = c.domain
     nu, nv = res
     u, v = domain.grid(nu, nv)
+    clearance = 1.25 * float(np.hypot(u[1] - u[0], v[1] - v[0]))
 
     if zeta0 is None:
         z0 = domain.default_base_point()
         zeta0 = complex(u[_nearest_index(u, z0.real)],
                         v[_nearest_index(v, z0.imag)])
+        if domain.puncture_distance(zeta0) <= clearance:
+            # masked: the grid point nearest it that clears every puncture
+            zz = _grid_points(u, v)
+            far = np.where(domain.puncture_distance(zz) > clearance,
+                           np.abs(zz - zeta0), np.inf)
+            zeta0 = complex(zz.flat[np.argmin(far)])
     zeta0 = complex(zeta0)
     if not domain.contains(zeta0):
         raise ValueError("base point lies outside the domain")
 
-    clearance = 1.25 * float(np.hypot(u[1] - u[0], v[1] - v[0]))
-    j0 = _nearest_index(u, zeta0.real)
-    k0 = _nearest_index(v, zeta0.imag)
-    # row k0 and column j0 of the grid, as _grid_points makes them
-    row = _grid_points(u, v[k0:k0 + 1])[:, 0]
-    col = _grid_points(u[j0:j0 + 1], v)[0]
-    g = col[k0]
+    j0, k0 = _nearest_index(u, zeta0.real), _nearest_index(v, zeta0.imag)
+    g = u[j0] + 1j * v[k0]
 
     if _far_from_punctures(domain, clearance):
         # every L-path keeps inside the rectangle, so all of them clear
         valid = first = np.ones((nu, nv), bool)
     else:
-        valid, first = _reach(domain, clearance, _grid_points(u, v), zeta0,
-                              j0, k0)
+        def clear(a, b):
+            return domain.puncture_distance(a, b) > clearance
+
+        first, valid = _l_paths(clear, g, u[:, None], v[None, :])
+        stem = clear(zeta0, g)
+        first, valid = first & stem, valid & stem
         if not valid[j0, k0]:
             raise ValueError("base point is masked by a puncture")
 
@@ -173,7 +180,8 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
 
     def via(rows):   # the corners of the points' L-paths after the stem
         j, k = np.divmod(rows, nv)
-        return g, np.where(first.ravel()[rows], row[j], col[k])
+        return g, np.where(first.ravel()[rows], u[j] + 1j * g.imag,
+                           g.real + 1j * v[k])
 
     sample = _primitive_sampler(c, zeta0, tol)
     if sample is None or not sample.grid(u, v, valid, planes, via):
@@ -192,7 +200,7 @@ def _far_from_punctures(domain, clearance):
     """Whether every puncture lies farther than clearance from the closed
     rectangle, by more than the roundoff of ``puncture_distance`` (a few
     eps of the largest coordinate; 2^-40 of it is ample): then every grid
-    point and L-path clears them, as ``_reach`` would find."""
+    point and L-path clears them, as ``_l_paths`` would find."""
     bounds = (domain.u_min, domain.u_max, domain.v_min, domain.v_max)
     for p in domain.punctures:
         du = max(domain.u_min - p.real, 0.0, p.real - domain.u_max)
@@ -203,19 +211,15 @@ def _far_from_punctures(domain, clearance):
     return True
 
 
-def _reach(domain, clearance, zz, zeta0, j0, k0):
-    """The reach rule of the module docstring on the grid zz: ``valid``, a
-    point and one of its L-paths clear the punctures, the stem to g then
-    row k0 and column j (the spanning tree's path, to the points
-    ``first``), or the stem, column j0 and row k."""
-    def clear(a, b=None):
-        return domain.puncture_distance(a, b) > clearance
-
-    g = zz[j0, k0]
-    stem = clear(zeta0, g)
-    first = stem & clear(g, zz[:, k0])[:, None] & clear(zz[:, k0, None], zz)
-    valid = clear(zz) & (first | stem & clear(g, zz[j0]) & clear(zz[j0], zz))
-    return valid, first
+def _l_paths(clear, a, x, y):
+    """The L-paths from a to the points x + iy (x, y broadcast) under the
+    segment test clear(p, q): ``first`` where both legs of a -> (x, Im a)
+    -> x + iy pass, ``valid`` where that path or a -> (Re a, y) -> x + iy
+    does.  No segment lies farther from a puncture than its end does."""
+    z = x + 1j * y
+    row, col = x + 1j * a.imag, a.real + 1j * y
+    first = clear(a, row) & clear(row, z)
+    return first, first | clear(a, col) & clear(col, z)
 
 
 def _primitive_sampler(c, zeta0, tol):
@@ -552,18 +556,6 @@ def real_period(c: NullCurve):
     return np.array([(2j * math.pi * r).real for r in res])
 
 
-def _central_differences(X, valid, hu, hv):
-    """X_u and X_v by central differences at the interior points of the
-    component-major grid samples X, shape (n, nu, nv), each of shape
-    (n, nu - 2, nv - 2), with the mask of the interior points whose four
-    neighbours are all ``valid``."""
-    xu = (X[:, 2:, 1:-1] - X[:, :-2, 1:-1]) / (2 * hu)
-    xv = (X[:, 1:-1, 2:] - X[:, 1:-1, :-2]) / (2 * hv)
-    ok = (valid[1:-1, 1:-1] & valid[:-2, 1:-1] & valid[2:, 1:-1]
-          & valid[1:-1, :-2] & valid[1:-1, 2:])
-    return xu, xv, ok
-
-
 def verify_minimal(p: SurfacePatch) -> dict:
     """Finite-difference minimality check on interior grid points.
 
@@ -588,8 +580,13 @@ def verify_minimal(p: SurfacePatch) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(1, nu - 1, rows):
             X = np.moveaxis(p.points[lo - 1:lo + rows + 1], 2, 0)
-            xu, xv, ok = _central_differences(
-                X, p.valid[lo - 1:lo + rows + 1], hu, hv)
+            valid = p.valid[lo - 1:lo + rows + 1]
+            # X_u and X_v by central differences, at the interior points
+            # whose four neighbours are all valid
+            xu = (X[:, 2:, 1:-1] - X[:, :-2, 1:-1]) / (2 * hu)
+            xv = (X[:, 1:-1, 2:] - X[:, 1:-1, :-2]) / (2 * hv)
+            ok = (valid[1:-1, 1:-1] & valid[:-2, 1:-1] & valid[2:, 1:-1]
+                  & valid[1:-1, :-2] & valid[1:-1, 2:])
             # the planes summed in order, which holds the bits of numpy's
             # sum over a last axis only while n < 8 (it adds fewer than 8
             # elements in order, more pairwise): every allowed n is 3 to 6
@@ -623,17 +620,6 @@ def verify_minimal(p: SurfacePatch) -> dict:
         "harmonicity_defect": float(harm),
         "interior_points": count,
     }
-
-
-def wirtinger_defect(p: SurfacePatch, c: NullCurve) -> float:
-    """Max |2 dX/dz - phi| over interior points, via central differences.
-    Checks that the sampled immersion really derives from the curve.
-    phi is evaluated only where the stencil's points are all valid, so a
-    pole on a masked grid point is never evaluated."""
-    xu, xv, ok = _central_differences(np.moveaxis(p.points, 2, 0), p.valid,
-                                      *p.spacing())
-    phi = c((p.u[1:-1, None] + 1j * p.v[None, 1:-1])[ok])
-    return float(np.max(np.abs((xu - 1j * xv)[:, ok].T - phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +693,12 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
                          tol: float = 1e-11) -> ParametricSurface:
     """Immersion X(u, v) = Re integral of the curve, anchored at zeta0,
     for slicing and spot checks, along the L-path z0 -> (u, Im z0) -> (u, v)
-    or, where a leg of it passes a puncture, z0 -> (Re z0, v) -> (u, v):
-    as in ``immerse`` for a curve with an exact primitive (compiled once,
-    here); otherwise, or over that budget, one integrate_segments call of
-    the legs, each within tol, or SingularPath when both paths fail.  As
-    in ``immerse``, zeta0 must lie in the rectangle; the points need not."""
+    or, where a leg of it passes a puncture (``_l_paths`` under
+    ``hits_puncture``), z0 -> (Re z0, v) -> (u, v): as in ``immerse`` for a
+    curve with an exact primitive (compiled once, here); otherwise, or over
+    that budget, one integrate_segments call of the legs, each within tol,
+    or SingularPath when both paths fail.  As in ``immerse``, zeta0 must
+    lie in the rectangle; the points need not."""
     tol = check_tol(tol)
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
@@ -722,21 +709,14 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     def f(u, v):
         z = (u + 1j * v).ravel()
         x = np.empty((z.size, c.n))     # C-contiguous, written through x.T
-
-        def blocked(w, to):   # whether a leg z0 -> w -> to passes a puncture
-            return hits_puncture(dom, z0, w) | hits_puncture(dom, w, to)
-
-        def corner(to):
-            w = to.real + 1j * z0.imag
-            return np.where(blocked(w, to), z0.real + 1j * to.imag, w)
-
+        first, valid = _l_paths(lambda a, b: ~hits_puncture(dom, a, b), z0,
+                                z.real, z.imag)
+        corners = np.where(first, z.real + 1j * z0.imag, z0.real + 1j * z.imag)
         if sample is not None and sample.points(
-                z, x.T, lambda rows: (corner(z[rows]),)):
+                z, x.T, lambda rows: (corners[rows],)):
             return x.reshape(u.shape + (c.n,))
-        corners = corner(z)
-        bad = blocked(corners, z)
-        if np.any(bad):
-            raise SingularPath(f"no L-path from {z0} to {z[bad][0]} keeps "
+        if not valid.all():
+            raise SingularPath(f"no L-path from {z0} to {z[~valid][0]} keeps "
                                "off the punctures")
         vals = integrate_segments(c.components,
                                   np.append(np.full(z.size, z0), corners),

@@ -142,13 +142,15 @@ _OVERFLOWING = ('{"curve": ["-1", "1e-300", "1e200"], '
 
 
 def test_verify_of_an_overflowing_curve_is_not_null(cli):
-    # the squares of 1e200 overflow; the report says so rather than null
+    # the squares of 1e200 overflow; the report says so rather than null,
+    # in strict JSON: its inf and NaN fields are written null
     code, report, _ = cli(["verify", "--res", "9x9"], stdin=_OVERFLOWING)
     assert code == 0
-    rep = json.loads(report)
+    rep = json.loads(report, parse_constant=_refuse_constant)
     assert rep["is_null"] is False
-    assert rep["null_residual"] == rep["normalizer"] == math.inf
-    assert math.isnan(rep["minimality"]["conformality_defect"])
+    assert rep["null_residual"] is rep["normalizer"] is None
+    assert rep["relative_residual"] is None
+    assert rep["minimality"]["conformality_defect"] is None
 
 
 @pytest.mark.filterwarnings("error")
@@ -238,6 +240,17 @@ def test_slice_fit_line_case(cli):
                      "--npoints", "40", "--sweep=-1:1"], stdin=deformed)
     _, fitted, _ = cli(["fit"], stdin=csv)
     assert json.loads(fitted)["classification"] == "line"
+
+
+def test_fit_of_a_line_writes_its_infinite_eccentricity_null(cli):
+    _, spec, _ = cli(["catalog", "show", "helicoid"])
+    _, deformed, _ = cli(["deform", "--kind", "theorem51", "--c", "1"],
+                         stdin=spec)
+    _, csv, _ = cli(["slice", "--axis", "3", "--value", "0"], stdin=deformed)
+    code, fitted, _ = cli(["fit"], stdin=csv)
+    assert code == 0
+    rep = json.loads(fitted, parse_constant=_refuse_constant)
+    assert rep["classification"] == "line" and rep["eccentricity"] is None
 
 
 def test_corollary_kind(cli):

@@ -19,7 +19,7 @@ from minsurf.quadrature import hits_puncture
 from minsurf.surface import (_triangle_blocks, conformal_factor,
                              degeneracy_rank, export_mesh, gauss_map, immerse,
                              load_obj_vertices, parametric_immersion,
-                             real_period, verify_minimal, wirtinger_defect)
+                             real_period, verify_minimal)
 from minsurf.transforms import (associate, lawson, parabolic_deform,
                                 parabolic_deform_rotated)
 
@@ -312,24 +312,16 @@ def test_deformed_catenoid_defects():
     assert rep["harmonicity_defect"] <= 1e-4
 
 
-def test_wirtinger_consistency():
-    # a puncture on the entire helicoid masks cells but leaves phi finite,
-    # so a NaN from a masked point would show past the ok mask
+def test_helicoid_matches_closed_form_at_the_valid_points():
+    # a puncture on the entire helicoid masks cells but leaves phi finite;
+    # the valid points keep the closed form
     for punctures in [(), (0.3 - 0.2j,)]:
         dom = DomainSpec(-1, 1, -1, 1, punctures=punctures)
         c3 = replace(from_weierstrass(cat.helicoid()), domain=dom)
         p = immerse(c3, res=(64, 64), zeta0=0)
         assert p.valid.all() == (not punctures)
-        h = p.spacing()[0]
-        assert wirtinger_defect(p, c3) <= 10 * h * h
-
-
-def test_wirtinger_defect_skips_a_pole_on_a_masked_point():
-    # the catenoid's pole 0 is a grid point of the punctured 65 x 65 grid
-    c = _punctured_catenoid()
-    p = immerse(c, zeta0=1 + 0j, res=(65, 65))
-    assert p.u[32] == p.v[32] == 0 and not p.valid[32, 32]
-    assert np.isfinite(wirtinger_defect(p, c))
+        oracle = _closed_form_grid(cat.helicoid_closed_form(), p)
+        assert np.max(np.abs(p.points - oracle)[p.valid]) <= 1e-10
 
 
 def test_verify_needs_grid():
@@ -800,6 +792,72 @@ def test_immerse_and_parametric_immersion_differ_only_by_whole_periods(
     assert np.max(np.abs(got - want - w[:, None] * period)) <= 1e-12
     assert np.all(w[same] == 0) and np.array_equal(got[same], want[same])
     assert np.count_nonzero(w) == sheets and not same.all()
+
+
+def _clear_of(punctures, clearance):
+    """The segment test of immerse for the given punctures and clearance."""
+    dom = DomainSpec(-3, 3, -3, 3, punctures=punctures)
+    return lambda a, b: dom.puncture_distance(a, b) > clearance
+
+
+@pytest.mark.parametrize("puncture, clearance, first, valid", [
+    (2 + 1j, 0.25, False, True),       # between the corners 2 and 2i, on
+                                       # the row-first path's second leg
+    (0.1 + 0.1j, 0.25, False, False),  # beside 0, on both paths' first legs
+    (2 + 2j, 0.25, False, False),      # on the endpoint
+    (1 - 0.25j, 0.25, False, True),    # exactly the clearance from 0 -> 2
+    (1 - 0.25j, np.nextafter(0.25, 0), True, True),   # just beyond it
+])
+def test_l_paths_from_0_to_2_plus_2i(puncture, clearance, first, valid):
+    got = surface_mod._l_paths(_clear_of((puncture,), clearance), 0j,
+                               np.array(2.0), np.array(2.0))
+    assert (bool(got[0]), bool(got[1])) == (first, valid)
+
+
+def test_l_paths_on_broadcast_axes_match_flat_points():
+    clear = _clear_of((0.3 - 0.2j, -0.5 + 0.6j), 0.2)
+    u, v, a = np.linspace(-1, 1, 9), np.linspace(-1, 1, 7), 0.25 + 0.5j
+    grid = surface_mod._l_paths(clear, a, u[:, None], v[None, :])
+    x, y = np.meshgrid(u, v, indexing="ij")
+    flat = surface_mod._l_paths(clear, a, x.ravel(), y.ravel())
+    for g, f in zip(grid, flat):
+        assert g.shape == (9, 7) and np.array_equal(g.ravel(), f)
+    first, valid = grid
+    assert np.any(valid & ~first) and not valid.all() and first.any()
+
+
+def test_default_base_point_is_never_masked():
+    # (1/(z - p), i/(z - p), 0) punctured at p near the centre of [-1, 1]^2,
+    # with no base point: where the snapped default lies within the
+    # clearance of p, immerse anchors at the nearest grid point clear of it,
+    # and keeps the snapped default everywhere else
+    rng = np.random.default_rng(20261019)
+    moved = 0
+    for _ in range(200):
+        p = complex(*rng.uniform(-0.3, 0.3, 2))
+        m = int(rng.integers(5, 40))
+        dz = ex.sub(ex.Z, ex.const(p))
+        c = NullCurve((ex.div(1, dz), ex.div(1j, dz), ex.const(0)),
+                      DomainSpec(punctures=(p,)))
+        patch = immerse(c, res=(m, m))
+        u, v = patch.u, patch.v
+        clearance = 1.25 * np.hypot(u[1] - u[0], v[1] - v[0])
+        z0 = c.domain.default_base_point()
+        snapped = complex(u[np.argmin(np.abs(u - z0.real))],
+                          v[np.argmin(np.abs(v - z0.imag))])
+        b = patch.base_point
+        j0, k0 = np.argmin(np.abs(u - b.real)), np.argmin(np.abs(v - b.imag))
+        assert b == complex(u[j0], v[k0]) and patch.valid[j0, k0]
+        assert np.all(patch.points[j0, k0] == 0)
+        if abs(snapped - p) > clearance:
+            assert b == snapped
+            continue
+        moved += 1
+        zz = u[:, None] + 1j * v[None, :]
+        clear = np.abs(zz - p) > clearance
+        far = np.abs(zz - snapped)
+        assert clear[j0, k0] and far[j0, k0] == np.min(far[clear])
+    assert moved >= 20
 
 
 def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths(
