@@ -29,12 +29,15 @@ def real_numbers(value, count: int, what: str) -> tuple:
 def halton(count: int, skip: int = 0) -> np.ndarray:
     """First ``count`` points of the (2,3)-Halton sequence after ``skip``,
     as an array of shape (count, 2) in the unit square.  A negative skip
-    is a ValueError: the digits of a negative index never run out."""
+    is a ValueError: the digits of a negative index never run out; so is
+    an index skip + count beyond int64, which numpy cannot hold."""
     if skip < 0:
         raise ValueError(f"Halton skip must be non-negative, got {skip}")
+    if skip + count > np.iinfo(np.int64).max:
+        raise ValueError(f"Halton skip {skip} takes the index past int64")
     pts = np.zeros((count, 2))
     for j, base in enumerate((2, 3)):   # radical inverses, digit by digit
-        n, denom = np.arange(skip + 1, skip + count + 1), 1.0
+        n, denom = np.arange(1, count + 1) + skip, 1.0
         while np.any(n):
             denom *= base
             n, rem = np.divmod(n, base)

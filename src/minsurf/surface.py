@@ -14,15 +14,17 @@ k = 0: every catalog curve and its constant linear deformations), each
 component is F_i = sum_b C[i, b] z^m e^{kz} + r_i log z over the curve's
 distinct basis functions z^m e^{kz}, and X is Re(F(z) - F(z0)) on the
 domain's branch cut plus w Re(2 pi i r_i), w the signed number of times
-the point's L-path crosses the cut.  Each e^{kz} is e^{ku} e^{ikv}, from
-one program of the distinct e^{kz} run once on the grid's nu rows u and
-once on its nv columns iv, so a grid takes nu + nv exponentials per k,
-not one per point and term.  Each valid point has tol as its budget for
-the roundoff level PRIMITIVE_ULPS eps (level(z) + level(z0)), level =
-sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| + |r_i| |log z|.  The budget is
-checked first on the axis tables, on the level at the grid's nearest and
-farthest |z| with the tables' largest factors, doubled (a sum of |z|^m is
-convex in log |z|); else, or with a log z term, each point checks its own.
+the point's L-path crosses the cut.  One entry, ``_Primitive.fill``,
+serves grids (``immerse``) and flat point sets (``parametric_immersion``):
+each e^{kz} is e^{ku} e^{ikv}, from one program of the distinct e^{kz} run
+once on the u and once on the iv that broadcast to the points, so a grid
+takes nu + nv exponentials per k, not one per point and term.  Each valid
+point has tol as its budget for the roundoff level PRIMITIVE_ULPS eps
+(level(z) + level(z0)), level = sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| +
+|r_i| |log z|.  The budget is checked first on the two tables, on the
+level at the nearest and farthest |z| that the ranges of |u| and |v|
+allow, with the tables' largest factors, doubled (a sum of |z|^m is convex
+in log |z|); else, or with a log z term, each point checks its own.
 Otherwise (outside the class, or over that budget) one
 ``integrate_segments`` call takes the stem and the edges of row k0 and
 of every column toward the points the first L-path reaches, each within
@@ -43,8 +45,8 @@ Verification instruments:
                     (E = G, F = 0) and harmonicity (5-point Laplacian)
                     defects, both scaled by the sampled metric E + G,
                     so they read the patch alone; the stencil works on
-                    one component plane at a time, and E, G, F add the
-                    planes in the order of numpy's sum over components
+                    one component plane at a time, and E, G, F are
+                    numpy's sums over the planes
 * export_mesh       OBJ (text, 9 significant digits) / PLY (binary,
                     float64, all n coordinates as vertex properties)
 
@@ -86,8 +88,8 @@ RANK_CUTOFF = 1e-8
 # exps, in their product when k is not real (for real k, e^{ku} is real
 # and the product rounds as exp(kz) does), in z^m and in the product with
 # c (c log z in log and the product), and the sum of the terms and F(z) -
-# F(z0) round once more; a grid checks the level at its nearest and
-# farthest |z| with the tables' largest factors, doubled
+# F(z0) round once more; a grid or a point set checks the level at its
+# nearest and farthest |z| with the tables' largest factors, doubled
 PRIMITIVE_ULPS = 4
 _PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
 _LOG = engine.compile_expr(log(Z))     # Im log z: the engine's own arg z
@@ -184,7 +186,8 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
                            g.real + 1j * v[k])
 
     sample = _primitive_sampler(c, zeta0, tol)
-    if sample is None or not sample.grid(u, v, valid, planes, via):
+    if sample is None or not sample.fill(u[:, None], v[None, :], valid,
+                                         planes, via):
         planes[:, valid.ravel()] = _tree_integrals(
             c, tol, _grid_points(u, v), zeta0, j0, k0, first, valid)
     points = planes.reshape(c.n, nu, nv).transpose(1, 2, 0)
@@ -236,9 +239,9 @@ class _Primitive:
     """The exact route of the module docstring for one curve and zeta0:
     each component's coefficients C[i, b] over the curve's distinct basis
     functions z^m e^{kz}, its log z coefficient r_i (``_LOG`` on the cut),
-    and the one program of the distinct e^{kz}.  ``grid`` and ``points``
-    take the same elementwise steps at each point, so a point's bits
-    depend neither on the caller nor on the block."""
+    and the one program of the distinct e^{kz}.  ``fill`` takes the same
+    elementwise steps at each point of a grid or of a flat set, so a
+    point's bits depend neither on the caller nor on the block."""
 
     def __init__(self, c, forms, zeta0, tol):
         self.n, self.zeta0, self.tol = c.n, zeta0, tol
@@ -307,20 +310,21 @@ class _Primitive:
         return F, levels
 
     def _within_budget(self, u, v, eu, ev):
-        """Whether every point of the grid u + iv is within the roundoff
-        budget, from the axis tables eu = e^{ku}, ev = e^{ikv}: the level at
-        the grid's nearest and farthest |z|, with the tables' largest factors
-        A_b, doubled, bounds every point's level with room for both
-        roundings, as each component's sum_b |C[i, b]| r^m_b A_b is convex in
-        log r and so largest on [r_min, r_max] at an end.  A finite bound
-        within budget makes every point finite and within its own.  False
-        with a log z term, or a bound over budget or not finite (a pole on a
-        grid point): each block then checks its points."""
-        if any(self.logs):
+        """Whether every point u + iv (u, v broadcast) is within the
+        roundoff budget, from the tables eu = e^{ku}, ev = e^{ikv}: the
+        level at the nearest and farthest |z| that the ranges of |u| and |v|
+        allow, with the tables' largest factors A_b, doubled, bounds every
+        point's level with room for both roundings, as each component's
+        sum_b |C[i, b]| r^m_b A_b is convex in log r and so largest on
+        [r_min, r_max] at an end.  A finite bound within budget makes every
+        point finite and within its own.  False with a log z term, no point,
+        or a bound over budget or not finite (a pole at a point)."""
+        if any(self.logs) or not (u.size and v.size):
             return False
         au, av = np.abs(u), np.abs(v)
         ends = np.hypot([au.min(), au.max()], [av.min(), av.max()])
-        factors = (np.abs(t).max(axis=1, keepdims=True) for t in (eu, ev))
+        factors = (np.abs(t).max(axis=tuple(range(1, t.ndim))).reshape(-1, 1)
+                   for t in (eu, ev))
         level = self._primitive(*factors, ends)[1].max(axis=1)
         budget = _PRIMITIVE_ROUNDOFF * (2 * level + self.base_level[:, 0])
         return bool(np.all(budget <= self.tol))
@@ -354,40 +358,29 @@ class _Primitive:
         np.copyto(out, F, where=ok)
         return True
 
-    def grid(self, u, v, valid, out, via):
-        """X at the ``valid`` points of the grid u + iv into out, shape
-        (n, nu nv), in blocks of whole rows of about BLOCK_POINTS points,
-        from one table of the nv columns e^{ikv} and one of the nu rows
-        e^{ku}; the roundoff budget is checked once on those tables
-        (``_within_budget``), and per point only where that fails.  via is
-        called, on the flat indices ``rows`` of a block's valid points,
+    def fill(self, x, y, ok, out, via):
+        """X at the points x + iy where ``ok`` holds into out, shape (n,
+        ok.size); x, y and ok broadcast to ok's shape, as u[:, None],
+        v[None, :] for a grid or z.real, z.imag for flat points.  One table
+        of e^{iky} and one of e^{kx}, with the budget checked once on them
+        (``_within_budget``) and per point only where that fails; blocks of
+        whole rows (ok's leading axis) of about BLOCK_POINTS points.  via
+        is called, on the flat indices ``rows`` of a block's ``ok`` points,
         only for a nonzero period, for the corners of their paths from
         zeta0 (see ``_sheet``).  False as soon as a block fails."""
-        nv = v.size
-        ev = self._tables(1j * v)
-        eu = self._tables(u)
-        checked = self._within_budget(u, v, eu, ev)
-        ev = ev[:, None, :]
-        step = max(1, BLOCK_POINTS // nv)
-        for lo in range(0, u.size, step):
-            ub = u[lo:lo + step]
-            if not self._block(eu[:, lo:lo + step, None], ev,
-                               ub[:, None] + 1j * v, valid[lo:lo + step],
-                               lo * nv, out[:, lo * nv:(lo + step) * nv], via,
+        ev = self._tables(1j * y)
+        eu = self._tables(x)
+        checked = self._within_budget(x, y, eu, ev)
+        row = math.prod(ok.shape[1:])
+        step = max(1, BLOCK_POINTS // row)
+        for lo in range(0, len(ok), step):
+            at = slice(lo, lo + step)
+            # a table whose rows broadcast serves every block whole
+            xb, eb = (x[at], eu[:, at]) if len(x) > 1 else (x, eu)
+            yb, fb = (y[at], ev[:, at]) if len(y) > 1 else (y, ev)
+            if not self._block(eb, fb, xb + 1j * yb, ok[at], lo * row,
+                               out[:, lo * row:(lo + step) * row], via,
                                checked):
-                return False
-        return True
-
-    def points(self, z, out, via):
-        """X at each of the points z into out, shape (n, z.size), in blocks
-        of BLOCK_POINTS, as ``grid`` does but with each point's own budget
-        check; False as soon as a block fails."""
-        for lo in range(0, z.size, BLOCK_POINTS):
-            zb = z[lo:lo + BLOCK_POINTS]
-            e = self._tables(np.concatenate([zb.real, 1j * zb.imag]))
-            if not self._block(e[:, :zb.size], e[:, zb.size:], zb,
-                               np.ones(zb.size, bool), lo,
-                               out[:, lo:lo + BLOCK_POINTS], via):
                 return False
         return True
 
@@ -587,14 +580,7 @@ def verify_minimal(p: SurfacePatch) -> dict:
             xv = (X[:, 1:-1, 2:] - X[:, 1:-1, :-2]) / (2 * hv)
             ok = (valid[1:-1, 1:-1] & valid[:-2, 1:-1] & valid[2:, 1:-1]
                   & valid[1:-1, :-2] & valid[1:-1, 2:])
-            # the planes summed in order, which holds the bits of numpy's
-            # sum over a last axis only while n < 8 (it adds fewer than 8
-            # elements in order, more pairwise): every allowed n is 3 to 6
-            E, G, F = xu[0] * xu[0], xv[0] * xv[0], xu[0] * xv[0]
-            for a, b in zip(xu[1:], xv[1:]):
-                E += a * a
-                G += b * b
-                F += a * b
+            E, G, F = (xu * xu).sum(0), (xv * xv).sum(0), (xu * xv).sum(0)
             scale = E + G
             ok &= scale != 0    # a zero metric gives no scale to read a defect on
             count += int(np.sum(ok))
@@ -697,8 +683,9 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     ``hits_puncture``), z0 -> (Re z0, v) -> (u, v): as in ``immerse`` for a
     curve with an exact primitive (compiled once, here); otherwise, or over
     that budget, one integrate_segments call of the legs, each within tol,
-    or SingularPath when both paths fail.  As in ``immerse``, zeta0 must
-    lie in the rectangle; the points need not."""
+    or SingularPath when both paths fail.  The L-paths are found only where
+    they are read: for a nonzero real period, and for the legs.  As in
+    ``immerse``, zeta0 must lie in the rectangle; the points need not."""
     tol = check_tol(tol)
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
@@ -709,18 +696,24 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     def f(u, v):
         z = (u + 1j * v).ravel()
         x = np.empty((z.size, c.n))     # C-contiguous, written through x.T
-        first, valid = _l_paths(lambda a, b: ~hits_puncture(dom, a, b), z0,
-                                z.real, z.imag)
-        corners = np.where(first, z.real + 1j * z0.imag, z0.real + 1j * z.imag)
-        if sample is not None and sample.points(
-                z, x.T, lambda rows: (corners[rows],)):
+
+        def corners(rows):   # each path's corner, and whether one path clears
+            first, valid = _l_paths(lambda a, b: ~hits_puncture(dom, a, b),
+                                    z0, z.real[rows], z.imag[rows])
+            return np.where(first, z.real[rows] + 1j * z0.imag,
+                            z0.real + 1j * z.imag[rows]), valid
+
+        if sample is not None and sample.fill(
+                z.real, z.imag, np.ones(z.size, bool), x.T,
+                lambda rows: corners(rows)[:1]):
             return x.reshape(u.shape + (c.n,))
+        corner, valid = corners(slice(None))
         if not valid.all():
             raise SingularPath(f"no L-path from {z0} to {z[~valid][0]} keeps "
                                "off the punctures")
         vals = integrate_segments(c.components,
-                                  np.append(np.full(z.size, z0), corners),
-                                  np.append(corners, z), tol, domain=dom)
+                                  np.append(np.full(z.size, z0), corner),
+                                  np.append(corner, z), tol, domain=dom)
         # sum the two legs; copied C-contiguous, as a strided result rounds
         # the slice's plane fit differently
         x = vals.real.reshape(c.n, 2, -1).sum(axis=1).T.copy()

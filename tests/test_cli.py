@@ -550,6 +550,8 @@ _DEEP_SUM, _DEEP_NEST = "+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200
      "ValueError", "not a complex number: '9ei'"),
     (["verify"], '{"curve": ["z^²", "i", "0"]}', "ParseError",
      "exponent must be an integer (at offset 2)"),
+    (["verify", "--seed", "99999999999999999999999"], _HELICOID,
+     "ValueError", "Halton skip 99999999999999999999999"),
 ])
 def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
                                              error, fragment):

@@ -107,3 +107,14 @@ def test_a_negative_halton_skip_is_refused(skip):
     with pytest.raises(ValueError, match="non-negative"):
         DomainSpec().sample_points(4, skip=skip)
     assert halton(4, 0).shape == (4, 2)
+
+
+def test_a_halton_index_past_int64_is_refused():
+    # numpy holds the indices 1..count after skip as int64: the last index
+    # int64 max is taken, one more is refused, naming the skip
+    top = int(np.iinfo(np.int64).max)
+    assert halton(3, top - 3).shape == (3, 2)
+    with pytest.raises(ValueError, match=f"skip {top - 2} takes"):
+        halton(3, top - 2)
+    with pytest.raises(ValueError, match="skip 99999999999999999999999"):
+        DomainSpec().sample_points(4, skip=99999999999999999999999)

@@ -6,7 +6,9 @@ puncture lies farther than the clearance from the rectangle
 (``_far_from_punctures``).  Seeded draws of in-class curves, tolerances
 and rectangles, at those checks' edges, against the same calls with both
 shortcuts turned off: the route, the mask and every bit of the points
-agree.
+agree.  ``parametric_immersion`` takes the same exact route at flat
+points, with the same budget check on their tables: at a grid's valid
+points it gives ``immerse``'s bits.
 """
 
 import math
@@ -18,7 +20,7 @@ from minsurf import expr as ex
 from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
 from minsurf.nullcurve import NullCurve, WeierstrassData, from_weierstrass
-from minsurf.surface import immerse
+from minsurf.surface import immerse, parametric_immersion
 
 
 def _run(c, zeta0, res, tol, block, per_point):
@@ -168,6 +170,65 @@ def test_per_grid_checks_give_the_per_point_bits():
             tally["far"] += sum(d["far"])
             tally["near"] += len(d["far"]) - sum(d["far"])
     # both sides of both checks are reached, and the tree
+    assert min(tally.values()) >= 5, tally
+
+
+def test_parametric_immersion_gives_immerses_bits():
+    # in-class draws with no real period, at tols about the grid bound's
+    # edge: where immerse keeps the exact route, whether the bound or the
+    # per-point check passed it, parametric_immersion at its valid points
+    # gives the same bits; and wherever the bound passes a flat point set,
+    # each of its points is within its own budget
+    rng = np.random.default_rng(27)
+    tally = {"grid fast": 0, "grid slow": 0, "flat fast": 0, "flat slow": 0}
+    within = surface_mod._Primitive._within_budget
+    decisions = []
+
+    def spy_within(self, x, y, eu, ev):
+        ok = within(self, x, y, eu, ev)
+        decisions.append(ok)
+        if ok and x.ndim == 1:
+            level = self._primitive(eu, ev, x + 1j * y)[1] + self.base_level
+            assert np.all(surface_mod._PRIMITIVE_ROUNDOFF * level
+                          <= self.tol)
+        return ok
+
+    def no_tree(*args):
+        decisions.append(None)
+        return np.nan
+
+    while tally["grid fast"] + tally["grid slow"] < 40:
+        c, zeta0, res, block = _draw(rng)
+        if surface_mod.real_period(c).any():
+            continue
+        tols = [10.0 ** rng.uniform(-14, -5)]
+        edge = _budget_threshold(c, zeta0, res)
+        if edge is not None and edge < 1:
+            tols += [edge * (1 + 2.0 ** -30), edge * (1 - 2.0 ** -30)]
+        for tol in tols:
+            decisions.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(surface_mod, "BLOCK_POINTS", block)
+                m.setattr(surface_mod._Primitive, "_within_budget", spy_within)
+                m.setattr(surface_mod, "_tree_integrals", no_tree)
+                try:
+                    p = immerse(c, zeta0=zeta0, res=res, tol=tol)
+                except ValueError:
+                    continue
+                if None in decisions:
+                    continue
+                grid, = decisions
+                tally[f"grid {'fast' if grid else 'slow'}"] += 1
+                uu, vv = np.meshgrid(p.u, p.v, indexing="ij")
+                f = parametric_immersion(c, zeta0, tol).func
+                got = f(uu[p.valid], vv[p.valid])
+                assert got.tobytes() == p.points[p.valid].tobytes()
+                d = c.domain
+                f(rng.uniform(d.u_min, d.u_max, 50),
+                  rng.uniform(d.v_min, d.v_max, 50))
+            flat = decisions[1:]
+            tally["flat fast"] += sum(flat)
+            tally["flat slow"] += len(flat) - sum(flat)
     assert min(tally.values()) >= 5, tally
 
 

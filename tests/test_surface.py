@@ -1105,6 +1105,20 @@ def test_parametric_immersion_array_matches_pointwise():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("curve", ["helicoid", "periodic", "cosh"])
+def test_parametric_immersion_of_no_points(curve):
+    # the exact route with its budget check on the tables, with a real
+    # period, and the quadrature legs: no point gives shape (0, n)
+    punctured = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
+    c = {"helicoid": lambda: parabolic_deform(cat.helicoid(), 1 + 1j),
+         "periodic": lambda: NullCurve((ex.parse("i/z"), ex.parse("1/z"),
+                                        ex.const(0)), punctured),
+         "cosh": lambda: NullCurve((ex.const(1), ex.parse("i*cosh(z^2)"),
+                                    ex.parse("sinh(z^2)")), punctured)}[curve]()
+    got = parametric_immersion(c, zeta0=1)(np.array([]), np.array([]))
+    assert got.shape == (0, c.n)
+
+
 def test_parametric_immersion_without_a_primitive(monkeypatch):
     # (1, i cosh(z^2), sinh(z^2)) has no exact primitive: the L-paths of
     # a call's points are one quadrature call; an array call is its
