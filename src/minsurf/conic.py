@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
-                     EvaluationSingularity, IllConditioned, NoConvergence,
-                     NotHyperbola, NotPlanar, SingularPath)
+                     EvaluationSingularity, IllConditioned, MinsurfError,
+                     NoConvergence, NotHyperbola, NotPlanar, SingularPath)
 
 __all__ = [
     "PlanarCurveSample", "ConicFit", "ParametricSurface",
@@ -87,7 +87,7 @@ def planar_sample(points: np.ndarray) -> PlanarCurveSample:
         raise DegenerateInput("need at least 3 points")
     if pts.shape[1] < 2:
         raise DegenerateInput("need at least 2 coordinates")
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    diam = float(_norm(pts.max(axis=0) - pts.min(axis=0)))
     if diam == 0:
         raise DegenerateInput("the points coincide")
     origin = pts.mean(axis=0)
@@ -96,8 +96,15 @@ def planar_sample(points: np.ndarray) -> PlanarCurveSample:
     basis = np.array([_unit(row) for row in vh[:2]])
     xy = centered @ basis.T
     out_of_plane = centered - xy @ basis
-    residual = float(np.max(np.linalg.norm(out_of_plane, axis=1))) / diam
+    residual = float(np.max(_norm(out_of_plane, axis=1))) / diam
     return PlanarCurveSample(pts, origin, basis, xy, residual)
+
+
+def _norm(x, axis=None):
+    """np.linalg.norm of x / 2^e, times 2^e, for max|x| in [2^(e-1), 2^e):
+    no square overflows, and where none did the bits are the same."""
+    e = np.frexp(np.max(np.abs(x)))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +301,7 @@ def _denormalize(k, scale, tx, ty):
 def _unit(coeff):
     """``coeff`` scaled to unit norm with its largest-magnitude entry
     positive, so that the sign the SVD happens to return never shows."""
-    coeff = coeff / np.linalg.norm(coeff)
+    coeff = coeff / _norm(coeff)
     return -coeff if coeff[np.argmax(np.abs(coeff))] < 0 else coeff
 
 
@@ -324,7 +331,9 @@ def fit_conic(pc: PlanarCurveSample) -> ConicFit:
     if sv[0] == 0 or sv[1] / sv[0] <= LINE_SV_TOL:
         return _line_fit(centered, centroid, vh)
 
-    rms = math.sqrt(float(np.mean(np.sum(centered ** 2, axis=1))))
+    e = int(np.frexp(np.max(np.abs(centered)))[1])     # scaled as in _norm
+    rms = math.ldexp(math.sqrt(np.mean(np.sum(
+        np.ldexp(centered, -e) ** 2, axis=1))), e)
     scale = math.sqrt(2.0) / rms
     x, y = (scale * centered).T
 
@@ -338,7 +347,10 @@ def fit_conic(pc: PlanarCurveSample) -> ConicFit:
     residual = float(np.max(np.abs(design @ k_norm)))
 
     cls = _classify(k_norm)
-    coeff = _denormalize(k_norm, scale, centroid[0], centroid[1])
+    with np.errstate(over="ignore", invalid="ignore"):    # checked next
+        coeff = _denormalize(k_norm, scale, centroid[0], centroid[1])
+    if not np.abs(coeff[:3]).max() >= np.finfo(float).tiny:
+        raise MinsurfError(f"the conic leaves float range at scale {rms:.3g}")
 
     center = semi = dirs = None
     lead = None

@@ -5,17 +5,19 @@ that X(z0) = 0; on the puncture-free rectangle it does not depend on the
 path.  ``immerse`` first finds the valid grid points: those one of whose
 L-paths from z0 (``_l_paths``), the stem to the nearest grid point
 g(j0, k0) then row k0 and column j, or the stem, column j0 and row k,
-keeps more than 1.25 cell diagonals from every puncture.  The L-paths
-keep inside the rectangle, so when every puncture lies farther than that
-from it, every point is valid and no distance is measured.  When
+keeps more than 1.25 cell diagonals from every puncture, by one segment
+test that serves the default anchor and the sheets below too.  The
+L-paths keep inside the rectangle, so when every puncture lies farther
+than that from it, the test passes at once and measures no distance.  When
 ``expr.primitive_form`` of each of the curve's ``forms`` (read once per
 curve) is an exact primitive (sums of c z^n e^{kz}, n negative only where
 k = 0: every catalog curve and its constant linear deformations), each
 component is F_i = sum_b C[i, b] z^m e^{kz} + r_i log z over the curve's
 distinct basis functions z^m e^{kz}, and X is Re(F(z) - F(z0)) on the
 domain's branch cut plus w Re(2 pi i r_i), w the signed number of times
-the point's L-path crosses the cut.  One entry, ``_Primitive.fill``,
-serves grids (``immerse``) and flat point sets (``parametric_immersion``):
+the point's L-path crosses the cut, which ``_l_paths`` finds from the
+caller's segment test.  One entry, ``_Primitive.fill``, serves grids
+(``immerse``) and flat point sets (``parametric_immersion``):
 each e^{kz} is e^{ku} e^{ikv}, from one program of the distinct e^{kz} run
 once on the u and once on the iv that broadcast to the points, so a grid
 takes nu + nv exponentials per k, not one per point and term.  Each valid
@@ -147,47 +149,37 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     nu, nv = res
     u, v = domain.grid(nu, nv)
     clearance = 1.25 * float(np.hypot(u[1] - u[0], v[1] - v[0]))
+    far = _far_from_punctures(domain, clearance)
+
+    def clear(a, b):    # every segment inside the rectangle clears when far
+        return far or domain.puncture_distance(a, b) > clearance
 
     if zeta0 is None:
         z0 = domain.default_base_point()
         zeta0 = complex(u[_nearest_index(u, z0.real)],
                         v[_nearest_index(v, z0.imag)])
-        if domain.puncture_distance(zeta0) <= clearance:
+        if not clear(zeta0, zeta0):
             # masked: the grid point nearest it that clears every puncture
             zz = _grid_points(u, v)
-            far = np.where(domain.puncture_distance(zz) > clearance,
-                           np.abs(zz - zeta0), np.inf)
-            zeta0 = complex(zz.flat[np.argmin(far)])
+            near = np.where(clear(zz, zz), np.abs(zz - zeta0), np.inf)
+            zeta0 = complex(zz.flat[np.argmin(near)])
     zeta0 = complex(zeta0)
     if not domain.contains(zeta0):
         raise ValueError("base point lies outside the domain")
 
     j0, k0 = _nearest_index(u, zeta0.real), _nearest_index(v, zeta0.imag)
     g = u[j0] + 1j * v[k0]
-
-    if _far_from_punctures(domain, clearance):
-        # every L-path keeps inside the rectangle, so all of them clear
-        valid = first = np.ones((nu, nv), bool)
-    else:
-        def clear(a, b):
-            return domain.puncture_distance(a, b) > clearance
-
-        first, valid = _l_paths(clear, g, u[:, None], v[None, :])
-        stem = clear(zeta0, g)
-        first, valid = first & stem, valid & stem
-        if not valid[j0, k0]:
-            raise ValueError("base point is masked by a puncture")
+    first = valid = np.full((nu, nv), clear(zeta0, g))     # the stem
+    if not far:     # else every L-path clears, and no grid z is built
+        first, valid = (m & valid for m in
+                        _l_paths(clear, g, u[:, None], v[None, :]))
+    if not valid[j0, k0]:
+        raise ValueError("base point is masked by a puncture")
 
     planes = np.full((c.n, nu * nv), np.nan)
-
-    def via(rows):   # the corners of the points' L-paths after the stem
-        j, k = np.divmod(rows, nv)
-        return g, np.where(first.ravel()[rows], u[j] + 1j * g.imag,
-                           g.real + 1j * v[k])
-
     sample = _primitive_sampler(c, zeta0, tol)
     if sample is None or not sample.fill(u[:, None], v[None, :], valid,
-                                         planes, via):
+                                         planes, clear, g):
         planes[:, valid.ravel()] = _tree_integrals(
             c, tol, _grid_points(u, v), zeta0, j0, k0, first, valid)
     points = planes.reshape(c.n, nu, nv).transpose(1, 2, 0)
@@ -225,6 +217,13 @@ def _l_paths(clear, a, x, y):
     return first, first | clear(a, col) & clear(col, z)
 
 
+def _corners(clear, a, z):
+    """Each point z's L-path corner from a, on the row-first path where
+    that one clears, and whether one of its L-paths clears (``_l_paths``)."""
+    first, valid = _l_paths(clear, a, z.real, z.imag)
+    return np.where(first, z.real + 1j * a.imag, a.real + 1j * z.imag), valid
+
+
 def _primitive_sampler(c, zeta0, tol):
     """None when a component has no exact primitive (see
     ``expr.primitive_form``); else a ``_Primitive`` of the curve, anchored
@@ -246,7 +245,6 @@ class _Primitive:
     def __init__(self, c, forms, zeta0, tol):
         self.n, self.zeta0, self.tol = c.n, zeta0, tol
         self.cut = c.domain.branch_cut
-        self.period = real_period(c)
         self.basis = basis = list(dict.fromkeys(
             key for terms, _ in forms for key in terms))
         self.ks = list(dict.fromkeys(k for _, k in basis if k != 0))
@@ -255,6 +253,7 @@ class _Primitive:
         self.coefs = [[(basis.index(key), coef) for key, coef in terms.items()]
                       for terms, _ in forms]
         self.logs = [r for _, r in forms]
+        self.period = np.array([(2j * math.pi * r).real for r in self.logs])
         # zeta0 by its two factors too, so that X(zeta0) = 0 exactly
         e = self._tables(np.array([zeta0.real, 1j * zeta0.imag]))
         F, level = self._primitive(e[:, :1], e[:, 1:], np.array([zeta0]))
@@ -329,14 +328,15 @@ class _Primitive:
         budget = _PRIMITIVE_ROUNDOFF * (2 * level + self.base_level[:, 0])
         return bool(np.all(budget <= self.tol))
 
-    def _block(self, eu, ev, z, ok, first, out, via, checked=False):
+    def _block(self, eu, ev, z, ok, out, clear, g, checked=False):
         """Write X at the points z, where ``ok`` (of z's shape) holds, into
-        their columns of out, shape (n, z.size), flat indices first onward;
-        False when a value is not finite, a leg passes through 0, or
-        PRIMITIVE_ULPS eps (level(z) + level(zeta0)) exceeds tol at one of
-        them.  ``checked`` when ``_within_budget`` has passed them all, and
-        no level is computed.  No point is gathered: the points that ``ok``
-        leaves out are computed and not read."""
+        their columns of out, shape (n, z.size), continued for a nonzero
+        period along zeta0 -> g -> corner -> z, the corner by ``_l_paths``
+        from g under the segment test ``clear``; False when a value is not
+        finite, a leg passes through 0, or PRIMITIVE_ULPS eps (level(z) +
+        level(zeta0)) exceeds tol at one of them.  ``checked`` when
+        ``_within_budget`` has passed them all, and no level is computed.
+        Nothing is gathered: the points off ``ok`` are computed, not read."""
         F, level = self._primitive(eu, ev, z, level=not checked)
         F = F.reshape(self.n, -1)
         ok = ok.ravel()
@@ -350,7 +350,8 @@ class _Primitive:
         F -= self.base
         if self.period.any():
             at = np.flatnonzero(ok)
-            w = _sheet((self.zeta0, *via(first + at), z.ravel()[at]), self.cut)
+            z = z.ravel()[at]
+            w = _sheet((self.zeta0, g, _corners(clear, g, z)[0], z), self.cut)
             if w is None:
                 return False
             off = np.flatnonzero(w)     # the points off F's sheet
@@ -358,16 +359,15 @@ class _Primitive:
         np.copyto(out, F, where=ok)
         return True
 
-    def fill(self, x, y, ok, out, via):
+    def fill(self, x, y, ok, out, clear, g):
         """X at the points x + iy where ``ok`` holds into out, shape (n,
         ok.size); x, y and ok broadcast to ok's shape, as u[:, None],
         v[None, :] for a grid or z.real, z.imag for flat points.  One table
         of e^{iky} and one of e^{kx}, with the budget checked once on them
         (``_within_budget``) and per point only where that fails; blocks of
-        whole rows (ok's leading axis) of about BLOCK_POINTS points.  via
-        is called, on the flat indices ``rows`` of a block's ``ok`` points,
-        only for a nonzero period, for the corners of their paths from
-        zeta0 (see ``_sheet``).  False as soon as a block fails."""
+        whole rows (ok's leading axis) of about BLOCK_POINTS points; clear
+        and g are read only for a nonzero period (see ``_block``).  False
+        as soon as a block fails."""
         ev = self._tables(1j * y)
         eu = self._tables(x)
         checked = self._within_budget(x, y, eu, ev)
@@ -378,8 +378,8 @@ class _Primitive:
             # a table whose rows broadcast serves every block whole
             xb, eb = (x[at], eu[:, at]) if len(x) > 1 else (x, eu)
             yb, fb = (y[at], ev[:, at]) if len(y) > 1 else (y, ev)
-            if not self._block(eb, fb, xb + 1j * yb, ok[at], lo * row,
-                               out[:, lo * row:(lo + step) * row], via,
+            if not self._block(eb, fb, xb + 1j * yb, ok[at],
+                               out[:, lo * row:(lo + step) * row], clear, g,
                                checked):
                 return False
         return True
@@ -693,21 +693,16 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
         raise ValueError("base point lies outside the domain")
     sample = _primitive_sampler(c, z0, tol)
 
+    def clear(a, b):
+        return ~hits_puncture(dom, a, b)
+
     def f(u, v):
         z = (u + 1j * v).ravel()
         x = np.empty((z.size, c.n))     # C-contiguous, written through x.T
-
-        def corners(rows):   # each path's corner, and whether one path clears
-            first, valid = _l_paths(lambda a, b: ~hits_puncture(dom, a, b),
-                                    z0, z.real[rows], z.imag[rows])
-            return np.where(first, z.real[rows] + 1j * z0.imag,
-                            z0.real + 1j * z.imag[rows]), valid
-
         if sample is not None and sample.fill(
-                z.real, z.imag, np.ones(z.size, bool), x.T,
-                lambda rows: corners(rows)[:1]):
+                z.real, z.imag, np.ones(z.size, bool), x.T, clear, z0):
             return x.reshape(u.shape + (c.n,))
-        corner, valid = corners(slice(None))
+        corner, valid = _corners(clear, z0, z)
         if not valid.all():
             raise SingularPath(f"no L-path from {z0} to {z[~valid][0]} keeps "
                                "off the punctures")

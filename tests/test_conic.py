@@ -12,8 +12,8 @@ from minsurf.conic import (ParametricSurface, PlanarCurveSample, asymptotes,
                            fit_conic, planar_sample,
                            slice_parameter_line, slice_surface)
 from minsurf.errors import (AxisNotMonotone, DegenerateConic, DegenerateInput,
-                            IllConditioned, NoConvergence, NotHyperbola,
-                            NotPlanar, SingularPath)
+                            IllConditioned, MinsurfError, NoConvergence,
+                            NotHyperbola, NotPlanar, SingularPath)
 from minsurf.surface import parametric_immersion
 from minsurf.transforms import parabolic_deform
 
@@ -232,6 +232,48 @@ def test_fit_scaled_coordinates_still_classify():
     fit = fit_conic(planar_sample(pts))
     assert fit.classification == "ellipse"
     assert abs(max(fit.semi_axes) - r2) / r2 <= 1e-9
+
+
+def _hyperbola(n=40):
+    t = np.linspace(-1, 1, n)
+    return np.stack([2 * np.cosh(t), np.sinh(t), np.zeros(n)], axis=-1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-150, 3.7, 1e150, 1e200, 1e300])
+def test_plane_fit_of_large_coordinates_does_not_overflow(scale):
+    # the diameter and the out-of-plane distances are norms whose squares
+    # overflow past about 1e154; taken over a power of two they do not,
+    # and at ordinary scales they keep every bit
+    pts = scale * _hyperbola()
+    pc = planar_sample(pts)
+    assert pc.planarity_residual <= 1e-15
+    np.testing.assert_allclose(pc.xy / scale, planar_sample(_hyperbola()).xy,
+                               rtol=0, atol=1e-12)
+    if 1 < scale < 1e154:       # the plain norms' bits, where none overflows
+        centered = pts - pc.origin
+        out = centered - pc.xy @ pc.basis
+        diam = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
+        assert pc.planarity_residual == (
+            np.max(np.linalg.norm(out, axis=1)) / diam)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-150, 1e140, 1e150])
+def test_fit_of_large_coordinates_keeps_its_shape(scale):
+    fit = fit_conic(planar_sample(scale * _hyperbola()))
+    assert fit.classification == "hyperbola"
+    assert abs(fit.eccentricity - math.sqrt(5) / 2) <= 1e-12
+    assert abs(fit.semi_axes[0] / scale - 2) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300])
+def test_a_conic_beyond_float_range_is_named_by_its_scale(scale):
+    # the quadratic coefficients in the sample's frame scale as 1/scale^2:
+    # past about 1e154 they underflow, below about 1e-154 they overflow
+    with pytest.raises(MinsurfError, match="leaves float range at scale"):
+        fit_conic(planar_sample(scale * _hyperbola()))
 
 
 # ---------------------------------------------------------------------------

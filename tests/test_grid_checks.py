@@ -232,6 +232,44 @@ def test_parametric_immersion_gives_immerses_bits():
     assert min(tally.values()) >= 5, tally
 
 
+def test_the_exact_route_agrees_with_the_tree_at_every_block_size():
+    # seeded draws with and without a real period: the exact route's
+    # points are within 2 tol of the quadrature tree's (primitive_form
+    # forced to None), which follows the same L-paths, with the same mask;
+    # a draw over its budget takes the tree on both sides and is tallied.
+    # The bits, the route and the mask are those of BLOCK_POINTS 4096 at
+    # block sizes 1 and 7 too
+    rng = np.random.default_rng(12)
+    tally = {"periodic": 0, "aperiodic": 0, "over budget": 0}
+    for _ in range(60):
+        c, zeta0, res, _ = _draw(rng)
+        tol = 10.0 ** rng.uniform(-13, -6)
+        route, p, _ = _run(c, zeta0, res, tol, 4096, per_point=False)
+        for block in (1, 7):
+            other = _run(c, zeta0, res, tol, block, per_point=False)
+            assert other[0] == route
+            if isinstance(p, str):
+                assert other[1] == p
+            else:
+                assert other[1].valid.tobytes() == p.valid.tobytes()
+                assert other[1].points.tobytes() == p.points.tobytes()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(surface_mod, "primitive_form", lambda e: None)
+            _, tree, _ = _run(c, zeta0, res, tol, 4096, per_point=False)
+        if isinstance(p, str):
+            assert tree == p
+            continue
+        assert tree.valid.tobytes() == p.valid.tobytes()
+        if route:
+            assert tree.points.tobytes() == p.points.tobytes()
+            tally["over budget"] += 1
+            continue
+        assert np.nanmax(np.abs(p.points - tree.points)) <= 2 * tol
+        periodic = surface_mod.real_period(c).any()
+        tally["periodic" if periodic else "aperiodic"] += 1
+    assert tally["periodic"] >= 10 and tally["over budget"] >= 3, tally
+
+
 @pytest.mark.parametrize("tol, fast", [(1e-6, True), (1e-10, False)])
 def test_the_cosh_strip_at_the_budgets_edge(tol, fast):
     # (cosh z, i sinh z, i) on [0, 13] x [-1, 1]: the terms e^{+-z}/2 reach
@@ -317,3 +355,25 @@ def test_a_clear_rectangle_measures_no_distance(monkeypatch):
         c = NullCurve((ex.parse("z"), ex.parse("i*z"), ex.const(0)), dom)
         assert immerse(c, zeta0=0.5j, res=(9, 9)).valid.all()
     assert calls == []
+
+
+def test_a_clear_rectangle_measures_no_distance_for_anchor_or_sheets(
+        monkeypatch):
+    # (i/z, 1/z, 0) has a real period, so the exact route counts sheets;
+    # with its puncture 0 farther than the clearance from [0.5, 2] x [-1,
+    # 1], immerse's one segment test passes at once for the default
+    # anchor and for the sheets' L-paths alike: the one distance measured
+    # is DomainSpec.default_base_point's own
+    calls = []
+    distance = DomainSpec.puncture_distance
+
+    def counting(self, a, b=None):
+        calls.append(1)
+        return distance(self, a, b)
+
+    monkeypatch.setattr(DomainSpec, "puncture_distance", counting)
+    dom = DomainSpec(0.5, 2, -1, 1, punctures=(0j,))
+    c = NullCurve((ex.parse("i/z"), ex.parse("1/z"), ex.const(0)), dom)
+    assert surface_mod.real_period(c).any()
+    p = immerse(c, res=(9, 9))
+    assert p.valid.all() and calls == [1]
