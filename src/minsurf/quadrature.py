@@ -8,9 +8,13 @@ segment once that estimate meets the segment's budget, or falls below
 the segment's roundoff level ``ROUNDOFF_FACTOR * eps * integral of |f|``,
 the floor QUADPACK's QAG applies (Piessens et al., *QUADPACK*, 1983).
 Otherwise the segment is split and each half inherits half the budget,
-up to a depth cap of 40.  Integrands here are entire or meromorphic away
-from punctures, so panels converge spectrally and nearly every segment
-is accepted at depth 0.
+up to a depth cap of 40; as QUADPACK's QAG caps its subintervals
+(``limit``), a segment also fails once more of its pieces are pending at
+one level than fill one evaluator chunk (``CHUNK_NODES`` nodes), so an
+integrand whose rounding noise outruns the roundoff floor, as next to an
+undeclared pole, ends in NoConvergence with bounded memory.  Integrands
+here are entire or meromorphic away from punctures, so panels converge
+spectrally and nearly every segment is accepted at depth 0.
 
 The nodes and weights are QUADPACK's ``qk15`` table at its published
 digits, so each is the correctly rounded double and the rule is the same
@@ -131,7 +135,9 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *,
     bounds the error.  Each component is accepted on a segment the first
     time its own error estimate meets the segment's tolerance or roundoff
     level; a segment is split only while some component is still pending
-    there.  All pending segments of a refinement level are evaluated by
+    there, and NoConvergence is raised at depth MAX_DEPTH, or once more
+    pieces of one segment are pending at a level than fill CHUNK_NODES
+    nodes.  All pending segments of a refinement level are evaluated by
     one program.  ``domain`` (a DomainSpec) supplies the log
     branch cut and the punctures no segment may pass through.  ``tol``
     must be positive and finite (ValueError).
@@ -148,9 +154,10 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *,
 
     prog = compile_expr(expr)
 
-    def refine(a, b, tol, pending, depth):
+    def refine(a, b, tol, pending, origin, depth):
         # accepted panels, 0 where nothing is pending, else the sum of the
-        # refined halves: halves meet before their parent, written once
+        # refined halves: halves meet before their parent, written once;
+        # origin[i] is the input segment that piece i is part of
         res, done = _panels(prog, a, b, cut, tol)
         done &= pending
         total = np.where(done, res, 0)
@@ -160,16 +167,22 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *,
             if depth == MAX_DEPTH:
                 raise NoConvergence(
                     f"quadrature did not converge within depth {MAX_DEPTH}")
+            if np.bincount(origin[keep]).max() * _NODES.size > CHUNK_NODES:
+                raise NoConvergence(
+                    "quadrature did not converge: the pending pieces of a "
+                    f"segment outgrew {CHUNK_NODES} nodes at depth {depth}")
             a, b, tol = a[keep], b[keep], 0.5 * tol[keep]
             mid = 0.5 * (a + b)
             halves = refine(np.concatenate([a, mid]), np.concatenate([mid, b]),
                             np.concatenate([tol, tol]),
-                            np.tile(pending[:, keep], 2), depth + 1)
+                            np.tile(pending[:, keep], 2),
+                            np.tile(origin[keep], 2), depth + 1)
             total[:, keep] += halves[:, :mid.size] + halves[:, mid.size:]
         return total
 
     total = refine(a, b, np.full(a.size, tol),
-                   np.ones((len(prog.outputs), a.size), dtype=bool), 0)
+                   np.ones((len(prog.outputs), a.size), dtype=bool),
+                   np.arange(a.size), 0)
     return total[0] if prog.single else total
 
 

@@ -6,34 +6,34 @@ path.  ``immerse`` first finds the valid grid points: those one of whose
 L-paths from z0 (``_l_paths``), the stem to the nearest grid point
 g(j0, k0) then row k0 and column j, or the stem, column j0 and row k,
 keeps more than 1.25 cell diagonals from every puncture, by one segment
-test that serves the default anchor and the sheets below too.  The
-L-paths keep inside the rectangle, so when every puncture lies farther
-than that from it, the test passes at once and measures no distance.  When
+test that serves the default anchor too.  The L-paths keep inside the
+rectangle, so when every puncture lies farther than that from it, the
+test passes at once and measures no distance.  When
 ``expr.primitive_form`` of each of the curve's ``forms`` (read once per
 curve) is an exact primitive (sums of c z^n e^{kz}, n negative only where
 k = 0: every catalog curve and its constant linear deformations), each
 component is F_i = sum_b C[i, b] z^m e^{kz} + r_i log z over the curve's
 distinct basis functions z^m e^{kz}, and X is Re(F(z) - F(z0)) on the
 domain's branch cut plus w Re(2 pi i r_i), w the signed number of times
-the point's L-path crosses the cut, which ``_l_paths`` finds from the
-caller's segment test.  One entry, ``_Primitive.fill``, serves grids
-(``immerse``) and flat point sets (``parametric_immersion``):
-each e^{kz} is e^{ku} e^{ikv}, from one program of the distinct e^{kz} run
-once on the u and once on the iv that broadcast to the points, so a grid
-takes nu + nv exponentials per k, not one per point and term.  Each valid
-point has tol as its budget for the roundoff level PRIMITIVE_ULPS eps
-(level(z) + level(z0)), level = sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| +
-|r_i| |log z|.  The budget is checked first on the two tables, on the
-level at the nearest and farthest |z| that the ranges of |u| and |v|
-allow, with the tables' largest factors, doubled (a sum of |z|^m is convex
-in log |z|); else, or with a log z term, each point checks its own.
-Otherwise (outside the class, or over that budget) one
-``integrate_segments`` call takes the stem and the edges of row k0 and
-of every column toward the points the first L-path reaches, each within
-tol / (nu + nv), summed outward in blocks of about sqrt(m) of a line's m
-edges, and a second the transposed tree's row edges toward the other
-valid points.  Every stage reads the curve's ``domain``: the grid
-rectangle, the punctures and the log branch cut.
+the L-path that the caller chose for the point (``first``) crosses the
+cut.  One entry, ``_Primitive.fill``, serves grids (``immerse``) and flat
+point sets (``parametric_immersion``): each e^{kz} is e^{ku} e^{ikv}, from
+one program of the distinct e^{kz} run once on the u and once on the iv
+that broadcast to the points, so a grid takes nu + nv exponentials per
+k, not one per point and term.  Each valid point has tol as its budget
+for the roundoff level PRIMITIVE_ULPS eps (level(z) + level(z0)),
+level = sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| + |r_i| |log z|.  The
+budget is checked first on the two tables, on the level at the nearest
+and farthest |z| that the ranges of |u| and |v| allow, with the tables'
+largest factors, doubled (a sum of |z|^m is convex in log |z|); else, or
+with a log z term, each point checks its own.  Otherwise (outside the
+class, or over that budget) one ``integrate_segments`` call takes the
+stem and the edges of row k0 and of every column toward the points the
+first L-path reaches, each within tol / (nu + nv), summed outward in
+blocks of about sqrt(m) of a line's m edges, and a second the transposed
+tree's row edges toward the other valid points.  Every stage reads the
+curve's ``domain``: the grid rectangle, the punctures and the log branch
+cut.
 
 Verification instruments:
 
@@ -49,8 +49,8 @@ Verification instruments:
                     so they read the patch alone; the stencil works on
                     one component plane at a time, and E, G, F are
                     numpy's sums over the planes
-* export_mesh       OBJ (text, 9 significant digits) / PLY (binary,
-                    float64, all n coordinates as vertex properties)
+* export_mesh       OBJ (ASCII, 9 significant digits, lines end in \n) /
+                    PLY (binary float64, all n coordinates as properties)
 
 ``immerse`` stores the samples component-major, as n planes of nu nv
 values, and a patch's points are the (nu, nv, n) view of those planes.
@@ -179,7 +179,7 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     planes = np.full((c.n, nu * nv), np.nan)
     sample = _primitive_sampler(c, zeta0, tol)
     if sample is None or not sample.fill(u[:, None], v[None, :], valid,
-                                         planes, clear, g):
+                                         first, planes, g):
         planes[:, valid.ravel()] = _tree_integrals(
             c, tol, _grid_points(u, v), zeta0, j0, k0, first, valid)
     points = planes.reshape(c.n, nu, nv).transpose(1, 2, 0)
@@ -215,13 +215,6 @@ def _l_paths(clear, a, x, y):
     row, col = x + 1j * a.imag, a.real + 1j * y
     first = clear(a, row) & clear(row, z)
     return first, first | clear(a, col) & clear(col, z)
-
-
-def _corners(clear, a, z):
-    """Each point z's L-path corner from a, on the row-first path where
-    that one clears, and whether one of its L-paths clears (``_l_paths``)."""
-    first, valid = _l_paths(clear, a, z.real, z.imag)
-    return np.where(first, z.real + 1j * a.imag, a.real + 1j * z.imag), valid
 
 
 def _primitive_sampler(c, zeta0, tol):
@@ -298,14 +291,13 @@ class _Primitive:
                     F[i] += (coef * vals[b]).real
                     if level:
                         levels[i] += abs(coef) * mags[b]
-            if any(self.logs):
+            if any(self.logs):      # never ``checked``: level holds
                 log_z = engine.eval_program(_LOG, z, cut=self.cut)
                 mag = np.abs(log_z)
                 for i, r in enumerate(self.logs):
                     if r:
                         F[i] += (r * log_z).real
-                        if level:
-                            levels[i] += abs(r) * mag
+                        levels[i] += abs(r) * mag
         return F, levels
 
     def _within_budget(self, u, v, eu, ev):
@@ -328,14 +320,14 @@ class _Primitive:
         budget = _PRIMITIVE_ROUNDOFF * (2 * level + self.base_level[:, 0])
         return bool(np.all(budget <= self.tol))
 
-    def _block(self, eu, ev, z, ok, out, clear, g, checked=False):
+    def _block(self, eu, ev, z, ok, first, out, g, checked=False):
         """Write X at the points z, where ``ok`` (of z's shape) holds, into
         their columns of out, shape (n, z.size), continued for a nonzero
-        period along zeta0 -> g -> corner -> z, the corner by ``_l_paths``
-        from g under the segment test ``clear``; False when a value is not
-        finite, a leg passes through 0, or PRIMITIVE_ULPS eps (level(z) +
-        level(zeta0)) exceeds tol at one of them.  ``checked`` when
-        ``_within_budget`` has passed them all, and no level is computed.
+        period along zeta0 -> g -> corner -> z, the corner on g's row where
+        ``first`` (of z's shape) holds, else on its column; False when a
+        value is not finite, a leg passes through 0, or PRIMITIVE_ULPS eps
+        (level(z) + level(zeta0)) exceeds tol at one of them.  ``checked``
+        when ``_within_budget`` has passed them all: no level is computed.
         Nothing is gathered: the points off ``ok`` are computed, not read."""
         F, level = self._primitive(eu, ev, z, level=not checked)
         F = F.reshape(self.n, -1)
@@ -351,7 +343,9 @@ class _Primitive:
         if self.period.any():
             at = np.flatnonzero(ok)
             z = z.ravel()[at]
-            w = _sheet((self.zeta0, g, _corners(clear, g, z)[0], z), self.cut)
+            corner = np.where(first.ravel()[at], z.real + 1j * g.imag,
+                              g.real + 1j * z.imag)
+            w = _sheet((self.zeta0, g, corner, z), self.cut)
             if w is None:
                 return False
             off = np.flatnonzero(w)     # the points off F's sheet
@@ -359,15 +353,15 @@ class _Primitive:
         np.copyto(out, F, where=ok)
         return True
 
-    def fill(self, x, y, ok, out, clear, g):
+    def fill(self, x, y, ok, first, out, g):
         """X at the points x + iy where ``ok`` holds into out, shape (n,
         ok.size); x, y and ok broadcast to ok's shape, as u[:, None],
         v[None, :] for a grid or z.real, z.imag for flat points.  One table
         of e^{iky} and one of e^{kx}, with the budget checked once on them
         (``_within_budget``) and per point only where that fails; blocks of
-        whole rows (ok's leading axis) of about BLOCK_POINTS points; clear
-        and g are read only for a nonzero period (see ``_block``).  False
-        as soon as a block fails."""
+        whole rows (ok's leading axis) of about BLOCK_POINTS points; first
+        (of ok's shape, where the point takes the row-first L-path from g)
+        and g are read only for a nonzero period.  False at a failed block."""
         ev = self._tables(1j * y)
         eu = self._tables(x)
         checked = self._within_budget(x, y, eu, ev)
@@ -378,8 +372,8 @@ class _Primitive:
             # a table whose rows broadcast serves every block whole
             xb, eb = (x[at], eu[:, at]) if len(x) > 1 else (x, eu)
             yb, fb = (y[at], ev[:, at]) if len(y) > 1 else (y, ev)
-            if not self._block(eb, fb, xb + 1j * yb, ok[at],
-                               out[:, lo * row:(lo + step) * row], clear, g,
+            if not self._block(eb, fb, xb + 1j * yb, ok[at], first[at],
+                               out[:, lo * row:(lo + step) * row], g,
                                checked):
                 return False
         return True
@@ -647,10 +641,10 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
         axes = list(projection) if projection is not None else [0, 1, 2]
         if len(axes) != 3 or any(not 0 <= a < p.n for a in axes):
             raise ValueError(f"projection must pick 3 of {p.n} axes")
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             for line, blocks in (
-                    ("v %.9g %.9g %.9g\n", (b[:, axes] for b in verts)),
-                    ("f %d %d %d\n", (t + 1 for t in _triangle_blocks(cells)))):
+                    (b"v %.9g %.9g %.9g\n", (b[:, axes] for b in verts)),
+                    (b"f %d %d %d\n", (t + 1 for t in _triangle_blocks(cells)))):
                 for block in blocks:
                     fh.write(line * len(block) % tuple(block.ravel().tolist()))
     elif fmt == "ply":
@@ -699,13 +693,19 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     def f(u, v):
         z = (u + 1j * v).ravel()
         x = np.empty((z.size, c.n))     # C-contiguous, written through x.T
-        if sample is not None and sample.fill(
-                z.real, z.imag, np.ones(z.size, bool), x.T, clear, z0):
-            return x.reshape(u.shape + (c.n,))
-        corner, valid = _corners(clear, z0, z)
+        ok, paths = np.ones(z.size, bool), None
+        if sample is not None:
+            if sample.period.any():
+                paths = _l_paths(clear, z0, z.real, z.imag)
+            # for a zero period, ok stands in for the unread ``first``
+            if sample.fill(z.real, z.imag, ok, paths[0] if paths else ok,
+                           x.T, z0):
+                return x.reshape(u.shape + (c.n,))
+        first, valid = paths or _l_paths(clear, z0, z.real, z.imag)
         if not valid.all():
             raise SingularPath(f"no L-path from {z0} to {z[~valid][0]} keeps "
                                "off the punctures")
+        corner = np.where(first, z.real + 1j * z0.imag, z0.real + 1j * z.imag)
         vals = integrate_segments(c.components,
                                   np.append(np.full(z.size, z0), corner),
                                   np.append(corner, z), tol, domain=dom)

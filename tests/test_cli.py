@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from minsurf import catalog, specio
+from minsurf import expr as ex
 from minsurf.cli import main, parse_complex
 from minsurf.nullcurve import embed_3_to_4
 from minsurf.surface import conformal_factor, immerse, load_obj_vertices
@@ -276,6 +277,35 @@ def test_segre_kind_preserves_nullity(cli):
                     stdin=spec)
     _, report, _ = cli(["verify", "--res", "9x9"], stdin=out)
     assert json.loads(report)["is_null"]
+
+
+def test_a_slice_from_an_undeclared_pole_is_a_one_line_no_convergence(cli):
+    # the default base point 0 is the pole of Psi = 1/z^2, declared as no
+    # puncture: the quadrature legs from it once refined until memory ran
+    # out (exit 2, InternalError: MemoryError)
+    code, out, err = cli(
+        ["slice", "--axis", "4", "--value", "1e3", "--npoints", "20"],
+        stdin='{"weierstrass": {"G": "exp(z)", "Psi": "1/z^2"}}')
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "NoConvergence"
+
+
+def test_segre_of_a_curve_with_a_zero_component_adds_no_zero_term(cli):
+    # the embedded curve (z, iz, 0, 0) meets nonzero matrix entries in its
+    # zero components too; each would add a "+ 0" term
+    spec = '{"curve": ["z", "i*z", "0"]}'
+    code, out, _ = cli(["deform", "--kind", "segre", "--L", "1", "--R", "i"],
+                       stdin=spec)
+    assert code == 0
+    got = specio.loads(out).curve
+    for comp in got.components:
+        assert isinstance(comp, ex.Add)
+        assert not any(isinstance(t, ex.Const) for t in (comp.a, comp.b))
+    phi = embed_3_to_4(specio.loads(spec).curve)
+    z = np.array([0.3 - 0.2j, -0.7 + 0.4j, 1j])
+    assert np.allclose(got(z), phi(z) @ segre_LR_matrix(1, 1j).matrix.T,
+                       rtol=1e-15, atol=0)
 
 
 def test_error_is_machine_readable(cli):

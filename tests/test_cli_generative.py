@@ -22,8 +22,8 @@ _COMPONENTS = ["1", "i", "0", "z", "i*z", "exp(z)", "i*exp(z)", "cosh(z)",
                "1e200*1e200*z", "exp(40*z)", "(0.3-0.2i)*z^3"]
 _G = ["z", "exp(z)", "1/z", "z^2", "i*z"]
 _PSI = ["1", "1/z^2", "exp(-z)", "z", "1e200"]
-# singular at 0: a spec that holds one declares the puncture 0 (an
-# undeclared pole near a quadrature leg is a known fault, see CHANGES.md)
+# singular at 0: a spec that holds one draws its own rectangle, which may
+# hold 0 or not, and declares the puncture 0 only as often as any other
 _POLES = ("/z", "z^-", "log(z)")
 # the theorem-5.1 helicoid at c = 1, whose level sets of X3 are conics
 _HELICOID_51 = ["exp(z)^2*(-i*exp(-z))", "0.5*(-i*exp(-z))",
@@ -107,7 +107,7 @@ def _spec(rng):
         u0, v0 = (float(x) for x in np.round(rng.uniform(-1.5, 1, 2), 2))
         w, h = (float(x) for x in np.round(rng.uniform(0.2, 2, 2), 2))
         domain = {"rect": [u0, u0 + w, v0, v0 + h]}
-        if poles or rng.random() < 0.3:
+        if rng.random() < 0.3:
             domain["punctures"] = [[0, 0]]
         if rng.random() < 0.3:
             domain["branch_cut"] = float(np.round(rng.uniform(-3, 3), 2))

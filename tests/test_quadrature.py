@@ -154,6 +154,25 @@ def test_depth_cap_raises(monkeypatch):
         integrate_segments(ex.parse("1/z"), [-1 + 1e-8j], [1 + 1e-8j], 1e-14)
 
 
+def test_a_noisy_pole_at_a_segments_start_stops_within_one_chunk(monkeypatch):
+    # (1 - e^{2z}) / (2 z^2) rounds with a noise of about eps / |z|^2, far
+    # above its roundoff floor of 50 eps |f| next to its pole at 0, which
+    # no domain declares: both halves of a piece stay pending and the
+    # batch doubles each level.  It stops once one segment's pending
+    # pieces outgrow one evaluator chunk, long before depth 40; easy
+    # segments beside it change neither where nor how.
+    noisy = ex.parse("(1-exp(2*z))/(2*z^2)")
+    sizes = _batches(monkeypatch)
+    with pytest.raises(NoConvergence, match="outgrew") as alone:
+        integrate_segments(noisy, [0j], [0.5 + 0.5j], 1e-10)
+    assert max(sizes) <= 2 * (quadrature.CHUNK_NODES // 15)
+    a = np.append(0j, 1 + 1e-3 * np.arange(3000))
+    with pytest.raises(NoConvergence) as batched:
+        integrate_segments(noisy, a, np.append(0.5 + 0.5j, a[1:] + 1e-3),
+                           1e-10)
+    assert str(batched.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("expr, shape", [((ex.Z, ex.Z), (2, 0)), (ex.Z, (0,))])
 def test_empty_batch_integrates_to_an_empty_array(expr, shape):
     got = integrate_segments(expr, [], [])
