@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("deform", parents=[io],
                        help="apply a null-curve deformation")
@@ -342,19 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     # absent unless given, so that _cmd_deform can tell which were given
     for dest, (flag, convert) in _DEFORM_FLAGS.items():
         p.add_argument(flag, dest=dest, type=convert, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_deform)
 
     p = sub.add_parser("sample", parents=[immersion],
                        help="sample the immersion on a grid")
     p.add_argument("--res", default="33x33", help="grid resolution NUxNV")
-    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", parents=[immersion],
                        help="nullity, degeneracy, minimality report")
     p.add_argument("--res", default="33x33", help="grid resolution NUxNV")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="Halton sample offset")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("slice", parents=[immersion],
                        help="extract a coordinate level set as CSV")
@@ -362,24 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", type=float, required=True)
     p.add_argument("--npoints", type=int, default=100)
     p.add_argument("--sweep", help="override swept range, lo:hi")
-    p.set_defaults(func=_cmd_slice)
 
-    p = sub.add_parser("fit", parents=[io], help="fit a conic to slice CSV")
-    p.set_defaults(func=_cmd_fit)
+    sub.add_parser("fit", parents=[io], help="fit a conic to slice CSV")
 
     p = sub.add_parser("export", parents=[immersion],
                        help="write an OBJ/PLY mesh")
     p.add_argument("--res", default="65x65", help="grid resolution NUxNV")
     p.add_argument("--format", choices=["obj", "ply"], default="obj")
     p.add_argument("--projection", help="3 axis indices for OBJ, e.g. 0,2,3")
-    p.set_defaults(func=_cmd_export)
     return ap
+
+
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        # looked up at each call, so a wrapper on a subcommand sees it
+        return globals()[f"_cmd_{args.command}"](args)
     except Exception as err:   # one JSON line on stderr, never a traceback
         known = isinstance(err, (MinsurfError, ValueError, KeyError, OSError))
         error = type(err).__name__ if known else "InternalError"

@@ -22,8 +22,8 @@ one program of the distinct e^{kz} run once on the u and once on the iv
 that broadcast to the points, so a grid takes nu + nv exponentials per
 k, not one per point and term.  Each valid point has tol as its budget
 for the roundoff level PRIMITIVE_ULPS eps (level(z) + level(z0)),
-level = sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| + |r_i| |log z|.  The
-budget is checked first on the two tables, on the level at the nearest
+level = sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| + |r_i| |log z|.  A grid
+checks the budget first on its two tables, on the level at the nearest
 and farthest |z| that the ranges of |u| and |v| allow, with the tables'
 largest factors, doubled (a sum of |z|^m is convex in log |z|); else, or
 with a log z term, each point checks its own.  Otherwise (outside the
@@ -90,8 +90,8 @@ RANK_CUTOFF = 1e-8
 # exps, in their product when k is not real (for real k, e^{ku} is real
 # and the product rounds as exp(kz) does), in z^m and in the product with
 # c (c log z in log and the product), and the sum of the terms and F(z) -
-# F(z0) round once more; a grid or a point set checks the level at its
-# nearest and farthest |z| with the tables' largest factors, doubled
+# F(z0) round once more; a grid checks the level at its nearest and
+# farthest |z| with the tables' largest factors, doubled
 PRIMITIVE_ULPS = 4
 _PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
 _LOG = engine.compile_expr(log(Z))     # Im log z: the engine's own arg z
@@ -134,15 +134,15 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     """Sample X = Re integral of the curve on a grid of the curve's
     domain, with X(zeta0) = 0.
 
-    zeta0 defaults to the grid point nearest the domain's default base
-    point or, when a puncture masks that one, the grid point nearest it
-    that clears every puncture.  A grid point is valid when one of its
-    L-paths from zeta0 keeps more than 1.25 cell diagonals from every
-    puncture (see the module docstring); the others are NaN.  With an
-    exact primitive each valid point is Re(F(z) - F(zeta0)) within tol,
-    continued along that L-path across the log's cut, in one pass over
-    blocks of whole grid rows; otherwise each tree is one
-    ``integrate_segments`` call.
+    zeta0 defaults to the domain's default base point, as for
+    ``parametric_immersion``, or, where a puncture masks its stem to the
+    nearest grid point g, to the one nearest g that clears them all.  A
+    grid point is valid when one of its L-paths from zeta0 keeps more
+    than 1.25 cell diagonals from every puncture (see the module
+    docstring); the others are NaN.  With an exact primitive each valid
+    point is Re(F(z) - F(zeta0)) within tol, continued along that L-path
+    across the log's cut, in one pass over blocks of whole grid rows;
+    otherwise each tree is one ``integrate_segments`` call.
     """
     tol = check_tol(tol)
     domain = c.domain
@@ -154,21 +154,19 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     def clear(a, b):    # every segment inside the rectangle clears when far
         return far or domain.puncture_distance(a, b) > clearance
 
-    if zeta0 is None:
-        z0 = domain.default_base_point()
-        zeta0 = complex(u[_nearest_index(u, z0.real)],
-                        v[_nearest_index(v, z0.imag)])
-        if not clear(zeta0, zeta0):
-            # masked: the grid point nearest it that clears every puncture
-            zz = _grid_points(u, v)
-            near = np.where(clear(zz, zz), np.abs(zz - zeta0), np.inf)
-            zeta0 = complex(zz.flat[np.argmin(near)])
-    zeta0 = complex(zeta0)
+    default = zeta0 is None
+    zeta0 = complex(domain.default_base_point() if default else zeta0)
     if not domain.contains(zeta0):
         raise ValueError("base point lies outside the domain")
 
     j0, k0 = _nearest_index(u, zeta0.real), _nearest_index(v, zeta0.imag)
     g = u[j0] + 1j * v[k0]
+    if default and not clear(zeta0, g):
+        # masked: the grid point nearest g that clears every puncture
+        zz = _grid_points(u, v)
+        near = np.where(clear(zz, zz), np.abs(zz - g), np.inf)
+        j0, k0 = np.unravel_index(np.argmin(near), near.shape)
+        zeta0 = g = complex(zz[j0, k0])
     first = valid = np.full((nu, nv), clear(zeta0, g))     # the stem
     if not far:     # else every L-path clears, and no grid z is built
         first, valid = (m & valid for m in
@@ -308,9 +306,9 @@ class _Primitive:
         point's level with room for both roundings, as each component's
         sum_b |C[i, b]| r^m_b A_b is convex in log r and so largest on
         [r_min, r_max] at an end.  A finite bound within budget makes every
-        point finite and within its own.  False with a log z term, no point,
-        or a bound over budget or not finite (a pole at a point)."""
-        if any(self.logs) or not (u.size and v.size):
+        point finite and within its own.  False with a log z term, or a
+        bound over budget or not finite (a pole at a point)."""
+        if any(self.logs):
             return False
         au, av = np.abs(u), np.abs(v)
         ends = np.hypot([au.min(), au.max()], [av.min(), av.max()])
@@ -357,14 +355,16 @@ class _Primitive:
         """X at the points x + iy where ``ok`` holds into out, shape (n,
         ok.size); x, y and ok broadcast to ok's shape, as u[:, None],
         v[None, :] for a grid or z.real, z.imag for flat points.  One table
-        of e^{iky} and one of e^{kx}, with the budget checked once on them
-        (``_within_budget``) and per point only where that fails; blocks of
-        whole rows (ok's leading axis) of about BLOCK_POINTS points; first
-        (of ok's shape, where the point takes the row-first L-path from g)
-        and g are read only for a nonzero period.  False at a failed block."""
+        of e^{iky} and one of e^{kx}, the budget checked once on them
+        (``_within_budget``) where the points outnumber their entries (a
+        grid), else or where that fails per point; blocks of whole rows
+        (ok's leading axis) of about BLOCK_POINTS points; first (of ok's
+        shape, where the point takes the row-first L-path from g) and g
+        are read only for a nonzero period.  False at a failed block."""
         ev = self._tables(1j * y)
         eu = self._tables(x)
-        checked = self._within_budget(x, y, eu, ev)
+        checked = (ok.size > x.size + y.size
+                   and self._within_budget(x, y, eu, ev))
         row = math.prod(ok.shape[1:])
         step = max(1, BLOCK_POINTS // row)
         for lo in range(0, len(ok), step):

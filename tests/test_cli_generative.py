@@ -92,13 +92,15 @@ def _check_output(argv, out, target):
     json.loads(out, parse_constant=_refuse_constant)
 
 
-def _spec(rng):
+def _spec(rng, helicoid=False):
+    """The spec's JSON text and its number of components; the helicoid's
+    on a drawn domain when ``helicoid``."""
     draw = rng.random()
-    if draw < 0.25:
+    if helicoid or 0.25 <= draw < 0.45:
+        body = {"curve": _HELICOID_51}
+    elif draw < 0.25:
         body = {"weierstrass": {"G": str(rng.choice(_G)),
                                 "Psi": str(rng.choice(_PSI))}}
-    elif draw < 0.45:
-        body = {"curve": _HELICOID_51}
     else:
         n = int(rng.choice([2, 3, 3, 4, 4, 5]))
         body = {"curve": [str(rng.choice(_COMPONENTS)) for _ in range(n)]}
@@ -114,22 +116,30 @@ def _spec(rng):
         body["domain"] = domain
         if rng.random() < 0.3:
             body["base_point"] = [u0 + w / 3, v0 + h / 2]
-    return json.dumps(body)
+    # Weierstrass data give a curve in C^3
+    return json.dumps(body), len(body["curve"]) if "curve" in body else 3
 
 
 def _command(rng, target):
     """argv and stdin of one drawn run."""
-    spec = _spec(rng)
+    spec, n = _spec(rng)
     res = str(rng.choice(["5x5", "9x7", "12x12", "2x2", "1x5", "9by9"]))
-    tol = str(rng.choice(["1e-10", "1e-6", "0", "nan"]))
     kind = rng.integers(0, 7)
     if kind == 0:
+        tol = str(rng.choice(["1e-10", "1e-8", "1e-6", "0", "nan"]))
         return ["sample", "--res", res, "--tol", tol], spec
     if kind == 1:
         return ["verify", "--res", res, "--samples", "24"], spec
     if kind == 2:
-        value = str(rng.choice(["0", "0.1", "-0.3", "0.7", "1e3"]))
-        argv = ["slice", "--axis", str(rng.integers(0, 5)), "--value", value,
+        # half the slices cut the helicoid along X3 = v - Im z0, whose level
+        # sets are conics, the others an axis of the drawn spec; each level
+        # is one X3 reaches on a drawn rectangle with z0 on its middle row
+        if rng.random() < 0.5:
+            spec, axis = _spec(rng, helicoid=True)[0], 3
+        else:
+            axis = rng.integers(0, n)
+        value = str(rng.choice(["0", "0.05", "-0.08"]))
+        argv = ["slice", "--axis", str(axis), "--value", value,
                 "--npoints", str(rng.choice([12, 20, 5]))]
         if rng.random() < 0.2:
             argv.append("--sweep=-0.5:0.5")

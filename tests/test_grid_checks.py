@@ -7,8 +7,8 @@ puncture lies farther than the clearance from the rectangle
 and rectangles, at those checks' edges, against the same calls with both
 shortcuts turned off: the route, the mask and every bit of the points
 agree.  ``parametric_immersion`` takes the same exact route at flat
-points, with the same budget check on their tables: at a grid's valid
-points it gives ``immerse``'s bits.
+points, checking each point's budget: at a grid's valid points it gives
+``immerse``'s bits.
 """
 
 import math
@@ -177,21 +177,16 @@ def test_parametric_immersion_gives_immerses_bits():
     # in-class draws with no real period, at tols about the grid bound's
     # edge: where immerse keeps the exact route, whether the bound or the
     # per-point check passed it, parametric_immersion at its valid points
-    # gives the same bits; and wherever the bound passes a flat point set,
-    # each of its points is within its own budget
+    # gives the same bits; a flat point set, no larger than its tables,
+    # takes no bound and checks each point
     rng = np.random.default_rng(27)
-    tally = {"grid fast": 0, "grid slow": 0, "flat fast": 0, "flat slow": 0}
+    tally = {"grid fast": 0, "grid slow": 0}
     within = surface_mod._Primitive._within_budget
     decisions = []
 
     def spy_within(self, x, y, eu, ev):
-        ok = within(self, x, y, eu, ev)
-        decisions.append(ok)
-        if ok and x.ndim == 1:
-            level = self._primitive(eu, ev, x + 1j * y)[1] + self.base_level
-            assert np.all(surface_mod._PRIMITIVE_ROUNDOFF * level
-                          <= self.tol)
-        return ok
+        decisions.append(within(self, x, y, eu, ev))
+        return decisions[-1]
 
     def no_tree(*args):
         decisions.append(None)
@@ -226,9 +221,7 @@ def test_parametric_immersion_gives_immerses_bits():
                 d = c.domain
                 f(rng.uniform(d.u_min, d.u_max, 50),
                   rng.uniform(d.v_min, d.v_max, 50))
-            flat = decisions[1:]
-            tally["flat fast"] += sum(flat)
-            tally["flat slow"] += len(flat) - sum(flat)
+                assert decisions == [grid]
     assert min(tally.values()) >= 5, tally
 
 
@@ -377,3 +370,52 @@ def test_a_clear_rectangle_measures_no_distance_for_anchor_or_sheets(
     assert surface_mod.real_period(c).any()
     p = immerse(c, res=(9, 9))
     assert p.valid.all() and calls == [1]
+
+
+def test_with_no_base_point_immerse_anchors_where_parametric_immersion_does():
+    # the draws with no base point: immerse anchors at the domain's
+    # default base point itself, on or off the grid (no draw's stem from
+    # it passes a puncture); and with no real period, where immerse keeps
+    # the exact route, parametric_immersion from the same default gives
+    # its bits at the valid points
+    rng = np.random.default_rng(30)
+    tally = {"off grid": 0, "on grid": 0, "compared": 0}
+    for _ in range(60):
+        c, _, res, block = _draw(rng)
+        tol = 10.0 ** rng.uniform(-13, -6)
+        tree, p, _ = _run(c, None, res, tol, block, per_point=False)
+        z0 = c.domain.default_base_point()
+        assert p.base_point == z0
+        on_grid = z0.real in p.u and z0.imag in p.v
+        tally["on grid" if on_grid else "off grid"] += 1
+        if tree or surface_mod.real_period(c).any():
+            continue
+        uu, vv = np.meshgrid(p.u, p.v, indexing="ij")
+        got = parametric_immersion(c, tol=tol)(uu[p.valid], vv[p.valid])
+        assert got.tobytes() == p.points[p.valid].tobytes()
+        tally["compared"] += 1
+    assert tally["off grid"] >= 20 and min(tally.values()) >= 5, tally
+
+
+def test_a_base_point_on_the_grid_is_exactly_zero():
+    # X(zeta0) = 0 exactly when zeta0 is a grid point: each draw's base
+    # point moved to a valid grid point of its default-anchored patch, on
+    # the exact route and on the forced tree (primitive_form None)
+    rng = np.random.default_rng(31)
+    tally = {"exact": 0, "tree": 0}
+    for _ in range(40):
+        c, _, res, block = _draw(rng)
+        tol = 10.0 ** rng.uniform(-13, -6)
+        valid = immerse(c, res=res, tol=tol).valid
+        j, k = np.argwhere(valid)[rng.integers(np.count_nonzero(valid))]
+        u, v = c.domain.grid(*res)
+        zeta0 = complex(u[j], v[k])
+        for forced in (False, True):
+            with pytest.MonkeyPatch.context() as m:
+                if forced:
+                    m.setattr(surface_mod, "primitive_form", lambda e: None)
+                tree, p, _ = _run(c, zeta0, res, tol, block, per_point=False)
+            assert p.base_point == zeta0 and p.valid[j, k]
+            assert np.all(p.points[j, k] == 0)
+            tally["tree" if tree else "exact"] += 1
+    assert min(tally.values()) >= 20, tally

@@ -828,9 +828,9 @@ def test_l_paths_on_broadcast_axes_match_flat_points():
 
 def test_default_base_point_is_never_masked():
     # (1/(z - p), i/(z - p), 0) punctured at p near the centre of [-1, 1]^2,
-    # with no base point: where the snapped default lies within the
-    # clearance of p, immerse anchors at the nearest grid point clear of it,
-    # and keeps the snapped default everywhere else
+    # with no base point: immerse anchors at the domain's default base
+    # point itself where its stem to the nearest grid point g clears p,
+    # and else, as before, at the grid point nearest g that clears p
     rng = np.random.default_rng(20261019)
     moved = 0
     for _ in range(200):
@@ -843,21 +843,75 @@ def test_default_base_point_is_never_masked():
         u, v = patch.u, patch.v
         clearance = 1.25 * np.hypot(u[1] - u[0], v[1] - v[0])
         z0 = c.domain.default_base_point()
-        snapped = complex(u[np.argmin(np.abs(u - z0.real))],
-                          v[np.argmin(np.abs(v - z0.imag))])
+        g = complex(u[np.argmin(np.abs(u - z0.real))],
+                    v[np.argmin(np.abs(v - z0.imag))])
         b = patch.base_point
         j0, k0 = np.argmin(np.abs(u - b.real)), np.argmin(np.abs(v - b.imag))
-        assert b == complex(u[j0], v[k0]) and patch.valid[j0, k0]
-        assert np.all(patch.points[j0, k0] == 0)
-        if abs(snapped - p) > clearance:
-            assert b == snapped
+        assert patch.valid[j0, k0]
+        if c.domain.puncture_distance(z0, g) > clearance:
+            assert b == z0
             continue
         moved += 1
+        assert b == complex(u[j0], v[k0]) and np.all(patch.points[j0, k0] == 0)
         zz = u[:, None] + 1j * v[None, :]
         clear = np.abs(zz - p) > clearance
-        far = np.abs(zz - snapped)
+        far = np.abs(zz - g)
         assert clear[j0, k0] and far[j0, k0] == np.min(far[clear])
     assert moved >= 20
+
+
+def _default_anchored(c, res, tol=1e-10):
+    """immerse and parametric_immersion of c with no base point: the
+    patch, and the latter's values less the former's at its valid points."""
+    p = immerse(c, res=res, tol=tol)
+    zz = p.u[:, None] + 1j * p.v[None, :]
+    got = parametric_immersion(c, tol=tol)(zz.real[p.valid], zz.imag[p.valid])
+    return p, got - p.points[p.valid]
+
+
+@pytest.mark.parametrize("curve", ["constant", "theorem51", "catenoid"])
+def test_with_no_base_point_sample_and_slice_are_one_immersion(curve):
+    # immerse anchors at DomainSpec.default_base_point() itself, not at the
+    # grid point nearest it, and so gives parametric_immersion's bits at
+    # every valid grid point: (1, i, 0) at 4^2, whose default 0 is off the
+    # grid, the theorem-5.1 helicoid (c = 1 + 0.5i) at 40 x 31 and the
+    # catenoid (z, 1/z^2) punctured at 0 at 64^2
+    sq = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
+    c, res = {
+        "constant": (NullCurve((ex.const(1), ex.const(1j), ex.const(0)),
+                               DomainSpec()), (4, 4)),
+        "theorem51": (replace(parabolic_deform(cat.helicoid(), 1 + 0.5j),
+                              domain=DomainSpec(-1.2, 0.9, -0.7, 1.3)),
+                      (40, 31)),
+        "catenoid": (from_weierstrass(WeierstrassData(
+            ex.Z, ex.parse("1/z^2"), sq)), (64, 64)),
+    }[curve]
+    p, diff = _default_anchored(c, res)
+    z0 = c.domain.default_base_point()
+    assert p.base_point == z0 and not (z0.real in p.u and z0.imag in p.v)
+    assert not real_period(c).any() and p.valid.any()
+    assert not diff.any()
+    if curve == "constant":     # X = (u, -v, 0), as slice reads it
+        assert p.points[2, 2].tolist() == [p.u[2], -p.v[2], 0]
+
+
+@pytest.mark.parametrize("n, sheets", [(13, 5), (33, 15)])
+def test_with_no_base_point_the_associate_catenoid_differs_by_periods(
+        n, sheets):
+    # the catenoid turned by e^{-0.6i}, punctured at 0 on [-1.5, 1.5]^2,
+    # has the real period 2 pi sin 0.6 in X2: from the same default
+    # anchor, the two callers' L-path rules put a few points a whole
+    # period apart, and every other point agrees bitwise
+    sq = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
+    c = associate(from_weierstrass(WeierstrassData(ex.Z, ex.parse("1/z^2"),
+                                                   sq)), 0.6)
+    period = real_period(c)
+    assert period[2] == pytest.approx(2 * np.pi * np.sin(0.6), rel=1e-15)
+    p, diff = _default_anchored(c, (n, n))
+    assert p.base_point == sq.default_base_point()
+    w = np.round(diff[:, 2] / period[2])
+    assert np.max(np.abs(diff - w[:, None] * period)) <= 1e-12
+    assert np.count_nonzero(w) == sheets and not diff[w == 0].any()
 
 
 def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths(
