@@ -29,10 +29,6 @@ class DimensionMismatch(MinsurfError):
     """Matrix dimension does not match curve component count."""
 
 
-class ZeroVector(MinsurfError):
-    """Null-curve value vanished where a direction was required."""
-
-
 class InvalidConstant(MinsurfError):
     """A construction constant violates its precondition (e.g. C = 0)."""
 

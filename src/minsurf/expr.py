@@ -2,9 +2,9 @@
 
 Expressions are immutable ASTs over {constants, the variable z, +, -, *, /,
 integer powers, exp, log, sinh, cosh}.  Keeping them symbolic (rather than
-opaque callables) buys exact differentiation, text round-tripping for the
-CLI/JSON interfaces, and a compact instruction tape for fast bulk
-evaluation (see ``engine``).
+opaque callables) buys exact primitives (``primitive_form``), text
+round-tripping for the CLI/JSON interfaces, and a compact instruction tape
+for fast bulk evaluation (see ``engine``).
 
 A tree evaluates as its text reads.  The smart constructors ``add``,
 ``sub``, ``mul``, ``div``, ``neg`` and ``powi`` fold only when every
@@ -17,9 +17,8 @@ as written.  Every ``Const`` is finite (``InvalidConstant`` otherwise).
 the finite sums of terms ``c z^n e^{kz}`` with integer ``n``, negative
 only where ``k = 0`` (every catalog curve and its linear deformations).
 From a form, ``primitive_form`` reads an exact primitive as its terms'
-coefficients, ``antiderivative`` writes those terms as expressions, and
-``residue`` reads the ``z^{-1}`` coefficient, whose primitive is the one
-``log`` term.
+coefficients, and ``residue`` reads the ``z^{-1}`` coefficient, whose
+primitive is the one ``log`` term.
 
 ``parse`` reads one token at a time with the regular expression ``_TOKEN``:
 a number (decimal digits of any script with at most one '.', an optional
@@ -42,8 +41,7 @@ __all__ = [
     "Exp", "Log", "Sinh", "Cosh",
     "Z", "const", "add", "sub", "mul", "div", "neg", "powi",
     "exp", "log", "sinh", "cosh", "normal_forms",
-    "differentiate", "primitive_form", "antiderivative", "residue", "parse",
-    "to_source", "MAX_DEPTH",
+    "primitive_form", "residue", "parse", "to_source", "MAX_DEPTH",
 ]
 
 
@@ -156,9 +154,6 @@ class Cosh(Expr):
 
 Z = Var()
 
-_ZERO = Const(0.0 + 0.0j)
-_ONE = Const(1.0 + 0.0j)
-
 
 def const(value) -> Const:
     return Const(complex(value))
@@ -228,45 +223,6 @@ def sinh(a) -> Expr:
 
 def cosh(a) -> Expr:
     return Cosh(_coerce(a))
-
-
-# ---------------------------------------------------------------------------
-# exact differentiation
-# ---------------------------------------------------------------------------
-
-def differentiate(e: Expr) -> Expr:
-    """Exact d/dz of an expression, as a new AST."""
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE
-    if isinstance(e, Add):
-        return add(differentiate(e.a), differentiate(e.b))
-    if isinstance(e, Sub):
-        return sub(differentiate(e.a), differentiate(e.b))
-    if isinstance(e, Mul) and isinstance(e.a, Const):
-        return mul(e.a, differentiate(e.b))   # no 0*b term to keep
-    if isinstance(e, Mul):
-        return add(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
-    if isinstance(e, Div) and isinstance(e.a, Const):
-        db = differentiate(e.b)   # with no 1*db
-        return div(neg(db if e.a.value == 1 else mul(e.a, db)), powi(e.b, 2))
-    if isinstance(e, Div):
-        num = sub(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
-        return div(num, powi(e.b, 2))
-    if isinstance(e, Neg):
-        return neg(differentiate(e.a))
-    if isinstance(e, Pow):
-        return mul(mul(const(e.n), powi(e.a, e.n - 1)), differentiate(e.a))
-    if isinstance(e, Exp):
-        return mul(e, differentiate(e.a))
-    if isinstance(e, Log):
-        return div(differentiate(e.a), e.a)
-    if isinstance(e, Sinh):
-        return mul(cosh(e.a), differentiate(e.a))
-    if isinstance(e, Cosh):
-        return mul(sinh(e.a), differentiate(e.a))
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +343,6 @@ def residue(nf):
     return None if nf is None else nf.get((-1, 0j), 0j)
 
 
-def _scaled(c, x) -> Expr:
-    """The node c x, written x or -x for c = 1 or -1."""
-    if c == 1:
-        return x
-    return Neg(x) if c == -1 else Mul(Const(c), x)
-
-
-def _term(c, m, k) -> Expr:
-    """The node c z^m e^{kz} (m, k not both 0), with no factor z^0, e^{0z}
-    or 1: each is entire, so leaving it out hides nothing."""
-    power = Z if m == 1 else Pow(Z, m)
-    growth = Exp(_scaled(k, Z))
-    if k == 0:
-        return _scaled(c, power)
-    return _scaled(c, growth if m == 0 else Mul(power, growth))
-
-
 def primitive_form(nf):
     """Exact primitive F of the expression whose form is ``nf`` (see
     ``normal_forms``) as ({(m, k): c}, r): F is the sum of the terms
@@ -431,19 +370,6 @@ def primitive_form(nf):
     if not all(cmath.isfinite(c) for c in out.values()):
         return None
     return out, residue(nf)
-
-
-def antiderivative(nf):
-    """The terms of ``primitive_form`` as a tuple of expressions whose sum
-    is F, or None: each c z^m e^{kz} with no factor z^0, e^{0z} or 1, and
-    r log z last (on the branch cut the caller evaluates it with) when
-    r != 0.  The zero function has the empty tuple as its primitive."""
-    form = primitive_form(nf)
-    if form is None:
-        return None
-    out, log_coef = form
-    terms = tuple(_term(c, m, k) for (m, k), c in out.items())
-    return terms if log_coef == 0 else terms + (_scaled(log_coef, Log(Z)),)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,6 @@ class NullCurve:
 class NullResidualReport:
     max_abs_residual: float
     normalizer: float
-    sample_count: int
 
     @property
     def is_null(self) -> bool:
@@ -134,4 +133,4 @@ def null_residual(c: NullCurve, samples: int = 100, skip: int = 0) -> NullResidu
     residual = np.abs(quadratic_form(vals))
     with np.errstate(over="ignore"):   # an inf normalizer fails is_null
         scale = np.sum(np.abs(vals) ** 2, axis=-1)
-    return NullResidualReport(float(residual.max()), float(scale.max()), samples)
+    return NullResidualReport(float(residual.max()), float(scale.max()))

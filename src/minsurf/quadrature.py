@@ -28,7 +28,7 @@ subexpressions are evaluated once per node, and each component is
 accepted on a segment as soon as its own error estimate meets the
 segment's tolerance.  The nodes of a pass are evaluated in chunks of at
 most ``CHUNK_NODES`` points, so memory does not grow with the batch.
-A ``domain`` (DomainSpec) passed to either entry point gives the log
+A ``domain`` (DomainSpec) passed to ``integrate_segments`` gives the log
 branch cut and the punctures, measured by ``DomainSpec.puncture_distance``;
 a segment through a puncture raises SingularPath before any evaluation.
 """
@@ -43,8 +43,7 @@ from .domain import DomainSpec
 from .engine import compile_expr, eval_program
 from .errors import NoConvergence, SingularPath
 
-__all__ = ["integrate_path", "integrate_segments",
-           "MAX_DEPTH", "CHUNK_NODES", "ROUNDOFF_FACTOR"]
+__all__ = ["integrate_segments", "MAX_DEPTH", "CHUNK_NODES", "ROUNDOFF_FACTOR"]
 
 MAX_DEPTH = 40
 # quadrature nodes per evaluator call: bounds the evaluator's temporaries
@@ -184,15 +183,3 @@ def integrate_segments(expr, a, b, tol: float = 1e-12, *,
                    np.ones((len(prog.outputs), a.size), dtype=bool),
                    np.arange(a.size), 0)
     return total[0] if prog.single else total
-
-
-def integrate_path(expr, z0, z1, tol: float = 1e-12, *, domain=None) -> complex:
-    """Integral of ``expr`` along the straight segment z0 -> z1.
-
-    Absolute error is at most ``tol``, or the roundoff level where that
-    is larger (see ``integrate_segments``).  When ``domain`` is given, its
-    punctures are checked against the segment and its branch cut angle
-    is used for log.
-    """
-    return complex(integrate_segments(expr, [z0], [z1], tol, domain=domain)[0])
-

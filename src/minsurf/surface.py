@@ -6,9 +6,11 @@ path.  ``immerse`` first finds the valid grid points: those one of whose
 L-paths from z0 (``_l_paths``), the stem to the nearest grid point
 g(j0, k0) then row k0 and column j, or the stem, column j0 and row k,
 keeps more than 1.25 cell diagonals from every puncture, by one segment
-test that serves the default anchor too.  The L-paths keep inside the
-rectangle, so when every puncture lies farther than that from it, the
-test passes at once and measures no distance.  When
+test that serves the default anchor too (where it fails the stem from
+the domain's default base point, the anchor is the grid point nearest g
+that passes, the first in row-major order among equals).  The L-paths
+keep inside the rectangle, so when every puncture lies farther than that
+from it, the test passes at once and measures no distance.  When
 ``expr.primitive_form`` of each of the curve's ``forms`` (read once per
 curve) is an exact primitive (sums of c z^n e^{kz}, n negative only where
 k = 0: every catalog curve and its constant linear deformations), each
@@ -16,8 +18,11 @@ component is F_i = sum_b C[i, b] z^m e^{kz} + r_i log z over the curve's
 distinct basis functions z^m e^{kz}, and X is Re(F(z) - F(z0)) on the
 domain's branch cut plus w Re(2 pi i r_i), w the signed number of times
 the L-path that the caller chose for the point (``first``) crosses the
-cut.  One entry, ``_Primitive.fill``, serves grids (``immerse``) and flat
-point sets (``parametric_immersion``): each e^{kz} is e^{ku} e^{ikv}, from
+cut: the turn of arg z along its legs less the change of the engine's
+own arg z (``_sheet``), so that a point on the cut falls on the side the
+primitive's log puts it.  One entry, ``_Primitive.fill``, serves grids
+(``immerse``) and flat point sets (``parametric_immersion``): each e^{kz}
+is e^{ku} e^{ikv}, from
 one program of the distinct e^{kz} run once on the u and once on the iv
 that broadcast to the points, so a grid takes nu + nv exponentials per
 k, not one per point and term.  Each valid point has tol as its budget
@@ -27,7 +32,9 @@ checks the budget first on its two tables, on the level at the nearest
 and farthest |z| that the ranges of |u| and |v| allow, with the tables'
 largest factors, doubled (a sum of |z|^m is convex in log |z|); else, or
 with a log z term, each point checks its own.  Otherwise (outside the
-class, or over that budget) one ``integrate_segments`` call takes the
+class, over that budget, a value that is not finite, an e^{ku} or
+e^{ikv} that overflows on its own even where e^{kz} is finite, or a leg
+of an L-path through 0) one ``integrate_segments`` call takes the
 stem and the edges of row k0 and of every column toward the points the
 first L-path reaches, each within tol / (nu + nv), summed outward in
 blocks of about sqrt(m) of a line's m edges, and a second the transposed
@@ -38,7 +45,6 @@ cut.
 Verification instruments:
 
 * conformal factor  L = (1/2) sum |phi_k|^2  (the metric is L |dz|^2)
-* Gauss map         z -> [phi(z)] on the projective null quadric
 * degeneracy rank   numerical rank of sampled curve values via SVD,
                     with hyperplane coefficients from the null space
                     when it is one-dimensional
@@ -69,14 +75,14 @@ import numpy as np
 
 from . import engine   # looked up at each call, so wrappers on it see them
 from .conic import ParametricSurface
-from .errors import SingularPath, ZeroVector
+from .errors import SingularPath
 from .expr import Z, exp, log, primitive_form, residue
 from .nullcurve import NullCurve
 from .quadrature import check_tol, hits_puncture, integrate_segments
 
 __all__ = [
-    "SurfacePatch", "GaussMapSample", "DegeneracyReport",
-    "immerse", "conformal_factor", "gauss_map", "degeneracy_rank",
+    "SurfacePatch", "DegeneracyReport",
+    "immerse", "conformal_factor", "degeneracy_rank",
     "verify_minimal", "export_mesh", "parametric_immersion", "real_period",
     "RANK_CUTOFF", "BLOCK_POINTS",
 ]
@@ -468,33 +474,10 @@ def conformal_factor(c: NullCurve, zeta):
 
 
 @dataclass(frozen=True)
-class GaussMapSample:
-    """Unit-normalized projective representative of phi(zeta)."""
-
-    vector: np.ndarray
-    zeta: complex
-
-    def projective_distance(self, other: "GaussMapSample") -> float:
-        """0 for the same projective point, up to 1 for orthogonal ones."""
-        return float(1.0 - abs(np.vdot(self.vector, other.vector)))
-
-
-def gauss_map(c: NullCurve, zeta: complex) -> GaussMapSample:
-    """Projective curve direction at zeta; raises ZeroVector at a
-    branch point (all components vanishing)."""
-    vals = c(complex(zeta))
-    norm = float(np.linalg.norm(vals))
-    if norm < 1e-300:
-        raise ZeroVector(f"curve vanishes at {zeta}")
-    return GaussMapSample(vals / norm, complex(zeta))
-
-
-@dataclass(frozen=True)
 class DegeneracyReport:
     rank: int
     singular_values: np.ndarray
     hyperplane: np.ndarray | None   # coefficients a with a . phi = 0
-    sample_count: int
 
 
 def degeneracy_rank(c: NullCurve, samples: int = 64, skip: int = 0) -> DegeneracyReport:
@@ -510,7 +493,7 @@ def degeneracy_rank(c: NullCurve, samples: int = 64, skip: int = 0) -> Degenerac
         raise ValueError("need at least 2n samples for a stable rank")
     z = c.domain.sample_points(samples, skip=skip)
     rank, s, hyper = _rank_and_hyperplane(c(z))
-    return DegeneracyReport(rank, s, hyper, samples)
+    return DegeneracyReport(rank, s, hyper)
 
 
 def _rank_and_hyperplane(a):
@@ -520,7 +503,7 @@ def _rank_and_hyperplane(a):
     turned so that its first entry above half the largest magnitude is
     real and positive: the SVD's arbitrary phase, or a last-digit change
     in the samples, then neither turns nor flips it."""
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > RANK_CUTOFF * s[0])) if s[0] > 0 else 0
     if rank != a.shape[1] - 1:
         return rank, s, None
@@ -549,8 +532,10 @@ def verify_minimal(p: SurfacePatch) -> dict:
     Conformality defect: max of |E - G| and 2|F| over E + G, with
     E, G, F from central differences.  Harmonicity defect: the 5-point
     Laplacian (per-direction spacing) over (E + G) / 2, the conformal
-    factor to O(h^2).  Both are O(h^2) on a true minimal immersion.
-    Points where E + G = 0 are left out; ValueError when no interior
+    factor to O(h^2).  Both are O(h^2) on a true minimal immersion when
+    the stencil stays clear of every puncture: next to a puncture's mask,
+    which keeps only 1.25 cell diagonals from it, they need not fall with
+    h.  Points where E + G = 0 are left out; ValueError when no interior
     point is left.  The interior rows are taken in blocks of about
     BLOCK_POINTS points, each with a halo row on either side, and the
     stencil works on one component plane at a time: for a patch from
@@ -716,10 +701,3 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
 
     return ParametricSurface(f, (dom.u_min, dom.u_max),
                              (dom.v_min, dom.v_max), "immersion")
-
-
-def load_obj_vertices(path) -> np.ndarray:
-    """Vertex coordinates of an OBJ file (for round-trip checks)."""
-    with open(path) as fh:
-        rows = [line.split()[1:4] for line in fh if line.startswith("v ")]
-    return np.array(rows, dtype=float)

@@ -12,11 +12,13 @@ from minsurf import catalog, specio
 from minsurf import expr as ex
 from minsurf.cli import main, parse_complex
 from minsurf.nullcurve import embed_3_to_4
-from minsurf.surface import conformal_factor, immerse, load_obj_vertices
+from minsurf.surface import conformal_factor, immerse
 from minsurf.transforms import (apply_transform, associate, goursat, lawson,
                                 lopez_ros, parabolic_deform,
                                 parabolic_deform_rotated,
                                 parabolic_rotation_matrix, segre_LR_matrix)
+
+from conftest import load_obj_vertices
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ import pytest
 from minsurf import expr as ex
 from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
+from minsurf.errors import SingularPath
 from minsurf.nullcurve import NullCurve, WeierstrassData, from_weierstrass
 from minsurf.surface import immerse, parametric_immersion
 
@@ -261,6 +262,36 @@ def test_the_exact_route_agrees_with_the_tree_at_every_block_size():
         periodic = surface_mod.real_period(c).any()
         tally["periodic" if periodic else "aperiodic"] += 1
     assert tally["periodic"] >= 10 and tally["over budget"] >= 3, tally
+
+
+def test_a_point_whose_l_paths_both_pass_through_the_pole_is_refused():
+    # seeded draws with a real period: from a base point on the real axis,
+    # a point on the axis beyond the puncture at 0 has both L-paths through
+    # 0.  The exact route's sheet count refuses a leg through 0, so the
+    # call raises SingularPath as the tree does, and a point off the axis
+    # takes the column-first path and agrees with the tree within 2 tol
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        comps = [f"({rng.normal():.3f}{rng.normal():+.3f}i)/z"
+                 f"+{_term(rng, False)}" for _ in range(int(rng.integers(3, 6)))]
+        a, b = rng.uniform(0.5, 2.5, size=2)
+        dom = DomainSpec(-a, a, -b, b, punctures=(0j,),
+                         branch_cut=rng.uniform(-math.pi, math.pi))
+        c = NullCurve(tuple(ex.parse(t) for t in comps), dom)
+        assert surface_mod.real_period(c).any()
+        zeta0 = complex(rng.choice([-1, 1]) * rng.uniform(0.2, 1) * a)
+        beyond = -zeta0.real * rng.uniform(0.2, 1.5)
+        off = beyond + 1j * rng.uniform(0.1, 1) * b * rng.choice([-1, 1])
+        tol = 10.0 ** rng.uniform(-12, -8)
+        exact = parametric_immersion(c, zeta0, tol)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(surface_mod, "primitive_form", lambda e: None)
+            tree = parametric_immersion(c, zeta0, tol)
+        for surf in (exact, tree):
+            with pytest.raises(SingularPath, match="no L-path"):
+                surf(np.array([beyond]), np.array([0.0]))
+        assert np.max(np.abs(exact(off.real, off.imag)
+                             - tree(off.real, off.imag))) <= 2 * tol
 
 
 @pytest.mark.parametrize("tol, fast", [(1e-6, True), (1e-10, False)])

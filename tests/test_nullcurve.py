@@ -87,7 +87,7 @@ def test_null_residual_overflow_is_not_null():
     (np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf),
     (1.0, np.inf), (np.inf, 1.0)])
 def test_non_finite_report_is_not_null(residual, normalizer):
-    assert NullResidualReport(residual, normalizer, 8).is_null is False
+    assert NullResidualReport(residual, normalizer).is_null is False
 
 
 def test_null_residual_helicoid_tight():

@@ -13,7 +13,7 @@ from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
 from minsurf.errors import NoConvergence, SingularPath
 from minsurf.nullcurve import WeierstrassData, from_weierstrass
-from minsurf.quadrature import integrate_path, integrate_segments
+from minsurf.quadrature import integrate_segments
 from minsurf.surface import immerse
 
 from conftest import random_complex
@@ -73,17 +73,18 @@ def test_punctured_catenoid_at_513_matches_closed_form(monkeypatch):
 
 
 def test_constant_integrand():
-    assert abs(integrate_path(ex.const(1), 0, 1 + 1j, 1e-12) - (1 + 1j)) < 1e-12
+    val = integrate_segments(ex.const(1), [0], [1 + 1j], 1e-12)[0]
+    assert abs(val - (1 + 1j)) < 1e-12
 
 
 def test_exponential_antiderivative():
-    val = integrate_path(ex.exp(ex.Z), 0, 1, 1e-12)
+    val = integrate_segments(ex.exp(ex.Z), [0], [1], 1e-12)[0]
     assert abs(val - (math.e - 1)) < 1e-12
 
 
 def test_inverse_square_against_antiderivative_and_trapezoid():
     # antiderivative -1/z gives exactly 1/2 on [1, 2]
-    val = integrate_path(ex.parse("1/z^2"), 1, 2, 1e-12)
+    val = integrate_segments(ex.parse("1/z^2"), [1], [2], 1e-12)[0]
     assert abs(val - 0.5) < 1e-12
     # brute-force trapezoid oracle, 10^6 steps
     t = np.linspace(1.0, 2.0, 1_000_001)
@@ -97,8 +98,9 @@ def test_additivity_collinear(rng):
     for _ in range(5):
         z0, z2 = random_complex(rng, 2)
         z1 = 0.5 * (z0 + z2)
-        two = (integrate_path(f, z0, z1, tol) + integrate_path(f, z1, z2, tol))
-        one = integrate_path(f, z0, z2, tol)
+        two = (integrate_segments(f, [z0], [z1], tol)[0]
+               + integrate_segments(f, [z1], [z2], tol)[0])
+        one = integrate_segments(f, [z0], [z2], tol)[0]
         assert abs(two - one) <= 2 * tol
 
 
@@ -110,8 +112,10 @@ def test_path_independence_polyline(rng):
         a, b = random_complex(rng, 2)
         corner1 = complex(b.real, a.imag)
         corner2 = complex(a.real, b.imag)
-        r1 = integrate_path(f, a, corner1, tol) + integrate_path(f, corner1, b, tol)
-        r2 = integrate_path(f, a, corner2, tol) + integrate_path(f, corner2, b, tol)
+        r1 = (integrate_segments(f, [a], [corner1], tol)[0]
+              + integrate_segments(f, [corner1], [b], tol)[0])
+        r2 = (integrate_segments(f, [a], [corner2], tol)[0]
+              + integrate_segments(f, [corner2], [b], tol)[0])
         assert abs(r1 - r2) <= 4 * tol
 
 
@@ -121,26 +125,26 @@ def test_batched_segments_match_single(rng):
     b = random_complex(rng, 16)
     batch = integrate_segments(f, a, b, 1e-12)
     for ai, bi, got in zip(a, b, batch):
-        assert abs(integrate_path(f, ai, bi, 1e-12) - got) < 2e-12
+        assert abs(integrate_segments(f, [ai], [bi], 1e-12)[0] - got) < 2e-12
 
 
 def test_puncture_on_segment_rejected():
     dom = DomainSpec(-1, 1, -1, 1, punctures=(0j,))
     with pytest.raises(SingularPath):
-        integrate_path(ex.parse("1/z"), -1, 1, 1e-12, domain=dom)
+        integrate_segments(ex.parse("1/z"), [-1], [1], 1e-12, domain=dom)
 
 
 def test_singular_evaluation_detected():
     # integrand blows up mid-segment without a declared puncture
     with pytest.raises((SingularPath, NoConvergence)):
-        integrate_path(ex.parse("1/z"), -1 + 1e-13j, 1, 1e-12)
+        integrate_segments(ex.parse("1/z"), [-1 + 1e-13j], [1], 1e-12)
 
 
 def test_pole_on_a_kronrod_node_is_a_singular_path():
     # 0.5 is the centre node of the first panel of 0 -> 1; no domain is
     # given, so the non-finite value itself must be caught
     with pytest.raises(SingularPath, match="singular on an integration segment"):
-        integrate_path(ex.parse("1/(z-0.5)"), 0, 1)
+        integrate_segments(ex.parse("1/(z-0.5)"), [0], [1])
 
 
 def test_segment_endpoint_shapes_must_match():
@@ -181,7 +185,7 @@ def test_empty_batch_integrates_to_an_empty_array(expr, shape):
 
 def test_tolerance_rejects_nonpositive():
     with pytest.raises(ValueError):
-        integrate_path(ex.Z, 0, 1, 0.0)
+        integrate_segments(ex.Z, [0], [1], 0.0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
@@ -189,7 +193,7 @@ def test_tolerance_must_be_positive_and_finite(tol):
     # NaN and inf once fell back to the roundoff floor or accepted every
     # panel; an empty batch is checked too
     with pytest.raises(ValueError, match="positive and finite"):
-        integrate_path(ex.Z, 0, 1, tol)
+        integrate_segments(ex.Z, [0], [1], tol)
     with pytest.raises(ValueError, match="positive and finite"):
         integrate_segments((ex.Z, ex.Z), [], [], tol)
 
