@@ -15,14 +15,11 @@ from it, the test passes at once and measures no distance.  When
 curve) is an exact primitive (sums of c z^n e^{kz}, n negative only where
 k = 0: every catalog curve and its constant linear deformations), each
 component is F_i = sum_b C[i, b] z^m e^{kz} + r_i log z over the curve's
-distinct basis functions z^m e^{kz}, and X is Re(F(z) - F(z0)) on the
-domain's branch cut plus w Re(2 pi i r_i), w the signed number of times
-the L-path that the caller chose for the point (``first``) crosses the
-cut: the turn of arg z along its legs less the change of the engine's
-own arg z (``_sheet``), so that a point on the cut falls on the side the
-primitive's log puts it.  One entry, ``_Primitive.fill``, serves grids
-(``immerse``) and flat point sets (``parametric_immersion``): each e^{kz}
-is e^{ku} e^{ikv}, from
+distinct basis functions z^m e^{kz}, and X is Re(F(z) - F(z0)), each log
+on the domain's branch cut: one value per point, read along no path, so
+that X jumps by the real period Re(2 pi i r_i) only across the cut.  One
+entry, ``_Primitive.fill``, serves grids (``immerse``) and flat point sets
+(``parametric_immersion``): each e^{kz} is e^{ku} e^{ikv}, from
 one program of the distinct e^{kz} run once on the u and once on the iv
 that broadcast to the points, so a grid takes nu + nv exponentials per
 k, not one per point and term.  Each valid point has tol as its budget
@@ -32,15 +29,21 @@ checks the budget first on its two tables, on the level at the nearest
 and farthest |z| that the ranges of |u| and |v| allow, with the tables'
 largest factors, doubled (a sum of |z|^m is convex in log |z|); else, or
 with a log z term, each point checks its own.  Otherwise (outside the
-class, over that budget, a value that is not finite, an e^{ku} or
-e^{ikv} that overflows on its own even where e^{kz} is finite, or a leg
-of an L-path through 0) one ``integrate_segments`` call takes the
-stem and the edges of row k0 and of every column toward the points the
-first L-path reaches, each within tol / (nu + nv), summed outward in
-blocks of about sqrt(m) of a line's m edges, and a second the transposed
-tree's row edges toward the other valid points.  Every stage reads the
-curve's ``domain``: the grid rectangle, the punctures and the log branch
-cut.
+class, over that budget, a value that is not finite, or an e^{ku} or
+e^{ikv} that overflows on its own even where e^{kz} is finite) one
+``integrate_segments`` call takes the stem and the edges of row k0 and
+of every column toward the points the first L-path reaches, each within
+tol / (nu + nv), summed outward in blocks of about sqrt(m) of a line's m
+edges, and a second the transposed tree's row edges toward the other
+valid points.  The tree's values are continued along each point's
+L-path; where ``real_period`` is known and nonzero, w times it is taken
+off them, w the signed number of times the path crosses the cut
+(``_sheet``: the turn of arg z along its legs less the change of the
+engine's own arg z), so that they are the exact route's values, a point
+on the cut on the side the primitive's log puts it.  For a curve outside
+the class the period is not known yet, and the tree's values stay
+continued.  Every stage reads the curve's ``domain``: the grid
+rectangle, the punctures and the log branch cut.
 
 Verification instruments:
 
@@ -146,9 +149,9 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     grid point is valid when one of its L-paths from zeta0 keeps more
     than 1.25 cell diagonals from every puncture (see the module
     docstring); the others are NaN.  With an exact primitive each valid
-    point is Re(F(z) - F(zeta0)) within tol, continued along that L-path
-    across the log's cut, in one pass over blocks of whole grid rows;
-    otherwise each tree is one ``integrate_segments`` call.
+    point is Re(F(z) - F(zeta0)) within tol, each log on the domain's cut,
+    in one pass over blocks of whole grid rows; otherwise each tree is one
+    ``integrate_segments`` call, its values taken to the same sheet.
     """
     tol = check_tol(tol)
     domain = c.domain
@@ -183,9 +186,13 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     planes = np.full((c.n, nu * nv), np.nan)
     sample = _primitive_sampler(c, zeta0, tol)
     if sample is None or not sample.fill(u[:, None], v[None, :], valid,
-                                         first, planes, g):
-        planes[:, valid.ravel()] = _tree_integrals(
-            c, tol, _grid_points(u, v), zeta0, j0, k0, first, valid)
+                                         planes):
+        zz = _grid_points(u, v)
+        x = _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid)
+        z = zz[valid]
+        planes[:, valid.ravel()] = _on_the_slit(c, x, lambda: (
+            zeta0, g, np.where(first[valid], z.real + 1j * g.imag,
+                               g.real + 1j * z.imag), z))
     points = planes.reshape(c.n, nu, nv).transpose(1, 2, 0)
     return SurfacePatch(u, v, points, valid, zeta0)
 
@@ -240,7 +247,7 @@ class _Primitive:
     point's bits depend neither on the caller nor on the block."""
 
     def __init__(self, c, forms, zeta0, tol):
-        self.n, self.zeta0, self.tol = c.n, zeta0, tol
+        self.n, self.tol = c.n, tol
         self.cut = c.domain.branch_cut
         self.basis = basis = list(dict.fromkeys(
             key for terms, _ in forms for key in terms))
@@ -250,7 +257,6 @@ class _Primitive:
         self.coefs = [[(basis.index(key), coef) for key, coef in terms.items()]
                       for terms, _ in forms]
         self.logs = [r for _, r in forms]
-        self.period = np.array([(2j * math.pi * r).real for r in self.logs])
         # zeta0 by its two factors too, so that X(zeta0) = 0 exactly
         e = self._tables(np.array([zeta0.real, 1j * zeta0.imag]))
         F, level = self._primitive(e[:, :1], e[:, 1:], np.array([zeta0]))
@@ -324,15 +330,13 @@ class _Primitive:
         budget = _PRIMITIVE_ROUNDOFF * (2 * level + self.base_level[:, 0])
         return bool(np.all(budget <= self.tol))
 
-    def _block(self, eu, ev, z, ok, first, out, g, checked=False):
+    def _block(self, eu, ev, z, ok, out, checked=False):
         """Write X at the points z, where ``ok`` (of z's shape) holds, into
-        their columns of out, shape (n, z.size), continued for a nonzero
-        period along zeta0 -> g -> corner -> z, the corner on g's row where
-        ``first`` (of z's shape) holds, else on its column; False when a
-        value is not finite, a leg passes through 0, or PRIMITIVE_ULPS eps
-        (level(z) + level(zeta0)) exceeds tol at one of them.  ``checked``
-        when ``_within_budget`` has passed them all: no level is computed.
-        Nothing is gathered: the points off ``ok`` are computed, not read."""
+        their columns of out, shape (n, z.size); False when a value is not
+        finite or PRIMITIVE_ULPS eps (level(z) + level(zeta0)) exceeds tol
+        at one of them.  ``checked`` when ``_within_budget`` has passed
+        them all: no level is computed.  Nothing is gathered: the points
+        off ``ok`` are computed, not read."""
         F, level = self._primitive(eu, ev, z, level=not checked)
         F = F.reshape(self.n, -1)
         ok = ok.ravel()
@@ -344,29 +348,19 @@ class _Primitive:
             if not np.all(np.all(level <= self.tol, axis=0) | ~ok):
                 return False
         F -= self.base
-        if self.period.any():
-            at = np.flatnonzero(ok)
-            z = z.ravel()[at]
-            corner = np.where(first.ravel()[at], z.real + 1j * g.imag,
-                              g.real + 1j * z.imag)
-            w = _sheet((self.zeta0, g, corner, z), self.cut)
-            if w is None:
-                return False
-            off = np.flatnonzero(w)     # the points off F's sheet
-            F[:, at[off]] += np.outer(self.period, w[off])
         np.copyto(out, F, where=ok)
         return True
 
-    def fill(self, x, y, ok, first, out, g):
+    def fill(self, x, y, ok, out):
         """X at the points x + iy where ``ok`` holds into out, shape (n,
         ok.size); x, y and ok broadcast to ok's shape, as u[:, None],
         v[None, :] for a grid or z.real, z.imag for flat points.  One table
         of e^{iky} and one of e^{kx}, the budget checked once on them
         (``_within_budget``) where the points outnumber their entries (a
         grid), else or where that fails per point; blocks of whole rows
-        (ok's leading axis) of about BLOCK_POINTS points; first (of ok's
-        shape, where the point takes the row-first L-path from g) and g
-        are read only for a nonzero period.  False at a failed block."""
+        (ok's leading axis) of about BLOCK_POINTS points.  Each point's
+        value reads no path, and no other point.  False at a failed
+        block."""
         ev = self._tables(1j * y)
         eu = self._tables(x)
         checked = (ok.size > x.size + y.size
@@ -378,27 +372,32 @@ class _Primitive:
             # a table whose rows broadcast serves every block whole
             xb, eb = (x[at], eu[:, at]) if len(x) > 1 else (x, eu)
             yb, fb = (y[at], ev[:, at]) if len(y) > 1 else (y, ev)
-            if not self._block(eb, fb, xb + 1j * yb, ok[at], first[at],
-                               out[:, lo * row:(lo + step) * row], g,
-                               checked):
+            if not self._block(eb, fb, xb + 1j * yb, ok[at],
+                               out[:, lo * row:(lo + step) * row], checked):
                 return False
         return True
+
+
+def _on_the_slit(c, x, path):
+    """The tree's values x, shape (n, m), continued along each point's
+    path (the vertices path() gives, as ``_sheet`` reads them), less w
+    real_period: the exact route's values.  Where the period is zero no
+    path is built; where it is unknown (a curve outside the class) x is
+    returned as it is."""
+    period = real_period(c)
+    if period is not None and period.any():
+        x -= np.outer(period, _sheet(path(), c.domain.branch_cut))
+    return x
 
 
 def _sheet(path, cut):
     """The signed number of times each path path[0] -> ... -> path[-1]
     crosses the log's cut: the turn of arg z along its straight legs, less
-    the change of the engine's arg z, over 2 pi.  None when a leg passes
-    through 0, its ends' ratio being real and not positive, or not finite."""
-    turn = 0.0
-    with np.errstate(all="ignore"):
-        for a, b in zip(path[:-1], path[1:]):
-            r = np.divide(b, a)
-            if np.any(~np.isfinite(r) | (r.imag == 0) & (r.real <= 0)):
-                return None
-            turn = turn + np.angle(r)
-        ends = np.append(path[0], path[-1])
-        arg = engine.eval_program(_LOG, ends, cut=cut).imag
+    the change of the engine's arg z, over 2 pi.  Each leg is one the
+    quadrature has integrated, clear of 0."""
+    turn = sum(np.angle(b / a) for a, b in zip(path[:-1], path[1:]))
+    arg = engine.eval_program(_LOG, np.append(path[0], path[-1]),
+                              cut=cut).imag
     return np.rint((turn - arg[1:] + arg[0]) / (2 * math.pi))
 
 
@@ -657,14 +656,15 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
 def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
                          tol: float = 1e-11) -> ParametricSurface:
     """Immersion X(u, v) = Re integral of the curve, anchored at zeta0,
-    for slicing and spot checks, along the L-path z0 -> (u, Im z0) -> (u, v)
-    or, where a leg of it passes a puncture (``_l_paths`` under
-    ``hits_puncture``), z0 -> (Re z0, v) -> (u, v): as in ``immerse`` for a
-    curve with an exact primitive (compiled once, here); otherwise, or over
-    that budget, one integrate_segments call of the legs, each within tol,
-    or SingularPath when both paths fail.  The L-paths are found only where
-    they are read: for a nonzero real period, and for the legs.  As in
-    ``immerse``, zeta0 must lie in the rectangle; the points need not."""
+    for slicing and spot checks.  For a curve with an exact primitive
+    (compiled once, here) it is Re(F(z) - F(zeta0)) as in ``immerse``,
+    wherever F is finite and within budget, and reads no path.  Otherwise
+    one integrate_segments call of the legs of the L-path z0 -> (u, Im z0)
+    -> (u, v) or, where a leg of it passes a puncture (``_l_paths`` under
+    ``hits_puncture``), z0 -> (Re z0, v) -> (u, v), each within tol, their
+    values taken to the exact route's sheet as in ``immerse``, or
+    SingularPath when both paths fail.  As in ``immerse``, zeta0 must lie
+    in the rectangle; the points need not."""
     tol = check_tol(tol)
     dom = c.domain
     z0 = complex(zeta0) if zeta0 is not None else dom.default_base_point()
@@ -678,15 +678,10 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     def f(u, v):
         z = (u + 1j * v).ravel()
         x = np.empty((z.size, c.n))     # C-contiguous, written through x.T
-        ok, paths = np.ones(z.size, bool), None
-        if sample is not None:
-            if sample.period.any():
-                paths = _l_paths(clear, z0, z.real, z.imag)
-            # for a zero period, ok stands in for the unread ``first``
-            if sample.fill(z.real, z.imag, ok, paths[0] if paths else ok,
-                           x.T, z0):
-                return x.reshape(u.shape + (c.n,))
-        first, valid = paths or _l_paths(clear, z0, z.real, z.imag)
+        if sample is not None and sample.fill(z.real, z.imag,
+                                              np.ones(z.size, bool), x.T):
+            return x.reshape(u.shape + (c.n,))
+        first, valid = _l_paths(clear, z0, z.real, z.imag)
         if not valid.all():
             raise SingularPath(f"no L-path from {z0} to {z[~valid][0]} keeps "
                                "off the punctures")
@@ -694,10 +689,11 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
         vals = integrate_segments(c.components,
                                   np.append(np.full(z.size, z0), corner),
                                   np.append(corner, z), tol, domain=dom)
-        # sum the two legs; copied C-contiguous, as a strided result rounds
-        # the slice's plane fit differently
-        x = vals.real.reshape(c.n, 2, -1).sum(axis=1).T.copy()
-        return x.reshape(u.shape + (c.n,))
+        x = _on_the_slit(c, vals.real.reshape(c.n, 2, -1).sum(axis=1),
+                            lambda: (z0, corner, z))
+        # copied C-contiguous, as a strided result rounds the slice's plane
+        # fit differently
+        return x.T.copy().reshape(u.shape + (c.n,))
 
     return ParametricSurface(f, (dom.u_min, dom.u_max),
                              (dom.v_min, dom.v_max), "immersion")

@@ -21,6 +21,7 @@ from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
 from minsurf.errors import SingularPath
 from minsurf.nullcurve import NullCurve, WeierstrassData, from_weierstrass
+from minsurf.quadrature import integrate_segments
 from minsurf.surface import immerse, parametric_immersion
 
 
@@ -267,9 +268,12 @@ def test_the_exact_route_agrees_with_the_tree_at_every_block_size():
 def test_a_point_whose_l_paths_both_pass_through_the_pole_is_refused():
     # seeded draws with a real period: from a base point on the real axis,
     # a point on the axis beyond the puncture at 0 has both L-paths through
-    # 0.  The exact route's sheet count refuses a leg through 0, so the
-    # call raises SingularPath as the tree does, and a point off the axis
-    # takes the column-first path and agrees with the tree within 2 tol
+    # 0, and the quadrature route (primitive_form forced to None) raises
+    # SingularPath there.  The exact route reads no path: it gives the
+    # value on the slit domain, the integral along a path that keeps to
+    # the half-plane the cut's ray does not enter, within 2 tol.  A point
+    # off the axis takes the column-first path on the quadrature route,
+    # and the two routes agree within 2 tol
     rng = np.random.default_rng(31)
     for _ in range(10):
         comps = [f"({rng.normal():.3f}{rng.normal():+.3f}i)/z"
@@ -287,9 +291,14 @@ def test_a_point_whose_l_paths_both_pass_through_the_pole_is_refused():
         with pytest.MonkeyPatch.context() as m:
             m.setattr(surface_mod, "primitive_form", lambda e: None)
             tree = parametric_immersion(c, zeta0, tol)
-        for surf in (exact, tree):
-            with pytest.raises(SingularPath, match="no L-path"):
-                surf(np.array([beyond]), np.array([0.0]))
+        with pytest.raises(SingularPath, match="no L-path"):
+            tree(np.array([beyond]), np.array([0.0]))
+        side = -math.copysign(0.5 * b, math.sin(dom.branch_cut))
+        path = np.array([zeta0, zeta0 + 1j * side, beyond + 1j * side, beyond])
+        legs = integrate_segments(c.components, path[:-1], path[1:], tol / 3,
+                                  domain=dom)
+        assert np.max(np.abs(exact(beyond, 0.0)
+                             - legs.real.sum(axis=1))) <= 2 * tol
         assert np.max(np.abs(exact(off.real, off.imag)
                              - tree(off.real, off.imag))) <= 2 * tol
 
@@ -381,13 +390,12 @@ def test_a_clear_rectangle_measures_no_distance(monkeypatch):
     assert calls == []
 
 
-def test_a_clear_rectangle_measures_no_distance_for_anchor_or_sheets(
+def test_a_clear_rectangle_with_a_real_period_measures_no_distance(
         monkeypatch):
-    # (i/z, 1/z, 0) has a real period, so the exact route counts sheets;
-    # with its puncture 0 farther than the clearance from [0.5, 2] x [-1,
-    # 1], immerse's one segment test passes at once for the default
-    # anchor and for the sheets' L-paths alike: the one distance measured
-    # is DomainSpec.default_base_point's own
+    # (i/z, 1/z, 0) has a real period; with its puncture 0 farther than
+    # the clearance from [0.5, 2] x [-1, 1], immerse's one segment test
+    # passes at once for the default anchor and for the L-paths alike:
+    # the one distance measured is DomainSpec.default_base_point's own
     calls = []
     distance = DomainSpec.puncture_distance
 
@@ -406,11 +414,11 @@ def test_a_clear_rectangle_measures_no_distance_for_anchor_or_sheets(
 def test_with_no_base_point_immerse_anchors_where_parametric_immersion_does():
     # the draws with no base point: immerse anchors at the domain's
     # default base point itself, on or off the grid (no draw's stem from
-    # it passes a puncture); and with no real period, where immerse keeps
-    # the exact route, parametric_immersion from the same default gives
-    # its bits at the valid points
+    # it passes a puncture); and where immerse keeps the exact route,
+    # with a real period or none, parametric_immersion from the same
+    # default gives its bits at the valid points
     rng = np.random.default_rng(30)
-    tally = {"off grid": 0, "on grid": 0, "compared": 0}
+    tally = {"off grid": 0, "on grid": 0, "compared": 0, "periodic": 0}
     for _ in range(60):
         c, _, res, block = _draw(rng)
         tol = 10.0 ** rng.uniform(-13, -6)
@@ -419,12 +427,13 @@ def test_with_no_base_point_immerse_anchors_where_parametric_immersion_does():
         assert p.base_point == z0
         on_grid = z0.real in p.u and z0.imag in p.v
         tally["on grid" if on_grid else "off grid"] += 1
-        if tree or surface_mod.real_period(c).any():
+        if tree:
             continue
         uu, vv = np.meshgrid(p.u, p.v, indexing="ij")
         got = parametric_immersion(c, tol=tol)(uu[p.valid], vv[p.valid])
         assert got.tobytes() == p.points[p.valid].tobytes()
         tally["compared"] += 1
+        tally["periodic"] += bool(surface_mod.real_period(c).any())
     assert tally["off grid"] >= 20 and min(tally.values()) >= 5, tally
 
 

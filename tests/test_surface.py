@@ -16,7 +16,6 @@ from minsurf.engine import evaluate
 from minsurf.errors import SingularPath
 from minsurf.nullcurve import (NullCurve, WeierstrassData, embed_3_to_4,
                                from_weierstrass)
-from minsurf.quadrature import hits_puncture
 from minsurf.surface import (_triangle_blocks, conformal_factor,
                              degeneracy_rank, export_mesh, immerse,
                              parametric_immersion, real_period, verify_minimal)
@@ -371,8 +370,8 @@ def _punctured_catenoid():
 
 
 def _punctured_with_period():
-    """(i/z, 1/z, 0) about a puncture at 0: X0 = -arg z, continued along
-    each L-path, has the real period -2 pi."""
+    """(i/z, 1/z, 0) about a puncture at 0: X0 = -arg z, on the domain's
+    cut, has the real period -2 pi."""
     dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
     return NullCurve((ex.parse("i/z"), ex.parse("1/z"), ex.const(0)), dom)
 
@@ -621,24 +620,30 @@ def test_hoffman_osserman_takes_the_exact_route(monkeypatch, alpha):
     assert np.max(np.abs(p.points - want)) <= 1e-13
 
 
-def test_a_real_period_is_continued_along_the_l_paths(monkeypatch):
-    # (i/z, 1/z, 0): Re(2 pi i i) = -2 pi, so X0 = -arg z continued along
-    # each point's L-path; the exact route counts the path's crossings of
-    # the cut and agrees with the tree for every cut and base point.  From
-    # 1 no L-path crosses the negative axis; from the others 285 or 300
-    # of the 1080 valid points lie off the principal sheet of -arg z
+def _engine_x0(z0, zz, cut):
+    """arg z0 - arg zz, each arg the engine's on the cut: X0 of
+    (i/z, 1/z, 0) from z0."""
+    arg = engine_mod.eval_program(engine_mod.compile_expr(ex.log(ex.Z)),
+                                  np.append(z0, zz), cut=cut).imag
+    return arg[0] - arg[1:].reshape(np.shape(zz))
+
+
+def test_a_real_period_takes_the_engines_arg_on_each_cut(monkeypatch):
+    # (i/z, 1/z, 0): Re(2 pi i i) = -2 pi, and X0 is arg zeta0 - arg z,
+    # each arg the engine's on the domain's cut, for every cut and base
+    # point: the exact route reads no path.  The tree, continued along
+    # each point's L-path, takes the period off where that path crosses
+    # the cut (with the cut pi, from each base point but 1, at 285 or 300
+    # of the 1080 valid points), and agrees
     c = _punctured_with_period()
     assert np.array_equal(real_period(c), [-2 * np.pi, 0.0, 0.0])
     for cut in (np.pi, 0.0, 0.1, -2.0):
         c = replace(c, domain=replace(c.domain, branch_cut=cut))
-        for z0, off in ((1 + 0j, 0), (-1 + 0.5j, 285), (-0.17 + 0.36j, 285),
-                        (-1.5 - 1.5j, 300)):
+        for z0 in (1 + 0j, -1 + 0.5j, -0.17 + 0.36j, -1.5 - 1.5j):
             p = _agrees_with_the_tree(monkeypatch, c, z0, (33, 33))
             zz = p.u[:, None] + 1j * p.v[None, :]
-            principal = np.angle(z0) - np.angle(zz)
-            sheets = (p.points[..., 0] - principal)[p.valid] / (2 * np.pi)
-            assert np.max(np.abs(sheets - np.rint(sheets))) <= 1e-12
-            assert np.count_nonzero(np.rint(sheets)) == off
+            want = _engine_x0(z0, zz, cut)
+            assert np.max(np.abs(p.points[..., 0] - want)[p.valid]) <= 1e-12
     # a second puncture, off the pole, and a base point off the grid
     c = replace(c, domain=replace(c.domain, punctures=(0j, 0.6 + 0.4j)))
     p = _agrees_with_the_tree(monkeypatch, c, 0.23 - 0.71j, (41, 37))
@@ -698,7 +703,8 @@ def test_a_non_real_residue_is_exact_where_the_cut_misses(monkeypatch,
 ])
 def test_a_non_real_residue_keeps_the_tree_where_the_cut_meets(monkeypatch,
                                                                rect, cut):
-    # the exact route keeps the tree's values: X2 continued across the cut
+    # the tree, continued along its L-paths, takes the period off where
+    # they cross the cut, and so gives the exact route's values
     u_min, u_max, v_min, v_max = rect
     c = _associated_catenoid(u_min=u_min, u_max=u_max, v_min=v_min,
                              v_max=v_max, branch_cut=cut)
@@ -714,74 +720,108 @@ def test_a_cut_parallel_to_an_axis_is_tested_on_that_axis(
         monkeypatch, v_range, punctures, misses):
     # (i/z, 1/z, 0) with the cut along the positive u axis: the ray's v is
     # 0 throughout, and the grid row v = 0 lies on it, where the engine's
-    # arg z is 0, its limit from below.  The L-paths from (-1, 0.5) reach
-    # that row from above, where arg z tends to -2 pi, so each point of it
-    # right of the puncture lies off the engine's sheet; where the cut
-    # misses the rectangle, none does
+    # arg z is 0, its limit from below.  X0 is the engine's arg z0 - arg z
+    # at every valid point, so the row on the cut right of the puncture
+    # joins the row below it and jumps by the period from the row above;
+    # where the cut misses the rectangle, X0 jumps nowhere.  The tree,
+    # whose L-paths from (-1, 0.5) reach that row from above, where arg z
+    # tends to -2 pi, agrees
     c = replace(_punctured_with_period(), domain=DomainSpec(
         -1, 1, *v_range, punctures=punctures, branch_cut=0.0))
     z0 = complex(-1, v_range[1])
     p = _agrees_with_the_tree(monkeypatch, c, z0, (17, 17))
     zz = p.u[:, None] + 1j * p.v[None, :]
-    arg = engine_mod.eval_program(engine_mod.compile_expr(ex.log(ex.Z)),
-                                  np.append(z0, zz), cut=0.0).imag
-    engine_x0 = arg[0] - arg[1:].reshape(zz.shape)
-    off = p.valid & (np.abs(p.points[..., 0] - engine_x0) > np.pi)
-    assert (off.sum() == 0) == misses
-    if not misses:
-        on_cut = p.valid & (zz.real > 0) & (zz.imag == 0)
-        assert on_cut.any() and off[on_cut].all()
+    x0 = p.points[..., 0]
+    assert np.max(np.abs(x0 - _engine_x0(z0, zz, 0.0))[p.valid]) <= 1e-12
+    # between rows k and k + 1
+    jump = p.valid[:, 1:] & p.valid[:, :-1] & (np.abs(np.diff(x0)) > np.pi)
+    assert jump.any() != misses
+    below = zz[:, :-1]
+    assert np.array_equal(jump, jump & (below.imag == 0) & (below.real > 0))
 
 
-def test_parametric_immersion_takes_the_transposed_l_path_past_a_puncture():
+def _cells_meeting_the_ray(u, v, cut):
+    """Whether each grid cell [u_j, u_j+1] x [v_k, v_k+1], grown by 1e-12,
+    meets the closed ray {t e^{i cut} : t >= 0}: the ray's t inside the
+    cell's u slab and inside its v slab overlap at some t >= 0 (for a cut
+    on no axis, so that neither of e^{i cut}'s parts is 0)."""
+    d = np.exp(1j * cut)
+    t0, t1 = 0.0, np.inf
+    for lo, hi, step in ((u[:-1, None], u[1:, None], d.real),
+                         (v[None, :-1], v[None, 1:], d.imag)):
+        a, b = (lo - 1e-12) / step, (hi + 1e-12) / step
+        t0 = np.maximum(t0, np.minimum(a, b))
+        t1 = np.minimum(t1, np.maximum(a, b))
+    return t0 <= t1
+
+
+@pytest.mark.parametrize("n", [13, 33])
+def test_the_surface_tears_only_where_the_cut_crosses_a_cell(n):
+    # (i/z, 1/z, 0) and the associate catenoid theta = 0.6, punctured at 0
+    # on [-1.5, 1.5]^2, from the default anchor and two others: a valid
+    # cell whose corners span more than half a nonzero period is torn, and
+    # every torn cell meets the cut's ray, whatever the anchor; at the
+    # valid points parametric_immersion from the same anchor gives the
+    # patch's bits
+    sq = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
+    curves = (_punctured_with_period(), associate(from_weierstrass(
+        WeierstrassData(ex.Z, ex.parse("1/z^2"), sq)), 0.6))
+    for curve in curves:
+        period = real_period(curve)
+        jumps = period != 0
+        for cut in (np.pi, 0.1, -2.0):
+            c = replace(curve, domain=replace(sq, branch_cut=cut))
+            for z0 in (None, -1 + 0.5j, 0.23 - 0.71j):
+                p = immerse(c, zeta0=z0, res=(n, n))
+                x, ok = p.points[..., jumps], p.valid
+                corners = np.stack([x[:-1, :-1], x[1:, :-1], x[1:, 1:],
+                                    x[:-1, 1:]])
+                span = corners.max(axis=0) - corners.min(axis=0)
+                torn = (ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+                        & np.any(span > np.abs(period[jumps]) / 2, axis=-1))
+                assert torn.any()
+                assert _cells_meeting_the_ray(p.u, p.v, cut)[torn].all()
+                zz = (p.u[:, None] + 1j * p.v[None, :])[ok]
+                got = parametric_immersion(c, zeta0=z0)(zz.real, zz.imag)
+                assert got.tobytes() == p.points[ok].tobytes()
+
+
+def test_parametric_immersion_takes_the_transposed_l_path_past_a_puncture(
+        monkeypatch):
     # from 1, the first L-path to 0.7i runs along v = 0 through the
     # puncture at 0; the transposed one, up u = 1 and along v = 0.7, is
-    # the path immerse takes.  No L-path to -1 keeps off the puncture.
+    # the path the quadrature route takes, as immerse's tree does.  No
+    # L-path to -1 keeps off the puncture: the quadrature route raises
+    # there, and the exact route, which reads no path, gives X0 = arg 1 -
+    # arg(-1) = -pi on the cut pi
     c, tol = _punctured_with_period(), 1e-10
     p = immerse(c, zeta0=1 + 0j, res=(31, 31), tol=tol)
     j, k = 15, 22
     assert p.u[j] == 0 and abs(p.v[k] - 0.7) < 1e-15 and p.valid[j, k]
     surf = parametric_immersion(c, zeta0=1 + 0j, tol=tol)
-    assert np.max(np.abs(surf(p.u[j], p.v[k]) - p.points[j, k])) <= tol
+    assert surf(p.u[j], p.v[k]).tobytes() == p.points[j, k].tobytes()
+    got = surf(np.array([0.5, -1.0]), np.array([0.5, 0.0]))
+    assert got[1].tolist() == pytest.approx([-np.pi, 0.0, 0.0], abs=1e-15)
+    monkeypatch.setattr(surface_mod, "primitive_form", lambda nf: None)
+    tree = parametric_immersion(c, zeta0=1 + 0j, tol=tol)
+    assert np.max(np.abs(tree(p.u[j], p.v[k]) - p.points[j, k])) <= tol
     with pytest.raises(SingularPath, match=r"to \(-1\+0j\)"):
-        surf(np.array([0.5, -1.0]), np.array([0.5, 0.0]))
+        tree(np.array([0.5, -1.0]), np.array([0.5, 0.0]))
 
 
-@pytest.mark.parametrize("n, sheets", [(13, 5), (33, 15)])
-def test_immerse_and_parametric_immersion_differ_only_by_whole_periods(
-        n, sheets):
-    # the two choose between the L-paths by different rules: immerse takes
-    # the row-first path when its stem, row k0 and column j keep more than
-    # 1.25 cell diagonals from the puncture, parametric_immersion when the
-    # row from z0 and the column only miss it (quadrature.hits_puncture).
-    # Where the rules differ, the paths can pass the puncture on opposite
-    # sides, and the points then lie a whole period apart; where they
-    # agree, the bits do too
-    c, z0, tol = _punctured_with_period(), -1 + 0.5j, 1e-10
-    p = immerse(c, zeta0=z0, res=(n, n), tol=tol)
-    zz = p.u[:, None] + 1j * p.v[None, :]
-    got = parametric_immersion(c, zeta0=z0, tol=tol)(zz.real[p.valid],
-                                                     zz.imag[p.valid])
-    dom = c.domain
-    clearance = 1.25 * np.hypot(p.u[1] - p.u[0], p.v[1] - p.v[0])
-    j0, k0 = np.argmin(np.abs(p.u - z0.real)), np.argmin(np.abs(p.v - z0.imag))
-    g = zz[j0, k0]
-
-    def clear(a, b):
-        return dom.puncture_distance(a, b) > clearance
-    immerse_row_first = (clear(z0, g) & clear(g, zz[:, k0])[:, None]
-                         & clear(zz[:, k0, None], zz))
-    corner = zz.real + 1j * z0.imag
-    parametric_row_first = ~(hits_puncture(dom, z0, corner)
-                             | hits_puncture(dom, corner, zz))
-    same = (immerse_row_first == parametric_row_first)[p.valid]
-
-    period, want = real_period(c), p.points[p.valid]
-    assert period[0] == -2 * np.pi
-    w = np.round((got[:, 0] - want[:, 0]) / period[0])
-    assert np.max(np.abs(got - want - w[:, None] * period)) <= 1e-12
-    assert np.all(w[same] == 0) and np.array_equal(got[same], want[same])
-    assert np.count_nonzero(w) == sheets and not same.all()
+def test_the_exact_route_gives_a_value_where_no_l_path_clears(monkeypatch):
+    # from 1 + 1e-10i both L-paths to (-1, 1e-10) pass within
+    # hits_puncture's 1e-9 (1 + |b - a|) of the puncture 0, but not
+    # through it: the exact route gives a value wherever F is finite, here
+    # arg z0 - arg z, and the quadrature route raises SingularPath where
+    # no L-path clears
+    c, z0, z = _punctured_with_period(), 1 + 1e-10j, -1 + 1e-10j
+    x0 = parametric_immersion(c, zeta0=z0)(z.real, z.imag)[0]
+    assert x0 == -3.141592653389793
+    assert x0 == pytest.approx(np.angle(z0) - np.angle(z), abs=1e-15)
+    monkeypatch.setattr(surface_mod, "primitive_form", lambda nf: None)
+    with pytest.raises(SingularPath, match="no L-path"):
+        parametric_immersion(c, zeta0=z0)(z.real, z.imag)
 
 
 def _clear_of(punctures, clearance):
@@ -885,42 +925,28 @@ def test_with_no_base_point_sample_and_slice_are_one_immersion(curve):
         assert p.points[2, 2].tolist() == [p.u[2], -p.v[2], 0]
 
 
-@pytest.mark.parametrize("n, sheets", [(13, 5), (33, 15)])
-def test_with_no_base_point_the_associate_catenoid_differs_by_periods(
-        n, sheets):
-    # the catenoid turned by e^{-0.6i}, punctured at 0 on [-1.5, 1.5]^2,
-    # has the real period 2 pi sin 0.6 in X2: from the same default
-    # anchor, the two callers' L-path rules put a few points a whole
-    # period apart, and every other point agrees bitwise
-    sq = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
-    c = associate(from_weierstrass(WeierstrassData(ex.Z, ex.parse("1/z^2"),
-                                                   sq)), 0.6)
-    period = real_period(c)
-    assert period[2] == pytest.approx(2 * np.pi * np.sin(0.6), rel=1e-15)
-    p, diff = _default_anchored(c, (n, n))
-    assert p.base_point == sq.default_base_point()
-    w = np.round(diff[:, 2] / period[2])
-    assert np.max(np.abs(diff - w[:, None] * period)) <= 1e-12
-    assert np.count_nonzero(w) == sheets and not diff[w == 0].any()
-
-
 def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths(
         monkeypatch):
-    # -1 - 0.5i lies off [0.2, 2] x [-1, 1], and the L-path to it from
-    # 1.1 + 0.5i crosses the cut: X2 is Re(e^{-0.7i} log z) with arg z
-    # continued across it, not Re F on the principal branch, with no
-    # quadrature
+    # -1 - 0.5i lies off [0.2, 2] x [-1, 1], across the cut pi from
+    # 1.1 + 0.5i: X2 is Re(e^{-0.7i} (Log z - Log z0)) on the principal
+    # branch, with no quadrature.  The quadrature route (primitive_form
+    # forced to None) integrates the L-path to it, which crosses the cut
+    # once, takes the period off, and agrees
     calls = _quadrature_calls(monkeypatch)
     c = _associated_catenoid()
-    z0, z = 1.1 + 0.5j, -1 - 0.5j
-    surf = parametric_immersion(c, zeta0=z0, tol=1e-11)
-    log_z = np.log(abs(z)) + 1j * (np.angle(z) + 2 * np.pi)
-    want = (np.exp(-0.7j) * (log_z - np.log(z0))).real
+    z0, z, tol = 1.1 + 0.5j, -1 - 0.5j, 1e-11
+    surf = parametric_immersion(c, zeta0=z0, tol=tol)
+    want = (np.exp(-0.7j) * (np.log(z) - np.log(z0))).real
     assert abs(surf(z.real, z.imag)[2] - want) <= 1e-9
     inside = surf(1.5, -0.5)[2]
     assert abs(inside - (np.exp(-0.7j) * np.log((1.5 - 0.5j) / z0)).real
                ) <= 1e-12
     assert calls == []
+    monkeypatch.setattr(surface_mod, "primitive_form", lambda nf: None)
+    tree = parametric_immersion(c, zeta0=z0, tol=tol)
+    for x, y in ((z.real, z.imag), (1.5, -0.5)):
+        assert np.max(np.abs(tree(x, y) - surf(x, y))) <= 2 * tol
+    assert calls
 
 
 def test_parametric_immersion_refuses_a_base_point_off_the_rectangle():
