@@ -59,7 +59,12 @@ Verification instruments:
                     one component plane at a time, and E, G, F are
                     numpy's sums over the planes
 * export_mesh       OBJ (ASCII, 9 significant digits, lines end in \n) /
-                    PLY (binary float64, all n coordinates as properties)
+                    PLY (binary float64, all n coordinates as properties,
+                    named x, y, z, w, p4, p5, ...); OBJ's vertex lines are
+                    %-formatted, and each block's face lines are built in
+                    numpy (``_face_lines``): the decimal text of each index
+                    the block spans, made once, is gathered into a line
+                    buffer, byte for byte the text of b"f %d %d %d\\n"
 
 ``immerse`` stores the samples component-major, as n planes of nu nv
 values, and a patch's points are the (nu, nv, n) view of those planes.
@@ -603,14 +608,47 @@ def _triangle_blocks(cells):
                        axis=-1).reshape(-1, 3)
 
 
+def _index_text(x):
+    """b" %d" % i of each positive integer i in x, as the rows of a
+    (len(x), 1 + d) uint8 array, d the digit count of the largest: a space,
+    then the digits right-aligned, with NUL (0) for each leading zero."""
+    d = len(str(int(x.max())))
+    text = np.empty((len(x), 1 + d), np.uint8)
+    text[:, 0] = ord(" ")
+    for i in range(d, 0, -1):
+        text[:, i] = (x % 10 + ord("0")) * (x > 0)
+        x = x // 10
+    return text
+
+
+def _face_lines(tris):
+    """The OBJ lines b"f %d %d %d\\n" of the triangles tris + 1 (tris of
+    shape (m, 3), m > 0), as a uint8 array: the text of each vertex index
+    in the range the block spans is made once, then gathered into an
+    (m, 3 (1 + d) + 2) line buffer.  An index of fewer digits than the
+    block's largest leaves NULs in its line, and then the buffer is
+    compacted."""
+    first = tris.min()
+    text = _index_text(np.arange(first + 1, tris.max() + 2))
+    item = np.dtype((np.void, text.shape[1]))      # one index's text
+    lines = np.empty((len(tris), 3 * text.shape[1] + 2), np.uint8)
+    lines[:, 0], lines[:, -1] = ord("f"), ord("\n")
+    # every index lies in the table, so mode="clip" clips none; unlike
+    # mode="raise", it writes to out with no buffered copy
+    np.take(text.view(item)[:, 0], tris - first,
+            out=lines[:, 1:-1].view(item), mode="clip")
+    return lines if text[0, 1] else lines[lines != 0]
+
+
 def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> None:
     """Write the patch as a triangulated mesh.
 
     OBJ carries exactly three coordinates: the first three axes unless a
     ``projection`` (tuple of 3 axis indices) selects others.  PLY is
     binary little-endian and stores all n coordinates as float64 vertex
-    properties named x, y, z, w, ...; it refuses a projection.  Vertices
-    and faces are written in blocks of rows of about BLOCK_POINTS points.
+    properties named x, y, z, w, p4, p5, ...; it refuses a projection.
+    Vertices and faces are written in blocks of rows of about BLOCK_POINTS
+    points.
     """
     fmt = fmt.lower()
     ok = p.valid
@@ -626,16 +664,17 @@ def export_mesh(p: SurfacePatch, path, fmt: str = "obj", projection=None) -> Non
         if len(axes) != 3 or any(not 0 <= a < p.n for a in axes):
             raise ValueError(f"projection must pick 3 of {p.n} axes")
         with open(path, "wb") as fh:
-            for line, blocks in (
-                    (b"v %.9g %.9g %.9g\n", (b[:, axes] for b in verts)),
-                    (b"f %d %d %d\n", (t + 1 for t in _triangle_blocks(cells)))):
-                for block in blocks:
-                    fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            for block in verts:
+                fh.write(b"v %.9g %.9g %.9g\n" * len(block)
+                         % tuple(block[:, axes].ravel().tolist()))
+            for tris in _triangle_blocks(cells):
+                if len(tris):
+                    fh.write(_face_lines(tris))
     elif fmt == "ply":
         if projection is not None:
             raise ValueError("a PLY mesh stores all n coordinates and takes "
                              "no projection")
-        names = ["x", "y", "z", "w", "p4", "p5"][:p.n]
+        names = ["x", "y", "z", "w", *(f"p{i}" for i in range(4, p.n))][:p.n]
         header = ["ply", "format binary_little_endian 1.0",
                   f"element vertex {ok.size}"]
         header += [f"property double {nm}" for nm in names]

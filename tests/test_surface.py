@@ -1164,6 +1164,72 @@ def test_obj_text_matches_row_formatting(tmp_path, monkeypatch):
     assert path.read_text() == want
 
 
+@pytest.mark.parametrize("res", [(3, 4), (11, 10), (32, 33), (101, 101),
+                                 (317, 317)])
+@pytest.mark.parametrize("mask", ["full", "hole", "masked"])
+def test_obj_face_lines_across_a_digit_count(tmp_path, monkeypatch, res,
+                                             mask):
+    # 12, 110, 1,056, 10,201 and 100,489 vertices: the 1-based indices
+    # cross 9 -> 10, 99 -> 100, ..., 99,999 -> 100,000
+    nu, nv = res
+    valid = np.full(res, mask != "masked")
+    if mask == "hole":
+        # the last point of fewer digits (1-based), and a corner
+        valid.flat[10 ** (len(str(nu * nv)) - 1) - 2] = False
+        valid[-1, -1] = False
+    p = surface_mod.SurfacePatch(np.linspace(0, 1, nu), np.linspace(0, 1, nv),
+                                 np.zeros(res + (3,)), valid, 0j)
+    want = b"".join(b"f %d %d %d\n" % (a + 1, b + 1, c + 1)
+                    for a, b, c in _loop_triangles(p))
+    assert (want == b"") == (mask == "masked")
+    path = tmp_path / "m.obj"
+    for size in (1, 7, 4096):
+        monkeypatch.setattr(surface_mod, "BLOCK_POINTS", size)
+        export_mesh(p, path, fmt="obj")
+        lines = path.read_bytes().splitlines(True)
+        assert b"".join(l for l in lines if l.startswith(b"f ")) == want, size
+
+
+@pytest.mark.parametrize("x", [
+    [1, 9, 10, 99, 100, 101],
+    [10 ** 8 - 2, 10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1],
+    [10 ** 9 - 1, 10 ** 9, 10 ** 9 + 1, 2 ** 31 - 1, 2 ** 31, 10 ** 10 + 7]])
+def test_index_text_past_eight_digits(x):
+    text = surface_mod._index_text(np.array(x))
+    assert text.shape == (len(x), 1 + len(str(max(x))))
+    assert text[text != 0].tobytes() == b"".join(b" %d" % i for i in x)
+
+
+@pytest.mark.parametrize("first", [10 ** 8 - 4, 10 ** 9 - 4, 10 ** 9])
+def test_face_lines_past_eight_digits(first):
+    # triangles of vertices 1e8 and 1e9 on, with no grid of that size
+    tris = first + np.array([[0, 1, 2], [0, 2, 3], [4, 1, 6], [6, 7, 5]])
+    want = b"".join(b"f %d %d %d\n" % (a + 1, b + 1, c + 1)
+                    for a, b, c in tris.tolist())
+    assert surface_mod._face_lines(tris).tobytes() == want
+
+
+def test_ply_names_every_coordinate_past_the_sixth(tmp_path):
+    # n = 7: one float64 property per coordinate, so the vertex block is
+    # vertices x properties x 8 bytes and the faces follow it
+    rng = np.random.default_rng(7)
+    valid = np.ones((3, 3), bool)
+    valid[2, 2] = False
+    p = surface_mod.SurfacePatch(np.linspace(0, 1, 3), np.linspace(0, 1, 3),
+                                 rng.standard_normal((3, 3, 7)), valid, 0j)
+    path = tmp_path / "m.ply"
+    export_mesh(p, path, fmt="ply")
+    head, body = path.read_bytes().split(b"end_header\n", 1)
+    props = [line.split()[2] for line in head.decode().splitlines()
+             if line.startswith("property double")]
+    assert props == ["x", "y", "z", "w", "p4", "p5", "p6"]
+    verts = 9 * len(props) * 8
+    assert np.array_equal(np.frombuffer(body[:verts], "<f8").reshape(9, 7),
+                          p.points.reshape(9, 7))
+    decoded = [tuple(rec) for rec in struct.iter_unpack("<B3i", body[verts:])]
+    assert decoded == [(3, *t) for t in _loop_triangles(p)]
+
+
 def test_parametric_immersion_array_matches_pointwise():
     surf = parametric_immersion(parabolic_deform(cat.helicoid(), 1 + 1j),
                                 zeta0=0)
