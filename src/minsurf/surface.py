@@ -32,18 +32,17 @@ with a log z term, each point checks its own.  Otherwise (outside the
 class, over that budget, a value that is not finite, or an e^{ku} or
 e^{ikv} that overflows on its own even where e^{kz} is finite) one
 ``integrate_segments`` call takes the stem and the edges of row k0 and
-of every column toward the points the first L-path reaches, each within
-tol / (nu + nv), summed outward in blocks of about sqrt(m) of a line's m
-edges, and a second the transposed tree's row edges toward the other
-valid points.  The tree's values are continued along each point's
-L-path; where ``real_period`` is known and nonzero, w times it is taken
-off them, w the signed number of times the path crosses the cut
-(``_sheet``: the turn of arg z along its legs less the change of the
-engine's own arg z), so that they are the exact route's values, a point
-on the cut on the side the primitive's log puts it.  For a curve outside
-the class the period is not known yet, and the tree's values stay
-continued.  Every stage reads the curve's ``domain``: the grid
-rectangle, the punctures and the log branch cut.
+of every column toward the points the first L-path reaches, summed
+outward in blocks of about sqrt(m) of a line's m edges, and a second
+one leg along its row from column j0 to each valid point the first
+misses, each within tol / (nu + nv).  For a curve in the class the tree
+integrates phi - r/z, r the z^{-1} coefficients (``_log_split``), whose
+primitive takes one value per point, and adds Re r (log z - log z0) on
+the cut: the exact route's values, a point on the cut on the side the
+primitive's log puts it.  For a curve outside the class the tree's
+values stay continued along each point's L-path.  Every stage reads
+the curve's ``domain``: the grid rectangle, the punctures and the log
+branch cut.
 
 Verification instruments:
 
@@ -155,8 +154,8 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     than 1.25 cell diagonals from every puncture (see the module
     docstring); the others are NaN.  With an exact primitive each valid
     point is Re(F(z) - F(zeta0)) within tol, each log on the domain's cut,
-    in one pass over blocks of whole grid rows; otherwise each tree is one
-    ``integrate_segments`` call, its values taken to the same sheet.
+    in one pass over blocks of whole grid rows; otherwise by quadrature,
+    its log terms on the same cut (``_tree_integrals``).
     """
     tol = check_tol(tol)
     domain = c.domain
@@ -192,12 +191,8 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     sample = _primitive_sampler(c, zeta0, tol)
     if sample is None or not sample.fill(u[:, None], v[None, :], valid,
                                          planes):
-        zz = _grid_points(u, v)
-        x = _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid)
-        z = zz[valid]
-        planes[:, valid.ravel()] = _on_the_slit(c, x, lambda: (
-            zeta0, g, np.where(first[valid], z.real + 1j * g.imag,
-                               g.real + 1j * z.imag), z))
+        planes[:, valid.ravel()] = _tree_integrals(
+            c, tol, _grid_points(u, v), zeta0, j0, k0, first, valid)
     points = planes.reshape(c.n, nu, nv).transpose(1, 2, 0)
     return SurfacePatch(u, v, points, valid, zeta0)
 
@@ -383,64 +378,58 @@ class _Primitive:
         return True
 
 
-def _on_the_slit(c, x, path):
-    """The tree's values x, shape (n, m), continued along each point's
-    path (the vertices path() gives, as ``_sheet`` reads them), less w
-    real_period: the exact route's values.  Where the period is zero no
-    path is built; where it is unknown (a curve outside the class) x is
-    returned as it is."""
-    period = real_period(c)
-    if period is not None and period.any():
-        x -= np.outer(period, _sheet(path(), c.domain.branch_cut))
+def _log_split(c):
+    """The quadrature route's integrand and the z^{-1} coefficients r it
+    leaves out: for a curve in the class of ``expr.normal_forms`` with a
+    nonzero r_i, phi_i - r_i / z for each such component, whose primitive
+    takes one value per point, and r; else the components and None."""
+    r = [residue(nf) for nf in c.forms]
+    if any(ri is None for ri in r) or not any(r):
+        return c.components, None
+    return tuple(phi - ri / Z if ri else phi
+                 for phi, ri in zip(c.components, r)), r
+
+
+def _add_logs(x, r, z, zeta0, cut):
+    """x, shape (n, m), plus Re r_i (log z - log zeta0) in each row whose
+    r_i is nonzero, each log ``_LOG`` on the cut; x as it is for None."""
+    if r is not None:
+        log_z = engine.eval_program(_LOG, np.append(zeta0, z), cut=cut)
+        log_z = log_z[1:] - log_z[0]
+        for i, ri in enumerate(r):
+            if ri:
+                x[i] += (ri * log_z).real
     return x
 
 
-def _sheet(path, cut):
-    """The signed number of times each path path[0] -> ... -> path[-1]
-    crosses the log's cut: the turn of arg z along its straight legs, less
-    the change of the engine's arg z, over 2 pi.  Each leg is one the
-    quadrature has integrated, clear of 0."""
-    turn = sum(np.angle(b / a) for a, b in zip(path[:-1], path[1:]))
-    arg = engine.eval_program(_LOG, np.append(path[0], path[-1]),
-                              cut=cut).imag
-    return np.rint((turn - arg[1:] + arg[0]) / (2 * math.pi))
-
-
 def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
-    """X at the ``valid`` grid points zz, shape (n, m): the spanning tree's
-    edges toward the points it reaches (``first``, so each edge is clear),
-    summed outward, then the transposed tree's row edges toward the valid
-    points it misses; one ``integrate_segments`` call per tree."""
+    """X at the ``valid`` grid points zz, shape (n, m): one
+    ``integrate_segments`` call of the spanning tree's edges toward the
+    points it reaches (``first``, so each edge is clear), summed outward,
+    and a second of one leg along its row from column j0 to each valid
+    point it misses (which ``_l_paths`` cleared), each within tol / (nu +
+    nv); the integrand and the log terms of ``_log_split``."""
     nu, nv = zz.shape
-
-    def edges(a, b, need):
-        got = integrate_segments(c.components, a[need], b[need],
-                                 tol / (nu + nv), domain=c.domain)
-        vals = np.full((len(got),) + a.shape, np.nan, dtype=np.complex128)
-        vals[:, need] = got
-        return vals
-
+    phi, r = _log_split(c)
     # the spanning tree: a stem z0 -> g(j0, k0), the edges of row k0 and
     # of every column, each taken when its node away from g is reached
-    a = np.concatenate([[zeta0], zz[:-1, k0], zz[:, :-1].ravel()])
-    b = np.concatenate([[zz[j0, k0]], zz[1:, k0], zz[:, 1:].ravel()])
     need = np.concatenate([[True], np.delete(first[:, k0], j0),
                            np.delete(first, k0, axis=1).ravel()])
-    vals = edges(a, b, need)
-    stem = vals[:, 0, None, None]
-    col = _running_sums(vals[:, nu:].reshape(-1, nu, nv - 1), k0)
-    total = stem + _running_sums(vals[:, 1:nu], j0)[:, :, None] + col
-    missed = valid & ~first
-    if np.any(missed):
-        # the transposed tree reaches the rest: column j0, then the row
-        # edges between j0 and a missed cell
-        beyond = np.zeros((nu - 1, nv), bool)
-        beyond[j0:] = np.logical_or.accumulate(missed[:j0:-1], axis=0)[::-1]
-        beyond[:j0] = np.logical_or.accumulate(missed[:j0], axis=0)
-        rows = edges(zz[:-1].T, zz[1:].T, beyond.T)
-        alt = stem + col[:, j0, :, None] + _running_sums(rows, j0)
-        total = np.where(first, total, alt.transpose(0, 2, 1))
-    return total.real[:, valid]
+    vals = np.full((c.n,) + need.shape, np.nan, dtype=np.complex128)
+    vals[:, need] = integrate_segments(
+        phi, np.concatenate([[zeta0], zz[:-1, k0], zz[:, :-1].ravel()])[need],
+        np.concatenate([[zz[j0, k0]], zz[1:, k0], zz[:, 1:].ravel()])[need],
+        tol / (nu + nv), domain=c.domain)
+    # the columns' sums, then those of the stem and row k0, in place
+    total = _running_sums(vals[:, nu:].reshape(-1, nu, nv - 1), k0)
+    total += vals[:, :1, None] + _running_sums(vals[:, 1:nu], j0)[..., None]
+    j, k = np.nonzero(valid & ~first)
+    if j.size:
+        # the rest: column j0, then one leg along the row
+        total[:, j, k] = total[:, j0, k] + integrate_segments(
+            phi, zz[j0, k], zz[j, k], tol / (nu + nv), domain=c.domain)
+    return _add_logs(total.real[:, valid], r, zz[valid], zeta0,
+                     c.domain.branch_cut)
 
 
 def _running_sums(edges, i0):
@@ -700,9 +689,9 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     wherever F is finite and within budget, and reads no path.  Otherwise
     one integrate_segments call of the legs of the L-path z0 -> (u, Im z0)
     -> (u, v) or, where a leg of it passes a puncture (``_l_paths`` under
-    ``hits_puncture``), z0 -> (Re z0, v) -> (u, v), each within tol, their
-    values taken to the exact route's sheet as in ``immerse``, or
-    SingularPath when both paths fail.  As in ``immerse``, zeta0 must lie
+    ``hits_puncture``), z0 -> (Re z0, v) -> (u, v), each within tol, with
+    the integrand and the log terms of ``_log_split`` as in ``immerse``,
+    or SingularPath when both paths fail.  As in ``immerse``, zeta0 must lie
     in the rectangle; the points need not."""
     tol = check_tol(tol)
     dom = c.domain
@@ -710,6 +699,7 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
     if not dom.contains(z0):
         raise ValueError("base point lies outside the domain")
     sample = _primitive_sampler(c, z0, tol)
+    phi, r = _log_split(c)
 
     def clear(a, b):
         return ~hits_puncture(dom, a, b)
@@ -725,11 +715,10 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
             raise SingularPath(f"no L-path from {z0} to {z[~valid][0]} keeps "
                                "off the punctures")
         corner = np.where(first, z.real + 1j * z0.imag, z0.real + 1j * z.imag)
-        vals = integrate_segments(c.components,
-                                  np.append(np.full(z.size, z0), corner),
+        vals = integrate_segments(phi, np.append(np.full(z.size, z0), corner),
                                   np.append(corner, z), tol, domain=dom)
-        x = _on_the_slit(c, vals.real.reshape(c.n, 2, -1).sum(axis=1),
-                            lambda: (z0, corner, z))
+        x = _add_logs(vals.real.reshape(c.n, 2, -1).sum(axis=1), r, z, z0,
+                      dom.branch_cut)
         # copied C-contiguous, as a strided result rounds the slice's plane
         # fit differently
         return x.T.copy().reshape(u.shape + (c.n,))

@@ -231,11 +231,18 @@ def test_the_exact_route_agrees_with_the_tree_at_every_block_size():
     # seeded draws with and without a real period: the exact route's
     # points are within 2 tol of the quadrature tree's (primitive_form
     # forced to None), which follows the same L-paths, with the same mask;
-    # a draw over its budget takes the tree on both sides and is tallied.
-    # The bits, the route and the mask are those of BLOCK_POINTS 4096 at
-    # block sizes 1 and 7 too
+    # a draw over its budget takes the tree on both sides and is tallied,
+    # as is a compared draw whose tree has cells its first L-path misses
+    # (each reached by one leg along its row).  The bits, the route and
+    # the mask are those of BLOCK_POINTS 4096 at block sizes 1 and 7 too
     rng = np.random.default_rng(12)
-    tally = {"periodic": 0, "aperiodic": 0, "over budget": 0}
+    tally = {"periodic": 0, "aperiodic": 0, "over budget": 0, "missed": 0}
+    tree_integrals, missed = surface_mod._tree_integrals, []
+
+    def spy_tree(c, tol, zz, zeta0, j0, k0, first, valid):
+        missed.append(np.any(valid & ~first))
+        return tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid)
+
     for _ in range(60):
         c, zeta0, res, _ = _draw(rng)
         tol = 10.0 ** rng.uniform(-13, -6)
@@ -248,8 +255,10 @@ def test_the_exact_route_agrees_with_the_tree_at_every_block_size():
             else:
                 assert other[1].valid.tobytes() == p.valid.tobytes()
                 assert other[1].points.tobytes() == p.points.tobytes()
+        missed.clear()
         with pytest.MonkeyPatch.context() as m:
             m.setattr(surface_mod, "primitive_form", lambda e: None)
+            m.setattr(surface_mod, "_tree_integrals", spy_tree)
             _, tree, _ = _run(c, zeta0, res, tol, 4096, per_point=False)
         if isinstance(p, str):
             assert tree == p
@@ -262,7 +271,9 @@ def test_the_exact_route_agrees_with_the_tree_at_every_block_size():
         assert np.nanmax(np.abs(p.points - tree.points)) <= 2 * tol
         periodic = surface_mod.real_period(c).any()
         tally["periodic" if periodic else "aperiodic"] += 1
-    assert tally["periodic"] >= 10 and tally["over budget"] >= 3, tally
+        tally["missed"] += any(missed)
+    assert (tally["periodic"] >= 10 and tally["over budget"] >= 3
+            and tally["missed"] >= 5), tally
 
 
 def test_a_point_whose_l_paths_both_pass_through_the_pole_is_refused():

@@ -420,7 +420,7 @@ def _l_paths(u, v, z0):
     """Grid points more than 1.25 cell diagonals from a puncture at 0, and
     those whose L-path from z0 keeps that far from it: along row k0 then
     up or down column j (the spanning tree's), and along column j0 then
-    along row k (the transposed tree's), where (j0, k0) is the grid point
+    along row k (a missed cell's leg), where (j0, k0) is the grid point
     nearest z0."""
     clearance = 1.25 * np.hypot(u[1] - u[0], v[1] - v[0])
     j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
@@ -451,9 +451,9 @@ def test_off_grid_base_point_on_the_punctured_catenoid():
 
 def test_transposed_tree_reaches_cells_behind_the_puncture(monkeypatch):
     # from base point 1 the base row v = 0 runs into the puncture, so the
-    # cell at (-1, 1) lies beyond a cut edge of the first tree; the
-    # transposed tree reaches it along the row v = 1, on the exact route
-    # and, with no primitive, by quadrature
+    # cell at (-1, 1) lies beyond a cut edge of the first tree; column
+    # j0 and the row v = 1 reach it, on the exact route and, with no
+    # primitive, by quadrature (one leg along the row)
     calls = _quadrature_calls(monkeypatch)
     for route in ("exact", "quadrature"):
         if route == "quadrature":
@@ -468,29 +468,31 @@ def test_transposed_tree_reaches_cells_behind_the_puncture(monkeypatch):
         assert np.max(np.abs(p.points[j, k] - want)) <= 1e-12
 
 
-def test_transposed_tree_integrates_only_edges_toward_missed_cells(
-        monkeypatch):
-    # the second call takes the row edges, off the base row, that lie
-    # between column j0 and a cell the transposed tree reaches and the
-    # first one misses, and that clear the puncture
-    calls = _quadrature_calls(monkeypatch)
+def test_each_missed_cell_takes_one_leg_along_its_row(monkeypatch):
+    # the second call takes one leg per valid cell that the first L-path
+    # misses, from column j0 along the cell's row to the cell
+    legs = []
+    integrate = surface_mod.integrate_segments
+
+    def spy(expr, a, b, tol, **kw):
+        legs.append((a, b))
+        return integrate(expr, a, b, tol, **kw)
+
+    monkeypatch.setattr(surface_mod, "integrate_segments", spy)
     for z0, n in ((1 + 0j, 33), (0.37 - 0.81j, 41)):
-        calls.clear()
+        legs.clear()
         p = immerse(_punctured_tree_curve(), zeta0=z0, res=(n, n))
         u, v = p.u, p.v
-        clearance = 1.25 * np.hypot(*p.spacing())
-        j0, k0 = np.argmin(np.abs(u - z0.real)), np.argmin(np.abs(v - z0.imag))
+        j0 = np.argmin(np.abs(u - z0.real))
         clear, first, second = _l_paths(u, v, z0)
         missed = clear & second & ~first
-        want = 0
-        for k in range(n):
-            js = np.flatnonzero(missed[:, k])
-            if k != k0 and js.size:
-                j = np.arange(min(js.min(), j0), max(js.max(), j0))
-                want += np.sum(_from_origin(u[j], u[j + 1], v[k]) > clearance)
-        assert 0 < want < (n - 1) * (n - 1)
-        assert len(calls) == 2 and calls[1] == want
-        assert calls[0] == np.sum(clear & first)
+        assert 0 < missed.sum() < n * n
+        assert len(legs) == 2 and legs[1][0].size == missed.sum()
+        assert legs[0][0].size == np.sum(clear & first)
+        a, b = legs[1]
+        j, k = np.nonzero(missed)
+        assert np.array_equal(b, u[j] + 1j * v[k])
+        assert np.array_equal(a, u[j0] + 1j * v[k])
 
 
 def _walk(dom, u, v, z0):
@@ -631,10 +633,9 @@ def _engine_x0(z0, zz, cut):
 def test_a_real_period_takes_the_engines_arg_on_each_cut(monkeypatch):
     # (i/z, 1/z, 0): Re(2 pi i i) = -2 pi, and X0 is arg zeta0 - arg z,
     # each arg the engine's on the domain's cut, for every cut and base
-    # point: the exact route reads no path.  The tree, continued along
-    # each point's L-path, takes the period off where that path crosses
-    # the cut (with the cut pi, from each base point but 1, at 285 or 300
-    # of the 1080 valid points), and agrees
+    # point: the exact route reads no path.  The tree integrates the
+    # curve less its z^{-1} terms, here 0, and adds Re r (log z - log z0)
+    # on the cut, and agrees
     c = _punctured_with_period()
     assert np.array_equal(real_period(c), [-2 * np.pi, 0.0, 0.0])
     for cut in (np.pi, 0.0, 0.1, -2.0):
@@ -653,8 +654,8 @@ def test_a_real_period_takes_the_engines_arg_on_each_cut(monkeypatch):
 @pytest.mark.parametrize("im, exact", [(1e-16, True), (1e-13, False)])
 def test_a_residue_is_real_to_primitive_ulps_of_its_size(monkeypatch, im,
                                                         exact):
-    # the catenoid with r/z as its third component: the period -2 pi Im r
-    # of X2 is added where the L-path from 0.5 + 0.5i crosses the cut.
+    # the catenoid with r/z as its third component: the tree integrates
+    # it less r/z and adds Re r (log z - log z0) on the cut, from 0.5 + 0.5i.
     # With Im r = 1e-16 (under 4 eps |r|) X2 moves by less than the
     # route's roundoff from the real residue's; with 1e-13 by more, and
     # the tree, to 1e-13, tells a missing period of 6e-13
@@ -703,8 +704,8 @@ def test_a_non_real_residue_is_exact_where_the_cut_misses(monkeypatch,
 ])
 def test_a_non_real_residue_keeps_the_tree_where_the_cut_meets(monkeypatch,
                                                                rect, cut):
-    # the tree, continued along its L-paths, takes the period off where
-    # they cross the cut, and so gives the exact route's values
+    # the tree integrates the curve less its z^{-1} terms and adds their
+    # logs on the cut, and so gives the exact route's values
     u_min, u_max, v_min, v_max = rect
     c = _associated_catenoid(u_min=u_min, u_max=u_max, v_min=v_min,
                              v_max=v_max, branch_cut=cut)
@@ -724,8 +725,8 @@ def test_a_cut_parallel_to_an_axis_is_tested_on_that_axis(
     # at every valid point, so the row on the cut right of the puncture
     # joins the row below it and jumps by the period from the row above;
     # where the cut misses the rectangle, X0 jumps nowhere.  The tree,
-    # whose L-paths from (-1, 0.5) reach that row from above, where arg z
-    # tends to -2 pi, agrees
+    # which takes the engine's log at each point as the exact route does,
+    # agrees
     c = replace(_punctured_with_period(), domain=DomainSpec(
         -1, 1, *v_range, punctures=punctures, branch_cut=0.0))
     z0 = complex(-1, v_range[1])
@@ -930,8 +931,8 @@ def test_parametric_immersion_leaves_the_rectangle_to_the_l_paths(
     # -1 - 0.5i lies off [0.2, 2] x [-1, 1], across the cut pi from
     # 1.1 + 0.5i: X2 is Re(e^{-0.7i} (Log z - Log z0)) on the principal
     # branch, with no quadrature.  The quadrature route (primitive_form
-    # forced to None) integrates the L-path to it, which crosses the cut
-    # once, takes the period off, and agrees
+    # forced to None) integrates the curve less its z^{-1} terms along the
+    # L-path to it, adds their logs on the cut, and agrees
     calls = _quadrature_calls(monkeypatch)
     c = _associated_catenoid()
     z0, z, tol = 1.1 + 0.5j, -1 - 0.5j, 1e-11
