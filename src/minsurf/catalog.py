@@ -291,7 +291,13 @@ def catenoid_deformation(theta: float) -> ParametricSurface:
 
         X(U, V) = (tan t sinh U cos V, cosh U cos V, cosh U sin V / cos t, U)
 
-    foliated by the ellipses {X3 = U}; see ``ellipse_semi_axes``.
+    foliated by the ellipses {X3 = U}; see ``ellipse_semi_axes``.  Up to
+    a half turn of the (X1, X2)-plane and a translation, it is
+    ``transforms.parabolic_deform_rotated`` of the data (cos t e^z,
+    e^{-z} / cos t): ``catenoid_exp``'s (e^z, e^{-z}) reparametrized by
+    z -> z + log cos t.  So the leaf X3 = U + log cos t of the deformed
+    ``catenoid_exp`` (from base point 0) is this leaf X3 = U, and its
+    neck lies at X3 = log cos t.
     """
     if not 0 < theta < math.pi / 2:
         raise InvalidConstant("theta must lie in (0, pi/2)")
@@ -310,7 +316,9 @@ def ellipse_semi_axes(theta: float, U: float):
 
         r1 = sqrt(tan^2 t sinh^2 U + cosh^2 U),   r2 = cosh U / cos t.
 
-    r2/r1 -> 1 as |U| -> inf (the ellipses round out to circles).
+    r2/r1 -> 1 as |U| -> inf (the ellipses round out to circles).  The
+    deformed data are (cos t e^z, e^{-z} / cos t); for ``catenoid_exp``'s
+    (e^z, e^{-z}) these are the axes of the leaf X3 = U + log cos t.
     """
     tt, ct = math.tan(theta), math.cos(theta)
     r1 = math.hypot(tt * math.sinh(U), math.cosh(U))

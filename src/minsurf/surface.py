@@ -25,12 +25,14 @@ that broadcast to the points, so a grid takes nu + nv exponentials per
 k, not one per point and term.  Each valid point has tol as its budget
 for the roundoff level PRIMITIVE_ULPS eps (level(z) + level(z0)),
 level = sum_b |C[i, b]| |z|^m |e^{ku}| |e^{ikv}| + |r_i| |log z|.  A grid
-checks the budget first on its two tables, on the level at the nearest
-and farthest |z| that the ranges of |u| and |v| allow, with the tables'
-largest factors, doubled (a sum of |z|^m is convex in log |z|); else, or
-with a log z term, each point checks its own.  Otherwise (outside the
-class, over that budget, a value that is not finite, or an e^{ku} or
-e^{ikv} that overflows on its own even where e^{kz} is finite) one
+checks the budget first on its two tables, by one rule for every term:
+the level at the nearest and farthest |z| that the ranges of |u| and |v|
+allow, with the tables' largest factors and |ln r| + max |arg z| on the
+cut for |log z| (a sum convex in log |z|), times 1 + 2^-40, as a point's
+level repeats its float steps on operands no larger; else each point
+checks its own.  Otherwise (outside the class, over that budget, a value
+that is not finite, or an e^{ku} or e^{ikv} that overflows on its own
+even where e^{kz} is finite) one
 ``integrate_segments`` call takes the stem and the edges of row k0 and
 of every column toward the points the first L-path reaches, summed
 outward in blocks of about sqrt(m) of a line's m edges, and a second
@@ -103,8 +105,8 @@ RANK_CUTOFF = 1e-8
 # exps, in their product when k is not real (for real k, e^{ku} is real
 # and the product rounds as exp(kz) does), in z^m and in the product with
 # c (c log z in log and the product), and the sum of the terms and F(z) -
-# F(z0) round once more; a grid checks the level at its nearest and
-# farthest |z| with the tables' largest factors, doubled
+# F(z0) round once more; a grid bounds every term's level, log z's too,
+# by one rule with 2^-40 of slack for a sum's rounding (``_within_budget``)
 PRIMITIVE_ULPS = 4
 _PRIMITIVE_ROUNDOFF = PRIMITIVE_ULPS * np.finfo(np.float64).eps
 _LOG = engine.compile_expr(log(Z))     # Im log z: the engine's own arg z
@@ -241,10 +243,11 @@ def _primitive_sampler(c, zeta0, tol):
 class _Primitive:
     """The exact route of the module docstring for one curve and zeta0:
     each component's coefficients C[i, b] over the curve's distinct basis
-    functions z^m e^{kz}, its log z coefficient r_i (``_LOG`` on the cut),
-    and the one program of the distinct e^{kz}.  ``fill`` takes the same
-    elementwise steps at each point of a grid or of a flat set, so a
-    point's bits depend neither on the caller nor on the block."""
+    functions z^m e^{kz} and log z (``_LOG`` on the cut), one more term
+    with coefficient r_i, under one roundoff rule with 2^-40 of slack
+    (``_within_budget``); the one program of the distinct e^{kz}.  ``fill``
+    takes the same elementwise steps at each point of a grid or flat set,
+    so a point's bits depend neither on the caller nor on the block."""
 
     def __init__(self, c, forms, zeta0, tol):
         self.n, self.tol = c.n, tol
@@ -253,9 +256,9 @@ class _Primitive:
             key for terms, _ in forms for key in terms))
         self.ks = list(dict.fromkeys(k for _, k in basis if k != 0))
         self.exps = engine.compile_expr(tuple(exp(k * Z) for k in self.ks))
-        # each component's (basis index, coefficient), in its primitive's order
+        # each component's (basis index, coefficient) in order, log z last
         self.coefs = [[(basis.index(key), coef) for key, coef in terms.items()]
-                      for terms, _ in forms]
+                      + ([(len(basis), r)] if r else []) for terms, r in forms]
         self.logs = [r for _, r in forms]
         # zeta0 by its two factors too, so that X(zeta0) = 0 exactly
         e = self._tables(np.array([zeta0.real, 1j * zeta0.imag]))
@@ -289,8 +292,11 @@ class _Primitive:
         and ev = e^{ikv} (see ``_basis``)."""
         with np.errstate(all="ignore"):     # z^m at a pole or an overflow
             vals = self._basis(z, eu, ev)
+            if any(self.logs):      # log z on the cut: one more term
+                vals.append(engine.eval_program(_LOG, z, cut=self.cut))
             if level:
                 mags = self._basis(np.abs(z), np.abs(eu), np.abs(ev))
+                mags += map(np.abs, vals[len(mags):])       # |log z|
             F = np.zeros((self.n,) + z.shape)
             levels = np.zeros((self.n,) + z.shape) if level else None
             # term by term, elementwise: a matrix product would round by the
@@ -301,33 +307,27 @@ class _Primitive:
                     F[i] += (coef * vals[b]).real
                     if level:
                         levels[i] += abs(coef) * mags[b]
-            if any(self.logs):      # never ``checked``: level holds
-                log_z = engine.eval_program(_LOG, z, cut=self.cut)
-                mag = np.abs(log_z)
-                for i, r in enumerate(self.logs):
-                    if r:
-                        F[i] += (r * log_z).real
-                        levels[i] += abs(r) * mag
         return F, levels
 
     def _within_budget(self, u, v, eu, ev):
         """Whether every point u + iv (u, v broadcast) is within the
-        roundoff budget, from the tables eu = e^{ku}, ev = e^{ikv}: the
-        level at the nearest and farthest |z| that the ranges of |u| and |v|
-        allow, with the tables' largest factors A_b, doubled, bounds every
-        point's level with room for both roundings, as each component's
-        sum_b |C[i, b]| r^m_b A_b is convex in log r and so largest on
-        [r_min, r_max] at an end.  A finite bound within budget makes every
-        point finite and within its own.  False with a log z term, or a
-        bound over budget or not finite (a pole at a point)."""
-        if any(self.logs):
-            return False
+        roundoff budget, from the tables eu = e^{ku}, ev = e^{ikv}, by one
+        rule for every term: sum_b |C[i, b]| r^m_b A_b + |r_i| |ln r|, A_b
+        the tables' largest factors, is convex in log r, so largest at the
+        nearest or farthest |z| the ranges of |u| and |v| allow; add |r_i|
+        max |Im log z| on the cut.  A point's level repeats this bound's
+        float steps on operands no larger, so it exceeds the bound by at
+        most a sum's rounding, far below 2^-40: a finite bound times 1 +
+        2^-40 within budget makes every point finite and within its own.
+        False for a bound over budget or not finite (|z| reaching 0)."""
         au, av = np.abs(u), np.abs(v)
         ends = np.hypot([au.min(), au.max()], [av.min(), av.max()])
         factors = (np.abs(t).max(axis=tuple(range(1, t.ndim))).reshape(-1, 1)
                    for t in (eu, ev))
         level = self._primitive(*factors, ends)[1].max(axis=1)
-        budget = _PRIMITIVE_ROUNDOFF * (2 * level + self.base_level[:, 0])
+        arg = max(abs(self.cut), abs(self.cut - 2 * math.pi))   # on the cut
+        level = (level + arg * np.abs(self.logs)) * (1 + 2.0 ** -40)
+        budget = _PRIMITIVE_ROUNDOFF * (level + self.base_level[:, 0])
         return bool(np.all(budget <= self.tol))
 
     def _block(self, eu, ev, z, ok, out, checked=False):

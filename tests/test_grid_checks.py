@@ -12,10 +12,12 @@ points, checking each point's budget: at a grid's valid points it gives
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from minsurf import catalog as cat
 from minsurf import expr as ex
 from minsurf import surface as surface_mod
 from minsurf.domain import DomainSpec
@@ -23,6 +25,7 @@ from minsurf.errors import SingularPath
 from minsurf.nullcurve import NullCurve, WeierstrassData, from_weierstrass
 from minsurf.quadrature import integrate_segments
 from minsurf.surface import immerse, parametric_immersion
+from minsurf.transforms import parabolic_deform_rotated
 
 
 def _run(c, zeta0, res, tol, block, per_point):
@@ -76,8 +79,8 @@ def _same_as_per_point(c, zeta0, res, tol, block=surface_mod.BLOCK_POINTS):
 
 def _budget_threshold(c, zeta0, res):
     """The least tol, to a relative 2^-40, at which ``_within_budget``
-    passes the grid; None when it passes none (a log z term, a bound that
-    is not finite)."""
+    passes the grid; None when it passes none (a bound that is not
+    finite: a pole at 0 within the grid's range of |z|)."""
     u, v = c.domain.grid(*res)
     sample = surface_mod._primitive_sampler(c, zeta0, 1.0)
     eu, ev = sample._tables(u), sample._tables(1j * v)
@@ -156,9 +159,11 @@ def _draw(rng):
 
 def test_per_grid_checks_give_the_per_point_bits():
     rng = np.random.default_rng(22)
-    tally = {"fast": 0, "slow": 0, "far": 0, "near": 0, "tree": 0}
+    tally = {"fast": 0, "slow": 0, "far": 0, "near": 0, "tree": 0,
+             "fast with log z": 0}
     for _ in range(120):
         c, zeta0, res, block = _draw(rng)
+        logs = any(ex.residue(nf) for nf in c.forms)
         tols = [10.0 ** rng.uniform(-14, -5)]
         edge = _budget_threshold(c, zeta0, res)
         if edge is not None and edge < 1:
@@ -168,10 +173,12 @@ def test_per_grid_checks_give_the_per_point_bits():
             tree, d = _same_as_per_point(c, zeta0, res, tol, block)
             tally["tree"] += tree
             tally["fast"] += sum(d["budget"])
+            tally["fast with log z"] += logs * sum(d["budget"])
             tally["slow"] += len(d["budget"]) - sum(d["budget"])
             tally["far"] += sum(d["far"])
             tally["near"] += len(d["far"]) - sum(d["far"])
-    # both sides of both checks are reached, and the tree
+    # both sides of both checks are reached, and the tree; a z^-1 term
+    # (log z in the primitive) is bounded like any other term
     assert min(tally.values()) >= 5, tally
 
 
@@ -350,11 +357,39 @@ def test_a_log_term_off_zero_is_not_bounded_at_the_ends():
     assert d["budget"] == [False] and tree
 
 
+@pytest.mark.parametrize("name", ["catenoid", "hoffman-osserman"])
+def test_catalog_curves_with_a_log_term_take_the_table_check(name):
+    # both carry z^-1 terms, so their primitives carry log z; on their
+    # domains, clear of the pole at 0, the bound reads |log z| as at most
+    # |ln r| + |arg z| and passes, with the per-point route's bits
+    entry = cat.get(name)
+    c = entry.make()
+    c = c if isinstance(c, NullCurve) else from_weierstrass(c)
+    for res in ((33, 33), (257, 257)):
+        tree, d = _same_as_per_point(c, entry.base_point, res, 1e-10)
+        assert d["budget"] == [True] and not tree
+
+
+@pytest.mark.parametrize("theta, fast", [(math.pi / 6, True),
+                                         (math.pi / 4, True),
+                                         (math.pi / 3, False)])
+def test_corollary53_on_a_wide_rectangle_at_the_budgets_edge(theta, fast):
+    # e^{+-z} reach e^11 on [-11, 11] x [-3, 3]: the per-point levels use
+    # 0.35, 0.53 and 1.06 of the budget 1e-10 at theta = pi/6, pi/4 and
+    # pi/3.  The bound passes the first two, which a doubled bound would
+    # refuse; the third takes the tree on both sides
+    c = replace(parabolic_deform_rotated(cat.catenoid_exp(), theta),
+                domain=DomainSpec(-11, 11, -3, 3))
+    tree, d = _same_as_per_point(c, 0j, (65, 65), 1e-10)
+    assert d["budget"] == [fast] and tree is not fast
+
+
 @pytest.mark.parametrize("curve", ["catenoid", "periodic"])
 def test_a_pole_on_a_grid_point_and_a_log_term_check_each_point(curve):
-    # the catenoid's z^-1 primitive term is inf at the grid point 0; the
-    # periodic curve's primitive has log z terms: both take the per-point
-    # check, and keep the exact route
+    # the catenoid's z^-1 primitive term is inf at the grid point 0, and
+    # so is the periodic curve's log z: the rectangle's range of |z|
+    # reaches the pole, the bound is not finite, and both take the
+    # per-point check, and keep the exact route
     dom = DomainSpec(-1.5, 1.5, -1.5, 1.5, punctures=(0j,))
     c = (from_weierstrass(WeierstrassData(ex.Z, ex.parse("1/z^2"), dom))
          if curve == "catenoid" else
