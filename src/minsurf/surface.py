@@ -152,12 +152,15 @@ def immerse(c: NullCurve, zeta0: complex | None = None, res=(33, 33),
     zeta0 defaults to the domain's default base point, as for
     ``parametric_immersion``, or, where a puncture masks its stem to the
     nearest grid point g, to the one nearest g that clears them all.  A
-    grid point is valid when one of its L-paths from zeta0 keeps more
-    than 1.25 cell diagonals from every puncture (see the module
-    docstring); the others are NaN.  With an exact primitive each valid
-    point is Re(F(z) - F(zeta0)) within tol, each log on the domain's cut,
-    in one pass over blocks of whole grid rows; otherwise by quadrature,
-    its log terms on the same cut (``_tree_integrals``).
+    grid point is valid when the stem zeta0 -> g and one of its two
+    L-paths from g (along g's row, then its column, or along g's column,
+    then its row) keep more than 1.25 cell diagonals from every puncture
+    (see the module docstring); the others are NaN.  With an exact
+    primitive each valid point is Re(F(z) - F(zeta0)) within tol, each
+    log on the domain's cut, in one pass over blocks of whole grid rows;
+    otherwise by quadrature, its log terms on the same cut
+    (``_tree_integrals``), and SingularPath where such a term is not
+    finite, at a valid point or at zeta0 (``_log_terms``).
     """
     tol = check_tol(tol)
     domain = c.domain
@@ -390,16 +393,23 @@ def _log_split(c):
                  for phi, ri in zip(c.components, r)), r
 
 
-def _add_logs(x, r, z, zeta0, cut):
-    """x, shape (n, m), plus Re r_i (log z - log zeta0) in each row whose
-    r_i is nonzero, each log ``_LOG`` on the cut; x as it is for None."""
-    if r is not None:
-        log_z = engine.eval_program(_LOG, np.append(zeta0, z), cut=cut)
-        log_z = log_z[1:] - log_z[0]
-        for i, ri in enumerate(r):
-            if ri:
-                x[i] += (ri * log_z).real
-    return x
+def _log_terms(r, z, zeta0, cut):
+    """(i, Re r_i (log z - log zeta0)) for each nonzero r_i, each log
+    ``_LOG`` on the cut; none for None.  Taken before the quadrature, so
+    that SingularPath names zeta0 or the first z where log z is not
+    finite: 0, the pole of r_i / z, where no puncture declares it (the
+    quadrature of phi - r/z need not meet it)."""
+    if r is None:
+        return []
+    at = np.append(zeta0, z)
+    log_z = engine.eval_program(_LOG, at, cut=cut)
+    pole = ~np.isfinite(log_z)
+    if pole.any():
+        raise SingularPath(f"log z is not finite at {at[pole][0]}, a pole "
+                           "that no puncture declares")
+    log_z = log_z[1:] - log_z[0]
+    with np.errstate(all="ignore"):     # r_i log z may overflow
+        return [(i, (ri * log_z).real) for i, ri in enumerate(r) if ri]
 
 
 def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
@@ -411,6 +421,7 @@ def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
     nv); the integrand and the log terms of ``_log_split``."""
     nu, nv = zz.shape
     phi, r = _log_split(c)
+    logs = _log_terms(r, zz[valid], zeta0, c.domain.branch_cut)
     # the spanning tree: a stem z0 -> g(j0, k0), the edges of row k0 and
     # of every column, each taken when its node away from g is reached
     need = np.concatenate([[True], np.delete(first[:, k0], j0),
@@ -428,8 +439,10 @@ def _tree_integrals(c, tol, zz, zeta0, j0, k0, first, valid):
         # the rest: column j0, then one leg along the row
         total[:, j, k] = total[:, j0, k] + integrate_segments(
             phi, zz[j0, k], zz[j, k], tol / (nu + nv), domain=c.domain)
-    return _add_logs(total.real[:, valid], r, zz[valid], zeta0,
-                     c.domain.branch_cut)
+    x = total.real[:, valid]
+    for i, term in logs:
+        x[i] += term
+    return x
 
 
 def _running_sums(edges, i0):
@@ -445,8 +458,11 @@ def _running_sums(edges, i0):
 def _cumsum(x):
     """Cumulative sums along the last axis of m values, taken in blocks of
     about sqrt(m): sums within each block, then over the blocks' totals.
-    A sum then carries about 2 sqrt(m) roundings, not m: the punctured
-    catenoid (z, 1/z^2) at 257^2 is 4.3e-15 off its oracle, not 1.2e-14."""
+    A sum then carries about 2 sqrt(m) roundings, not m: on the 1025-point
+    lines of primitive differences of the test
+    ``test_running_sums_of_primitive_differences_stay_within_roundings``,
+    each node is within 2 ulps of the exact sum of its edges, and within
+    7 with np.cumsum."""
     m = x.shape[-1]
     b = math.isqrt(max(m - 1, 0)) + 1
     nb = -(-m // b)
@@ -714,11 +730,13 @@ def parametric_immersion(c: NullCurve, zeta0: complex | None = None,
         if not valid.all():
             raise SingularPath(f"no L-path from {z0} to {z[~valid][0]} keeps "
                                "off the punctures")
+        logs = _log_terms(r, z, z0, dom.branch_cut)
         corner = np.where(first, z.real + 1j * z0.imag, z0.real + 1j * z.imag)
         vals = integrate_segments(phi, np.append(np.full(z.size, z0), corner),
                                   np.append(corner, z), tol, domain=dom)
-        x = _add_logs(vals.real.reshape(c.n, 2, -1).sum(axis=1), r, z, z0,
-                      dom.branch_cut)
+        x = vals.real.reshape(c.n, 2, -1).sum(axis=1)
+        for i, term in logs:
+            x[i] += term
         # copied C-contiguous, as a strided result rounds the slice's plane
         # fit differently
         return x.T.copy().reshape(u.shape + (c.n,))

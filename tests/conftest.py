@@ -1,10 +1,68 @@
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import minsurf
+from minsurf.cli import main
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def check_streams(code, out, err, argv=()):
+    """The CLI's stream contract: exit 0 with nothing on stderr, or a
+    nonzero exit with nothing on stdout and one JSON line on stderr, an
+    object of exactly "error" and "message"."""
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        assert out == "" and err.count("\n") == 1, (argv, out, err)
+        assert set(json.loads(err)) == {"error", "message"}, (argv, err)
+
+
+class Cli:
+    """cli.main in this process, its streams checked on every call by
+    ``check_streams``; a warning is an error under the suite's
+    filterwarnings, so it ends the run as an InternalError."""
+
+    def __init__(self, capfd, monkeypatch):
+        self.capfd, self.monkeypatch = capfd, monkeypatch
+
+    def __call__(self, argv, stdin=""):
+        """(exit code, stdout, stderr) of one run."""
+        self.monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = main(argv)
+        out, err = self.capfd.readouterr()
+        check_streams(code, out, err, argv)
+        return code, out, err
+
+    def error(self, argv, stdin=""):
+        """The JSON error of a run that must exit 1."""
+        code, _, err = self(argv, stdin)
+        assert code == 1, (argv, err)
+        return json.loads(err)
+
+    def pipe(self, *argvs, stdin=""):
+        """The stdout of the runs of argvs, each reading the one before,
+        each of which must exit 0."""
+        for argv in argvs:
+            code, stdin, err = self(argv, stdin)
+            assert code == 0, (argv, err)
+        return stdin
+
+
+@pytest.fixture
+def cli(capfd, monkeypatch):
+    return Cli(capfd, monkeypatch)
 
 
 def random_complex(rng, n, scale=1.0):
@@ -32,3 +90,21 @@ def primitive_derivative(form, z):
         parts.append(r / z)
     return (sum(parts, np.zeros_like(z)),
             sum((np.abs(t) for t in parts), np.zeros(z.shape)))
+
+
+def child_env():
+    """The environment with the tested package first on PYTHONPATH."""
+    src = str(Path(minsurf.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, path])))
+
+
+def run_shell(script, cwd, stdin=""):
+    """The completed ``bash -eo pipefail`` run of script in cwd, where
+    ``minsurf`` is this interpreter's ``-m minsurf.cli``."""
+    python = shlex.quote(sys.executable)
+    define = f'minsurf() {{ {python} -m minsurf.cli "$@"; }}\n'
+    return subprocess.run(["bash", "-eo", "pipefail", "-c", define + script],
+                          cwd=cwd, input=stdin, capture_output=True, text=True,
+                          env=child_env(), timeout=300)

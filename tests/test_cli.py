@@ -1,8 +1,9 @@
-"""CLI pipeline: spec JSON in/out, determinism, composability."""
+"""CLI pipeline: spec JSON in/out, determinism, composability.  The
+``cli`` fixture (conftest) checks the stream contract on every run."""
 
-import io
 import json
 import math
+import subprocess
 import sys
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from minsurf import catalog, specio
 from minsurf import expr as ex
-from minsurf.cli import main, parse_complex
+from minsurf import surface as surface_mod
+from minsurf.cli import parse_complex
 from minsurf.nullcurve import embed_3_to_4
 from minsurf.surface import conformal_factor, immerse
 from minsurf.transforms import (apply_transform, associate, goursat, lawson,
@@ -18,20 +20,7 @@ from minsurf.transforms import (apply_transform, associate, goursat, lawson,
                                 parabolic_deform_rotated,
                                 parabolic_rotation_matrix, segre_LR_matrix)
 
-from conftest import load_obj_vertices
-
-
-@pytest.fixture
-def cli(capsys, monkeypatch):
-    def run(argv, stdin=""):
-        import io
-        import sys
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-        code = main(argv)
-        out = capsys.readouterr()
-        return code, out.out, out.err
-    return run
+from conftest import check_streams, child_env, load_obj_vertices
 
 
 def test_parse_complex_forms():
@@ -69,10 +58,8 @@ def test_parse_complex_names_what_it_cannot_read(text):
     ["sample", "--res", "5x5", "--base-point", "1+2"]])
 def test_a_malformed_complex_flag_is_named(cli, argv):
     _, spec, _ = cli(["catalog", "show", "helicoid"])
-    code, out, err = cli(argv, stdin=spec)
-    assert code == 1 and out == ""
-    assert json.loads(err) == {"error": "ValueError",
-                               "message": "not a complex number: '1+2'"}
+    assert cli.error(argv, stdin=spec) == {
+        "error": "ValueError", "message": "not a complex number: '1+2'"}
 
 
 def test_catalog_list_and_show(cli):
@@ -86,23 +73,17 @@ def test_catalog_list_and_show(cli):
 
 
 def test_unknown_catalog_entry_errors(cli):
-    code, _, err = cli(["catalog", "show", "mystery"])
-    assert code == 1
-    assert json.loads(err)["error"] == "KeyError"
+    assert cli.error(["catalog", "show", "mystery"])["error"] == "KeyError"
 
 
 def test_an_unknown_catalog_entry_is_named_without_quotes_around_it(cli):
     # a KeyError's str() would quote the message once more
-    code, out, err = cli(["catalog", "show", "nope"])
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert json.loads(err) == {"error": "KeyError",
-                               "message": "no catalog entry named 'nope'"}
+    assert cli.error(["catalog", "show", "nope"]) == {
+        "error": "KeyError", "message": "no catalog entry named 'nope'"}
 
 
 def test_catalog_show_needs_a_name(cli):
-    code, out, err = cli(["catalog", "show"])
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert json.loads(err) == {
+    assert cli.error(["catalog", "show"]) == {
         "error": "ValueError",
         "message": "catalog show needs the name of an entry"}
 
@@ -135,7 +116,7 @@ _PERIODIC = ('{"curve": ["i/z", "1/z", "0"], "domain": {"rect": [-1.5, 1.5, '
      '[0.5, 1, 0.5, 1]}}', None),
 ])
 def test_verify_reports_the_real_period(cli, spec, period):
-    code, report, _ = cli(["verify", "--res", "17x17"], stdin=spec)
+    code, report, _ = cli(["verify", "--res", "33x33"], stdin=spec)
     assert code == 0
     assert json.loads(report)["real_period"] == period
 
@@ -146,7 +127,8 @@ _OVERFLOWING = ('{"curve": ["-1", "1e-300", "1e200"], '
 
 def test_verify_of_an_overflowing_curve_is_not_null(cli):
     # the squares of 1e200 overflow; the report says so rather than null,
-    # in strict JSON: its inf and NaN fields are written null
+    # in strict JSON: its inf and NaN fields are written null, and
+    # numpy's overflow warnings would be noise on stderr
     code, report, _ = cli(["verify", "--res", "9x9"], stdin=_OVERFLOWING)
     assert code == 0
     rep = json.loads(report, parse_constant=_refuse_constant)
@@ -154,17 +136,6 @@ def test_verify_of_an_overflowing_curve_is_not_null(cli):
     assert rep["null_residual"] is rep["normalizer"] is None
     assert rep["relative_residual"] is None
     assert rep["minimality"]["conformality_defect"] is None
-
-
-@pytest.mark.filterwarnings("error")
-def test_a_successful_verify_writes_nothing_to_stderr(capfd, monkeypatch):
-    # stderr is the one-line JSON error channel: numpy's overflow warnings
-    # on the overflowing curve would be noise on a successful run
-    monkeypatch.setattr(sys, "stdin", io.StringIO(_OVERFLOWING))
-    assert main(["verify", "--res", "9x9"]) == 0
-    out, err = capfd.readouterr()
-    assert err == ""
-    assert json.loads(out)["is_null"] is False
 
 
 def test_verify_gives_a_hyperplane_only_for_rank_n_minus_1(cli):
@@ -189,17 +160,14 @@ def test_identity_pipeline_round_trips(cli):
 
 def test_deform_requires_weierstrass_for_scaling(cli):
     _, spec, _ = cli(["catalog", "show", "lagrangian-catenoid"])
-    code, _, err = cli(["deform", "--kind", "lopez-ros", "--lambda", "2"],
+    report = cli.error(["deform", "--kind", "lopez-ros", "--lambda", "2"],
                        stdin=spec)
-    assert code == 1
-    assert "Weierstrass" in json.loads(err)["message"]
+    assert "Weierstrass" in report["message"]
 
 
 def test_deform_dimension_guard(cli):
     _, spec, _ = cli(["catalog", "show", "lagrangian-catenoid"])
-    code, _, err = cli(["deform", "--kind", "goursat", "--t", "0.5"],
-                       stdin=spec)
-    assert code == 1
+    cli.error(["deform", "--kind", "goursat", "--t", "0.5"], stdin=spec)
 
 
 def test_parabolic_composability(cli):
@@ -281,16 +249,23 @@ def test_segre_kind_preserves_nullity(cli):
     assert json.loads(report)["is_null"]
 
 
-def test_a_slice_from_an_undeclared_pole_is_a_one_line_no_convergence(cli):
+def test_a_slice_from_an_undeclared_pole_is_a_one_line_no_convergence():
     # the default base point 0 is the pole of Psi = 1/z^2, declared as no
     # puncture: the quadrature legs from it once refined until memory ran
-    # out (exit 2, InternalError: MemoryError)
-    code, out, err = cli(
-        ["slice", "--axis", "4", "--value", "1e3", "--npoints", "20"],
-        stdin='{"weierstrass": {"G": "exp(z)", "Psi": "1/z^2"}}')
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "NoConvergence"
+    # out (exit 2, InternalError: MemoryError).  A child process under a
+    # 1.5 GB address-space limit (ulimit -v 1500000) runs it
+    run = ("import resource, runpy, sys; limit = 1500000 * 1024; "
+           "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+           "sys.argv = ['minsurf'] + sys.argv[1:]; "
+           "runpy.run_module('minsurf.cli', run_name='__main__')")
+    proc = subprocess.run(
+        [sys.executable, "-c", run, "slice", "--axis", "4", "--value", "1e3",
+         "--npoints", "20"], input='{"weierstrass": {"G": "exp(z)", '
+        '"Psi": "1/z^2"}}', capture_output=True, text=True, env=child_env(),
+        timeout=120)
+    check_streams(proc.returncode, proc.stdout, proc.stderr)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "NoConvergence"
 
 
 def test_segre_of_a_curve_with_a_zero_component_adds_no_zero_term(cli):
@@ -311,19 +286,15 @@ def test_segre_of_a_curve_with_a_zero_component_adds_no_zero_term(cli):
 
 
 def test_error_is_machine_readable(cli):
-    code, _, err = cli(["verify", "--res", "9x9"], stdin="{not json")
-    assert code == 1
-    payload = json.loads(err)
-    assert set(payload) == {"error", "message"}
+    # the fixture checks that the line holds exactly "error" and "message"
+    cli.error(["verify", "--res", "9x9"], stdin="{not json")
 
 
 def test_constant_singularity_is_machine_readable(cli):
     # 0^(-1) is left to evaluation, not folded (and raised) by the parser
-    code, _, err = cli(["verify", "--res", "9x9"],
+    report = cli.error(["verify", "--res", "9x9"],
                        stdin='{"curve": ["0^(-1)", "1", "i"]}')
-    assert code == 1
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "EvaluationSingularity"
+    assert report["error"] == "EvaluationSingularity"
 
 
 @pytest.mark.parametrize("spec", [
@@ -339,20 +310,16 @@ def test_constant_singularity_is_machine_readable(cli):
     '{"curve": ["1", "i", "0"], "base_point": 3}',
 ])
 def test_malformed_spec_is_machine_readable(cli, spec):
-    code, out, err = cli(["verify", "--res", "9x9"], stdin=spec)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "ValueError"
+    assert cli.error(["verify", "--res", "9x9"], stdin=spec)["error"] == \
+        "ValueError"
 
 
 @pytest.mark.parametrize("axis", ["9", "-1"])
 def test_slice_axis_out_of_range_is_machine_readable(cli, axis):
     _, spec, _ = cli(["catalog", "show", "helicoid"])
-    code, _, err = cli(["slice", f"--axis={axis}", "--value", "0.3"],
+    report = cli.error(["slice", f"--axis={axis}", "--value", "0.3"],
                        stdin=spec)
-    assert code == 1
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "ValueError"
+    assert report["error"] == "ValueError"
 
 
 def test_unexpected_exception_is_internal_error(cli, monkeypatch):
@@ -362,9 +329,8 @@ def test_unexpected_exception_is_internal_error(cli, monkeypatch):
         raise ZeroDivisionError("division by zero")
 
     monkeypatch.setattr(cli_mod, "_cmd_fit", broken)
-    code, out, err = cli(["fit"], stdin="x,y\n")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1
+    code, _, err = cli(["fit"], stdin="x,y\n")
+    assert code == 2
     assert json.loads(err) == {"error": "InternalError",
                                "message": "ZeroDivisionError: division by zero"}
 
@@ -376,10 +342,7 @@ def test_unexpected_exception_is_internal_error(cli, monkeypatch):
     ["deform", "--kind", "associate", "--res", "9x9"],  # a flag deform lacks
 ])
 def test_malformed_flags_are_machine_readable(cli, argv):
-    code, out, err = cli(argv)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "ValueError"
+    assert cli.error(argv)["error"] == "ValueError"
 
 
 def test_help_still_exits_zero(cli):
@@ -388,23 +351,16 @@ def test_help_still_exits_zero(cli):
     assert exit_info.value.code == 0
 
 
-@pytest.mark.filterwarnings("error")   # a numpy warning would not be one line
 @pytest.mark.parametrize("csv", ["x,y,X0\n1,2\n", "x,y,X0,X1\n",
                                  "x,y,X0,X1\n1,2,3,4\n1,2,3\n"])
 def test_malformed_fit_csv_is_machine_readable(cli, csv):
-    code, out, err = cli(["fit"], stdin=csv)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "ValueError"
+    assert cli.error(["fit"], stdin=csv)["error"] == "ValueError"
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_fit_names_a_non_finite_coordinate(cli, token):
     csv = f"x,y,X0,X1\n1,2,3,4\n1,3,{token},1\n1,4,5,4\n2,3,3,3\n"
-    code, out, err = cli(["fit"], stdin=csv)
-    assert code == 1 and out == "" and err.count("\n") == 1
-    report = json.loads(err)
+    report = cli.error(["fit"], stdin=csv)
     assert report["error"] == "ValueError"
     assert "row 2" in report["message"] and report["message"].endswith(token)
 
@@ -418,10 +374,7 @@ def test_non_finite_domain_is_machine_readable(cli, domain):
     # json accepts Infinity and NaN; the domain must refuse them (an
     # infinite rectangle made the Halton sampling loop forever)
     spec = f'{{"curve": ["1", "i", "0"], "domain": {domain}}}'
-    code, out, err = cli(["verify", "--res", "9x9"], stdin=spec)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    report = json.loads(err)
+    report = cli.error(["verify", "--res", "9x9"], stdin=spec)
     assert report["error"] == "ValueError" and "finite" in report["message"]
 
 
@@ -466,10 +419,13 @@ def test_non_finite_domain_is_machine_readable(cli, domain):
          base_point=s.base_point)),
 ])
 def test_deform_kinds_match_the_library(cli, argv, make):
+    # and each is null as verify reads it
     _, spec, _ = cli(["catalog", "show", "helicoid"])
     code, out, _ = cli(["deform"] + argv, stdin=spec)
     assert code == 0
     assert out == specio.dumps(make(specio.loads(spec))) + "\n"
+    report = json.loads(cli.pipe(["verify", "--res", "17x17"], stdin=out))
+    assert report["is_null"] is True
 
 
 @pytest.mark.parametrize("argv, unread", [
@@ -481,20 +437,15 @@ def test_deform_kinds_match_the_library(cli, argv, make):
 ])
 def test_deform_rejects_a_flag_its_kind_does_not_read(cli, argv, unread):
     _, spec, _ = cli(["catalog", "show", "helicoid"])
-    code, out, err = cli(["deform"] + argv, stdin=spec)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    report = json.loads(err)
+    report = cli.error(["deform"] + argv, stdin=spec)
     assert report["error"] == "ValueError"
     assert report["message"].endswith(f"does not read {unread}")
 
 
 def test_export_without_output_is_machine_readable(cli):
     _, spec, _ = cli(["catalog", "show", "helicoid"])
-    code, out, err = cli(["export", "--res", "5x5"], stdin=spec)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    assert "--output" in json.loads(err)["message"]
+    assert "--output" in cli.error(["export", "--res", "5x5"],
+                                   stdin=spec)["message"]
 
 
 def test_export_projection_picks_the_axes(cli, tmp_path):
@@ -513,6 +464,9 @@ def test_export_projection_picks_the_axes(cli, tmp_path):
 
 
 _HELICOID = '{"weierstrass": {"G": "exp(z)", "Psi": "-i*exp(-z)"}}'
+_CATALOG_HELICOID = ('{"base_point": [0.0, 0.0], "domain": {"rect": [-1.5, '
+                     '1.5, -1.5, 1.5]}, "weierstrass": {"G": "exp(z)", '
+                     '"Psi": "-i*exp(-z)"}}')     # catalog show helicoid
 _PUNCTURED = ('{"weierstrass": {"G": "z", "Psi": "1/z^2"}, "domain": '
               '{"rect": [-1.5, 1.5, -1.5, 1.5], "punctures": [[0, 0]]}}')
 _CORNERS = "x,y,X0,X1,X2\n" + "0,0,1,1,0\n0,0,1,-1,0\n0,0,-1,-1,0\n0,0,-1,1,0\n" * 3
@@ -584,15 +538,36 @@ _DEEP_SUM, _DEEP_NEST = "+".join(["z"] * 400), "(" * 200 + "z" + ")" * 200
      "exponent must be an integer (at offset 2)"),
     (["verify", "--seed", "99999999999999999999999"], _HELICOID,
      "ValueError", "Halton skip 99999999999999999999999"),
-])
+    # whole messages from here on
+    (["verify", "--res", "9x9"], '{"curve": ["0", "0", "0"]}', "ValueError",
+     "no interior points to verify"),
+    (["verify", "--seed", "-3"], _CATALOG_HELICOID, "ValueError",
+     "Halton skip must be non-negative, got -3"),
+    (["deform", "--kind", "theorem51", "--c", "1e400"], _CATALOG_HELICOID,
+     "ValueError", "not a complex number: '1e400'"),
+    # the stem from the spec's base point to the grid point 0 passes the
+    # puncture
+    (["export", "--res", "21x21", "--output", "{out}"], '{"weierstrass": '
+     '{"G": "exp(z)", "Psi": "exp(-z)"}, "domain": {"rect": [-1, 1, -1, 1], '
+     '"punctures": [[0.15, 0.1]]}, "base_point": [0.049, 0.049]}',
+     "ValueError", "base point is masked by a puncture"),
+] + [
+    # (1/z, i/z, 0) with its pole 0 declared as no puncture, on a grid
+    # corner or as the base point
+    (argv, spec, "SingularPath",
+     "log z is not finite at 0j, a pole that no puncture declares")
+    for spec in ('{"curve": ["1/z", "i/z", "0"], "domain": {"rect": '
+                 '[0, 1, 0, 1]}}',
+                 '{"curve": ["1/z", "i/z", "0"], "domain": {"rect": '
+                 '[-1, 1.2, -1, 1.2]}, "base_point": [0, 0]}')
+    for argv in (["verify", "--res", "5x5"], ["sample", "--res", "3x3"],
+                 ["export", "--res", "5x5", "--output", "{out}"],
+                 ["slice", "--axis", "1", "--value", "0.3"])])
 def test_library_errors_are_machine_readable(cli, tmp_path, argv, stdin,
                                              error, fragment):
     out_file = tmp_path / "out"
     argv = [a.replace("{out}", str(out_file)) for a in argv]
-    code, out, err = cli(argv, stdin=stdin)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    report = json.loads(err)
+    report = cli.error(argv, stdin=stdin)
     assert report["error"] == error
     assert fragment in report["message"]
     assert not out_file.exists()
@@ -655,7 +630,6 @@ _ZERO_CURVE = '{"curve": ["0", "0", "0"]}'
 _LINE = '{"curve": ["1", "i", "0"]}'
 
 
-@pytest.mark.filterwarnings("error")   # a numpy warning would not be one line
 @pytest.mark.parametrize("argv, stdin, error, fragment", [
     (["verify"], _ZERO_CURVE, "ValueError", "no interior points"),
     (["verify", "--res", "9x9"], '{"curve": ["1e400*z", "i", "0"]}',
@@ -693,21 +667,17 @@ _LINE = '{"curve": ["1", "i", "0"]}'
     for sweep in ("inf:1", "nan:1", "1", "1:2:3", "a:1", "")])
 def test_degenerate_and_non_finite_inputs_are_machine_readable(
         cli, argv, stdin, error, fragment):
-    code, out, err = cli(argv, stdin=stdin)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    report = json.loads(err)
+    report = cli.error(argv, stdin=stdin)
     assert report["error"] == error
     assert fragment in report["message"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_a_non_finite_lopez_ros_lambda_is_named(cli, value):
-    code, out, err = cli(["deform", "--kind", "lopez-ros",
-                          f"--lambda={value}"], stdin=_HELICOID)
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert json.loads(err) == {"error": "InvalidConstant",
-                               "message": f"lambda must be finite, got {value}"}
+    assert cli.error(["deform", "--kind", "lopez-ros", f"--lambda={value}"],
+                     stdin=_HELICOID) == {
+        "error": "InvalidConstant",
+        "message": f"lambda must be finite, got {value}"}
 
 
 def test_a_sweep_that_cannot_be_evaluated_names_itself_and_the_rectangle(
@@ -718,9 +688,7 @@ def test_a_sweep_that_cannot_be_evaluated_names_itself_and_the_rectangle(
     _, deformed, _ = cli(["deform", "--kind", "theorem51", "--c", "1+0i"],
                          stdin=spec)
     slice_ = ["slice", "--axis", "3", "--value", "0.3"]
-    code, out, err = cli(slice_ + ["--sweep=-1e3:1e3"], stdin=deformed)
-    assert code == 1 and out == "" and err.count("\n") == 1
-    report = json.loads(err)
+    report = cli.error(slice_ + ["--sweep=-1e3:1e3"], stdin=deformed)
     assert report["error"] == "SingularPath"
     assert report["message"].startswith("sweep -1000:1000 of u at v = ")
     assert "rectangle is [-1.5, 1.5] x [-1.5, 1.5]" in report["message"]
@@ -732,13 +700,12 @@ def _refuse_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
-@pytest.mark.filterwarnings("error")
 def test_sample_of_an_overflowing_metric_writes_nothing_on_stderr(cli):
     # |1e200|^2 overflows in the conformal factor, which is written null
     stdin = ('{"curve": ["2", "2", "1e200", "sinh(1)"], '
              '"domain": {"rect": [0, 1, 0, 1]}}')
-    code, out, err = cli(["sample", "--res", "3x3"], stdin=stdin)
-    assert code == 0 and err == ""
+    code, out, _ = cli(["sample", "--res", "3x3"], stdin=stdin)
+    assert code == 0
     report = json.loads(out, parse_constant=_refuse_constant)
     assert report["conformal"] == [[None] * 3] * 3
 
@@ -751,6 +718,133 @@ def test_an_overflowing_product_is_passed_on_as_written(cli):
                         stdin=stdin)
     assert code == 0
     assert json.loads(spec)["curve"][0].endswith("*(1e+200*1e+200*z)")
-    code, out, err = cli(["verify", "--res", "9x9"], stdin=spec)
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "EvaluationSingularity"
+    assert cli.error(["verify", "--res", "9x9"], stdin=spec)["error"] == \
+        "EvaluationSingularity"
+
+
+_CATENOID_FROM_1 = _PUNCTURED[:-1] + ', "base_point": [1, 0]}'
+
+
+@pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, math.pi / 3])
+def test_the_corollary53_neck_has_eccentricity_sin_theta(cli, theta):
+    # README's pipeline from base point 0: the neck ellipse, of semi-axes
+    # 1 / cos theta and 1, lies at X4 = log cos theta
+    fit = json.loads(cli.pipe(
+        ["catalog", "show", "catenoid-exp"],
+        ["deform", "--kind", "corollary53", "--theta", repr(theta)],
+        ["slice", "--axis", "3", f"--value={math.log(math.cos(theta))!r}"],
+        ["fit"]))
+    assert fit["classification"] == "ellipse"
+    assert abs(fit["eccentricity"] - math.sin(theta)) <= 1e-12
+
+
+def test_data_with_no_exact_primitive_verify_on_the_tree(cli):
+    rep = json.loads(cli.pipe(["verify", "--res", "33x33"], stdin=(
+        '{"weierstrass": {"G": "exp(z^2)", "Psi": "1"}, '
+        '"domain": {"rect": [-0.5, 0.5, -0.5, 0.5]}}')))
+    m = rep["minimality"]
+    assert rep["is_null"] is True
+    assert m["conformality_defect"] <= 0.05 and m["harmonicity_defect"] <= 0.05
+
+
+def test_a_slice_of_a_curve_with_no_exact_primitive(cli):
+    csv = cli.pipe(["slice", "--axis", "0", "--value", "0.1", "--npoints",
+                    "20"], stdin='{"curve": ["1", "i*cosh(z^2)", '
+                   '"sinh(z^2)"], "domain": {"rect": [-0.5, 0.5, -0.5, 0.5]}}')
+    assert len(csv.splitlines()) == 1 + 20
+
+
+def test_a_collinear_sample_fits_as_a_line(cli):
+    csv = "x,y,X0,X1,X2\n" + "".join(f"0,0,{t},{2 * t},{1 - 3 * t}\n"
+                                     for t in range(12))
+    assert json.loads(cli.pipe(["fit"], stdin=csv))["classification"] == "line"
+
+
+def test_the_punctured_catenoid_exports_at_513(cli, tmp_path):
+    target = tmp_path / "punctured.ply"
+    cli.pipe(["export", "--res", "513x513", "--format", "ply", "--tol",
+              "1e-10", "--output", str(target)], stdin=_CATENOID_FROM_1)
+    assert b"\nelement vertex 263169\n" in target.read_bytes()[:200]
+
+
+def test_the_objs_face_lines_are_the_plys_faces(cli, tmp_path):
+    # 16,641 vertices: the indices cross 9,999 -> 10,000
+    for fmt in ("ply", "obj"):
+        cli.pipe(["export", "--res", "129x129", "--format", fmt, "--tol",
+                  "1e-10", "--output", str(tmp_path / f"m.{fmt}")],
+                 stdin=_CATENOID_FROM_1)
+    head, body = (tmp_path / "m.ply").read_bytes().split(b"end_header\n", 1)
+    head = head.decode().splitlines()
+    assert "element vertex 16641" in head
+    nprop = sum(h.startswith("property double") for h in head)
+    faces = np.frombuffer(body[8 * 16641 * nprop:],
+                          dtype=[("n", "u1"), ("v", "<i4", 3)])
+    assert len(faces) > 0 and (faces["n"] == 3).all()
+    want = (b"f %d %d %d\n" * len(faces)
+            % tuple((faces["v"] + 1).ravel().tolist()))
+    got = b"".join(line for line in (tmp_path / "m.obj").read_bytes()
+                   .splitlines(True) if line.startswith(b"f "))
+    assert got == want
+
+
+def _points(sample):
+    """A sample's points, null as NaN."""
+    return np.array(json.loads(sample)["points"], dtype=float)
+
+
+def test_a_real_period_jumps_only_across_the_cut(cli):
+    # X0 = arg z0 - arg z, the arg on the cut pi: 2 pi - 2 atan(0.5) at
+    # -1 - 0.5i, from -1 + 0.5i
+    out = cli.pipe(["sample", "--res", "13x13"],
+                   stdin=_PERIODIC.replace("[1, 0]", "[-1, 0.5]"))
+    r = json.loads(out)
+    x0 = _points(out)[r["u"].index(-1.0), r["v"].index(-0.5), 0]
+    assert abs(x0 - (2 * math.pi - 2 * math.atan(0.5))) <= 1e-12
+
+
+def test_an_over_budget_curve_with_a_real_period_takes_the_tree(cli,
+                                                                monkeypatch):
+    # X3 = Re integral of i/z = -(arg z - arg z0): cosh(13) puts the grid
+    # over its roundoff budget, and the rows v = +-1 left of the puncture
+    # are reached by column j0 and one leg along the row
+    trees = []
+    tree = surface_mod._tree_integrals
+    monkeypatch.setattr(surface_mod, "_tree_integrals",
+                        lambda *a: trees.append(1) or tree(*a))
+    out = cli.pipe(["sample", "--res", "41x9"], stdin=(
+        '{"curve": ["cosh(z)", "i*sinh(z)", "i", "i/z", "1/z"], "domain": '
+        '{"rect": [-13, 13, -1, 1], "punctures": [[0, 0]]}, '
+        '"base_point": [1, 0.5]}'))
+    assert trees == [1]
+    r = json.loads(out)
+    u, v = np.meshgrid(r["u"], r["v"], indexing="ij")
+    x3 = _points(out)[..., 3]
+    ok = ~np.isnan(x3)
+    assert [np.sum(ok & (u < 0) & (v * s > 0)) for s in (1, -1)] == [20, 20]
+    err = np.abs(x3 + np.arctan2(v, u) - math.atan2(0.5, 1))[ok]
+    assert err.max() <= 1e-9
+
+
+def test_a_grid_over_the_roundoff_budget_takes_the_tree(cli):
+    # at tol 1e-10 the cosh strip takes the tree, at 1e-6 the exact route
+    spec = ('{"curve": ["cosh(z)", "i*sinh(z)", "i"], '
+            '"domain": {"rect": [0, 13, -1, 1]}}')
+    a, b = (_points(cli.pipe(["sample", "--res", "41x9", "--tol", tol],
+                             stdin=spec)) for tol in ("1e-10", "1e-6"))
+    assert a.shape == (41, 9, 3) and np.all(np.isfinite(a))
+    assert np.max(np.abs(a - b)) <= 1e-6
+
+
+def test_a_punctured_spec_with_no_base_point_samples(cli):
+    # the default base point 0 lies within the clearance of the puncture
+    out = cli.pipe(["sample", "--res", "5x5"], stdin=(
+        '{"curve": ["1/(z-0.3-0.2i)", "i/(z-0.3-0.2i)", "0"], '
+        '"domain": {"punctures": [[0.3, 0.2]]}}'))
+    json.loads(out, parse_constant=_refuse_constant)
+
+
+def test_with_no_base_point_sample_anchors_at_the_default(cli):
+    # X = (u, -v, 0) from the default 0, off the 4x4 grid
+    out = cli.pipe(["sample", "--res", "4x4"], stdin=_LINE)
+    assert json.loads(out)["base_point"] == [0.0, 0.0]
+    assert np.max(np.abs(_points(out)[2, 2] - [1 / 3, -1 / 3, 0])) <= 1e-12

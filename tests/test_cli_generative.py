@@ -2,19 +2,15 @@
 
 Each run of ``cli.main`` either exits 0 with nothing on stderr (and no
 warning) and well-formed output (strict JSON, a slice CSV or a mesh), or
-exits 1 with exactly one JSON line on stderr; it never exits 2.
+exits 1 with exactly one JSON line on stderr; it never exits 2.  The
+``cli`` fixture (conftest) checks the streams; a warning, an error under
+the suite's filterwarnings, would end the run with exit 2.
 """
 
-import io
 import json
 import math
-import sys
-import warnings
 
 import numpy as np
-import pytest
-
-from minsurf.cli import main
 
 _COMPONENTS = ["1", "i", "0", "z", "i*z", "exp(z)", "i*exp(z)", "cosh(z)",
                "i*sinh(z)", "z^2", "1/z", "i/z", "z^-2", "log(z)",
@@ -43,18 +39,6 @@ OVERFLOWING = ('{"curve": ["1e200", "0", "sinh(z)/(1e-300)", "z+2.5"], '
 
 def _refuse_constant(token):
     raise ValueError(f"{token} is not strict JSON")
-
-
-def _run(argv, stdin, capsys, monkeypatch):
-    """(exit code, stdout, stderr) of one cli.main run, each warning it
-    raises counted as a line on stderr."""
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err + "".join(f"{w.category.__name__}: {w.message}\n"
-                                    for w in caught)
 
 
 def _check_output(argv, out, target):
@@ -164,41 +148,35 @@ def _command(rng, target):
     return ["fit"], "\n".join(rows) + "\n"
 
 
-def _check(argv, stdin, target, capsys, monkeypatch):
-    code, out, err = _run(argv, stdin, capsys, monkeypatch)
+def _check(cli, argv, stdin, target):
+    code, out, err = cli(argv, stdin)
     assert code in (0, 1), (argv, stdin, err)
     if code == 0:
-        assert err == "", (argv, stdin, err)
         _check_output(argv, out, target)
-    else:
-        assert out == "" and err.count("\n") == 1, (argv, stdin, err)
-        assert set(json.loads(err)) == {"error", "message"}
     return code, out
 
 
-def test_the_overflowing_slice_and_its_fit_keep_the_contract(capsys,
-                                                             monkeypatch):
+def test_the_overflowing_slice_and_its_fit_keep_the_contract(cli):
     # the plane fit's norms overflowed past about 1e154 and warned on
     # stderr, and the fit then read an infinite diameter
     argv = ["slice", "--axis", "0", "--value", "0.1", "--npoints", "12"]
-    code, csv = _check(argv, OVERFLOWING, None, capsys, monkeypatch)
+    code, csv = _check(cli, argv, OVERFLOWING, None)
     assert code == 0
-    code, fit = _check(["fit"], csv, None, capsys, monkeypatch)
+    code, fit = _check(cli, ["fit"], csv, None)
     assert code == 0 and json.loads(fit)["planarity_residual"] > 0
 
 
-def test_drawn_commands_keep_the_output_contract(capsys, monkeypatch,
-                                                 tmp_path):
+def test_drawn_commands_keep_the_output_contract(cli, tmp_path):
     # a slice that succeeds is fitted too
     rng = np.random.default_rng(10)
     target = str(tmp_path / "mesh")
     codes = []
     for _ in range(150):
         argv, stdin = _command(rng, target)
-        code, out = _check(argv, stdin, target, capsys, monkeypatch)
+        code, out = _check(cli, argv, stdin, target)
         codes.append((argv[0], code))
         if argv[0] == "slice" and code == 0:
-            code, _ = _check(["fit"], out, target, capsys, monkeypatch)
+            code, _ = _check(cli, ["fit"], out, target)
             codes.append(("fit", code))
     # both outcomes are drawn often, and every command succeeds
     assert min(sum(c == k for _, c in codes) for k in (0, 1)) >= 30, codes

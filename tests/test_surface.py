@@ -825,6 +825,27 @@ def test_the_exact_route_gives_a_value_where_no_l_path_clears(monkeypatch):
         parametric_immersion(c, zeta0=z0)(z.real, z.imag)
 
 
+@pytest.mark.parametrize("rect, zeta0", [((0, 1, 0, 1), None),
+                                         ((-1, 1.2, -1, 1.2), 0j)])
+def test_a_log_term_at_an_undeclared_pole_is_a_singular_path(rect, zeta0):
+    # (1/z, i/z, 0) with its pole 0 declared as no puncture, on a grid
+    # corner or as the base point: the exact route refuses its infinite
+    # level, and the quadrature integrates phi - r/z = 0, so only r log z
+    # meets the pole.  It once gave (-inf, NaN, 0) at valid points
+    c = NullCurve((ex.parse("1/z"), ex.parse("i/z"), ex.const(0)),
+                  DomainSpec(*rect))
+    pole = r"log z is not finite at 0j, a pole that no puncture declares"
+    with pytest.raises(SingularPath, match=pole):
+        immerse(c, zeta0=zeta0, res=(3, 3))
+    surf = parametric_immersion(c, zeta0=zeta0)
+    with pytest.raises(SingularPath, match=pole):
+        surf(np.array([0.7, 0.0]), np.array([0.2, 0.0]))
+    if zeta0 is None:   # from 0.5 + 0.5i, off the pole, a finite value
+        assert surf(0.7, 0.2) == pytest.approx(
+            [np.log(abs(0.7 + 0.2j) / abs(0.5 + 0.5j)),
+             np.angle(0.5 + 0.5j) - np.angle(0.7 + 0.2j), 0], abs=1e-12)
+
+
 def _clear_of(punctures, clearance):
     """The segment test of immerse for the given punctures and clearance."""
     dom = DomainSpec(-3, 3, -3, 3, punctures=punctures)
